@@ -25,7 +25,7 @@ from freqrec.errors import InputError
 from freqrec.graph import local_subgraph, normalized_laplacian
 from freqrec.model.network import forward
 from freqrec.parallel import parallel_map
-from freqrec.spectral import band_boundaries, basis_from_matrix, smoothness
+from freqrec.spectral import band_energy, basis_from_matrix, gft, smoothness
 from freqrec.tfm import tfm_apply
 
 # Pre-registered acceptance bound for the locality-family Rayleigh-quotient
@@ -57,14 +57,8 @@ class SpectralProfile:
 def profile_from_trace(trace_matrices, basis, n_bands):
     """Band energies per layer for one user's hidden stack (rows already cut
     to the target positions)."""
-    bounds = band_boundaries(basis.size, n_bands)
-    out = np.zeros((len(trace_matrices), n_bands))
-    for l, h in enumerate(trace_matrices):
-        coeffs = basis.eigenvectors.T @ h
-        per_freq = np.sum(coeffs * coeffs, axis=1)
-        for b in range(n_bands):
-            out[l, b] = per_freq[bounds[b]:bounds[b + 1]].sum()
-    return out
+    return np.array([band_energy(basis, gft(basis, h), n_bands).energies
+                     for h in trace_matrices])
 
 
 def trace_spectral_profile(model, sequences, graph, n_bands=4, workers=1,

@@ -374,7 +374,7 @@ def build_parser():
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config field, e.g. --set glpf.alpha=0.5")
     parser.add_argument("--workers", type=int, default=None,
-                        help="bound parallel per-user work (default: machine)")
+                        help="processes for per-user work (default 1; 0 = one per core)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a locality-controlled interaction log")

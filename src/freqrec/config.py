@@ -87,7 +87,7 @@ DEFAULTS = {
         "theorem_rho": 0.5,
         "theorem_seed": 0,
     },
-    "workers": 0,               # 0 = machine parallelism
+    "workers": 1,               # 0 = machine parallelism
 }
 
 # fields with no influence on computed values

@@ -172,11 +172,6 @@ class SplitDataset:
             "max_seq_len": self.max_seq_len,
         }
 
-    def summary_json(self):
-        payload = dict(self.summary())
-        payload["fingerprint"] = self.fingerprint
-        return json.dumps(payload, sort_keys=True)
-
 
 def build_split(log, min_interactions=5, max_seq_len=50):
     """Filter to the fixed point, index tokens, and cut leave-one-out views."""

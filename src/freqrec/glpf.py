@@ -9,7 +9,7 @@ h(lambda) = 1 - alpha * lambda with alpha in [0, 1]: alpha = 0 leaves
 embeddings untouched, alpha = 1 smooths maximally.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,8 +97,6 @@ def truncation_gains(n, fraction):
 class TruncationSweep:
     fractions: list
     metrics: list
-    fingerprint: str = ""
-    rows: list = field(default_factory=list)
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -22,7 +22,6 @@ import numpy as np
 
 from freqrec.errors import InputError
 from freqrec.numcore import autodiff as ad
-from freqrec.numcore.fourier import dft
 from freqrec.tfm import ButterworthSpec, butterworth_gains, make_filter
 
 CAUSAL_MASK_VALUE = -1e9
@@ -163,12 +162,10 @@ def _causal_safe_matrix(spec, t_len):
     length-(t+1) circulant filter, zero-padded.  Linear but not symmetric,
     so the tape node uses the explicit transpose adjoint."""
     m = np.zeros((t_len, t_len))
-    m[0, 0] = 1.0
-    for t in range(1, t_len):
+    for t in range(t_len):
         n = t + 1
-        kernel = dft(butterworth_gains(spec, n).astype(complex), inverse=True).real
-        for s in range(n):
-            m[t, s] = kernel[(s - t) % n]
+        kernel = np.fft.ifft(butterworth_gains(spec, n)).real
+        m[t, :n] = kernel[(np.arange(n) - t) % n]
     return m
 
 
@@ -247,9 +244,6 @@ class RecModel:
     @property
     def n_items(self):
         return self.id_table.n_items
-
-    def fused_inputs(self):
-        return np.concatenate([self.id_table.rows, self.text_table.rows], axis=1)
 
 
 def fuse(id_table, text_table, mlp, mlp_vars=None, item_ids=None):

@@ -1,5 +1,6 @@
-"""Numerical substrate: symmetric eigensolver, discrete Fourier transforms,
-and a minimal reverse-mode differentiation tape."""
+"""Numerical substrate: checked entry points to numpy's symmetric
+eigensolver and discrete Fourier transforms, and a minimal reverse-mode
+differentiation tape."""
 
 from freqrec.numcore.linalg import sym_eigendecompose
 from freqrec.numcore.fourier import dft

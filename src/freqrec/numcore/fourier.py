@@ -1,82 +1,23 @@
-"""Exact discrete Fourier transforms.
+"""Discrete Fourier transforms (numpy's FFT behind the project's checks).
 
 Convention: forward bins are X[k] = sum_t x[t] * exp(-2j*pi*k*t/T) with no
 normalization; the inverse carries the 1/T factor, so idft(dft(x)) == x.
-Power-of-two lengths run through an iterative radix-2 decimation-in-time
-FFT; every other length uses the direct O(T^2) matrix sum.  Both paths
-agree to better than 1e-12 relative.
 
 Inputs may be 1-D (one signal) or 2-D (one signal per column, transformed
 along axis 0).
 """
-
-from functools import lru_cache
 
 import numpy as np
 
 from freqrec.errors import InputError
 
 
-@lru_cache(maxsize=32)
-def _bit_reversal(n):
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    rev.setflags(write=False)
-    return rev
-
-
-@lru_cache(maxsize=64)
-def _twiddles(m, inverse):
-    sign = 1.0 if inverse else -1.0
-    w = np.exp(sign * 2j * np.pi * np.arange(m // 2) / m)
-    w.setflags(write=False)
-    return w
-
-
-def _fft_pow2(x, inverse):
-    t_len = x.shape[0]
-    a = x[_bit_reversal(t_len)].astype(complex, copy=True)
-    m = 2
-    while m <= t_len:
-        half = m // 2
-        w = _twiddles(m, inverse)[None, :, None]
-        blocks = a.reshape(t_len // m, m, -1)
-        even = blocks[:, :half]
-        odd = blocks[:, half:] * w
-        np.subtract(even, odd, out=blocks[:, half:])
-        np.add(even, odd, out=blocks[:, :half])
-        m *= 2
-    return a
-
-
-def _dft_direct(x, inverse):
-    t_len = x.shape[0]
-    sign = 1.0 if inverse else -1.0
-    k = np.arange(t_len)
-    basis = np.exp(sign * 2j * np.pi * np.outer(k, k) / t_len)
-    return basis @ x
-
-
 def dft(x, inverse=False):
     """Forward or inverse DFT along axis 0. Returns a complex array of the
     same shape; forward of a real input has conjugate-symmetric bins."""
-    x = np.asarray(x)
+    x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2):
         raise InputError(f"dft expects a 1-D or 2-D array, got ndim={x.ndim}")
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    t_len = x.shape[0]
-    if t_len == 0:
+    if x.shape[0] == 0:
         raise InputError("dft of an empty sequence")
-    x = x.astype(complex, copy=False)
-    if t_len >= 2 and (t_len & (t_len - 1)) == 0:
-        y = _fft_pow2(x, bool(inverse))
-    else:
-        y = _dft_direct(x, bool(inverse))
-    if inverse:
-        y = y / t_len
-    return y[:, 0] if squeeze else y
+    return (np.fft.ifft if inverse else np.fft.fft)(x, axis=0)

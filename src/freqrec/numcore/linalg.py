@@ -1,15 +1,5 @@
-"""Dense symmetric eigendecomposition by cyclic Jacobi rotations.
-
-The sweep ordering is the round-robin tournament schedule, which visits
-every off-diagonal pair exactly once per sweep in rounds of mutually
-disjoint index pairs.  Rotations within a round act on disjoint coordinate
-planes and therefore commute, so a whole round can be applied with a
-handful of vectorized column/row updates instead of one Python-level loop
-per pair.  Convergence behaves like the classical cyclic method:
-quadratic once the off-diagonal mass is small.
-"""
-
-from functools import lru_cache
+"""Dense symmetric eigendecomposition: input checks around LAPACK's
+symmetric solver (`numpy.linalg.eigh`)."""
 
 import numpy as np
 
@@ -18,34 +8,7 @@ from freqrec.errors import InputError, NumericError
 MAX_EIGEN_SIZE = 1024
 
 
-@lru_cache(maxsize=64)
-def _round_robin_schedule(n):
-    """All-pairs tournament schedule: n-1 rounds (n padded to even) of
-    disjoint (p, q) pairs covering every p < q exactly once."""
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            x, y = players[i], players[m - 1 - i]
-            if x < n and y < n:
-                ps.append(min(x, y))
-                qs.append(max(x, y))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return tuple(rounds)
-
-
-def _offdiag_norm(a):
-    # computed from the off-diagonal entries directly; subtracting the
-    # diagonal mass from the total cancels catastrophically near convergence
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def sym_eigendecompose(m, tol=1e-11, max_sweeps=64):
+def sym_eigendecompose(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
     symmetric matrix.
 
@@ -66,47 +29,7 @@ def sym_eigendecompose(m, tol=1e-11, max_sweeps=64):
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.T))) > 1e-9 * scale:
         raise InputError("matrix is not symmetric within 1e-9")
-    a = (a + a.T) / 2.0
-
-    if n == 1:
-        return a[0].copy(), np.eye(1)
-
-    u = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n), u
-
-    converged = False
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) <= tol * norm:
-            converged = True
-            break
-        for ps, qs in _round_robin_schedule(n):
-            apq = a[ps, qs]
-            active = np.abs(apq) > 1e-300
-            diff = a[qs, qs] - a[ps, ps]
-            theta = np.divide(diff, 2.0 * apq, out=np.zeros_like(apq), where=active)
-            theta_c = np.clip(theta, -1e8, 1e8)
-            t = np.sign(theta_c) / (np.abs(theta_c) + np.sqrt(theta_c * theta_c + 1.0))
-            t = np.where(theta == 0.0, 1.0, t)
-            big = np.abs(theta) > 1e8
-            t = np.where(big, np.divide(0.5, theta, out=np.zeros_like(theta), where=big), t)
-            t = np.where(active, t, 0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            ap, aq = a[:, ps], a[:, qs]
-            a[:, ps], a[:, qs] = c * ap - s * aq, s * ap + c * aq
-            rp, rq = a[ps, :], a[qs, :]
-            cc, ss = c[:, None], s[:, None]
-            a[ps, :], a[qs, :] = cc * rp - ss * rq, ss * rp + cc * rq
-            up, uq = u[:, ps], u[:, qs]
-            u[:, ps], u[:, qs] = c * up - s * uq, s * up + c * uq
-    else:
-        converged = _offdiag_norm(a) <= tol * norm
-
-    if not converged:
-        raise NumericError(f"Jacobi eigensolver failed to converge for n={n} after {max_sweeps} sweeps")
-
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], u[:, order]
+    try:
+        return np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"symmetric eigensolver failed for n={n}: {exc}") from exc

@@ -13,6 +13,10 @@ import numpy as np
 from freqrec.errors import InputError
 from freqrec.numcore.linalg import sym_eigendecompose
 
+# Ascending eigenvalues closer than this (relative to max(1, |lambda|max))
+# form one cluster whose energy band_energy spreads evenly over its ranks.
+CLUSTER_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SpectralBasis:
@@ -85,14 +89,25 @@ def band_boundaries(n, n_bands):
 
 def band_energy(basis, coefficients, n_bands=4):
     """Group per-frequency energies ||row_k||^2 of GFT coefficients into
-    rank-quantile bands."""
+    rank-quantile bands.
+
+    Within a cluster of (numerically) equal eigenvalues only the total
+    energy ||U_c^T h||^2 is independent of the eigenbasis the solver
+    returned, so each cluster's energy is spread evenly over its ranks
+    before binning.  This is the expected split over uniformly random bases
+    of the eigenspace, and it changes nothing when no cluster straddles a
+    band boundary."""
     c = np.asarray(coefficients, dtype=float)
     if c.ndim == 1:
         c = c[:, None]
     if c.shape[0] != basis.size:
         raise InputError(
             f"coefficients have {c.shape[0]} rows but the basis has {basis.size} nodes")
-    per_freq = np.sum(c * c, axis=1)
+    w = basis.eigenvalues
+    tol = CLUSTER_RTOL * max(1.0, float(np.max(np.abs(w))))
+    starts = np.flatnonzero(np.r_[True, np.diff(w) > tol])
+    sizes = np.diff(np.r_[starts, w.size])
+    per_freq = np.repeat(np.add.reduceat(np.sum(c * c, axis=1), starts) / sizes, sizes)
     bounds = band_boundaries(basis.size, n_bands)
     energies = np.array([per_freq[bounds[b]:bounds[b + 1]].sum() for b in range(n_bands)])
     return BandEnergy(n_bands=n_bands, energies=energies, boundaries=bounds)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from freqrec.errors import InputError
+from freqrec.errors import InputError, NumericError
 from freqrec.numcore.linalg import sym_eigendecompose
 
 
@@ -88,3 +88,11 @@ class TestErrors:
     def test_size_cap(self):
         with pytest.raises(InputError):
             sym_eigendecompose(np.eye(1025))
+
+    def test_solver_failure_is_numeric_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericError):
+            sym_eigendecompose(np.eye(3))

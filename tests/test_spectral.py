@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
+from freqrec.analysis import profile_from_trace
 from freqrec.errors import InputError
 from freqrec.graph import normalized_laplacian
-from freqrec.spectral import band_boundaries, band_energy, basis_from_matrix, gft, smoothness
+from freqrec.spectral import (
+    SpectralBasis,
+    band_boundaries,
+    band_energy,
+    basis_from_matrix,
+    gft,
+    smoothness,
+)
 from freqrec.tfm import ring_graph_laplacian
 
 
@@ -138,6 +146,26 @@ class TestBandEnergy:
         be2 = band_energy(basis, coeffs[:, rng.permutation(5)], n_bands=3)
         np.testing.assert_allclose(be1.energies, be2.energies, atol=1e-12)
         np.testing.assert_array_equal(be1.boundaries, be2.boundaries)
+
+    def test_rotation_inside_straddling_eigenspace_is_invisible(self):
+        # the 4-ring has eigenvalues {0, 2, 2, 4}; with 4 bands the double
+        # eigenvalue straddles the boundary between bands 1 and 2
+        basis = basis_from_matrix(ring_graph_laplacian(4))
+        np.testing.assert_allclose(basis.eigenvalues, [0.0, 2.0, 2.0, 4.0], atol=1e-9)
+        rng = np.random.default_rng(12)
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.eye(4)
+        rot[1:3, 1:3] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        rotated = SpectralBasis(eigenvalues=basis.eigenvalues,
+                                eigenvectors=basis.eigenvectors @ rot)
+        h = rng.standard_normal((4, 3))
+        tol = 1e-12 * float(np.sum(h * h))
+        a = band_energy(basis, gft(basis, h), n_bands=4).energies
+        b = band_energy(rotated, gft(rotated, h), n_bands=4).energies
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=tol)
+        trace = [h, 2.0 * h]
+        np.testing.assert_allclose(profile_from_trace(trace, basis, 4),
+                                   profile_from_trace(trace, rotated, 4), rtol=0.0, atol=4.0 * tol)
 
     def test_too_many_bands_rejected(self):
         basis = basis_from_matrix(np.eye(3))
