@@ -11,6 +11,8 @@ numeric or training error.
 """
 
 import argparse
+import copy
+import dataclasses
 import json
 import os
 import sys
@@ -25,7 +27,7 @@ from freqrec.analysis import (
 from freqrec.config import fingerprint, load_config
 from freqrec.errors import FreqRecError, InputError, NumericError
 from freqrec.evalharness import baselines, evaluate
-from freqrec.glpf import PolyFilterSpec, polynomial_filter
+from freqrec.glpf import PolyFilterSpec, filters_tokens, polynomial_filter
 from freqrec.graph import build_cooccurrence, load_graph, save_graph
 from freqrec.model.embeddings import (
     PretrainConfig,
@@ -34,7 +36,7 @@ from freqrec.model.embeddings import (
     save_table,
     text_surrogate_embeddings,
 )
-from freqrec.model.network import RecModel, init_backbone, init_fusion_mlp
+from freqrec.model.network import build_model
 from freqrec.model.training import (
     TrainConfig,
     load_checkpoint,
@@ -84,37 +86,9 @@ def _load_split(cfg, data_path):
     return split
 
 
-def _glpf_spec(cfg):
-    g = cfg["glpf"]
-    if g["coefficients"] is not None:
-        return PolyFilterSpec(tuple(g["coefficients"]))
-    return PolyFilterSpec.first_order(g["alpha"])
-
-
-def _tfm_spec(cfg):
-    return ButterworthSpec(cutoff=cfg["tfm"]["cutoff"], order=cfg["tfm"]["order"])
-
-
-def _build_model(cfg, id_table, text_table, graph=None, tfm_enabled=None):
-    m = cfg["model"]
-    enabled = cfg["tfm"]["enabled"] if tfm_enabled is None else tfm_enabled
-    mlp = init_fusion_mlp(id_table.dim + text_table.dim, m["d_model"],
-                          hidden=m["mlp_hidden"], seed=m["mlp_seed"],
-                          activation=m["activation"])
-    backbone = init_backbone(n_layers=cfg["backbone"]["layers"], d_model=m["d_model"],
-                             n_heads=cfg["backbone"]["heads"], seed=cfg["backbone"]["seed"],
-                             ffn_mult=cfg["backbone"]["ffn_mult"],
-                             tfm_enabled=enabled, tfm_spec=_tfm_spec(cfg),
-                             tfm_residual=cfg["tfm"]["residual"],
-                             tfm_causal_safe=cfg["tfm"]["causal_safe"])
-    token_filter = None
-    if cfg["glpf"]["enabled"] and cfg["glpf"]["apply_to"] == "fused":
-        if graph is None:
-            raise InputError("glpf.apply_to=fused needs --graph at model build time")
-        spec = _glpf_spec(cfg)
-        token_filter = lambda tokens: polynomial_filter(graph, spec, tokens)
-    return RecModel(id_table=id_table, text_table=text_table, mlp=mlp,
-                    backbone=backbone, token_filter=token_filter)
+def _train_config(cfg):
+    return TrainConfig(**cfg["training"], eval_seed=cfg["eval"]["seed"],
+                       eval_candidates=cfg["eval"]["n_candidates"])
 
 
 def _check_fingerprints(named, force):
@@ -134,10 +108,7 @@ def _check_fingerprints(named, force):
 
 
 def cmd_synth(args, cfg):
-    s = cfg["synth"]
-    log, affinity = ds.synthesize(ds.SynthConfig(
-        users=s["users"], items=s["items"], mean_length=s["mean_length"],
-        rho=s["rho"], seed=s["seed"], with_text=s["with_text"]))
+    log, affinity = ds.synthesize(ds.SynthConfig(**cfg["synth"]))
     _atomic(args.out, lambda tmp: ds.write_tsv(log, tmp))
     if args.affinity_out:
         def write_affinity(tmp):
@@ -176,12 +147,10 @@ def cmd_build_graph(args, cfg):
 
 def cmd_pretrain(args, cfg):
     split = _load_split(cfg, args.data)
-    p = cfg["pretrain"]
-    id_table, losses = pretrain_id_embeddings(split, PretrainConfig(
-        dim=cfg["model"]["d_id"], window=p["window"], negatives=p["negatives"],
-        epochs=p["epochs"], lr=p["lr"], seed=p["seed"], chunk=p["chunk"]))
+    id_table, losses = pretrain_id_embeddings(
+        split, PretrainConfig(**cfg["pretrain"], dim=cfg["model"]["d_id"]))
     text_table = text_surrogate_embeddings(split, d_text=cfg["model"]["d_text"],
-                                           seed=p["seed"])
+                                           seed=cfg["pretrain"]["seed"])
     id_table.fingerprint = fingerprint(cfg)
     text_table.fingerprint = fingerprint(cfg)
     _atomic(args.out_id, lambda tmp: save_table(id_table, tmp))
@@ -198,8 +167,10 @@ def cmd_glpf(args, cfg):
     if table.n_items != graph.n_items:
         raise InputError(f"embedding table covers {table.n_items} items, graph "
                          f"{graph.n_items}")
-    spec = _glpf_spec(cfg)
-    if cfg["glpf"]["enabled"]:
+    spec = PolyFilterSpec.from_config(cfg["glpf"])
+    # under apply_to=fused the filter runs on the fused tokens, so the ID
+    # table passes through unfiltered
+    if not filters_tokens(cfg["glpf"]) and cfg["glpf"]["enabled"]:
         table.rows = polynomial_filter(graph, spec, table.rows)
     table.fingerprint = fingerprint(cfg)
     _atomic(args.out, lambda tmp: save_table(table, tmp))
@@ -214,14 +185,8 @@ def cmd_train(args, cfg):
     id_table = load_external(args.id, expect_dim=cfg["model"]["d_id"])
     text_table = load_external(args.text, expect_dim=cfg["model"]["d_text"])
     graph = load_graph(args.graph) if args.graph else None
-    model = _build_model(cfg, id_table, text_table, graph=graph)
-    t = cfg["training"]
-    result = train(model, split, TrainConfig(
-        lr=t["lr"], batch_size=t["batch_size"], epochs=t["epochs"],
-        patience=t["patience"], n_negatives=t["n_negatives"], seed=t["seed"],
-        weight_decay=t["weight_decay"], eval_seed=cfg["eval"]["seed"],
-        eval_candidates=cfg["eval"]["n_candidates"]),
-        log_path=None, workers=_workers(cfg))
+    model = build_model(cfg, id_table, text_table, graph=graph)
+    result = train(model, split, _train_config(cfg), workers=_workers(cfg))
     _atomic(args.out, lambda tmp: save_checkpoint(model, tmp,
                                                   fingerprint=fingerprint(cfg),
                                                   extra={"config": cfg}))
@@ -239,13 +204,14 @@ def cmd_evaluate(args, cfg):
     split = _load_split(cfg, args.data)
     id_table = load_external(args.id)
     text_table = load_external(args.text)
-    model, header = load_checkpoint(args.checkpoint, id_table, text_table)
+    graph = load_graph(args.graph) if args.graph else None
+    model, header = load_checkpoint(args.checkpoint, id_table, text_table, graph=graph)
     named = {"run-config": fingerprint(cfg),
              "id-embeddings": id_table.fingerprint,
              "text-embeddings": text_table.fingerprint,
              "checkpoint": header.get("fingerprint", "")}
-    if args.graph:
-        named["graph"] = load_graph(args.graph).fingerprint
+    if graph is not None:
+        named["graph"] = graph.fingerprint
     _check_fingerprints(named, args.force)
     report = evaluate(model, split, phase=args.phase, seed=cfg["eval"]["seed"],
                       k=cfg["eval"]["k"], n_candidates=cfg["eval"]["n_candidates"],
@@ -275,13 +241,12 @@ def cmd_analyze(args, cfg):
     modes = {"on": [True], "off": [False], "both": [True, False]}[args.tfm]
     sequences = split.windows()
     summary = {"fingerprint": fp, "config": cfg, "modes": {}}
+    if args.checkpoint:
+        model, _ = load_checkpoint(args.checkpoint, id_table, text_table, graph=graph)
+    else:
+        model = build_model(cfg, id_table, text_table, graph=graph)
     for enabled in modes:
-        if args.checkpoint:
-            model, _ = load_checkpoint(args.checkpoint, id_table, text_table)
-            model.backbone.tfm_enabled = enabled
-        else:
-            model = _build_model(cfg, id_table, text_table, graph=graph,
-                                 tfm_enabled=enabled)
+        model.backbone.tfm_enabled = enabled
         profile = trace_spectral_profile(model, sequences, graph,
                                          n_bands=cfg["analysis"]["n_bands"],
                                          workers=_workers(cfg), fingerprint=fp)
@@ -306,7 +271,7 @@ def cmd_analyze(args, cfg):
 
 def cmd_theorem_probe(args, cfg):
     a = cfg["analysis"]
-    spec = None if args.identity else _tfm_spec(cfg)
+    spec = None if args.identity else ButterworthSpec.from_config(cfg["tfm"])
     report = theorem1_probe(spec, args.family, rho=a["theorem_rho"],
                             t_range=(a["theorem_t_min"], a["theorem_t_max"]),
                             trials=a["theorem_trials"], seed=a["theorem_seed"],
@@ -317,34 +282,28 @@ def cmd_theorem_probe(args, cfg):
 
 
 def cmd_sweep(args, cfg):
-    import copy as _copy
-
     values = [float(v) for v in args.values.split(",")]
     split = _load_split(cfg, args.data)
     id_table = load_external(args.id)
     text_table = load_external(args.text)
     graph = load_graph(args.graph) if args.graph else None
+    if args.param == "alpha" and graph is None:
+        raise InputError("alpha sweep needs --graph")
     rows = []
     for value in values:
-        run_cfg = _copy.deepcopy(cfg)
-        table = load_external(args.id)
+        run_cfg = copy.deepcopy(cfg)
+        table = id_table
         if args.param == "alpha":
             run_cfg["glpf"]["alpha"] = value
             run_cfg["glpf"]["enabled"] = True
-            if graph is None:
-                raise InputError("alpha sweep needs --graph")
-            table.rows = polynomial_filter(graph, _glpf_spec(run_cfg), table.rows)
+            if not filters_tokens(run_cfg["glpf"]):
+                table = dataclasses.replace(id_table, rows=polynomial_filter(
+                    graph, PolyFilterSpec.from_config(run_cfg["glpf"]), id_table.rows))
         else:
             run_cfg["tfm"]["cutoff"] = value
             run_cfg["tfm"]["enabled"] = True
-        model = _build_model(run_cfg, table, text_table)
-        t = run_cfg["training"]
-        train(model, split, TrainConfig(
-            lr=t["lr"], batch_size=t["batch_size"], epochs=t["epochs"],
-            patience=t["patience"], n_negatives=t["n_negatives"], seed=t["seed"],
-            weight_decay=t["weight_decay"], eval_seed=run_cfg["eval"]["seed"],
-            eval_candidates=run_cfg["eval"]["n_candidates"]),
-            workers=_workers(cfg))
+        model = build_model(run_cfg, table, text_table, graph=graph)
+        train(model, split, _train_config(run_cfg), workers=_workers(cfg))
         report = evaluate(model, split, phase="test", seed=run_cfg["eval"]["seed"],
                           k=run_cfg["eval"]["k"],
                           n_candidates=run_cfg["eval"]["n_candidates"],

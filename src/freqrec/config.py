@@ -1,19 +1,34 @@
 """Run configuration: defaults, file loading, overrides, fingerprints.
 
-A config is one JSON document; every field has a default, and the
-effective (fully merged) document is what gets serialized into JSON
-artifacts, so a run is always reproducible from its own outputs.  The
-fingerprint is a short hash of the effective document minus fields that
-cannot change results (worker counts, file locations): artifacts stamped
-with the same fingerprint were produced under the same semantics, which
-is what `evaluate` checks before mixing inputs.
+A config is one JSON document; every field has a default.  The `synth`,
+`pretrain` and `training` sections (with `model.d_id`, `eval.seed`,
+`eval.n_candidates` and the `tfm` spec fields) take theirs from the
+dataclasses they configure.  The effective (fully merged) document is
+what gets serialized into JSON artifacts, so a run is always
+reproducible from its own outputs.  The fingerprint is a short hash of
+the effective document minus fields that cannot change results (worker
+counts, file locations): artifacts stamped with the same fingerprint
+were produced under the same semantics, which is what `evaluate` checks
+before mixing inputs.
 """
 
 import copy
 import hashlib
 import json
+from dataclasses import asdict
 
+from freqrec.dataset import SynthConfig
 from freqrec.errors import InputError
+from freqrec.model.embeddings import PretrainConfig
+from freqrec.model.training import TrainConfig
+from freqrec.tfm import ButterworthSpec
+
+
+def _section(cls, *outside):
+    """A dataclass's defaults as a config section, minus the fields that
+    other sections supply."""
+    return {k: v for k, v in asdict(cls()).items() if k not in outside}
+
 
 DEFAULTS = {
     "dataset": {
@@ -21,24 +36,10 @@ DEFAULTS = {
         "min_interactions": 5,
         "max_seq_len": 50,
     },
-    "synth": {
-        "users": 200,
-        "items": 100,
-        "mean_length": 20,
-        "rho": 0.5,
-        "seed": 0,
-        "with_text": True,
-    },
-    "pretrain": {
-        "window": 5,
-        "negatives": 5,
-        "epochs": 5,
-        "lr": 0.05,
-        "seed": 0,
-        "chunk": 128,
-    },
+    "synth": _section(SynthConfig),
+    "pretrain": _section(PretrainConfig, "dim"),     # dim is model.d_id
     "model": {
-        "d_id": 50,
+        "d_id": PretrainConfig.dim,
         "d_text": 50,
         "d_model": 64,
         "mlp_hidden": 128,
@@ -54,30 +55,21 @@ DEFAULTS = {
     "glpf": {
         "enabled": True,
         "alpha": 0.3,
-        "order": 1,
         "coefficients": None,   # explicit theta_0..theta_K overrides first-order mode
         "apply_to": "id",       # "id" (offline) or "fused" (filter tokens at use)
     },
     "tfm": {
         "enabled": True,
-        "cutoff": 0.3,
-        "order": 2,
+        **asdict(ButterworthSpec()),    # cutoff, order
         "residual": False,
         "causal_safe": False,
     },
-    "training": {
-        "lr": 1e-4,             # protocol grid: 1e-5, 5e-5, 1e-4, 5e-4
-        "batch_size": 32,
-        "epochs": 10,
-        "patience": 3,
-        "n_negatives": 100,
-        "seed": 0,
-        "weight_decay": 0.01,
-    },
+    # eval_seed and eval_candidates are eval.seed and eval.n_candidates
+    "training": _section(TrainConfig, "eval_seed", "eval_candidates"),
     "eval": {
         "k": 10,
-        "n_candidates": 100,
-        "seed": 0,
+        "n_candidates": TrainConfig.eval_candidates,
+        "seed": TrainConfig.eval_seed,
     },
     "analysis": {
         "n_bands": 4,

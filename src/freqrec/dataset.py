@@ -222,6 +222,9 @@ def build_split(log, min_interactions=5, max_seq_len=50):
                         filter_trace=trace)
 
 
+SYNTH_MIN_LENGTH = 6   # shortest synthesized sequence
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     users: int = 200
@@ -230,7 +233,6 @@ class SynthConfig:
     rho: float = 0.5
     seed: int = 0
     with_text: bool = True
-    min_length: int = 6
 
 
 def synthesize(config):
@@ -258,7 +260,7 @@ def synthesize(config):
     width = max(4, len(str(n - 1)), len(str(config.users - 1)))
     events = []
     for u in range(config.users):
-        length = max(config.min_length, int(rng.poisson(config.mean_length)))
+        length = max(SYNTH_MIN_LENGTH, int(rng.poisson(config.mean_length)))
         cur = int(rng.integers(0, n))
         for t in range(length):
             token = f"i{cur:0{width}d}"

@@ -3,10 +3,10 @@
 The production path evaluates a polynomial in the normalized Laplacian by
 repeated sparse matvec sweeps, never materializing L^k.  The dense
 spectral oracle applies an arbitrary frequency response through a full
-eigendecomposition and exists to verify the polynomial path and to drive
-the ideal-truncation probe.  First-order mode uses the response
-h(lambda) = 1 - alpha * lambda with alpha in [0, 1]: alpha = 0 leaves
-embeddings untouched, alpha = 1 smooths maximally.
+eigendecomposition and exists to verify the polynomial path.  First-order
+mode uses the response h(lambda) = 1 - alpha * lambda with alpha in
+[0, 1]: alpha = 0 leaves embeddings untouched, alpha = 1 smooths
+maximally.
 """
 
 from dataclasses import dataclass
@@ -48,6 +48,22 @@ class PolyFilterSpec:
             raise InputError(f"filter strength alpha must lie in [0, 1], got {alpha}")
         return cls((1.0, -float(alpha)))
 
+    @classmethod
+    def from_config(cls, glpf):
+        """The filter a config's glpf section names: its explicit
+        coefficients, else first order in alpha."""
+        if glpf["coefficients"] is not None:
+            return cls(tuple(glpf["coefficients"]))
+        return cls.first_order(glpf["alpha"])
+
+
+def filters_tokens(glpf):
+    """Whether a config's glpf section filters the model's fused item
+    tokens (apply_to=fused) instead of the ID table offline (apply_to=id)."""
+    if glpf["apply_to"] not in ("id", "fused"):
+        raise InputError(f"glpf.apply_to must be 'id' or 'fused', got {glpf['apply_to']!r}")
+    return glpf["apply_to"] == "fused"
+
 
 def polynomial_filter(graph, spec, embeddings):
     """E' = sum_k theta_k L^k E via K Laplacian matvec sweeps."""
@@ -65,7 +81,7 @@ def polynomial_filter(graph, spec, embeddings):
 
 def spectral_oracle_filter(graph, response, embeddings, basis=None):
     """Exact spectral filtering E' = U diag(h(lambda)) U^T E through a dense
-    eigendecomposition; test and probe use only.  A precomputed
+    eigendecomposition; test use only.  A precomputed
     (eigenvalues, eigenvectors) pair of the graph's normalized Laplacian
     may be passed to amortize the decomposition across several responses."""
     n = graph.n_items
@@ -80,48 +96,3 @@ def spectral_oracle_filter(graph, response, embeddings, basis=None):
     w, u = basis if basis is not None else sym_eigendecompose(graph.dense_laplacian())
     gains = np.asarray(response(w), dtype=float)
     return u @ (gains[:, None] * (u.T @ e))
-
-
-def truncation_gains(n, fraction):
-    """Hard low-pass by eigenvalue rank: keep the lowest floor(p * n)
-    frequencies, drop the rest."""
-    if not (0.0 <= fraction <= 1.0):
-        raise InputError(f"fraction must lie in [0, 1], got {fraction}")
-    keep = int(np.floor(fraction * n + 1e-12))
-    gains = np.zeros(n)
-    gains[:keep] = 1.0
-    return gains
-
-
-@dataclass
-class TruncationSweep:
-    fractions: list
-    metrics: list
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("p,metric\n")
-            for p, m in zip(self.fractions, self.metrics):
-                fh.write(f"{p!r},{m!r}\n")
-
-
-def truncation_sweep(graph, embeddings, fractions, downstream_eval):
-    """For each retain-fraction p, project the embeddings onto the lowest
-    p-share of graph frequencies and report downstream_eval of the result."""
-    n = graph.n_items
-    if n > ORACLE_MAX_NODES:
-        raise CapabilityError(
-            f"graph has {n} nodes; run the sweep on a sampled subgraph of at most "
-            f"{ORACLE_MAX_NODES}")
-    e = np.asarray(embeddings, dtype=float)
-    w, u = sym_eigendecompose(graph.dense_laplacian())
-    coeffs = u.T @ e
-    metrics = []
-    for p in fractions:
-        gains = truncation_gains(n, p)
-        filtered = u @ (gains[:, None] * coeffs)
-        try:
-            metrics.append(float(downstream_eval(filtered)))
-        except Exception as exc:
-            raise InputError(f"downstream evaluation failed at p={p}: {exc}") from exc
-    return TruncationSweep(fractions=list(fractions), metrics=metrics)

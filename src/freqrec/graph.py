@@ -9,6 +9,7 @@ symmetric coordinate list sorted by a single int64 key, so local T x T
 blocks come out of one vectorized searchsorted pass.
 """
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -30,6 +31,15 @@ class CooccurrenceGraph:
     def nnz(self):
         # symmetric entries stored once per direction
         return int(self.rows.shape[0])
+
+    def digest(self):
+        """12-hex-digit hash of the item count and weighted edge list: what
+        a filter on this graph computes depends on nothing else, and a
+        saved and reloaded graph keeps it."""
+        h = hashlib.sha256(str(self.n_items).encode("utf-8"))
+        for a, dtype in ((self.rows, "<i8"), (self.cols, "<i8"), (self.weights, "<f8")):
+            h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        return h.hexdigest()[:12]
 
     def _keys(self):
         return self.rows.astype(np.int64) * self.n_items + self.cols.astype(np.int64)

@@ -15,6 +15,7 @@ from freqrec.model.network import (
     FusionMLP,
     LayerTrace,
     RecModel,
+    build_model,
     fuse,
     forward,
     init_backbone,
@@ -32,7 +33,7 @@ from freqrec.model.training import (
 __all__ = [
     "EmbeddingTable", "PretrainConfig", "load_external", "pretrain_id_embeddings",
     "save_table", "text_surrogate_embeddings",
-    "Backbone", "FusionMLP", "LayerTrace", "RecModel", "fuse", "forward",
+    "Backbone", "FusionMLP", "LayerTrace", "RecModel", "build_model", "fuse", "forward",
     "init_backbone", "init_fusion_mlp", "score",
     "AdamW", "TrainConfig", "load_checkpoint", "save_checkpoint", "train",
 ]

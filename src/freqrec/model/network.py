@@ -16,11 +16,12 @@ causal mask, which is all the spectral instrumentation needs.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from freqrec.errors import InputError
+from freqrec.glpf import PolyFilterSpec, filters_tokens, polynomial_filter
 from freqrec.numcore import autodiff as ad
 from freqrec.tfm import ButterworthSpec, butterworth_gains, make_filter
 
@@ -109,6 +110,12 @@ class Backbone:
     @property
     def n_layers(self):
         return len(self.layers)
+
+    def recipe(self):
+        """init_backbone's keyword arguments for this stack, as JSON data."""
+        kwargs = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "layers"}
+        kwargs.update(n_layers=self.n_layers, tfm_spec=asdict(self.tfm_spec))
+        return kwargs
 
     def parameter_hash(self):
         digest = hashlib.sha256()
@@ -226,10 +233,11 @@ class RecModel:
     text_table: "EmbeddingTable"
     mlp: FusionMLP
     backbone: Backbone
-    # optional linear self-adjoint operator over the item axis, applied to the
-    # full fused token table (graph filtering at the token stage instead of
-    # offline on the ID table); forces full-catalog token computation
-    token_filter: object = None
+    # optional graph filter over the item axis, applied to the full fused
+    # token table (filtering at the token stage instead of offline on the ID
+    # table) on `graph`; forces full-catalog token computation
+    token_filter: PolyFilterSpec = None
+    graph: "CooccurrenceGraph" = None
 
     def __post_init__(self):
         if self.id_table.n_items != self.text_table.n_items:
@@ -240,10 +248,33 @@ class RecModel:
                 f"{self.id_table.dim + self.text_table.dim}")
         if self.mlp.d_model != self.backbone.d_model:
             raise InputError("fusion MLP output width must equal backbone width")
+        if self.token_filter is not None and (self.graph is None
+                                              or self.graph.n_items != self.n_items):
+            raise InputError("a token filter needs a graph over the model's items")
 
     @property
     def n_items(self):
         return self.id_table.n_items
+
+
+def build_model(cfg, id_table, text_table, graph=None):
+    """The model an effective config describes, over the given embedding
+    tables; glpf.apply_to=fused filters its item tokens on `graph`."""
+    m, b, t = cfg["model"], cfg["backbone"], cfg["tfm"]
+    mlp = init_fusion_mlp(id_table.dim + text_table.dim, m["d_model"],
+                          hidden=m["mlp_hidden"], seed=m["mlp_seed"],
+                          activation=m["activation"])
+    backbone = init_backbone(n_layers=b["layers"], d_model=m["d_model"],
+                             n_heads=b["heads"], seed=b["seed"], ffn_mult=b["ffn_mult"],
+                             tfm_enabled=t["enabled"], tfm_spec=ButterworthSpec.from_config(t),
+                             tfm_residual=t["residual"], tfm_causal_safe=t["causal_safe"])
+    token_filter = None
+    if filters_tokens(cfg["glpf"]) and cfg["glpf"]["enabled"]:
+        if graph is None:
+            raise InputError("glpf.apply_to=fused needs --graph at model build time")
+        token_filter = PolyFilterSpec.from_config(cfg["glpf"])
+    return RecModel(id_table=id_table, text_table=text_table, mlp=mlp,
+                    backbone=backbone, token_filter=token_filter, graph=graph)
 
 
 def fuse(id_table, text_table, mlp, mlp_vars=None, item_ids=None):
@@ -268,7 +299,9 @@ def model_tokens(model, item_ids=None, mlp_vars=None):
         return fuse(model.id_table, model.text_table, model.mlp,
                     mlp_vars=mlp_vars, item_ids=item_ids)
     full = fuse(model.id_table, model.text_table, model.mlp, mlp_vars=mlp_vars)
-    filtered = ad.self_adjoint_linear(full, model.token_filter, name="token_filter")
+    filtered = ad.self_adjoint_linear(
+        full, lambda e: polynomial_filter(model.graph, model.token_filter, e),
+        name="token_filter")
     if item_ids is None:
         return filtered
     return ad.gather_rows(filtered, np.asarray(item_ids, dtype=np.intp))

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from freqrec.errors import InputError
+from freqrec.glpf import PolyFilterSpec
 from freqrec.model.network import (
     FusionMLP,
     RecModel,
     backbone_forward,
+    init_backbone,
     model_tokens,
 )
 from freqrec.numcore import autodiff as ad
@@ -65,7 +67,7 @@ class AdamW:
 class TrainConfig:
     lr: float = 1e-4            # protocol grid: {1e-5, 5e-5, 1e-4, 5e-4}
     batch_size: int = 32
-    epochs: int = 20
+    epochs: int = 10
     patience: int = 3
     n_negatives: int = 100
     seed: int = 0
@@ -191,29 +193,30 @@ def train(model, split, config=TrainConfig(), log_path=None, workers=1):
 
 
 CHECKPOINT_MAGIC = b"FRQR\x01"
+CHECKPOINT_FORMAT = 2
 
 
 def save_checkpoint(model, path, fingerprint="", extra=None):
-    """Versioned binary checkpoint: magic bytes, a JSON config header and the
-    raw little-endian float64 fusion-MLP weight blocks.  The frozen
-    backbone is reproducible from its config, so only its recipe is
-    stored."""
+    """Versioned binary checkpoint: magic bytes, a JSON header with the
+    model's recipe and the raw little-endian float64 fusion-MLP weight
+    blocks.  The frozen backbone is reproducible from its recipe (the
+    init_backbone arguments), so only that is stored; a token-stage graph
+    filter is stored as its coefficients and the digest of its graph."""
     mlp = model.mlp
-    bb = model.backbone
+    token_filter = None
+    if model.token_filter is not None:
+        token_filter = {"coefficients": list(model.token_filter.coefficients),
+                        "graph": model.graph.digest()}
     header = {
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "fingerprint": fingerprint,
         "n_items": model.n_items,
         "d_id": model.id_table.dim,
         "d_text": model.text_table.dim,
         "mlp": {"activation": mlp.activation,
                 "shapes": [list(a.shape) for a in mlp.param_arrays()]},
-        "backbone": {"n_layers": bb.n_layers, "d_model": bb.d_model,
-                     "n_heads": bb.n_heads, "seed": bb.seed, "ffn_mult": bb.ffn_mult,
-                     "tfm_enabled": bb.tfm_enabled,
-                     "tfm_cutoff": bb.tfm_spec.cutoff, "tfm_order": bb.tfm_spec.order,
-                     "tfm_residual": bb.tfm_residual,
-                     "tfm_causal_safe": bb.tfm_causal_safe},
+        "backbone": model.backbone.recipe(),
+        "token_filter": token_filter,
         "extra": extra or {},
     }
     with open(path, "wb") as fh:
@@ -223,9 +226,9 @@ def save_checkpoint(model, path, fingerprint="", extra=None):
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path, id_table, text_table):
-    from freqrec.model.network import init_backbone
-
+def load_checkpoint(path, id_table, text_table, graph=None):
+    """Rebuild the saved model over the given tables.  A model that filters
+    its item tokens needs the graph it was trained with."""
     try:
         handle = open(path, "rb")
     except OSError as exc:
@@ -236,8 +239,10 @@ def load_checkpoint(path, id_table, text_table):
             raise InputError(f"{path}: not a checkpoint (bad magic bytes)")
         header = json.loads(fh.readline().decode("utf-8"))
         blob = fh.read()
-    if header.get("format") != 1:
-        raise InputError(f"{path}: unsupported checkpoint format {header.get('format')}")
+    if header.get("format") != CHECKPOINT_FORMAT:
+        raise InputError(f"{path}: unsupported checkpoint format {header.get('format')} "
+                         f"(this version reads format {CHECKPOINT_FORMAT}; re-train "
+                         "the model to write one)")
     if header["n_items"] != id_table.n_items:
         raise InputError(
             f"{path}: checkpoint covers {header['n_items']} items, tables have "
@@ -256,12 +261,17 @@ def load_checkpoint(path, id_table, text_table):
         raise InputError(f"{path}: trailing bytes in weight payload")
     mlp = FusionMLP(w1=arrays[0], b1=arrays[1], w2=arrays[2], b2=arrays[3],
                     activation=header["mlp"]["activation"])
-    bb_cfg = header["backbone"]
-    backbone = init_backbone(
-        n_layers=bb_cfg["n_layers"], d_model=bb_cfg["d_model"],
-        n_heads=bb_cfg["n_heads"], seed=bb_cfg["seed"], ffn_mult=bb_cfg["ffn_mult"],
-        tfm_enabled=bb_cfg["tfm_enabled"],
-        tfm_spec=ButterworthSpec(cutoff=bb_cfg["tfm_cutoff"], order=bb_cfg["tfm_order"]),
-        tfm_residual=bb_cfg["tfm_residual"], tfm_causal_safe=bb_cfg["tfm_causal_safe"])
-    model = RecModel(id_table=id_table, text_table=text_table, mlp=mlp, backbone=backbone)
+    recipe = header["backbone"]
+    backbone = init_backbone(**dict(recipe, tfm_spec=ButterworthSpec(**recipe["tfm_spec"])))
+    stored, token_filter = header["token_filter"], None
+    if stored is not None:
+        if graph is None:
+            raise InputError(f"{path}: the model filters its item tokens on a graph; "
+                             "pass the graph it was trained with (--graph)")
+        if graph.digest() != stored["graph"]:
+            raise InputError(f"{path}: graph {graph.digest()} is not the graph the model "
+                             f"was trained with ({stored['graph']})")
+        token_filter = PolyFilterSpec(stored["coefficients"])
+    model = RecModel(id_table=id_table, text_table=text_table, mlp=mlp, backbone=backbone,
+                     token_filter=token_filter, graph=graph)
     return model, header

@@ -33,6 +33,10 @@ class ButterworthSpec:
         if self.order < 1:
             raise InputError(f"order must be a positive integer, got {self.order}")
 
+    @classmethod
+    def from_config(cls, tfm):
+        return cls(cutoff=tfm["cutoff"], order=tfm["order"])
+
 
 def bin_frequencies(t_len):
     k = np.arange(t_len)
@@ -46,15 +50,6 @@ def butterworth_gains(spec, t_len):
         raise InputError(f"need at least one bin, got T={t_len}")
     omega = bin_frequencies(t_len)
     return np.sqrt(1.0 / (1.0 + (omega / spec.cutoff) ** (2 * spec.order)))
-
-
-def gain_table_csv(spec, t_len, path):
-    gains = butterworth_gains(spec, t_len)
-    omega = bin_frequencies(t_len)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,omega,gain\n")
-        for k in range(t_len):
-            fh.write(f"{k},{omega[k]!r},{gains[k]!r}\n")
 
 
 def tfm_apply(h, spec):

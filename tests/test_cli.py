@@ -1,14 +1,21 @@
 """CLI pipeline tests: each stage end to end on a small synthetic log."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from freqrec import dataset as ds
+from freqrec.analysis import trace_spectral_profile
 from freqrec.cli import main
 from freqrec.config import DEFAULTS, fingerprint, load_config
 from freqrec.errors import InputError
-from freqrec.model.embeddings import load_external
+from freqrec.evalharness import evaluate
+from freqrec.graph import load_graph
+from freqrec.model.embeddings import PretrainConfig, load_external
+from freqrec.model.network import build_model
+from freqrec.model.training import TrainConfig, train
 
 
 def run(argv):
@@ -159,6 +166,98 @@ class TestStages:
         assert out.read_bytes() == out2.read_bytes()
 
 
+FUSED = ["--set", "glpf.apply_to=fused", "--set", "glpf.alpha=0.8",
+         "--set", "training.epochs=1"]
+
+
+@pytest.fixture(scope="module")
+def fused(workdir):
+    """Artifacts of a run with G-LPF on the fused tokens: the ID table goes
+    into training unfiltered and the graph filters at the token stage."""
+    root = workdir["root"]
+    paths = dict(workdir, graph=str(root / "fused_graph.tsv"), id=str(root / "fused_id.emb"),
+                 text=str(root / "fused_text.emb"), ckpt=str(root / "fused.ckpt"))
+    base = ["--config", workdir["config"], *FUSED]
+    assert run(base + ["build-graph", "--data", paths["data"], "--out", paths["graph"]]) == 0
+    assert run(base + ["pretrain", "--data", paths["data"],
+                       "--out-id", paths["id"], "--out-text", paths["text"]]) == 0
+    assert run(base + ["train", "--data", paths["data"], "--id", paths["id"],
+                       "--text", paths["text"], "--graph", paths["graph"],
+                       "--out", paths["ckpt"]]) == 0
+    return paths
+
+
+class TestFused:
+    @staticmethod
+    def evaluate(fused, out, *graph):
+        return run(["--config", fused["config"], *FUSED,
+                    "evaluate", "--data", fused["data"], "--id", fused["id"],
+                    "--text", fused["text"], "--checkpoint", fused["ckpt"],
+                    *graph, "--out", str(out)])
+
+    def test_glpf_passes_table_through(self, tmp_path, fused):
+        out = tmp_path / "id_f.emb"
+        assert run(["--config", fused["config"], *FUSED,
+                    "glpf", "--graph", fused["graph"], "--embeddings", fused["id"],
+                    "--out", str(out)]) == 0
+        np.testing.assert_array_equal(load_external(str(out)).rows,
+                                      load_external(fused["id"]).rows)
+
+    def test_sweep_alpha(self, tmp_path, fused):
+        out = tmp_path / "sweep.csv"
+        assert run(["--config", fused["config"], *FUSED,
+                    "sweep", "--param", "alpha", "--values", "0.2,0.8",
+                    "--data", fused["data"], "--id", fused["id"],
+                    "--text", fused["text"], "--graph", fused["graph"],
+                    "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "alpha,ndcg,recall" and len(rows) == 3
+
+    def test_evaluate_without_graph_fails(self, tmp_path, fused, capsys):
+        out = tmp_path / "m.json"
+        assert self.evaluate(fused, out) == 1
+        assert "--graph" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluate_with_another_graph_fails(self, tmp_path, fused, capsys):
+        # same header and config fingerprint, one edge fewer
+        lines = open(fused["graph"]).read().splitlines()
+        header = json.loads(lines[0])
+        header["nnz"] -= 1
+        other = tmp_path / "other.tsv"
+        other.write_text("\n".join([json.dumps(header)] + lines[1:-1]) + "\n")
+        out = tmp_path / "m.json"
+        assert self.evaluate(fused, out, "--graph", str(other)) == 1
+        assert "not the graph" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reload_scores_as_trained(self, tmp_path, fused):
+        out = tmp_path / "m.json"
+        assert self.evaluate(fused, out, "--graph", fused["graph"]) == 0
+        summary = tmp_path / "analysis.json"
+        assert run(["--config", fused["config"], *FUSED,
+                    "analyze", "--data", fused["data"], "--id", fused["id"],
+                    "--text", fused["text"], "--graph", fused["graph"],
+                    "--checkpoint", fused["ckpt"], "--tfm", "both",
+                    "--out-prefix", str(tmp_path / "p"), "--out", str(summary)]) == 0
+        # the same model, trained in memory
+        cfg = load_config(fused["config"], {"glpf.apply_to": "fused", "glpf.alpha": "0.8",
+                                            "training.epochs": "1"})
+        split = ds.build_split(ds.ingest(fused["data"]))
+        graph = load_graph(fused["graph"])
+        model = build_model(cfg, load_external(fused["id"]), load_external(fused["text"]),
+                            graph=graph)
+        train(model, split, TrainConfig(**cfg["training"], eval_candidates=20))
+        report = evaluate(model, split, phase="test", n_candidates=20)
+        metrics = json.loads(out.read_text())["metrics"]
+        assert (metrics["ndcg"], metrics["recall"]) == (report.ndcg, report.recall)
+        modes = json.loads(summary.read_text())["modes"]
+        for mode, enabled in (("on", True), ("off", False)):
+            model.backbone.tfm_enabled = enabled
+            shares = trace_spectral_profile(model, split.windows(), graph).shares()
+            assert modes[mode]["band1_final_share"] == float(shares[-1, 0])
+
+
 class TestErrors:
     def test_unknown_flag_exits_1(self, workdir):
         assert run(["synth", "--nope", "x"]) == 1
@@ -171,6 +270,11 @@ class TestErrors:
     def test_missing_input_file(self, tmp_path):
         assert run(["ingest", "--input", str(tmp_path / "absent.tsv")]) == 1
 
+    def test_unknown_apply_to(self, tmp_path, workdir):
+        assert run(["--config", workdir["config"], "--set", "glpf.apply_to=fuse",
+                    "glpf", "--graph", workdir["graph"], "--embeddings", workdir["id"],
+                    "--out", str(tmp_path / "x.emb")]) == 1
+
     def test_bad_rho_override(self, tmp_path):
         assert run(["--set", "synth.rho=1.0",
                     "synth", "--out", str(tmp_path / "x.tsv")]) == 1
@@ -181,6 +285,21 @@ class TestConfig:
         cfg = load_config()
         assert cfg == DEFAULTS
         assert fingerprint(cfg) == fingerprint(load_config())
+
+    def test_dataclass_defaults_are_the_config_defaults(self):
+        cfg = load_config()
+        # (class, section, fields that another section supplies)
+        for cls, section, outside in (
+                (ds.SynthConfig, "synth", {}),
+                (PretrainConfig, "pretrain", {"dim": ("model", "d_id")}),
+                (TrainConfig, "training", {"eval_seed": ("eval", "seed"),
+                                           "eval_candidates": ("eval", "n_candidates")})):
+            names = {f.name for f in dataclasses.fields(cls)}
+            assert set(cfg[section]) == names - set(outside)
+            for name, value in dataclasses.asdict(cls()).items():
+                where, key = outside.get(name, (section, name))
+                assert cfg[where][key] == value, f"{cls.__name__}.{name}"
+        assert TrainConfig().epochs == cfg["training"]["epochs"] == 10
 
     def test_workers_do_not_change_fingerprint(self):
         a = load_config()

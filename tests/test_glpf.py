@@ -9,8 +9,6 @@ from freqrec.glpf import (
     PolyFilterSpec,
     polynomial_filter,
     spectral_oracle_filter,
-    truncation_gains,
-    truncation_sweep,
 )
 from freqrec.graph import CooccurrenceGraph, build_cooccurrence
 from freqrec.numcore.linalg import sym_eigendecompose
@@ -117,75 +115,3 @@ class TestOracle:
         graph.n_items = 2000  # simulate an oversized catalog
         with pytest.raises(CapabilityError, match="polynomial_filter"):
             spectral_oracle_filter(graph, lambda lam: lam, np.ones((2000, 2)))
-
-
-class TestTruncation:
-    def test_full_fraction_identity(self):
-        graph = synth_graph(7)
-        rng = np.random.default_rng(7)
-        e = rng.standard_normal((graph.n_items, 4))
-        captured = {}
-
-        def metric(filtered):
-            captured["e"] = filtered
-            return float(np.linalg.norm(filtered))
-
-        sweep = truncation_sweep(graph, e, [1.0], metric)
-        np.testing.assert_allclose(captured["e"], e, atol=1e-9)
-        assert sweep.metrics[0] == pytest.approx(np.linalg.norm(e), abs=1e-9)
-
-    def test_zero_fraction_zeroes_embeddings(self):
-        graph = synth_graph(8)
-        e = np.random.default_rng(8).standard_normal((graph.n_items, 4))
-        sweep = truncation_sweep(graph, e, [0.0], lambda f: float(np.max(np.abs(f))))
-        assert sweep.metrics[0] < 1e-12
-
-    def test_projection_idempotent_at_half(self):
-        graph = synth_graph(9)
-        rng = np.random.default_rng(9)
-        e = rng.standard_normal((graph.n_items, 6))
-        w, u = sym_eigendecompose(graph.dense_laplacian())
-        keep = int(np.floor(0.5 * graph.n_items))
-        low = u[:, :keep]
-
-        def residual(filtered):
-            back = low @ (low.T @ filtered)
-            return float(np.max(np.abs(filtered - back)))
-
-        sweep = truncation_sweep(graph, e, [0.5], residual)
-        assert sweep.metrics[0] < 1e-9
-
-    def test_deterministic_rerun(self):
-        graph = synth_graph(10)
-        e = np.random.default_rng(10).standard_normal((graph.n_items, 3))
-        metric = lambda f: float(np.sum(f * f))
-        a = truncation_sweep(graph, e, [1.0, 0.5], metric)
-        b = truncation_sweep(graph, e, [1.0, 0.5], metric)
-        assert a.metrics == b.metrics
-
-    def test_callback_failure_names_fraction(self):
-        graph = synth_graph(11)
-        e = np.zeros((graph.n_items, 2))
-
-        def boom(filtered):
-            raise ValueError("bad metric")
-
-        with pytest.raises(InputError, match="p=0.5"):
-            truncation_sweep(graph, e, [0.5], boom)
-
-    def test_gain_vector(self):
-        assert truncation_gains(10, 0.0).sum() == 0
-        assert truncation_gains(10, 1.0).sum() == 10
-        assert truncation_gains(10, 0.5).sum() == 5
-        with pytest.raises(InputError):
-            truncation_gains(10, 1.5)
-
-    def test_csv(self, tmp_path):
-        graph = synth_graph(12)
-        e = np.zeros((graph.n_items, 2))
-        sweep = truncation_sweep(graph, e, [0.0, 1.0], lambda f: 0.0)
-        path = tmp_path / "sweep.csv"
-        sweep.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "p,metric"
-        assert len(lines) == 3

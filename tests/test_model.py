@@ -1,11 +1,15 @@
 """Model tests: embeddings, fusion, backbone, training."""
 
+import json
+
 import numpy as np
 import pytest
 
+from freqrec.config import load_config
 from freqrec.dataset import InteractionLog, SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.evalharness import evaluate
+from freqrec.graph import build_cooccurrence
 from freqrec.model.embeddings import (
     EmbeddingTable,
     PretrainConfig,
@@ -16,6 +20,8 @@ from freqrec.model.embeddings import (
 )
 from freqrec.model.network import (
     RecModel,
+    all_item_tokens,
+    build_model,
     forward,
     fuse,
     init_backbone,
@@ -23,6 +29,7 @@ from freqrec.model.network import (
     score,
 )
 from freqrec.model.training import (
+    CHECKPOINT_MAGIC,
     TrainConfig,
     load_checkpoint,
     save_checkpoint,
@@ -64,6 +71,19 @@ def small_model(split, d_id=8, d_text=4, d_model=16, n_layers=2, seed=0,
 def synth_split():
     log, _ = synthesize(SynthConfig(users=30, items=24, mean_length=10, rho=0.5, seed=0))
     return build_split(log, min_interactions=5)
+
+
+SMALL = {"model.d_id": 8, "model.d_text": 4, "model.d_model": 16, "model.mlp_hidden": 32,
+         "backbone.layers": 2}
+
+
+def config_model(split, graph, overrides):
+    """A small model built from the effective config, as the CLI builds it."""
+    cfg = load_config(overrides={**SMALL, **overrides})
+    rng = np.random.default_rng(0)
+    id_table = EmbeddingTable(split.n_items, 8, rng.standard_normal((split.n_items, 8)))
+    text_table = EmbeddingTable(split.n_items, 4, rng.standard_normal((split.n_items, 4)))
+    return build_model(cfg, id_table, text_table, graph=graph)
 
 
 class TestPretrain:
@@ -364,3 +384,60 @@ class TestTrain:
         r2 = evaluate(model, synth_split, phase="test", seed=3, n_candidates=10)
         assert r1.ndcg == r2.ndcg and r1.recall == r2.recall
         assert r1.per_user == r2.per_user
+
+
+FUSED = {"glpf.apply_to": "fused"}
+
+
+class TestCheckpointRecipe:
+    """Every config field that shapes the model survives save and load."""
+
+    @pytest.mark.parametrize("overrides", [
+        {**FUSED, "glpf.alpha": 0.8},
+        {**FUSED, "glpf.coefficients": [1.0, -0.6, 0.2]},
+        {**FUSED, "glpf.enabled": False},
+        {"tfm.enabled": False},
+        {"tfm.residual": True},
+        {"tfm.causal_safe": True},
+        {"tfm.cutoff": 0.55, "tfm.order": 3},
+        {"model.activation": "linear"},
+        {"model.mlp_hidden": 24},
+        {"model.mlp_seed": 7},
+        {"backbone.layers": 3, "backbone.heads": 4, "backbone.seed": 9,
+         "backbone.ffn_mult": 2},
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_reload_is_the_trained_model(self, synth_split, tmp_path, overrides):
+        graph = build_cooccurrence(synth_split)
+        model = config_model(synth_split, graph, overrides)
+        train(model, synth_split, TrainConfig(epochs=1, n_negatives=8, eval_candidates=10))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        # only a token-filtering model needs its graph back
+        loaded, _ = load_checkpoint(path, model.id_table, model.text_table,
+                                    graph=graph if model.token_filter else None)
+        np.testing.assert_array_equal(all_item_tokens(loaded), all_item_tokens(model))
+        seq = list(synth_split.sequences[0][:7])
+        np.testing.assert_array_equal(forward(loaded, seq)[0].value,
+                                      forward(model, seq)[0].value)
+
+    def test_fused_checkpoint_needs_its_graph(self, synth_split, tmp_path):
+        graph = build_cooccurrence(synth_split)
+        model = config_model(synth_split, graph, FUSED)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(InputError, match="--graph"):
+            load_checkpoint(path, model.id_table, model.text_table)
+        graph.weights = graph.weights * 2.0
+        with pytest.raises(InputError, match="not the graph"):
+            load_checkpoint(path, model.id_table, model.text_table, graph=graph)
+
+    def test_format_1_asks_for_retraining(self, synth_split, tmp_path):
+        model = small_model(synth_split)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()[len(CHECKPOINT_MAGIC):]
+        header, _, weights = blob.partition(b"\n")
+        old = dict(json.loads(header), format=1)
+        path.write_bytes(CHECKPOINT_MAGIC + json.dumps(old).encode() + b"\n" + weights)
+        with pytest.raises(InputError, match="re-train"):
+            load_checkpoint(path, model.id_table, model.text_table)

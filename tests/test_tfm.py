@@ -9,7 +9,6 @@ from freqrec.tfm import (
     ButterworthSpec,
     bin_frequencies,
     butterworth_gains,
-    gain_table_csv,
     make_filter,
     ring_analytic_span,
     ring_eigenvalues_analytic,
@@ -55,13 +54,6 @@ class TestGains:
             ButterworthSpec(cutoff=0.0, order=2)
         with pytest.raises(InputError):
             ButterworthSpec(cutoff=0.3, order=0)
-
-    def test_gain_csv(self, tmp_path):
-        path = tmp_path / "gains.csv"
-        gain_table_csv(ButterworthSpec(0.3, 2), 4, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,omega,gain"
-        assert len(lines) == 5
 
 
 class TestApply:
