@@ -3,23 +3,28 @@
 A config is one JSON document; every field has a default.  The `synth`,
 `pretrain` and `training` sections (with `model.d_id`, `eval.seed`,
 `eval.n_candidates` and the `tfm` spec fields) take theirs from the
-dataclasses they configure.  The effective (fully merged) document is
-what gets serialized into JSON artifacts, so a run is always
-reproducible from its own outputs.  The fingerprint is a short hash of
-the effective document minus fields that cannot change results (worker
-counts, file locations): artifacts stamped with the same fingerprint
-were produced under the same semantics, which is what `evaluate` checks
-before mixing inputs.
+dataclasses they configure, and the `backbone` section (with
+`model.d_model`, `mlp_seed` and `activation`) from the signatures of
+`init_backbone` and `init_fusion_mlp`.  A value from a file or an
+override must have the type of its default.  The effective (fully
+merged) document is what gets serialized into JSON artifacts, so a run
+is always reproducible from its own outputs.  The fingerprint is a short
+hash of the effective document minus fields that cannot change results
+(worker counts, file locations): artifacts stamped with the same
+fingerprint were produced under the same semantics, which is what
+`evaluate` checks before mixing inputs.
 """
 
 import copy
 import hashlib
+import inspect
 import json
 from dataclasses import asdict
 
 from freqrec.dataset import SynthConfig
 from freqrec.errors import InputError
 from freqrec.model.embeddings import PretrainConfig
+from freqrec.model.network import init_backbone, init_fusion_mlp
 from freqrec.model.training import TrainConfig
 from freqrec.tfm import ButterworthSpec
 
@@ -29,6 +34,14 @@ def _section(cls, *outside):
     other sections supply."""
     return {k: v for k, v in asdict(cls()).items() if k not in outside}
 
+
+def _kwargs(fn):
+    """A function's keyword defaults."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+_BACKBONE, _MLP = _kwargs(init_backbone), _kwargs(init_fusion_mlp)
 
 DEFAULTS = {
     "dataset": {
@@ -41,16 +54,15 @@ DEFAULTS = {
     "model": {
         "d_id": PretrainConfig.dim,
         "d_text": 50,
-        "d_model": 64,
-        "mlp_hidden": 128,
-        "mlp_seed": 1,
-        "activation": "gelu",
+        "d_model": _BACKBONE["d_model"],
+        "mlp_seed": _MLP["seed"],
+        "activation": _MLP["activation"],
     },
     "backbone": {
-        "layers": 4,
-        "heads": 2,
-        "seed": 2,
-        "ffn_mult": 4,
+        "layers": _BACKBONE["n_layers"],
+        "heads": _BACKBONE["n_heads"],
+        "seed": _BACKBONE["seed"],
+        "ffn_mult": _BACKBONE["ffn_mult"],
     },
     "glpf": {
         "enabled": True,
@@ -96,7 +108,7 @@ def _merge(base, override, path=""):
                 raise InputError(f"config key {path + key!r} must be a section")
             out[key] = _merge(base[key], value, path + key + ".")
         else:
-            out[key] = value
+            out[key] = _typed(value, base[key], path + key)
     return out
 
 
@@ -134,6 +146,23 @@ def _apply_override(config, dotted, raw):
     return config
 
 
+def _typed(value, current, dotted):
+    """value, if it has the type of the key's default: ints pass for floats,
+    bools never pass for numbers, and a null default takes any value."""
+    if current is None:
+        return value
+    if isinstance(current, bool) or isinstance(value, bool):
+        ok = isinstance(current, bool) and isinstance(value, bool)
+    elif isinstance(current, float):
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, type(current))
+    if not ok:
+        raise InputError(f"config key {dotted!r} must be a {type(current).__name__}, "
+                         f"got {value!r}")
+    return value
+
+
 def _coerce(raw, current, dotted):
     if isinstance(raw, str):
         if isinstance(current, bool):
@@ -153,9 +182,11 @@ def _coerce(raw, current, dotted):
             except ValueError as exc:
                 raise InputError(f"cannot parse number for {dotted!r}: {raw!r}") from exc
         if current is None:
-            return json.loads(raw)
-        return raw
-    return raw
+            try:
+                return json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"cannot parse JSON for {dotted!r}: {raw!r}") from exc
+    return _typed(raw, current, dotted)
 
 
 def canonical_json(config):

@@ -66,7 +66,7 @@ class FusionMLP:
         return self.w2.shape[1]
 
 
-def init_fusion_mlp(d_in, d_model, hidden=None, seed=0, activation="gelu"):
+def init_fusion_mlp(d_in, d_model, hidden=None, seed=1, activation="gelu"):
     hidden = hidden if hidden is not None else 2 * d_model
     rng = np.random.default_rng(seed)
     w1 = rng.standard_normal((d_in, hidden)) / np.sqrt(d_in)
@@ -125,9 +125,13 @@ class Backbone:
         return digest.hexdigest()
 
 
-def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=0, ffn_mult=4,
+def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
                   tfm_enabled=False, tfm_spec=None, tfm_residual=False,
                   tfm_causal_safe=False):
+    """A seeded frozen stack; its defaults are the config's `backbone`
+    section and `model.d_model`.  Temporal filtering defaults to off here
+    and on in the config (`tfm.enabled`): the bare stack here, the default
+    experiment there."""
     if d_model % n_heads != 0:
         raise InputError(f"d_model {d_model} must divide evenly into {n_heads} heads")
     rng = np.random.default_rng(seed)
@@ -262,8 +266,7 @@ def build_model(cfg, id_table, text_table, graph=None):
     tables; glpf.apply_to=fused filters its item tokens on `graph`."""
     m, b, t = cfg["model"], cfg["backbone"], cfg["tfm"]
     mlp = init_fusion_mlp(id_table.dim + text_table.dim, m["d_model"],
-                          hidden=m["mlp_hidden"], seed=m["mlp_seed"],
-                          activation=m["activation"])
+                          seed=m["mlp_seed"], activation=m["activation"])
     backbone = init_backbone(n_layers=b["layers"], d_model=m["d_model"],
                              n_heads=b["heads"], seed=b["seed"], ffn_mult=b["ffn_mult"],
                              tfm_enabled=t["enabled"], tfm_spec=ButterworthSpec.from_config(t),
@@ -279,7 +282,8 @@ def build_model(cfg, id_table, text_table, graph=None):
 
 def fuse(id_table, text_table, mlp, mlp_vars=None, item_ids=None):
     """Token node for the given items (all items by default): concatenate
-    (id, text) rows and push them through the fusion MLP."""
+    (id, text) rows and push them through the fusion MLP.  Without mlp_vars
+    the weights enter as constants and the tape records nothing."""
     if id_table.n_items != text_table.n_items:
         raise InputError("ID and text tables cover different item vocabularies")
     inputs = np.concatenate([id_table.rows, text_table.rows], axis=1)
@@ -288,7 +292,8 @@ def fuse(id_table, text_table, mlp, mlp_vars=None, item_ids=None):
         if ids.size and (ids.min() < 0 or ids.max() >= id_table.n_items):
             raise InputError("item index out of range")
         inputs = inputs[ids]
-    mlp_vars = mlp_vars if mlp_vars is not None else mlp.make_vars()
+    if mlp_vars is None:
+        mlp_vars = [ad.constant(a) for a in mlp.param_arrays()]
     return mlp.apply(ad.constant(inputs), mlp_vars)
 
 
@@ -307,7 +312,7 @@ def model_tokens(model, item_ids=None, mlp_vars=None):
     return ad.gather_rows(filtered, np.asarray(item_ids, dtype=np.intp))
 
 
-def forward(model, sequence, capture=False, mlp_vars=None):
+def forward(model, sequence, capture=False):
     """User representation for one item-index sequence: run the fused tokens
     through the backbone and take the last position's final hidden row.
 
@@ -317,7 +322,7 @@ def forward(model, sequence, capture=False, mlp_vars=None):
         raise InputError("sequence must be a non-empty 1-D list of item indices")
     if seq.min() < 0 or seq.max() >= model.n_items:
         raise InputError("unknown item index in sequence")
-    tokens = model_tokens(model, item_ids=seq, mlp_vars=mlp_vars)
+    tokens = model_tokens(model, item_ids=seq)
     hidden, trace = backbone_forward(model.backbone, tokens, capture=capture)
     user_rep = ad.slice_rows(hidden, seq.size - 1, seq.size)
     return user_rep, hidden, trace

@@ -1,10 +1,10 @@
 """Minimal reverse-mode differentiation tape over numpy arrays.
 
-Each operation records a Var node holding its value, its parent nodes and
-a backward closure that scatters the upstream gradient to the parents.
-Gradients are only propagated into subgraphs that contain a trainable
-parameter (requires_grad), so a frozen backbone costs nothing extra on
-the backward pass.
+Each operation is its forward value plus one vector-Jacobian product per
+parent, and `_node` alone decides what the tape records.  A node that no
+parameter (requires_grad) feeds records nothing: no parents and no backward
+rule, so a value-only pass builds no graph and a frozen backbone costs
+nothing extra on the backward pass.
 
 The self_adjoint_linear node is the hook for spectral filters: a linear
 operator whose matrix is symmetric backpropagates by applying the very
@@ -19,16 +19,14 @@ from freqrec.errors import InputError, ProtocolError
 class Var:
     """One tape node: a value, its provenance and a backward rule."""
 
-    __slots__ = ("value", "grad", "parents", "backward_rule", "requires_grad", "trainable", "name")
+    __slots__ = ("value", "grad", "parents", "backward_rule", "requires_grad", "name")
 
-    def __init__(self, value, parents=(), backward_rule=None, requires_grad=False,
-                 trainable=False, name=""):
+    def __init__(self, value, requires_grad=False, name=""):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
-        self.parents = tuple(parents)
-        self.backward_rule = backward_rule
+        self.parents = ()
+        self.backward_rule = None
         self.requires_grad = bool(requires_grad)
-        self.trainable = bool(trainable)
         self.name = name
 
     @property
@@ -37,7 +35,7 @@ class Var:
 
     def __repr__(self):
         tag = self.name or "var"
-        return f"Var({tag}, shape={self.value.shape}, trainable={self.trainable})"
+        return f"Var({tag}, shape={self.value.shape}, requires_grad={self.requires_grad})"
 
 
 def constant(value, name=""):
@@ -45,20 +43,33 @@ def constant(value, name=""):
 
 
 def parameter(value, name=""):
-    return Var(value, requires_grad=True, trainable=True, name=name)
+    return Var(value, requires_grad=True, name=name)
 
 
 def _as_var(x):
     return x if isinstance(x, Var) else Var(x)
 
 
-def _needs(*vars_):
-    return any(v.requires_grad for v in vars_)
+def _node(value, parents, vjps, name=""):
+    """A derived node: its value plus one vector-Jacobian product per parent.
+
+    Parents and a backward rule are recorded only when some parent requires
+    a gradient, and the rule calls vjps[i] only for those parents."""
+    out = Var(value, name=name)
+    live = [(p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
+    if live:
+        out.requires_grad = True
+        out.parents = tuple(parents)
+
+        def rule(g):
+            for p, vjp in live:
+                _accumulate(p, vjp(g))
+
+        out.backward_rule = rule
+    return out
 
 
 def _accumulate(var, g):
-    if not var.requires_grad:
-        return
     if var.grad is None:
         var.grad = np.array(g, dtype=float, copy=True)
     else:
@@ -77,73 +88,40 @@ def _unbroadcast(g, shape):
 
 def matmul(a, b):
     a, b = _as_var(a), _as_var(b)
-    out = Var(a.value @ b.value, (a, b), requires_grad=_needs(a, b))
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.value.T)
-        if b.requires_grad:
-            _accumulate(b, a.value.T @ g)
-
-    out.backward_rule = rule
-    return out
+    return _node(a.value @ b.value, (a, b),
+                 (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
 
 
 def transpose(a):
     a = _as_var(a)
-    out = Var(a.value.T, (a,), requires_grad=a.requires_grad)
-    out.backward_rule = lambda g: _accumulate(a, g.T)
-    return out
+    return _node(a.value.T, (a,), (lambda g: g.T,))
 
 
 def add(a, b):
     a, b = _as_var(a), _as_var(b)
-    out = Var(a.value + b.value, (a, b), requires_grad=_needs(a, b))
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.value.shape))
-
-    out.backward_rule = rule
-    return out
+    return _node(a.value + b.value, (a, b),
+                 (lambda g: _unbroadcast(g, a.value.shape),
+                  lambda g: _unbroadcast(g, b.value.shape)))
 
 
 def sub(a, b):
     a, b = _as_var(a), _as_var(b)
-    out = Var(a.value - b.value, (a, b), requires_grad=_needs(a, b))
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.value.shape))
-
-    out.backward_rule = rule
-    return out
+    return _node(a.value - b.value, (a, b),
+                 (lambda g: _unbroadcast(g, a.value.shape),
+                  lambda g: _unbroadcast(-g, b.value.shape)))
 
 
 def mul(a, b):
     a, b = _as_var(a), _as_var(b)
-    out = Var(a.value * b.value, (a, b), requires_grad=_needs(a, b))
-
-    def rule(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
-
-    out.backward_rule = rule
-    return out
+    return _node(a.value * b.value, (a, b),
+                 (lambda g: _unbroadcast(g * b.value, a.value.shape),
+                  lambda g: _unbroadcast(g * a.value, b.value.shape)))
 
 
 def scale(a, c):
     a = _as_var(a)
     c = float(c)
-    out = Var(a.value * c, (a,), requires_grad=a.requires_grad)
-    out.backward_rule = lambda g: _accumulate(a, g * c)
-    return out
+    return _node(a.value * c, (a,), (lambda g: g * c,))
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -156,17 +134,15 @@ def gelu(a):
     tight."""
     a = _as_var(a)
     x = a.value
-    inner = _GELU_C * (x + _GELU_K * x**3)
+    inner = _GELU_C * (x + _GELU_K * (x * x * x))
     th = np.tanh(inner)
-    out = Var(0.5 * x * (1.0 + th), (a,), requires_grad=a.requires_grad)
 
-    def rule(g):
+    def vjp(g):
         d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x**2)
         local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
-        _accumulate(a, g * local)
+        return g * local
 
-    out.backward_rule = rule
-    return out
+    return _node(0.5 * x * (1.0 + th), (a,), (vjp,))
 
 
 def softmax(a):
@@ -175,14 +151,12 @@ def softmax(a):
     z = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Var(y, (a,), requires_grad=a.requires_grad)
 
-    def rule(g):
+    def vjp(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        return y * (g - dot)
 
-    out.backward_rule = rule
-    return out
+    return _node(y, (a,), (vjp,))
 
 
 def log_softmax(a):
@@ -190,13 +164,7 @@ def log_softmax(a):
     z = a.value - a.value.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     y = z - lse
-    out = Var(y, (a,), requires_grad=a.requires_grad)
-
-    def rule(g):
-        _accumulate(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
-
-    out.backward_rule = rule
-    return out
+    return _node(y, (a,), (lambda g: g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
 
 
 def layer_norm(a, gain, bias, eps=1e-5):
@@ -210,24 +178,20 @@ def layer_norm(a, gain, bias, eps=1e-5):
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
-    out = Var(xhat * gain + bias, (a,), requires_grad=a.requires_grad)
 
-    def rule(g):
+    def vjp(g):
         d = x.shape[-1]
         gx = g * gain
         term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).sum(axis=-1, keepdims=True) / d
-        _accumulate(a, term * inv)
+        return term * inv
 
-    out.backward_rule = rule
-    return out
+    return _node(xhat * gain + bias, (a,), (vjp,))
 
 
 def linear_operator(a, op, adjoint, name="linear_operator"):
     """Apply a linear operator with an explicitly supplied adjoint."""
     a = _as_var(a)
-    out = Var(op(a.value), (a,), requires_grad=a.requires_grad, name=name)
-    out.backward_rule = lambda g: _accumulate(a, adjoint(g))
-    return out
+    return _node(op(a.value), (a,), (adjoint,), name=name)
 
 
 def self_adjoint_linear(a, op, name="self_adjoint_linear"):
@@ -243,82 +207,59 @@ def self_adjoint_linear(a, op, name="self_adjoint_linear"):
 def gather_rows(a, idx):
     a = _as_var(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out = Var(a.value[idx], (a,), requires_grad=a.requires_grad)
 
-    def rule(g):
-        if a.requires_grad:
-            da = np.zeros_like(a.value)
-            np.add.at(da, idx, g)
-            _accumulate(a, da)
+    def vjp(g):
+        da = np.zeros_like(a.value)
+        np.add.at(da, idx, g)
+        return da
 
-    out.backward_rule = rule
-    return out
+    return _node(a.value[idx], (a,), (vjp,))
 
 
 def slice_rows(a, start, stop):
     a = _as_var(a)
-    out = Var(a.value[start:stop], (a,), requires_grad=a.requires_grad)
 
-    def rule(g):
-        if a.requires_grad:
-            da = np.zeros_like(a.value)
-            da[start:stop] = g
-            _accumulate(a, da)
+    def vjp(g):
+        da = np.zeros_like(a.value)
+        da[start:stop] = g
+        return da
 
-    out.backward_rule = rule
-    return out
+    return _node(a.value[start:stop], (a,), (vjp,))
 
 
 def take_column(a, j):
     a = _as_var(a)
-    out = Var(a.value[:, j], (a,), requires_grad=a.requires_grad)
 
-    def rule(g):
-        if a.requires_grad:
-            da = np.zeros_like(a.value)
-            da[:, j] = g
-            _accumulate(a, da)
+    def vjp(g):
+        da = np.zeros_like(a.value)
+        da[:, j] = g
+        return da
 
-    out.backward_rule = rule
-    return out
+    return _node(a.value[:, j], (a,), (vjp,))
 
 
 def concat_cols(parts):
     parts = [_as_var(p) for p in parts]
-    widths = [p.value.shape[1] for p in parts]
-    out = Var(np.concatenate([p.value for p in parts], axis=1), tuple(parts),
-              requires_grad=_needs(*parts))
-
-    def rule(g):
-        offset = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                _accumulate(p, g[:, offset:offset + w])
-            offset += w
-
-    out.backward_rule = rule
-    return out
+    edges = np.cumsum([0] + [p.value.shape[1] for p in parts])
+    vjps = [lambda g, lo=lo, hi=hi: g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+    return _node(np.concatenate([p.value for p in parts], axis=1), parts, vjps)
 
 
 def reshape(a, shape):
     a = _as_var(a)
-    out = Var(a.value.reshape(shape), (a,), requires_grad=a.requires_grad)
-    out.backward_rule = lambda g: _accumulate(a, g.reshape(a.value.shape))
-    return out
+    return _node(a.value.reshape(shape), (a,), (lambda g: g.reshape(a.value.shape),))
 
 
 def sum_axis1(a):
     a = _as_var(a)
-    out = Var(a.value.sum(axis=1), (a,), requires_grad=a.requires_grad)
-    out.backward_rule = lambda g: _accumulate(a, np.repeat(g[:, None], a.value.shape[1], axis=1))
-    return out
+    return _node(a.value.sum(axis=1), (a,),
+                 (lambda g: np.repeat(g[:, None], a.value.shape[1], axis=1),))
 
 
 def mean_all(a):
     a = _as_var(a)
-    out = Var(np.asarray(a.value.mean()), (a,), requires_grad=a.requires_grad)
-    out.backward_rule = lambda g: _accumulate(a, np.full_like(a.value, float(g) / a.value.size))
-    return out
+    return _node(np.asarray(a.value.mean()), (a,),
+                 (lambda g: np.full_like(a.value, float(g) / a.value.size),))
 
 
 def neg(a):

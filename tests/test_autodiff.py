@@ -32,6 +32,9 @@ class TestPrimitiveGradients:
     def test_add_broadcast_bias(self):
         check_primitive(lambda p: ad.mean_all(ad.mul(ad.add(p[0], p[1]), ad.add(p[0], p[1]))),
                         [(5, 3), (3,)])
+        # one Var as both parents: the two contributions are summed
+        check_primitive(lambda p: ad.mean_all(ad.mul(ad.add(p[0], p[0]), p[1])),
+                        [(4, 3), (4, 3)])
 
     def test_sub_and_scale(self):
         check_primitive(lambda p: ad.mean_all(ad.mul(ad.sub(ad.scale(p[0], 1.7), p[1]),

@@ -1,6 +1,7 @@
 """CLI pipeline tests: each stage end to end on a small synthetic log."""
 
 import dataclasses
+import inspect
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from freqrec.errors import InputError
 from freqrec.evalharness import evaluate
 from freqrec.graph import load_graph
 from freqrec.model.embeddings import PretrainConfig, load_external
-from freqrec.model.network import build_model
+from freqrec.model.network import build_model, init_backbone, init_fusion_mlp
 from freqrec.model.training import TrainConfig, train
 
 
@@ -28,7 +29,7 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
     cfg = {
         "synth": {"users": 60, "items": 40, "mean_length": 12, "rho": 0.5, "seed": 1},
-        "model": {"d_id": 16, "d_text": 8, "d_model": 32, "mlp_hidden": 64},
+        "model": {"d_id": 16, "d_text": 8, "d_model": 32},
         "backbone": {"layers": 2},
         "pretrain": {"epochs": 2},
         "training": {"epochs": 2, "n_negatives": 16},
@@ -275,6 +276,21 @@ class TestErrors:
                     "glpf", "--graph", workdir["graph"], "--embeddings", workdir["id"],
                     "--out", str(tmp_path / "x.emb")]) == 1
 
+    @pytest.mark.parametrize("document, key", [
+        ({"training": {"lr": "fast"}}, "training.lr"),
+        ({"backbone": {"layers": "4"}}, "backbone.layers"),
+        ({"backbone": {"layers": 4.0}}, "backbone.layers"),
+        ({"tfm": {"enabled": 1}}, "tfm.enabled"),
+        ({"glpf": {"alpha": True}}, "glpf.alpha"),
+        ({"model": {"activation": 3}}, "model.activation"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+    def test_wrongly_typed_config_value(self, tmp_path, capsys, document, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert run(["--config", str(bad), "synth", "--out", str(tmp_path / "x.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
     def test_bad_rho_override(self, tmp_path):
         assert run(["--set", "synth.rho=1.0",
                     "synth", "--out", str(tmp_path / "x.tsv")]) == 1
@@ -300,6 +316,20 @@ class TestConfig:
                 where, key = outside.get(name, (section, name))
                 assert cfg[where][key] == value, f"{cls.__name__}.{name}"
         assert TrainConfig().epochs == cfg["training"]["epochs"] == 10
+        # (function, config key per keyword argument)
+        for fn, keys in (
+                (init_backbone, {"n_layers": ("backbone", "layers"),
+                                 "n_heads": ("backbone", "heads"),
+                                 "seed": ("backbone", "seed"),
+                                 "ffn_mult": ("backbone", "ffn_mult"),
+                                 "d_model": ("model", "d_model")}),
+                (init_fusion_mlp, {"seed": ("model", "mlp_seed"),
+                                   "activation": ("model", "activation")})):
+            defaults = inspect.signature(fn).parameters
+            for name, (section, key) in keys.items():
+                assert cfg[section][key] == defaults[name].default, f"{fn.__name__}.{name}"
+        assert set(cfg["backbone"]) == {"layers", "heads", "seed", "ffn_mult"}
+        assert "mlp_hidden" not in cfg["model"]
 
     def test_workers_do_not_change_fingerprint(self):
         a = load_config()
@@ -317,6 +347,13 @@ class TestConfig:
         assert cfg["tfm"]["enabled"] is False
         assert cfg["training"]["lr"] == 5e-4
         assert cfg["backbone"]["layers"] == 2
+
+    def test_file_types(self, tmp_path):
+        # ints stand for floats; a null default takes any value
+        path = tmp_path / "config.json"
+        path.write_text('{"training": {"lr": 1}, "glpf": {"coefficients": [1, -0.5]}}')
+        cfg = load_config(path)
+        assert cfg["training"]["lr"] == 1 and cfg["glpf"]["coefficients"] == [1, -0.5]
 
     def test_unknown_override_rejected(self):
         with pytest.raises(InputError):

@@ -26,6 +26,7 @@ from freqrec.model.network import (
     fuse,
     init_backbone,
     init_fusion_mlp,
+    model_tokens,
     score,
 )
 from freqrec.model.training import (
@@ -73,8 +74,7 @@ def synth_split():
     return build_split(log, min_interactions=5)
 
 
-SMALL = {"model.d_id": 8, "model.d_text": 4, "model.d_model": 16, "model.mlp_hidden": 32,
-         "backbone.layers": 2}
+SMALL = {"model.d_id": 8, "model.d_text": 4, "model.d_model": 16, "backbone.layers": 2}
 
 
 def config_model(split, graph, overrides):
@@ -231,6 +231,18 @@ class TestForward:
         a, _, _ = forward(base, seq)
         b, _, _ = forward(toggled, seq)
         np.testing.assert_allclose(a.value, b.value, atol=1e-8)
+
+    def test_value_only_passes_record_no_tape(self, synth_split):
+        graph = build_cooccurrence(synth_split)
+        seq = list(synth_split.sequences[0][:6])
+        for model in (small_model(synth_split, tfm_enabled=True),
+                      config_model(synth_split, graph, {"glpf.apply_to": "fused"})):
+            rep, hidden, _ = forward(model, seq)
+            # all_item_tokens returns model_tokens(model).value
+            for node in (rep, hidden, model_tokens(model)):
+                assert not node.requires_grad
+                assert node.parents == ()
+                assert node.backward_rule is None
 
     def test_wide_open_cutoff_gains_above_inv_sqrt2(self):
         gains = butterworth_gains(ButterworthSpec(cutoff=1.0, order=1), 16)
@@ -401,7 +413,6 @@ class TestCheckpointRecipe:
         {"tfm.causal_safe": True},
         {"tfm.cutoff": 0.55, "tfm.order": 3},
         {"model.activation": "linear"},
-        {"model.mlp_hidden": 24},
         {"model.mlp_seed": 7},
         {"backbone.layers": 3, "backbone.heads": 4, "backbone.seed": 9,
          "backbone.ffn_mult": 2},
