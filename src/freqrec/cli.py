@@ -7,13 +7,15 @@ analyze, theorem-probe, sweep.  Every command reads a JSON config
 it writes, and embeds the fully explicit effective config into its JSON
 outputs.  Outputs are written atomically, so a failing command leaves no
 partial files.  Exit codes: 0 success, 1 input/capability error, 2
-numeric or training error.
+numeric or training error.  Log records (`--log-level`) go to stderr
+only, never into an artifact or the fingerprint.
 """
 
 import argparse
 import copy
 import dataclasses
 import json
+import logging
 import os
 import sys
 
@@ -333,7 +335,13 @@ def build_parser():
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config field, e.g. --set glpf.alpha=0.5")
     parser.add_argument("--workers", type=int, default=None,
-                        help="processes for per-user work (default 1; 0 = one per core)")
+                        help="processes sharing the chunks of equal-length sequences that "
+                             "evaluate, validation and analyze forward (default 1; "
+                             "0 = one per core)")
+    parser.add_argument("--log-level", choices=["warning", "info", "debug"],
+                        default="warning",
+                        help="stderr log verbosity: info adds pretrain epochs and the "
+                             "length buckets of evaluate and analyze")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a locality-controlled interaction log")
@@ -430,6 +438,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # force: an in-process caller may have swapped sys.stderr since the last call
+        logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr, force=True)
         overrides = {}
         for item in args.set:
             if "=" not in item:

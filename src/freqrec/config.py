@@ -12,19 +12,24 @@ is always reproducible from its own outputs.  The fingerprint is a short
 hash of the effective document minus fields that cannot change results
 (worker counts, file locations): artifacts stamped with the same
 fingerprint were produced under the same semantics, which is what
-`evaluate` checks before mixing inputs.
+`evaluate` checks before mixing inputs.  Enumerated values are checked
+against the sets their consuming modules define, and explicit G-LPF
+coefficients must be finite numbers, so no command stamps artifacts with
+a config that a later stage would reject.
 """
 
 import copy
 import hashlib
 import inspect
 import json
+import math
 from dataclasses import asdict
 
-from freqrec.dataset import SynthConfig
+from freqrec.dataset import FORMATS, SynthConfig
 from freqrec.errors import InputError
+from freqrec.glpf import APPLY_TO
 from freqrec.model.embeddings import PretrainConfig
-from freqrec.model.network import init_backbone, init_fusion_mlp
+from freqrec.model.network import ACTIVATIONS, init_backbone, init_fusion_mlp
 from freqrec.model.training import TrainConfig
 from freqrec.tfm import ButterworthSpec
 
@@ -97,6 +102,10 @@ DEFAULTS = {
 # fields with no influence on computed values
 _VOLATILE = {("workers",)}
 
+# enumerated fields and the values their consumers accept
+_CHOICES = {("model", "activation"): ACTIVATIONS, ("dataset", "format"): FORMATS,
+            ("glpf", "apply_to"): APPLY_TO}
+
 
 def _merge(base, override, path=""):
     out = copy.deepcopy(base)
@@ -128,7 +137,22 @@ def load_config(path=None, overrides=None):
         effective = _merge(effective, document)
     for dotted, raw in (overrides or {}).items():
         effective = _apply_override(effective, dotted, raw)
+    _check_values(effective)
     return effective
+
+
+def _check_values(config):
+    for (section, key), allowed in _CHOICES.items():
+        if config[section][key] not in allowed:
+            raise InputError(f"config key '{section}.{key}' must be one of "
+                             f"{', '.join(allowed)}, got {config[section][key]!r}")
+    coeffs = config["glpf"]["coefficients"]
+    if coeffs is not None and not (
+            isinstance(coeffs, list) and coeffs
+            and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                    and math.isfinite(c) for c in coeffs)):
+        raise InputError("config key 'glpf.coefficients' must be null or a non-empty "
+                         f"list of finite numbers, got {coeffs!r}")
 
 
 def _apply_override(config, dotted, raw):

@@ -19,6 +19,8 @@ import numpy as np
 
 from freqrec.errors import DatasetTooSparseError, InputError
 
+FORMATS = ("tsv", "jsonlines")
+
 
 @dataclass
 class InteractionLog:
@@ -48,8 +50,8 @@ def _canonicalize(events):
 
 def ingest(path, format="tsv"):
     """Parse an interaction file into an InteractionLog."""
-    if format not in ("tsv", "jsonlines"):
-        raise InputError(f"unknown format {format!r}, expected 'tsv' or 'jsonlines'")
+    if format not in FORMATS:
+        raise InputError(f"unknown format {format!r}, expected one of {FORMATS}")
     events = []
     try:
         fh = open(path, "r", encoding="utf-8")

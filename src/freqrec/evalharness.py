@@ -14,13 +14,16 @@ and only if Recall@k = 1.
 """
 
 import json
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from freqrec.errors import InputError
-from freqrec.model.network import all_item_tokens, forward
+from freqrec.model.network import all_item_tokens, forward, length_chunks
 from freqrec.parallel import parallel_map
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -113,18 +116,35 @@ def _candidate_scores_of(scorer, split, phase, n_candidates, seed, k):
 def evaluate(model, split, phase="test", seed=0, k=10, n_candidates=100, workers=1,
              fingerprint=""):
     """Rank the phase target of every user against sampled negatives using
-    the model's inner-product scores."""
+    the model's inner-product scores.  Users whose candidates can be drawn
+    are forwarded one chunk of equal-length inputs at a time (`workers`
+    processes share the chunks); rows come back in user order."""
     tokens = all_item_tokens(model)
+    cands = {}
+    for user in range(split.n_users):
+        try:
+            cands[user] = sample_candidates(user, split, phase=phase, n=n_candidates,
+                                            seed=seed)
+        except InputError:
+            continue
+    users = list(cands)
+    inputs = [split.eval_input(u, phase) for u in users]
+    chunks = length_chunks([len(x) for x in inputs])
+    log.info("evaluate (%s): %d users in %d length buckets, %d chunks", phase, len(users),
+             len({len(x) for x in inputs}), len(chunks))
 
-    def scorer(user, items):
-        seq = split.eval_input(user, phase)
-        user_rep, _, _ = forward(model, seq)
-        return tokens[items] @ user_rep.value.reshape(-1)
+    def one_chunk(chunk):
+        user_rep, _, _ = forward(model, np.stack([inputs[i] for i in chunk]))
+        rows = []
+        for i, rep in zip(chunk, user_rep.value[:, -1]):
+            cand = cands[users[i]]
+            ndcg, recall, rank = rank_metrics(tokens[cand.items] @ rep, cand.truth_index, k=k)
+            rows.append((users[i], rank, ndcg, recall))
+        return rows
 
-    rows = parallel_map(_candidate_scores_of(scorer, split, phase, n_candidates, seed, k),
-                        range(split.n_users), workers=workers)
-    kept = [r for r in rows if r is not None]
-    return _aggregate(kept, k, phase, n_excluded=len(rows) - len(kept),
+    per_chunk = parallel_map(one_chunk, chunks, workers=workers)
+    rows = sorted((row for chunk_rows in per_chunk for row in chunk_rows), key=lambda r: r[0])
+    return _aggregate(rows, k, phase, n_excluded=split.n_users - len(rows),
                       fingerprint=fingerprint)
 
 

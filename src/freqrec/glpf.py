@@ -17,6 +17,7 @@ from freqrec.errors import CapabilityError, InputError
 from freqrec.numcore.linalg import MAX_EIGEN_SIZE, sym_eigendecompose
 
 ORACLE_MAX_NODES = MAX_EIGEN_SIZE
+APPLY_TO = ("id", "fused")
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class PolyFilterSpec:
 def filters_tokens(glpf):
     """Whether a config's glpf section filters the model's fused item
     tokens (apply_to=fused) instead of the ID table offline (apply_to=id)."""
-    if glpf["apply_to"] not in ("id", "fused"):
-        raise InputError(f"glpf.apply_to must be 'id' or 'fused', got {glpf['apply_to']!r}")
+    if glpf["apply_to"] not in APPLY_TO:
+        raise InputError(f"glpf.apply_to must be one of {APPLY_TO}, got {glpf['apply_to']!r}")
     return glpf["apply_to"] == "fused"
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from freqrec.errors import InputError
+from freqrec.numcore.linalg import add_rows_at
 
 
 @dataclass
@@ -66,8 +67,8 @@ class CooccurrenceGraph:
             x = x[:, None]
         if x.shape[0] != self.n_items:
             raise InputError(f"signal has {x.shape[0]} rows, graph has {self.n_items} items")
-        out = np.zeros_like(x)
-        np.add.at(out, self.rows, self.weights[:, None] * x[self.cols])
+        out = np.zeros(x.shape)
+        add_rows_at(out, self.rows, self.weights[:, None] * x[self.cols])
         return out[:, 0] if squeeze else out
 
     def _dinv_sqrt(self):

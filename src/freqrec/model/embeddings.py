@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from freqrec.errors import InputError, NumericError
+from freqrec.numcore.linalg import add_rows_at
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +100,7 @@ def _scatter_mean_update(target, idx, grads, lr):
     """SGD step that averages gradients landing on the same row within a
     chunk, so duplicated rows cannot multiply the effective step size."""
     counts = np.bincount(idx, minlength=target.shape[0])[idx].astype(float)
-    np.add.at(target, idx, (-lr / counts)[:, None] * grads)
+    add_rows_at(target, idx, (-lr / counts)[:, None] * grads)
 
 
 def _window_pairs(sequences, window):

@@ -6,6 +6,12 @@ parameter (requires_grad) feeds records nothing: no parents and no backward
 rule, so a value-only pass builds no graph and a frozen backbone costs
 nothing extra on the backward pass.
 
+Matrix ops act on the trailing two axes, so a (B, T, d) stack of
+equal-shaped matrices runs through the same graph as one T x d matrix:
+matmul, transpose, concat_cols and slice_rows work on axes -2/-1, and a
+2-D operand of a batched matmul (a weight) gets its gradient summed over
+the batch.
+
 The self_adjoint_linear node is the hook for spectral filters: a linear
 operator whose matrix is symmetric backpropagates by applying the very
 same operator to the upstream gradient.
@@ -14,6 +20,7 @@ same operator to the upstream gradient.
 import numpy as np
 
 from freqrec.errors import InputError, ProtocolError
+from freqrec.numcore.linalg import add_rows_at
 
 
 class Var:
@@ -86,15 +93,20 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _mT(x):
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a, b):
     a, b = _as_var(a), _as_var(b)
     return _node(a.value @ b.value, (a, b),
-                 (lambda g: g @ b.value.T, lambda g: a.value.T @ g))
+                 (lambda g: _unbroadcast(g @ _mT(b.value), a.value.shape),
+                  lambda g: _unbroadcast(_mT(a.value) @ g, b.value.shape)))
 
 
 def transpose(a):
     a = _as_var(a)
-    return _node(a.value.T, (a,), (lambda g: g.T,))
+    return _node(_mT(a.value), (a,), (_mT,))
 
 
 def add(a, b):
@@ -134,15 +146,24 @@ def gelu(a):
     tight."""
     a = _as_var(a)
     x = a.value
-    inner = _GELU_C * (x + _GELU_K * (x * x * x))
-    th = np.tanh(inner)
+    # th = tanh(C * (x + K * x^3)) and out = 0.5 * x * (1 + th), computed in
+    # place in the same operation order (so the same values) to keep fewer
+    # full-size arrays alive at once: this is the widest array of a forward
+    th = x * x
+    th *= x
+    th *= _GELU_K
+    th += x
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out = 1.0 + th
+    out *= 0.5 * x
 
     def vjp(g):
         d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x**2)
         local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
         return g * local
 
-    return _node(0.5 * x * (1.0 + th), (a,), (vjp,))
+    return _node(out, (a,), (vjp,))
 
 
 def softmax(a):
@@ -209,22 +230,23 @@ def gather_rows(a, idx):
     idx = np.asarray(idx, dtype=np.intp)
 
     def vjp(g):
-        da = np.zeros_like(a.value)
-        np.add.at(da, idx, g)
+        da = np.zeros(a.value.shape)
+        add_rows_at(da, idx, g)
         return da
 
     return _node(a.value[idx], (a,), (vjp,))
 
 
 def slice_rows(a, start, stop):
+    """Rows start:stop of each matrix (axis -2)."""
     a = _as_var(a)
 
     def vjp(g):
         da = np.zeros_like(a.value)
-        da[start:stop] = g
+        da[..., start:stop, :] = g
         return da
 
-    return _node(a.value[start:stop], (a,), (vjp,))
+    return _node(a.value[..., start:stop, :], (a,), (vjp,))
 
 
 def take_column(a, j):
@@ -239,10 +261,11 @@ def take_column(a, j):
 
 
 def concat_cols(parts):
+    """Side-by-side columns (axis -1)."""
     parts = [_as_var(p) for p in parts]
-    edges = np.cumsum([0] + [p.value.shape[1] for p in parts])
-    vjps = [lambda g, lo=lo, hi=hi: g[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
-    return _node(np.concatenate([p.value for p in parts], axis=1), parts, vjps)
+    edges = np.cumsum([0] + [p.value.shape[-1] for p in parts])
+    vjps = [lambda g, lo=lo, hi=hi: g[..., lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+    return _node(np.concatenate([p.value for p in parts], axis=-1), parts, vjps)
 
 
 def reshape(a, shape):

@@ -1,5 +1,6 @@
-"""Dense symmetric eigendecomposition: input checks around LAPACK's
-symmetric solver (`numpy.linalg.eigh`)."""
+"""Dense symmetric eigendecomposition (input checks around LAPACK's
+symmetric solver, `numpy.linalg.eigh`) and the row scatter-add that
+sparse products and gather gradients share."""
 
 import numpy as np
 
@@ -33,3 +34,17 @@ def sym_eigendecompose(m):
         return np.linalg.eigh((a + a.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigensolver failed for n={n}: {exc}") from exc
+
+
+def add_rows_at(target, idx, rows):
+    """In place, np.add.at(target, idx, rows) for a C-contiguous 2-D target:
+    row idx[...] of target gains the matching row of `rows`, shaped
+    idx.shape + (d,).  It runs on the flat view through numpy's 1-D fast
+    path; the flat indices visit every element in the same order as the
+    row-wise call, so the sums are the same bit for bit."""
+    if target.ndim != 2 or not target.flags.c_contiguous:
+        raise InputError(f"need a C-contiguous 2-D target, got shape {target.shape}")
+    d = target.shape[1]
+    flat = np.asarray(idx, dtype=np.intp)[..., None] * d + np.arange(d)
+    np.add.at(target.reshape(-1), flat.reshape(-1),
+              np.broadcast_to(rows, flat.shape).reshape(-1))

@@ -1,9 +1,10 @@
-"""Bounded per-user parallelism.
+"""Bounded parallelism over independent work items (chunks of equal-length
+sequences, theorem-probe trials).
 
 Workers inherit the closure and its captured state through a fork, so the
 callable itself never needs to be pickled.  Results come back in input
-order, and because every per-user computation seeds its own generator,
-the reduction is independent of worker count.
+order, and because no item's result depends on which process ran it, the
+reduction is independent of worker count.
 """
 
 import multiprocessing

@@ -70,14 +70,16 @@ def tfm_apply(h, spec):
 
 def make_filter(spec, t_len):
     """Fixed-length filter closure for use as a tape node (linear and
-    self-adjoint by construction).  The real FFT keeps bins 0..T//2 only;
-    the gains are conjugate-symmetric, so the dropped bins need none."""
+    self-adjoint by construction).  It filters along axis -2, so a
+    (B, T, d) stack is B independent T x d matrices.  The real FFT keeps
+    bins 0..T//2 only; the gains are conjugate-symmetric, so the dropped
+    bins need none."""
     gains = butterworth_gains(spec, t_len)[:t_len // 2 + 1, None]
 
     def apply(h):
-        if h.shape[0] != t_len:
-            raise InputError(f"filter built for T={t_len}, got {h.shape[0]} rows")
-        return np.fft.irfft(np.fft.rfft(h, axis=0) * gains, n=t_len, axis=0)
+        if h.shape[-2] != t_len:
+            raise InputError(f"filter built for T={t_len}, got {h.shape[-2]} rows")
+        return np.fft.irfft(np.fft.rfft(h, axis=-2) * gains, n=t_len, axis=-2)
 
     return apply
 

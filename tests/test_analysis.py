@@ -16,7 +16,8 @@ from freqrec.analysis import (
 )
 from freqrec.dataset import SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
-from freqrec.graph import build_cooccurrence
+from freqrec.graph import build_cooccurrence, local_subgraph
+from freqrec.model.network import forward
 from freqrec.spectral import basis_from_matrix
 from freqrec.tfm import ButterworthSpec
 from tests.test_model import small_model
@@ -82,6 +83,36 @@ class TestProfile:
         for l, h in enumerate(cut):
             total = float(np.sum(h * h))
             assert abs(raw[l].sum() - total) <= 1e-9 * max(total, 1.0)
+
+    @pytest.mark.parametrize("backbone_kw", [
+        {}, {"tfm_enabled": True}, {"tfm_enabled": True, "tfm_causal_safe": True},
+    ], ids=["off", "on", "causal_safe"])
+    def test_matches_per_sequence_sum(self, setup, backbone_kw):
+        split, graph, _ = setup
+        model = small_model(split, d_model=16, n_layers=2, **backbone_kw)
+        # plus two short sequences and one whose targets are a single item
+        # (its local graph has no edges)
+        seqs = list(split.sequences) + [np.array([1, 2]), np.array([4]),
+                                        np.array([0, 5, 5, 5])]
+        profile = trace_spectral_profile(model, seqs, graph, n_bands=4)
+        raw, used, short, degenerate = None, 0, 0, 0
+        for seq in seqs:
+            if seq.size < 3:
+                short += 1
+                continue
+            local = local_subgraph(graph, seq[1:])
+            if local.is_degenerate():
+                degenerate += 1
+                continue
+            _, _, trace = forward(model, seq, capture=True)
+            mat = profile_from_trace([h[:-1] for h in trace.matrices],
+                                     basis_from_matrix(local.laplacian), 4)
+            raw = mat if raw is None else raw + mat
+            used += 1
+        np.testing.assert_allclose(profile.raw, raw, rtol=1e-12)
+        assert (profile.user_count, profile.skipped_short, profile.skipped_degenerate) == (
+            used, 2, 1)
+        assert (short, degenerate) == (2, 1)
 
     def test_additivity(self, setup):
         split, graph, model = setup

@@ -74,6 +74,17 @@ class TestPrimitiveGradients:
             return ad.add(ad.mean_all(flat), ad.mean_all(ad.mul(col, col)))
         check_primitive(loss, [(4, 2), (4, 3)])
 
+    def test_batched_matmul_transpose_concat_slice(self):
+        # a B = 3 stack of 4 x 5 matrices: 2-D operands on either side of a
+        # batched matmul get gradients summed over the batch
+        def build(p):
+            x, w, v, m = p
+            q = ad.matmul(x, w)
+            s = ad.matmul(m, ad.matmul(q, ad.transpose(q)))
+            cat = ad.slice_rows(ad.concat_cols([s, ad.matmul(x, v)]), 1, 3)
+            return ad.mean_all(ad.mul(cat, cat))
+        check_primitive(build, [(3, 4, 5), (5, 2), (5, 3), (4, 4)])
+
     def test_sum_axis1_and_transpose(self):
         check_primitive(lambda p: ad.mean_all(ad.mul(ad.sum_axis1(ad.matmul(p[0], ad.transpose(p[0]))),
                                                      ad.sum_axis1(p[0]))),

@@ -291,9 +291,67 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
 
+    @pytest.mark.parametrize("override, key", [
+        ("model.activation=relu", "model.activation"),
+        ("dataset.format=csv", "dataset.format"),
+        ("glpf.apply_to=tokens", "glpf.apply_to"),
+        ("glpf.coefficients=[]", "glpf.coefficients"),
+        ("glpf.coefficients=[1, NaN]", "glpf.coefficients"),
+        ('glpf.coefficients=[1, "x"]', "glpf.coefficients"),
+    ])
+    def test_value_a_later_stage_rejects(self, tmp_path, capsys, workdir, override, key):
+        # rejected at load, before pretrain writes a table stamped with it
+        id_out, text_out = tmp_path / "id.emb", tmp_path / "text.emb"
+        assert run(["--config", workdir["config"], "--set", override,
+                    "pretrain", "--data", workdir["data"],
+                    "--out-id", str(id_out), "--out-text", str(text_out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not id_out.exists() and not text_out.exists()
+
+    def test_coefficients_not_a_list(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"glpf": {"coefficients": "abc"}}')
+        assert run(["--config", str(bad), "synth", "--out", str(tmp_path / "x.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'glpf.coefficients'" in err
+        assert "Traceback" not in err
+
     def test_bad_rho_override(self, tmp_path):
         assert run(["--set", "synth.rho=1.0",
                     "synth", "--out", str(tmp_path / "x.tsv")]) == 1
+
+
+class TestLogging:
+    def test_info_reports_without_changing_outputs(self, tmp_path, workdir, capsys):
+        base = ["--config", workdir["config"]]
+        outs = {}
+        for level in ("warning", "info"):
+            out = tmp_path / f"metrics_{level}.json"
+            per_user = tmp_path / f"per_user_{level}.csv"
+            assert run(base + ["--log-level", level,
+                               "evaluate", "--data", workdir["data"],
+                               "--id", workdir["id_filtered"], "--text", workdir["text"],
+                               "--checkpoint", workdir["ckpt"], "--out", str(out),
+                               "--per-user", str(per_user)]) == 0
+            outs[level] = (capsys.readouterr(), out.read_bytes(), per_user.read_bytes())
+        quiet, loud = outs["warning"], outs["info"]
+        assert quiet[0].err == ""
+        assert "length buckets" in loud[0].err
+        assert loud[0].out == quiet[0].out and loud[1:] == quiet[1:]
+
+        assert run(base + ["--log-level", "info", "pretrain", "--data", workdir["data"],
+                           "--out-id", str(tmp_path / "id.emb"),
+                           "--out-text", str(tmp_path / "text.emb")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("pretrain epoch") == 2      # the fixture's pretrain.epochs
+        assert (tmp_path / "id.emb").read_bytes() == open(workdir["id"], "rb").read()
+
+        assert run(base + ["--log-level", "info", "analyze", "--data", workdir["data"],
+                           "--id", workdir["id_filtered"], "--text", workdir["text"],
+                           "--graph", workdir["graph"], "--tfm", "on",
+                           "--out-prefix", str(tmp_path / "p")]) == 0
+        assert "analyze (tfm on)" in capsys.readouterr().err
 
 
 class TestConfig:

@@ -6,7 +6,9 @@ import pytest
 from freqrec.dataset import SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.evalharness import baselines, evaluate, rank_metrics, sample_candidates
-from tests.test_model import small_model
+from freqrec.graph import build_cooccurrence
+from freqrec.model.network import all_item_tokens, forward
+from tests.test_model import config_model, small_model
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +153,36 @@ class TestEvaluateAndBaselines:
         serial = evaluate(model, split, phase="valid", seed=2, n_candidates=30, workers=1)
         parallel = evaluate(model, split, phase="valid", seed=2, n_candidates=30, workers=2)
         assert serial.per_user == parallel.per_user
+
+
+def per_sequence_rows(model, split, phase, seed, n_candidates, k=10):
+    """The reference: one forward per user, in user order."""
+    tokens = all_item_tokens(model)
+    rows = []
+    for user in range(split.n_users):
+        try:
+            cand = sample_candidates(user, split, phase=phase, n=n_candidates, seed=seed)
+        except InputError:
+            continue
+        rep, _, _ = forward(model, split.eval_input(user, phase))
+        ndcg, recall, rank = rank_metrics(tokens[cand.items] @ rep.value.reshape(-1),
+                                          cand.truth_index, k=k)
+        rows.append((user, rank, ndcg, recall))
+    return rows
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"tfm.enabled": False}, {"tfm.causal_safe": True}, {"tfm.residual": True},
+        {"glpf.apply_to": "fused"},
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default")
+    def test_rows_match_per_sequence_reference(self, split, overrides):
+        model = config_model(split, build_cooccurrence(split), overrides)
+        # a candidate count the unseen pools of some users cannot fill
+        pools = sorted(split.n_items - len(split.interacted(u)) for u in range(split.n_users))
+        n = pools[len(pools) // 4]
+        for phase in ("valid", "test"):
+            report = evaluate(model, split, phase=phase, seed=3, n_candidates=n)
+            assert 0 < report.n_excluded < split.n_users
+            assert report.n_users + report.n_excluded == split.n_users
+            assert report.per_user == per_sequence_rows(model, split, phase, 3, n)

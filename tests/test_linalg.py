@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from freqrec.errors import InputError, NumericError
-from freqrec.numcore.linalg import sym_eigendecompose
+from freqrec.numcore.linalg import add_rows_at, sym_eigendecompose
 
 
 def ring_laplacian(t):
@@ -96,3 +96,21 @@ class TestErrors:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericError):
             sym_eigendecompose(np.eye(3))
+
+
+class TestAddRowsAt:
+    @pytest.mark.parametrize("idx_shape", [(400,), (40, 10)])
+    def test_bit_identical_to_row_add_at(self, idx_shape):
+        # few target rows, many duplicate indices: the summation order matters
+        rng = np.random.default_rng(0)
+        target = rng.standard_normal((7, 5))
+        idx = rng.integers(0, 7, size=idx_shape)
+        rows = rng.standard_normal(idx_shape + (5,)) * 10.0 ** rng.integers(-8, 8, idx_shape + (5,))
+        expected = target.copy()
+        np.add.at(expected, idx, rows)
+        add_rows_at(target, idx, rows)
+        np.testing.assert_array_equal(target, expected)
+
+    def test_rejects_a_view_it_cannot_write_through(self):
+        with pytest.raises(InputError):
+            add_rows_at(np.zeros((5, 4)).T, np.array([0, 1]), np.ones((2, 5)))

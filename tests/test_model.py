@@ -19,13 +19,16 @@ from freqrec.model.embeddings import (
     text_surrogate_embeddings,
 )
 from freqrec.model.network import (
+    CHUNK_ROWS,
     RecModel,
     all_item_tokens,
+    backbone_forward,
     build_model,
     forward,
     fuse,
     init_backbone,
     init_fusion_mlp,
+    length_chunks,
     model_tokens,
     score,
 )
@@ -257,6 +260,60 @@ class TestForward:
         _, _, trace2 = forward(model, perturbed, capture=True)
         for h1, h2 in zip(trace.matrices, trace2.matrices):
             np.testing.assert_allclose(h1[:5], h2[:5], atol=1e-12)
+
+
+TFM_MODES = {"off": {}, "on": {"tfm_enabled": True},
+             "causal_safe": {"tfm_enabled": True, "tfm_causal_safe": True},
+             "residual": {"tfm_enabled": True, "tfm_residual": True}}
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("mode", TFM_MODES)
+    def test_backbone_block_is_stacked_single_sequences(self, synth_split, mode):
+        model = small_model(synth_split, **TFM_MODES[mode])
+        tokens = np.random.default_rng(4).standard_normal((5, 7, model.backbone.d_model))
+        hidden, trace = backbone_forward(model.backbone, ad.constant(tokens), capture=True)
+        singles = [backbone_forward(model.backbone, ad.constant(t), capture=True)
+                   for t in tokens]
+        np.testing.assert_array_equal(hidden.value, np.stack([h.value for h, _ in singles]))
+        for layer, h in enumerate(trace.matrices):
+            np.testing.assert_array_equal(h, np.stack([t.matrices[layer] for _, t in singles]))
+
+    @pytest.mark.parametrize("mode", TFM_MODES)
+    def test_forward_block_is_stacked_single_sequences(self, synth_split, mode):
+        model = small_model(synth_split, **TFM_MODES[mode])
+        block = np.stack([synth_split.sequences[u][:6] for u in range(4)])
+        rep, hidden, _ = forward(model, block)
+        assert rep.value.shape == (4, 1, model.backbone.d_model)
+        singles = [forward(model, seq) for seq in block]
+        np.testing.assert_array_equal(rep.value, np.stack([r.value for r, _, _ in singles]))
+        np.testing.assert_array_equal(hidden.value,
+                                      np.stack([h.value for _, h, _ in singles]))
+
+    def test_block_rejects_unknown_item(self, synth_split):
+        model = small_model(synth_split)
+        block = np.zeros((3, 4), dtype=int)
+        block[2, 1] = synth_split.n_items
+        with pytest.raises(InputError):
+            forward(model, block)
+
+
+class TestLengthChunks:
+    def test_equal_lengths_under_the_cap(self):
+        lengths = [3, 5, 3, 3, 5, 3, 9, 3, 40]
+        chunks = length_chunks(lengths, max_rows=7)
+        # ascending length; input order within a bucket; a sequence longer
+        # than the cap still gets a chunk of its own
+        assert chunks == [[0, 2], [3, 5], [7], [1], [4], [6], [8]]
+        for chunk in chunks:
+            assert len({lengths[i] for i in chunk}) == 1
+            assert len(chunk) == 1 or len(chunk) * lengths[chunk[0]] <= 7
+
+    def test_default_cap(self):
+        chunks = length_chunks([12] * 100)
+        assert sorted(i for c in chunks for i in c) == list(range(100))
+        assert all(len(c) * 12 <= CHUNK_ROWS for c in chunks)
+        assert len(chunks) == -(-100 // (CHUNK_ROWS // 12))
 
 
 class TestScore:
