@@ -24,7 +24,7 @@ import numpy as np
 
 from freqrec.errors import InputError
 from freqrec.graph import local_subgraph, normalized_laplacian
-from freqrec.model.network import forward, length_chunks
+from freqrec.model.network import all_item_tokens, forward, length_chunks
 from freqrec.parallel import parallel_map
 from freqrec.spectral import band_energy, basis_from_matrix, gft, smoothness
 from freqrec.tfm import tfm_apply
@@ -46,6 +46,11 @@ class SpectralProfile:
     skipped_short: int = 0
     skipped_degenerate: int = 0
     fingerprint: str = ""
+    # Per profiled user, kept out of the emitted reports: energies
+    # (users, n_layers + 1, n_bands), whose sum over users is raw, and the
+    # users' positions in the analyzed sequences, ascending.
+    user_energies: np.ndarray = None
+    users: np.ndarray = None
 
     @property
     def n_layers(self):
@@ -58,10 +63,12 @@ class SpectralProfile:
 
 
 def profile_from_trace(trace_matrices, basis, n_bands):
-    """Band energies per layer for one user's hidden stack (rows already cut
-    to the target positions)."""
-    return np.array([band_energy(basis, gft(basis, h), n_bands).energies
-                     for h in trace_matrices])
+    """Band energies per layer, (n_layers + 1, n_bands), for one user's
+    hidden stack (rows already cut to the target positions).  With a basis
+    stacked over B users each state is (B, n, d) and the energies are per
+    user, (B, n_layers + 1, n_bands)."""
+    energies = band_energy(basis, gft(basis, np.stack(trace_matrices)), n_bands).energies
+    return np.moveaxis(energies, 0, -2)
 
 
 def trace_spectral_profile(model, sequences, graph, n_bands=4, workers=1,
@@ -70,9 +77,10 @@ def trace_spectral_profile(model, sequences, graph, n_bands=4, workers=1,
 
     Sequences shorter than 3 items are skipped (a 1-node local graph has no
     spectrum), as are sequences whose local graph has no edges at all.  The
-    rest are forwarded one chunk of equal-length sequences at a time
-    (`workers` processes share the chunks), and their energies are summed
-    in input order."""
+    rest go one chunk of equal-length sequences at a time (`workers`
+    processes share the chunks) through one forward and one stacked
+    spectral pass: local graphs, eigendecompositions and band energies over
+    (B, n, n).  Per-user energies are kept, and summed in input order."""
     seqs = [np.asarray(seq, dtype=np.intp) for seq in sequences]
     long_enough = [i for i, seq in enumerate(seqs) if seq.size >= 3]
     chunks = [[long_enough[j] for j in chunk]
@@ -80,28 +88,33 @@ def trace_spectral_profile(model, sequences, graph, n_bands=4, workers=1,
     log.info("analyze (tfm %s): %d sequences in %d length buckets, %d chunks",
              "on" if model.backbone.tfm_enabled else "off", len(long_enough),
              len({seqs[i].size for i in long_enough}), len(chunks))
+    # a token-filtered model's rows all come from one filtered catalog
+    table = all_item_tokens(model) if model.token_filter is not None else None
 
     def one_chunk(chunk):
-        graphs = {i: local_subgraph(graph, seqs[i][1:]) for i in chunk}
-        kept = [i for i in chunk if not graphs[i].is_degenerate()]
-        if not kept:
-            return []
-        _, _, trace = forward(model, np.stack([seqs[i] for i in kept]), capture=True)
-        return [(i, profile_from_trace([h[b, :-1] for h in trace.matrices],
-                                       basis_from_matrix(graphs[i].laplacian), n_bands))
-                for b, i in enumerate(kept)]
+        block = np.stack([seqs[i] for i in chunk])
+        local = local_subgraph(graph, block[:, 1:])
+        kept = ~local.is_degenerate()
+        if not kept.any():
+            return np.zeros(0, dtype=np.intp), None
+        _, _, trace = forward(model, block[kept], capture=True, table=table)
+        energies = profile_from_trace([h[:, :-1] for h in trace.matrices],
+                                      basis_from_matrix(local.laplacian[kept]), n_bands)
+        return np.asarray(chunk)[kept], energies
 
-    per_chunk = parallel_map(one_chunk, chunks, workers=workers)
-    mats = sorted((m for chunk_mats in per_chunk for m in chunk_mats), key=lambda m: m[0])
-    if not mats:
+    done = [(users, e) for users, e in parallel_map(one_chunk, chunks, workers=workers)
+            if users.size]
+    if not done:
         raise InputError("no sequence was long enough to analyze")
-    raw = mats[0][1]
-    for _, mat in mats[1:]:
-        raw = raw + mat
-    return SpectralProfile(raw=raw, n_bands=n_bands, user_count=len(mats),
+    users = np.concatenate([u for u, _ in done])
+    order = np.argsort(users, kind="stable")
+    energies = np.concatenate([e for _, e in done])[order]
+    return SpectralProfile(raw=energies.sum(axis=0), n_bands=n_bands,
+                           user_count=len(users),
                            skipped_short=len(seqs) - len(long_enough),
-                           skipped_degenerate=len(long_enough) - len(mats),
-                           fingerprint=fingerprint)
+                           skipped_degenerate=len(long_enough) - len(users),
+                           fingerprint=fingerprint, user_energies=energies,
+                           users=users[order])
 
 
 @dataclass

@@ -134,7 +134,7 @@ def evaluate(model, split, phase="test", seed=0, k=10, n_candidates=100, workers
              len({len(x) for x in inputs}), len(chunks))
 
     def one_chunk(chunk):
-        user_rep, _, _ = forward(model, np.stack([inputs[i] for i in chunk]))
+        user_rep, _, _ = forward(model, np.stack([inputs[i] for i in chunk]), table=tokens)
         rows = []
         for i, rep in zip(chunk, user_rep.value[:, -1]):
             cand = cands[users[i]]

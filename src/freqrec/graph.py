@@ -46,7 +46,8 @@ class CooccurrenceGraph:
         return self.rows.astype(np.int64) * self.n_items + self.cols.astype(np.int64)
 
     def lookup(self, i, j):
-        """Vectorized weight lookup for index arrays i, j (0 where absent)."""
+        """Vectorized weight lookup for index arrays i, j, broadcast
+        together (0 where absent)."""
         i = np.asarray(i, dtype=np.int64)
         j = np.asarray(j, dtype=np.int64)
         keys = self._keys()
@@ -97,6 +98,9 @@ class CooccurrenceGraph:
 
 @dataclass
 class LocalGraph:
+    """One local graph over n targets, or a stack of B of them: every array
+    then gains a leading B axis."""
+
     positions: np.ndarray   # item indices of the target subsequence, in order
     adjacency: np.ndarray   # dense, symmetric, zero diagonal
     laplacian: np.ndarray   # symmetric normalized
@@ -104,19 +108,21 @@ class LocalGraph:
 
     @property
     def size(self):
-        return int(self.adjacency.shape[0])
+        return int(self.adjacency.shape[-1])
 
     def is_degenerate(self):
-        return not np.any(self.adjacency)
+        """True where a graph has no edge at all (one flag per stacked graph)."""
+        return ~np.any(self.adjacency, axis=(-2, -1))
 
 
 def normalized_laplacian(adjacency):
-    """I - D^{-1/2} A D^{-1/2} for a dense symmetric nonnegative adjacency;
-    isolated nodes keep an identity row."""
+    """I - D^{-1/2} A D^{-1/2} for a dense symmetric nonnegative adjacency,
+    or for each of a (..., n, n) stack of them; isolated nodes keep an
+    identity row."""
     a = np.asarray(adjacency, dtype=float)
-    d = a.sum(axis=1)
+    d = a.sum(axis=-1)
     dh = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-    return np.eye(a.shape[0]) - dh[:, None] * a * dh[None, :]
+    return np.eye(a.shape[-1]) - dh[..., :, None] * a * dh[..., None, :]
 
 
 def build_cooccurrence(split, binarize=True):
@@ -170,22 +176,25 @@ def build_cooccurrence(split, binarize=True):
 
 
 def local_subgraph(graph, target_items):
-    """Dense local graph over an ordered target subsequence.
+    """Dense local graph over an ordered target subsequence (n,), or a stack
+    of B of them over the rows of a (B, n) block of equal-length targets.
 
     Repeated items occupy distinct nodes; because the global diagonal is
     zero, the weight between two occurrences of the same item is zero.
     """
     items = np.asarray(target_items, dtype=np.int64)
-    t_len = items.shape[0]
+    if items.ndim not in (1, 2):
+        raise InputError(f"expected (n,) targets or a (B, n) block, got shape {items.shape}")
+    t_len = items.shape[-1]
     if t_len < 2:
         raise InputError(f"local graph needs at least 2 target items, got {t_len}")
     if np.any(items < 0) or np.any(items >= graph.n_items):
         raise InputError("target item index out of range")
-    ii, jj = np.meshgrid(items, items, indexing="ij")
-    a = graph.lookup(ii.ravel(), jj.ravel()).reshape(t_len, t_len)
-    np.fill_diagonal(a, 0.0)
-    d = a.sum(axis=1)
-    return LocalGraph(positions=items, adjacency=a, laplacian=normalized_laplacian(a), degrees=d)
+    a = graph.lookup(items[..., :, None], items[..., None, :])
+    diag = np.arange(t_len)
+    a[..., diag, diag] = 0.0
+    return LocalGraph(positions=items, adjacency=a, laplacian=normalized_laplacian(a),
+                      degrees=a.sum(axis=-1))
 
 
 def save_graph(graph, path):

@@ -325,10 +325,16 @@ def model_tokens(model, item_ids=None, mlp_vars=None):
     return ad.gather_rows(filtered, np.asarray(item_ids, dtype=np.intp))
 
 
-def forward(model, sequence, capture=False):
+def forward(model, sequence, capture=False, table=None):
     """User representation for one item-index sequence (T,), or for each row
     of a (B, T) block of equal-length sequences: run the fused tokens
     through the backbone and take the last position's final hidden row.
+
+    `table` is the model's full token table (`all_item_tokens`) when the
+    caller holds one.  A token-filtered model gathers the block's rows from
+    it instead of filtering the whole catalog again; an unfiltered model
+    fuses just the block's rows either way (a row of the full-table product
+    need not match them to the last bit).
 
     Returns (user_rep_node, final_hidden_node, trace); a block adds a
     leading B axis to each (user_rep is (B, 1, d_model))."""
@@ -338,8 +344,11 @@ def forward(model, sequence, capture=False):
                          "or a (B, T) block of them")
     if seq.min() < 0 or seq.max() >= model.n_items:
         raise InputError("unknown item index in sequence")
-    tokens = ad.reshape(model_tokens(model, item_ids=seq.reshape(-1)),
-                        seq.shape + (model.backbone.d_model,))
+    if table is not None and model.token_filter is not None:
+        tokens = ad.constant(table[seq])
+    else:
+        tokens = ad.reshape(model_tokens(model, item_ids=seq.reshape(-1)),
+                            seq.shape + (model.backbone.d_model,))
     hidden, trace = backbone_forward(model.backbone, tokens, capture=capture)
     t_len = seq.shape[-1]
     user_rep = ad.slice_rows(hidden, t_len - 1, t_len)

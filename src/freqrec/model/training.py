@@ -10,6 +10,7 @@ pins down.  Early stopping watches validation NDCG@10.
 
 import json
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,9 +136,11 @@ def train(model, split, config=TrainConfig(), log_path=None, workers=1):
     aborted = False
 
     for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(split.n_users)
         epoch_loss = 0.0
         n_sequences = 0
+        n_skipped = 0
         for start in range(0, order.size, config.batch_size):
             batch = order[start:start + config.batch_size]
             grad_sum = [np.zeros_like(p) for p in params]
@@ -146,6 +149,7 @@ def train(model, split, config=TrainConfig(), log_path=None, workers=1):
                 seq = split.train_items(int(user))
                 negs = rng.integers(0, split.n_items, size=config.n_negatives)
                 if seq.size < 2:
+                    n_skipped += 1
                     continue
                 mlp_vars = model.mlp.make_vars()
                 loss = sequence_loss(model, seq, negs, mlp_vars)
@@ -172,6 +176,9 @@ def train(model, split, config=TrainConfig(), log_path=None, workers=1):
         entries.append({"epoch": epoch, "loss": mean_loss,
                         "valid_ndcg10": report.ndcg, "valid_recall10": report.recall,
                         "lr": config.lr})
+        log.info("train epoch %d: loss %.5f, valid NDCG@10 %.4f, %d sequences used, "
+                 "%d skipped, %.2f s", epoch, mean_loss, report.ndcg, n_sequences,
+                 n_skipped, time.perf_counter() - started)
         if report.ndcg > best_metric:
             best_metric = report.ndcg
             best_epoch = epoch

@@ -11,27 +11,29 @@ MAX_EIGEN_SIZE = 1024
 
 def sym_eigendecompose(m):
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    symmetric matrix.
+    symmetric matrix, or of each matrix of a (..., n, n) stack (LAPACK runs
+    once per matrix, so a stack gives the same eigenpairs as separate calls).
 
-    The input must be symmetric within 1e-9 of its magnitude; it is
-    symmetrized by averaging before decomposition.  Sizes above
-    MAX_EIGEN_SIZE are rejected.
+    Each matrix must be finite and symmetric within 1e-9 of its own
+    magnitude; it is symmetrized by averaging before decomposition.  Sizes n
+    above MAX_EIGEN_SIZE are rejected; the stack depth is not capped.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InputError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
     if n == 0:
         raise InputError("cannot decompose an empty matrix")
     if n > MAX_EIGEN_SIZE:
         raise InputError(f"matrix size {n} exceeds dense eigensolver cap {MAX_EIGEN_SIZE}")
     if not np.all(np.isfinite(a)):
         raise InputError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > 1e-9 * scale:
+    at = np.swapaxes(a, -1, -2)
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))
+    if np.any(np.max(np.abs(a - at), axis=(-2, -1)) > 1e-9 * scale):
         raise InputError("matrix is not symmetric within 1e-9")
     try:
-        return np.linalg.eigh((a + a.T) / 2.0)
+        return np.linalg.eigh((a + at) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigensolver failed for n={n}: {exc}") from exc
 

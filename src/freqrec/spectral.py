@@ -1,9 +1,11 @@
 """Graph Fourier transform, smoothness functionals and quantile band energies.
 
 A SpectralBasis is the eigensystem of a symmetric (usually normalized
-Laplacian) matrix; signals live on its nodes, one column per feature.
-Forward GFT projects onto the eigenvector columns, so Parseval holds
-exactly up to the orthonormality of the basis.
+Laplacian) matrix, or of each matrix of a (B, n, n) stack; signals live on
+its nodes, one column per feature.  Forward GFT projects onto the
+eigenvector columns, so Parseval holds exactly up to the orthonormality of
+the basis.  With a stacked basis, signals and coefficients carry the same
+B axis, and any axes before it (layers, say) broadcast.
 """
 
 from dataclasses import dataclass
@@ -20,32 +22,34 @@ CLUSTER_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    eigenvalues: np.ndarray   # ascending
+    eigenvalues: np.ndarray   # ascending, (n,) or (B, n)
     eigenvectors: np.ndarray  # orthonormal columns, aligned with eigenvalues
 
     @property
     def size(self):
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
 def basis_from_matrix(laplacian):
-    """Dense eigendecomposition of a symmetric operator into a SpectralBasis."""
+    """Dense eigendecomposition of a symmetric operator, or of each matrix of
+    a (B, n, n) stack, into a SpectralBasis."""
     w, u = sym_eigendecompose(laplacian)
     return SpectralBasis(eigenvalues=w, eigenvectors=u)
 
 
 def gft(basis, signal, inverse=False):
     """Forward (U^T F) or inverse (U F_hat) graph Fourier transform of an
-    n x d signal matrix (1-D inputs are treated as a single column)."""
+    n x d signal matrix (1-D inputs are treated as a single column), or of
+    a (..., B, n, d) signal through a basis stacked over B graphs."""
     f = np.asarray(signal, dtype=float)
     squeeze = f.ndim == 1
     if squeeze:
         f = f[:, None]
-    if f.shape[0] != basis.size:
+    if f.shape[-2] != basis.size:
         raise InputError(
-            f"signal has {f.shape[0]} rows but the basis has {basis.size} nodes")
+            f"signal has {f.shape[-2]} rows but the basis has {basis.size} nodes")
     u = basis.eigenvectors
-    out = (u @ f) if inverse else (u.T @ f)
+    out = (u @ f) if inverse else (np.swapaxes(u, -1, -2) @ f)
     return out[:, 0] if squeeze else out
 
 
@@ -65,18 +69,16 @@ def smoothness(laplacian, signal):
 @dataclass(frozen=True)
 class BandEnergy:
     n_bands: int
-    energies: np.ndarray     # per-band energy, sums to total signal energy
+    energies: np.ndarray     # (..., n_bands) per-band energy, sums to total signal energy
     boundaries: np.ndarray   # band b covers eigenvalue ranks [boundaries[b], boundaries[b+1])
 
     @property
     def total(self):
-        return float(self.energies.sum())
+        return self.energies.sum(axis=-1)
 
     def shares(self):
-        tot = self.total
-        if tot == 0.0:
-            return np.zeros(self.n_bands)
-        return self.energies / tot
+        total = self.energies.sum(axis=-1, keepdims=True)
+        return self.energies / np.where(total > 0, total, 1.0)
 
 
 def band_boundaries(n, n_bands):
@@ -96,18 +98,33 @@ def band_energy(basis, coefficients, n_bands=4):
     returned, so each cluster's energy is spread evenly over its ranks
     before binning.  This is the expected split over uniformly random bases
     of the eigenspace, and it changes nothing when no cluster straddles a
-    band boundary."""
+    band boundary.
+
+    Coefficients are (..., n, d), or (..., B, n, d) for a basis stacked over
+    B graphs, giving energies (..., n_bands) or (..., B, n_bands).  Each
+    graph's clusters are found once and shared by the leading axes."""
     c = np.asarray(coefficients, dtype=float)
-    if c.ndim == 1:
-        c = c[:, None]
-    if c.shape[0] != basis.size:
-        raise InputError(
-            f"coefficients have {c.shape[0]} rows but the basis has {basis.size} nodes")
     w = basis.eigenvalues
-    tol = CLUSTER_RTOL * max(1.0, float(np.max(np.abs(w))))
-    starts = np.flatnonzero(np.r_[True, np.diff(w) > tol])
+    if c.ndim == w.ndim:
+        c = c[..., None]
+    per_freq = np.sum(c * c, axis=-1)
+    if per_freq.shape[-w.ndim:] != w.shape:
+        raise InputError(f"coefficients of shape {c.shape} do not fit a basis with "
+                         f"eigenvalues of shape {w.shape}")
+    lead = per_freq.shape[:-w.ndim]
+    n = basis.size
+    bounds = band_boundaries(n, n_bands)
+    # one row per graph; cluster and band starts index the flattened ranks,
+    # and every graph's first rank starts both
+    w = w.reshape(-1, n)
+    tol = CLUSTER_RTOL * np.maximum(1.0, np.max(np.abs(w), axis=1, keepdims=True))
+    new_cluster = np.ones(w.shape, dtype=bool)
+    new_cluster[:, 1:] = np.diff(w, axis=1) > tol
+    starts = np.flatnonzero(new_cluster)
     sizes = np.diff(np.r_[starts, w.size])
-    per_freq = np.repeat(np.add.reduceat(np.sum(c * c, axis=1), starts) / sizes, sizes)
-    bounds = band_boundaries(basis.size, n_bands)
-    energies = np.array([per_freq[bounds[b]:bounds[b + 1]].sum() for b in range(n_bands)])
+    flat = per_freq.reshape(lead + (w.size,))
+    spread = np.repeat(np.add.reduceat(flat, starts, axis=-1) / sizes, sizes, axis=-1)
+    band_starts = (np.arange(w.shape[0])[:, None] * n + bounds[:-1]).ravel()
+    energies = np.add.reduceat(spread, band_starts, axis=-1).reshape(
+        per_freq.shape[:-1] + (n_bands,))
     return BandEnergy(n_bands=n_bands, energies=energies, boundaries=bounds)

@@ -17,10 +17,11 @@ from freqrec.analysis import (
 from freqrec.dataset import SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.graph import build_cooccurrence, local_subgraph
+from freqrec.model import network
 from freqrec.model.network import forward
 from freqrec.spectral import basis_from_matrix
 from freqrec.tfm import ButterworthSpec
-from tests.test_model import small_model
+from tests.test_model import config_model, small_model
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +96,8 @@ class TestProfile:
         seqs = list(split.sequences) + [np.array([1, 2]), np.array([4]),
                                         np.array([0, 5, 5, 5])]
         profile = trace_spectral_profile(model, seqs, graph, n_bands=4)
-        raw, used, short, degenerate = None, 0, 0, 0
-        for seq in seqs:
+        raw, users, energies, short, degenerate = None, [], [], 0, 0
+        for user, seq in enumerate(seqs):
             if seq.size < 3:
                 short += 1
                 continue
@@ -108,11 +109,29 @@ class TestProfile:
             mat = profile_from_trace([h[:-1] for h in trace.matrices],
                                      basis_from_matrix(local.laplacian), 4)
             raw = mat if raw is None else raw + mat
-            used += 1
+            users.append(user)
+            energies.append(mat)
         np.testing.assert_allclose(profile.raw, raw, rtol=1e-12)
         assert (profile.user_count, profile.skipped_short, profile.skipped_degenerate) == (
-            used, 2, 1)
+            len(users), 2, 1)
         assert (short, degenerate) == (2, 1)
+        np.testing.assert_array_equal(profile.users, users)
+        assert profile.user_energies.shape == (len(users), model.backbone.n_layers + 1, 4)
+        np.testing.assert_allclose(profile.user_energies, np.stack(energies), rtol=1e-12)
+        np.testing.assert_array_equal(profile.raw, profile.user_energies.sum(axis=0))
+
+    def test_fused_table_filtered_once(self, setup, monkeypatch):
+        split, graph, _ = setup
+        model = config_model(split, graph, {"glpf.apply_to": "fused"})
+        calls, filter_fn = [], network.polynomial_filter
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return filter_fn(*args, **kwargs)
+
+        monkeypatch.setattr(network, "polynomial_filter", counting)
+        trace_spectral_profile(model, split.sequences, graph, n_bands=4)
+        assert len(calls) == 1
 
     def test_additivity(self, setup):
         split, graph, model = setup

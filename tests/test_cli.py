@@ -353,6 +353,23 @@ class TestLogging:
                            "--out-prefix", str(tmp_path / "p")]) == 0
         assert "analyze (tfm on)" in capsys.readouterr().err
 
+        trained = {}
+        for level in ("warning", "info"):
+            ckpt, train_log = tmp_path / f"{level}.ckpt", tmp_path / f"{level}.jsonl"
+            assert run(base + ["--log-level", level, "train", "--data", workdir["data"],
+                               "--id", workdir["id_filtered"], "--text", workdir["text"],
+                               "--out", str(ckpt), "--log", str(train_log)]) == 0
+            trained[level] = (capsys.readouterr(), ckpt.read_bytes(), train_log.read_bytes())
+        quiet, loud = trained["warning"], trained["info"]
+        epochs = [line for line in loud[0].err.splitlines() if "train epoch" in line]
+        assert len(epochs) == 2                      # the fixture's training.epochs
+        for name in ("loss", "valid NDCG@10", "sequences used", "skipped", " s"):
+            assert all(name in line for line in epochs)
+        assert "train epoch" not in quiet[0].err
+        assert loud[0].out == quiet[0].out and loud[1:] == quiet[1:]
+        assert json.loads(loud[0].out)["fingerprint"] == fingerprint(load_config(workdir["config"]))
+        assert loud[1] == open(workdir["ckpt"], "rb").read()
+
 
 class TestConfig:
     def test_defaults_complete_and_fingerprint_stable(self):

@@ -7,6 +7,7 @@ from freqrec.dataset import SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.evalharness import baselines, evaluate, rank_metrics, sample_candidates
 from freqrec.graph import build_cooccurrence
+from freqrec.model import network
 from freqrec.model.network import all_item_tokens, forward
 from tests.test_model import config_model, small_model
 
@@ -186,3 +187,17 @@ class TestBatchedEvaluate:
             assert 0 < report.n_excluded < split.n_users
             assert report.n_users + report.n_excluded == split.n_users
             assert report.per_user == per_sequence_rows(model, split, phase, 3, n)
+
+    def test_fused_table_filtered_once(self, split, monkeypatch):
+        model = config_model(split, build_cooccurrence(split), {"glpf.apply_to": "fused"})
+        calls, filter_fn = [], network.polynomial_filter
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return filter_fn(*args, **kwargs)
+
+        monkeypatch.setattr(network, "polynomial_filter", counting)
+        report = evaluate(model, split, phase="valid", seed=3, n_candidates=30)
+        assert len({len(split.eval_input(u, "valid")) for u, *_ in report.per_user}) > 1
+        assert len(calls) == 1
+

@@ -167,6 +167,35 @@ class TestLocalSubgraph:
         with pytest.raises(InputError):
             local_subgraph(graph, [0, graph.n_items])
 
+    def test_stack_equals_per_sequence_calls(self):
+        log, _ = synthesize(SynthConfig(users=60, items=30, mean_length=12, rho=0.5, seed=8))
+        graph = build_cooccurrence(build_split(log, min_interactions=5))
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 11):
+            block = rng.integers(0, graph.n_items, size=(7, n))
+            block[3] = block[3, 0]          # one item repeated: no edge at all
+            stacked = local_subgraph(graph, block)
+            assert stacked.size == n
+            flags = stacked.is_degenerate()
+            assert flags.shape == (7,) and flags[3]
+            for b, items in enumerate(block):
+                one = local_subgraph(graph, items)
+                for name in ("positions", "adjacency", "laplacian", "degrees"):
+                    np.testing.assert_array_equal(getattr(stacked, name)[b], getattr(one, name))
+                assert flags[b] == one.is_degenerate()
+
+    def test_stack_out_of_range_rejected(self):
+        _, graph = self.make_graph()
+        block = np.zeros((4, 3), dtype=int)
+        block[2, 1] = graph.n_items
+        with pytest.raises(InputError, match="out of range"):
+            local_subgraph(graph, block)
+        block[2, 1] = -1
+        with pytest.raises(InputError, match="out of range"):
+            local_subgraph(graph, block)
+        with pytest.raises(InputError):
+            local_subgraph(graph, np.zeros((2, 2, 3), dtype=int))
+
 
 class TestGraphIO:
     def test_roundtrip(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from freqrec.errors import InputError, NumericError
-from freqrec.numcore.linalg import add_rows_at, sym_eigendecompose
+from freqrec.numcore.linalg import MAX_EIGEN_SIZE, add_rows_at, sym_eigendecompose
 
 
 def ring_laplacian(t):
@@ -96,6 +96,49 @@ class TestErrors:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericError):
             sym_eigendecompose(np.eye(3))
+
+
+def symmetric_stack(rng, shape, n):
+    x = rng.standard_normal(shape + (n, n))
+    return (x + np.swapaxes(x, -1, -2)) / 2
+
+
+class TestStack:
+    @pytest.mark.parametrize("shape,n", [((6,), 1), ((6,), 5), ((64,), 11), ((2, 3), 44)])
+    def test_equals_per_matrix_calls(self, shape, n):
+        stack = symmetric_stack(np.random.default_rng(n), shape, n)
+        w, u = sym_eigendecompose(stack)
+        assert w.shape == shape + (n,) and u.shape == shape + (n, n)
+        for idx in np.ndindex(*shape):
+            w1, u1 = sym_eigendecompose(stack[idx])
+            np.testing.assert_array_equal(w[idx], w1)
+            np.testing.assert_array_equal(u[idx], u1)
+
+    def test_one_non_symmetric_member_rejected(self):
+        # member 0's magnitude must not widen member 1's symmetry tolerance
+        stack = symmetric_stack(np.random.default_rng(1), (4,), 5)
+        stack[0] *= 1e6
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(InputError, match="symmetric"):
+            sym_eigendecompose(stack)
+        sym_eigendecompose(stack[[0, 2, 3]])
+
+    def test_one_non_finite_member_rejected(self):
+        stack = symmetric_stack(np.random.default_rng(2), (4,), 5)
+        stack[2, 3, 3] = np.inf
+        with pytest.raises(InputError, match="non-finite"):
+            sym_eigendecompose(stack)
+
+    def test_size_cap_is_on_n_not_depth(self):
+        w, _ = sym_eigendecompose(np.broadcast_to(np.eye(2), (MAX_EIGEN_SIZE + 1, 2, 2)))
+        np.testing.assert_array_equal(w, 1.0)
+        with pytest.raises(InputError, match="cap"):
+            sym_eigendecompose(np.broadcast_to(np.eye(MAX_EIGEN_SIZE + 1),
+                                               (2, MAX_EIGEN_SIZE + 1, MAX_EIGEN_SIZE + 1)))
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(InputError, match="square"):
+            sym_eigendecompose(np.zeros((3, 2, 4)))
 
 
 class TestAddRowsAt:

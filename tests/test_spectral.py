@@ -7,6 +7,7 @@ from freqrec.analysis import profile_from_trace
 from freqrec.errors import InputError
 from freqrec.graph import normalized_laplacian
 from freqrec.spectral import (
+    CLUSTER_RTOL,
     SpectralBasis,
     band_boundaries,
     band_energy,
@@ -25,6 +26,20 @@ def random_laplacian(rng, n, normalized=True):
         return normalized_laplacian(a), a
     d = np.diag(a.sum(axis=1))
     return d - a, a
+
+
+def loop_band_energy(eigenvalues, coefficients, n_bands):
+    """Reference band energies of one basis by explicit loops over clusters
+    and bands."""
+    per_rank = np.sum(coefficients * coefficients, axis=1)
+    tol = CLUSTER_RTOL * max(1.0, float(np.max(np.abs(eigenvalues))))
+    spread, start = np.empty(per_rank.size), 0
+    for k in range(1, per_rank.size + 1):
+        if k == per_rank.size or eigenvalues[k] - eigenvalues[k - 1] > tol:
+            spread[start:k] = per_rank[start:k].sum() / (k - start)
+            start = k
+    bounds = band_boundaries(per_rank.size, n_bands)
+    return np.array([spread[bounds[b]:bounds[b + 1]].sum() for b in range(n_bands)])
 
 
 class TestGft:
@@ -166,6 +181,49 @@ class TestBandEnergy:
         trace = [h, 2.0 * h]
         np.testing.assert_allclose(profile_from_trace(trace, basis, 4),
                                    profile_from_trace(trace, rotated, 4), rtol=0.0, atol=4.0 * tol)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_stack_equals_per_basis_loop(self, n):
+        rng = np.random.default_rng(n)
+        bases = [basis_from_matrix(random_laplacian(rng, n)[0]) for _ in range(5)]
+        if n == 4:
+            # the 4-ring's double eigenvalue straddles the band 1/2 boundary;
+            # a rotated copy of its eigenspace must give the same energies
+            ring = basis_from_matrix(ring_graph_laplacian(4))
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            rot = np.eye(4)
+            rot[1:3, 1:3] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+            bases += [ring, SpectralBasis(eigenvalues=ring.eigenvalues,
+                                          eigenvectors=ring.eigenvectors @ rot)]
+        stacked = SpectralBasis(eigenvalues=np.stack([b.eigenvalues for b in bases]),
+                                eigenvectors=np.stack([b.eigenvectors for b in bases]))
+        trace = [rng.standard_normal((len(bases), n, 3)) for _ in range(3)]
+        if n == 4:
+            for h in trace:
+                h[-1] = h[-2]
+        coeffs = gft(stacked, np.stack(trace))
+        energies = band_energy(stacked, coeffs, n_bands=4).energies
+        profile = profile_from_trace(trace, stacked, 4)
+        assert energies.shape == (3, len(bases), 4) and profile.shape == (len(bases), 3, 4)
+        for b, basis in enumerate(bases):
+            for l, h in enumerate(trace):
+                np.testing.assert_allclose(coeffs[l, b], gft(basis, h[b]), rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(
+                    energies[l, b], loop_band_energy(basis.eigenvalues, gft(basis, h[b]), 4),
+                    rtol=1e-12)
+            np.testing.assert_allclose(profile[b], profile_from_trace([h[b] for h in trace],
+                                                                      basis, 4), rtol=1e-12)
+        if n == 4:
+            tol = 1e-12 * max(float(np.sum(h[-1] ** 2)) for h in trace)
+            np.testing.assert_allclose(profile[-1], profile[-2], rtol=0.0, atol=tol)
+
+    def test_stack_mismatch_rejected(self):
+        rng = np.random.default_rng(9)
+        stacked = basis_from_matrix(np.stack([random_laplacian(rng, 5)[0] for _ in range(3)]))
+        with pytest.raises(InputError):
+            band_energy(stacked, np.ones((2, 5, 1)))
+        with pytest.raises(InputError):
+            band_energy(stacked, np.ones((3, 4, 1)))
 
     def test_too_many_bands_rejected(self):
         basis = basis_from_matrix(np.eye(3))
