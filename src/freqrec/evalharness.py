@@ -40,9 +40,9 @@ class CandidateSet:
 
 def sample_candidates(user, split, phase="test", n=100, seed=0):
     """n non-interacted negatives plus the phase target, truth last."""
-    interacted = split.interacted(user)
-    pool = np.setdiff1d(np.arange(split.n_items), np.fromiter(interacted, dtype=np.int64),
-                        assume_unique=False)
+    keep = np.ones(split.n_items, dtype=bool)
+    keep[split.sequences[user]] = False
+    pool = np.flatnonzero(keep)
     if pool.size < n:
         raise InputError(
             f"user {user} has only {pool.size} non-interacted items, needs {n}")

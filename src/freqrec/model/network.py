@@ -1,12 +1,19 @@
 """Fusion MLP, frozen causal Transformer backbone and scoring.
 
 The backbone is a seeded, randomly initialized pre-normalization stack.
-Its weights are plain arrays (never tape parameters), so gradients flow
-through it to the fusion MLP but no backbone gradient is ever computed,
-which is the freeze contract.  When temporal filtering is enabled it runs
-on the full hidden matrix after each layer's residual blocks; the filter
-is linear and self-adjoint, so its tape node backpropagates by filtering
-the upstream gradient.  Note the full-matrix filter intentionally mixes
+Its weights are plain arrays, never tape parameters, which is the freeze
+contract: gradients flow through the stack to the fusion MLP, but no
+backbone gradient is ever computed.  So the stack runs in plain numpy and
+enters the autodiff tape as a single node (`autodiff.node`).  When its
+input requires a gradient, the forward keeps each layer's intermediates,
+and the node's VJP is a hand-written adjoint with respect to the input
+alone: layer norm, attention, the FFN and the temporal filter,
+backwards through the layers.  Value-only passes keep nothing.
+
+When temporal filtering is enabled it runs on the full hidden matrix after
+each layer's residual blocks; the filter is linear and self-adjoint, so
+the adjoint applies it once more to the gradient (the causal-safe filter
+applies its transpose).  Note the full-matrix filter intentionally mixes
 information across positions, so strict causality holds only with the
 filter disabled (or in the slower causal-safe mode, which filters each
 prefix separately).
@@ -14,10 +21,11 @@ prefix separately).
 No positional embeddings: position information enters only through the
 causal mask, which is all the spectral instrumentation needs.
 
-Every value-only pass (evaluation, validation, spectral analysis) runs
-one forward per chunk of equal-length sequences (`length_chunks`): the
-filter gains depend on T, so exact-length buckets need no padding and
-give each sequence the numbers its own forward would.
+Every pass runs one forward per chunk of equal-length sequences
+(`length_chunks`): evaluation, validation, spectral analysis, and the
+training tape of each optimizer batch.  The filter gains depend on T, so
+exact-length buckets need no padding and give each sequence the numbers
+its own forward would.
 """
 
 import hashlib
@@ -183,7 +191,7 @@ class LayerTrace:
 def _causal_safe_matrix(spec, t_len):
     """Dense operator for prefix-only filtering: row t is row t of the
     length-(t+1) circulant filter, zero-padded.  Linear but not symmetric,
-    so the tape node uses the explicit transpose adjoint."""
+    so its adjoint is the transpose."""
     m = np.zeros((t_len, t_len))
     for t in range(t_len):
         n = t + 1
@@ -192,56 +200,139 @@ def _causal_safe_matrix(spec, t_len):
     return m
 
 
-def _attention_block(x, layer, n_heads, mask):
-    d_model = layer.wq.shape[0]
-    dh = d_model // n_heads
-    heads = []
+def _mT(x):
+    return np.swapaxes(x, -1, -2)
+
+
+def _layer_norm(x, gain, bias, eps=1e-5):
+    """Normalization over the last axis with the layer's fixed gain and bias;
+    also returns the (xhat, inv) its adjoint needs."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_adjoint(g, gain, xhat, inv):
+    gx = g * gain
+    term = (gx - gx.mean(axis=-1, keepdims=True)
+            - xhat * (gx * xhat).sum(axis=-1, keepdims=True) / xhat.shape[-1])
+    return term * inv
+
+
+def _softmax(s):
+    """Row softmax over the last axis, computed with max subtraction."""
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _attention(y, layer, n_heads, mask, record):
+    """Causal multi-head self-attention on normalized rows y; with record,
+    also the per-head (q, k, v, probabilities) its adjoint needs."""
+    dh = layer.wq.shape[0] // n_heads
+    scale = float(1.0 / np.sqrt(dh))
+    heads, saved = [], []
     for h in range(n_heads):
         sl = slice(h * dh, (h + 1) * dh)
-        q = ad.matmul(x, layer.wq[:, sl])
-        k = ad.matmul(x, layer.wk[:, sl])
-        v = ad.matmul(x, layer.wv[:, sl])
-        scores = ad.add(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(dh)), mask)
-        heads.append(ad.matmul(ad.softmax(scores), v))
-    return ad.matmul(ad.concat_cols(heads), layer.wo)
+        q = y @ layer.wq[:, sl]
+        k = y @ layer.wk[:, sl]
+        v = y @ layer.wv[:, sl]
+        p = _softmax((q @ _mT(k)) * scale + mask)
+        heads.append(p @ v)
+        if record:
+            saved.append((q, k, v, p))
+    return np.concatenate(heads, axis=-1) @ layer.wo, saved
+
+
+def _attention_adjoint(g_out, layer, saved):
+    """Gradient with respect to the attention input rows y."""
+    dh = layer.wq.shape[0] // len(saved)
+    scale = float(1.0 / np.sqrt(dh))
+    g_heads = g_out @ layer.wo.T
+    dq, dk, dv = [], [], []
+    for h, (q, k, v, p) in enumerate(saved):
+        g_h = g_heads[..., h * dh:(h + 1) * dh]
+        g_p = g_h @ _mT(v)
+        g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * scale
+        dq.append(g_s @ k)
+        dk.append(_mT(g_s) @ q)
+        dv.append(_mT(p) @ g_h)
+    return (np.concatenate(dq, axis=-1) @ layer.wq.T
+            + np.concatenate(dk, axis=-1) @ layer.wk.T
+            + np.concatenate(dv, axis=-1) @ layer.wv.T)
+
+
+def _layer(h, layer, n_heads, mask, tfm, residual, record):
+    """One pre-normalization block, then the temporal filter when tfm is
+    set.  Returns the new state and, with record, what the adjoint needs."""
+    y1, xhat1, inv1 = _layer_norm(h, layer.ln1_g, layer.ln1_b)
+    att, heads = _attention(y1, layer, n_heads, mask, record)
+    h = h + att
+    y2, xhat2, inv2 = _layer_norm(h, layer.ln2_g, layer.ln2_b)
+    pre = y2 @ layer.wf1 + layer.bf1
+    act, th = ad.gelu_value(pre)
+    h = h + (act @ layer.wf2 + layer.bf2)
+    if tfm is not None:
+        filtered = tfm(h)
+        h = h + filtered if residual else filtered
+    return h, ((xhat1, inv1, heads, xhat2, inv2, pre, th) if record else None)
+
+
+def _layer_adjoint(g, layer, cache, tfm_adjoint, residual):
+    """Gradient with respect to a layer's input state, given the gradient
+    with respect to its output."""
+    xhat1, inv1, heads, xhat2, inv2, pre, th = cache
+    if tfm_adjoint is not None:
+        filtered = tfm_adjoint(g)
+        g = g + filtered if residual else filtered
+    g_pre = (g @ layer.wf2.T) * ad.gelu_slope(pre, th)
+    g = g + _layer_norm_adjoint(g_pre @ layer.wf1.T, layer.ln2_g, xhat2, inv2)
+    return g + _layer_norm_adjoint(_attention_adjoint(g, layer, heads),
+                                   layer.ln1_g, xhat1, inv1)
 
 
 def backbone_forward(backbone, tokens, capture=False):
     """Run the frozen stack on a T x d_model token node, or a (B, T, d_model)
     stack of B equal-length sequences.  Returns the final hidden node and,
-    when capture is set, a LayerTrace of value snapshots."""
-    t_len = tokens.value.shape[-2]
+    when capture is set, a LayerTrace of value snapshots.
+
+    The stack is computed in plain numpy and enters the tape as one node.
+    Only when `tokens` requires a gradient does it keep each layer's
+    intermediates, for a VJP with respect to the tokens alone."""
+    h = tokens.value
+    t_len = h.shape[-2]
     mask = np.triu(np.full((t_len, t_len), CAUSAL_MASK_VALUE), k=1)
-    h = tokens
-    snapshots = [h.value.copy()] if capture else None
+    tfm = tfm_adjoint = None
     if backbone.tfm_enabled:
         if backbone.tfm_causal_safe:
             op_matrix = _causal_safe_matrix(backbone.tfm_spec, t_len)
             op_matrix_t = op_matrix.T.copy()
 
-            def tfm_node(node):
-                return ad.linear_operator(node, lambda a: op_matrix @ a,
-                                          lambda g: op_matrix_t @ g, name="tfm_causal")
-        else:
-            filt = make_filter(backbone.tfm_spec, t_len)
+            def tfm(a):
+                return op_matrix @ a
 
-            def tfm_node(node):
-                return ad.self_adjoint_linear(node, filt, name="tfm")
+            def tfm_adjoint(g):
+                return op_matrix_t @ g
+        else:
+            tfm = tfm_adjoint = make_filter(backbone.tfm_spec, t_len)
+    record = tokens.requires_grad
+    snapshots = [h.copy()] if capture else None
+    caches = []
     for layer in backbone.layers:
-        att = _attention_block(ad.layer_norm(h, layer.ln1_g, layer.ln1_b), layer,
-                               backbone.n_heads, mask)
-        h = ad.add(h, att)
-        y = ad.layer_norm(h, layer.ln2_g, layer.ln2_b)
-        ff = ad.add(ad.matmul(ad.gelu(ad.add(ad.matmul(y, layer.wf1), layer.bf1)),
-                              layer.wf2), layer.bf2)
-        h = ad.add(h, ff)
-        if backbone.tfm_enabled:
-            filtered = tfm_node(h)
-            h = ad.add(h, filtered) if backbone.tfm_residual else filtered
+        h, cache = _layer(h, layer, backbone.n_heads, mask, tfm, backbone.tfm_residual,
+                          record)
+        caches.append(cache)
         if capture:
-            snapshots.append(h.value.copy())
+            snapshots.append(h)
+
+    def vjp(g):
+        for layer, cache in zip(reversed(backbone.layers), reversed(caches)):
+            g = _layer_adjoint(g, layer, cache, tfm_adjoint, backbone.tfm_residual)
+        return g
+
     trace = LayerTrace(snapshots) if capture else None
-    return h, trace
+    return ad.node(h, (tokens,), (vjp,), name="backbone"), trace
 
 
 @dataclass
@@ -299,12 +390,13 @@ def fuse(id_table, text_table, mlp, mlp_vars=None, item_ids=None):
     the weights enter as constants and the tape records nothing."""
     if id_table.n_items != text_table.n_items:
         raise InputError("ID and text tables cover different item vocabularies")
-    inputs = np.concatenate([id_table.rows, text_table.rows], axis=1)
-    if item_ids is not None:
+    if item_ids is None:
+        inputs = np.concatenate([id_table.rows, text_table.rows], axis=1)
+    else:
         ids = np.asarray(item_ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= id_table.n_items):
             raise InputError("item index out of range")
-        inputs = inputs[ids]
+        inputs = np.concatenate([id_table.rows[ids], text_table.rows[ids]], axis=1)
     if mlp_vars is None:
         mlp_vars = [ad.constant(a) for a in mlp.param_arrays()]
     return mlp.apply(ad.constant(inputs), mlp_vars)

@@ -2,7 +2,8 @@
 
 The loss is a sampled softmax over each training position: the position's
 next item is the positive, scored against n_negatives uniform catalog
-draws shared across the positions of one sequence.  Only the fusion MLP
+draws shared across the positions of one sequence.  Each optimizer batch
+builds one tape per group of equal-length sequences.  Only the fusion MLP
 receives updates; the backbone is held frozen by construction (its
 weights never become tape parameters), which the parameter-hash test
 pins down.  Early stopping watches validation NDCG@10.
@@ -22,6 +23,7 @@ from freqrec.model.network import (
     RecModel,
     backbone_forward,
     init_backbone,
+    length_chunks,
     model_tokens,
 )
 from freqrec.numcore import autodiff as ad
@@ -77,29 +79,38 @@ class TrainConfig:
     eval_candidates: int = 100
 
 
-def sequence_loss(model, sequence, negatives, mlp_vars):
-    """Mean sampled-softmax loss over the next-item positions of one
-    training sequence; negatives are shared across its positions."""
-    seq = np.asarray(sequence, dtype=np.intp)
-    if seq.size < 2:
-        raise InputError("need at least 2 items to form a prediction position")
+def sequence_loss(model, sequences, negatives, mlp_vars):
+    """Sampled-softmax loss of a (B, T) block of equal-length training
+    sequences with (B, n_negatives) negatives, or of one sequence (T,)
+    with its (n_negatives,): the sum over sequences of the mean loss over
+    each one's next-item positions.  A sequence's negatives are shared
+    across its positions."""
+    seqs = np.asarray(sequences, dtype=np.intp)
     negatives = np.asarray(negatives, dtype=np.intp)
-    needed = np.concatenate([seq, negatives])
-    unique, inverse = np.unique(needed, return_inverse=True)
-    local_seq = inverse[:seq.size]
-    local_negs = inverse[seq.size:]
+    if seqs.ndim == 1:
+        seqs, negatives = seqs[None], negatives[None]
+    n_seqs, t_len = seqs.shape
+    if t_len < 2:
+        raise InputError("need at least 2 items to form a prediction position")
+    if negatives.ndim != 2 or negatives.shape[0] != n_seqs:
+        raise InputError(f"negatives {negatives.shape} do not match {n_seqs} sequences")
+    unique, inverse = np.unique(np.concatenate([seqs.ravel(), negatives.ravel()]),
+                                return_inverse=True)
+    local_seq = inverse[:seqs.size].reshape(seqs.shape)
+    local_negs = inverse[seqs.size:].reshape(negatives.shape)
 
     tokens = model_tokens(model, item_ids=unique, mlp_vars=mlp_vars)
-    seq_tokens = ad.gather_rows(tokens, local_seq)
-    hidden, _ = backbone_forward(model.backbone, seq_tokens)
-    h_pred = ad.slice_rows(hidden, 0, seq.size - 1)
-
-    pos_tokens = ad.gather_rows(tokens, local_seq[1:])
-    neg_tokens = ad.gather_rows(tokens, local_negs)
-    pos_scores = ad.reshape(ad.sum_axis1(ad.mul(h_pred, pos_tokens)), (seq.size - 1, 1))
-    neg_scores = ad.matmul(h_pred, ad.transpose(neg_tokens))
-    logits = ad.concat_cols([pos_scores, neg_scores])
-    return ad.neg(ad.mean_all(ad.take_column(ad.log_softmax(logits), 0)))
+    hidden, _ = backbone_forward(model.backbone, ad.gather_rows(tokens, local_seq))
+    h_pred = ad.slice_rows(hidden, 0, t_len - 1)
+    n_pred = n_seqs * (t_len - 1)
+    pos = ad.mul(h_pred, ad.gather_rows(tokens, local_seq[:, 1:]))
+    pos_scores = ad.reshape(ad.sum_axis1(ad.reshape(pos, (n_pred, -1))),
+                            (n_seqs, t_len - 1, 1))
+    neg_scores = ad.matmul(h_pred, ad.transpose(ad.gather_rows(tokens, local_negs)))
+    logits = ad.reshape(ad.concat_cols([pos_scores, neg_scores]), (n_pred, -1))
+    # every sequence has t_len - 1 positions, so the sum of per-sequence
+    # means is n_seqs times the mean over all positions
+    return ad.neg(ad.scale(ad.mean_all(ad.take_column(ad.log_softmax(logits), 0)), n_seqs))
 
 
 @dataclass
@@ -118,8 +129,10 @@ class TrainResult:
 def train(model, split, config=TrainConfig(), log_path=None, workers=1):
     """Train the fusion MLP in place; other components never change.
 
-    Each epoch shuffles users, accumulates per-sequence gradients into
-    batch means and applies one optimizer step per batch.  Validation
+    Each epoch shuffles users and applies one optimizer step per batch:
+    the mean of its sequences' gradients, taken from one tape per exact-
+    length group (`length_chunks`).  Negatives are drawn per user in the
+    shuffled order, skipped users included.  Validation
     NDCG@10 drives early stopping, and the best-epoch MLP weights are
     restored at the end.  A non-finite loss aborts with the last good
     weights kept."""
@@ -141,18 +154,26 @@ def train(model, split, config=TrainConfig(), log_path=None, workers=1):
         epoch_loss = 0.0
         n_sequences = 0
         n_skipped = 0
+        n_groups = 0
         for start in range(0, order.size, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            grad_sum = [np.zeros_like(p) for p in params]
-            used = 0
-            for user in batch:
+            seqs, negs = [], []
+            for user in order[start:start + config.batch_size]:
                 seq = split.train_items(int(user))
-                negs = rng.integers(0, split.n_items, size=config.n_negatives)
+                neg = rng.integers(0, split.n_items, size=config.n_negatives)
                 if seq.size < 2:
                     n_skipped += 1
                     continue
+                seqs.append(seq)
+                negs.append(neg)
+            if not seqs:
+                log.warning("epoch %d: skipped a batch with no usable sequences", epoch)
+                continue
+            grad_sum = [np.zeros_like(p) for p in params]
+            groups = length_chunks([seq.size for seq in seqs])
+            for group in groups:
                 mlp_vars = model.mlp.make_vars()
-                loss = sequence_loss(model, seq, negs, mlp_vars)
+                loss = sequence_loss(model, np.stack([seqs[i] for i in group]),
+                                     np.stack([negs[i] for i in group]), mlp_vars)
                 if not np.isfinite(loss.value):
                     aborted = True
                     break
@@ -160,14 +181,11 @@ def train(model, split, config=TrainConfig(), log_path=None, workers=1):
                 for gs, g in zip(grad_sum, grads):
                     gs += g
                 epoch_loss += float(loss.value)
-                used += 1
             if aborted:
                 break
-            if used == 0:
-                log.warning("epoch %d: skipped a batch with no usable sequences", epoch)
-                continue
-            opt.step([g / used for g in grad_sum])
-            n_sequences += used
+            opt.step([g / len(seqs) for g in grad_sum])
+            n_sequences += len(seqs)
+            n_groups += len(groups)
         if aborted:
             break
         mean_loss = epoch_loss / max(n_sequences, 1)
@@ -176,9 +194,9 @@ def train(model, split, config=TrainConfig(), log_path=None, workers=1):
         entries.append({"epoch": epoch, "loss": mean_loss,
                         "valid_ndcg10": report.ndcg, "valid_recall10": report.recall,
                         "lr": config.lr})
-        log.info("train epoch %d: loss %.5f, valid NDCG@10 %.4f, %d sequences used, "
-                 "%d skipped, %.2f s", epoch, mean_loss, report.ndcg, n_sequences,
-                 n_skipped, time.perf_counter() - started)
+        log.info("train epoch %d: loss %.5f, valid NDCG@10 %.4f, %d sequences used "
+                 "in %d length groups, %d skipped, %.2f s", epoch, mean_loss, report.ndcg,
+                 n_sequences, n_groups, n_skipped, time.perf_counter() - started)
         if report.ndcg > best_metric:
             best_metric = report.ndcg
             best_epoch = epoch

@@ -1,10 +1,11 @@
 """Minimal reverse-mode differentiation tape over numpy arrays.
 
 Each operation is its forward value plus one vector-Jacobian product per
-parent, and `_node` alone decides what the tape records.  A node that no
+parent, and `node` alone decides what the tape records.  A node that no
 parameter (requires_grad) feeds records nothing: no parents and no backward
-rule, so a value-only pass builds no graph and a frozen backbone costs
-nothing extra on the backward pass.
+rule, so a value-only pass builds no graph.  `node` is public so that a
+composite computed in plain numpy can enter the tape as one node with a
+hand-written VJP; the frozen backbone does this (model.network).
 
 Matrix ops act on the trailing two axes, so a (B, T, d) stack of
 equal-shaped matrices runs through the same graph as one T x d matrix:
@@ -12,9 +13,12 @@ matmul, transpose, concat_cols and slice_rows work on axes -2/-1, and a
 2-D operand of a batched matmul (a weight) gets its gradient summed over
 the batch.
 
-The self_adjoint_linear node is the hook for spectral filters: a linear
-operator whose matrix is symmetric backpropagates by applying the very
-same operator to the upstream gradient.
+The self_adjoint_linear node is the hook for spectral filters on the
+tape: a linear operator whose matrix is symmetric backpropagates by
+applying the very same operator to the upstream gradient.  Its one user is
+the token-stage graph filter (glpf.apply_to=fused); the temporal filter
+runs inside the backbone's node, whose adjoint applies it to the gradient
+the same way.
 """
 
 import numpy as np
@@ -57,7 +61,7 @@ def _as_var(x):
     return x if isinstance(x, Var) else Var(x)
 
 
-def _node(value, parents, vjps, name=""):
+def node(value, parents, vjps, name=""):
     """A derived node: its value plus one vector-Jacobian product per parent.
 
     Parents and a backward rule are recorded only when some parent requires
@@ -99,33 +103,33 @@ def _mT(x):
 
 def matmul(a, b):
     a, b = _as_var(a), _as_var(b)
-    return _node(a.value @ b.value, (a, b),
+    return node(a.value @ b.value, (a, b),
                  (lambda g: _unbroadcast(g @ _mT(b.value), a.value.shape),
                   lambda g: _unbroadcast(_mT(a.value) @ g, b.value.shape)))
 
 
 def transpose(a):
     a = _as_var(a)
-    return _node(_mT(a.value), (a,), (_mT,))
+    return node(_mT(a.value), (a,), (_mT,))
 
 
 def add(a, b):
     a, b = _as_var(a), _as_var(b)
-    return _node(a.value + b.value, (a, b),
+    return node(a.value + b.value, (a, b),
                  (lambda g: _unbroadcast(g, a.value.shape),
                   lambda g: _unbroadcast(g, b.value.shape)))
 
 
 def sub(a, b):
     a, b = _as_var(a), _as_var(b)
-    return _node(a.value - b.value, (a, b),
+    return node(a.value - b.value, (a, b),
                  (lambda g: _unbroadcast(g, a.value.shape),
                   lambda g: _unbroadcast(-g, b.value.shape)))
 
 
 def mul(a, b):
     a, b = _as_var(a), _as_var(b)
-    return _node(a.value * b.value, (a, b),
+    return node(a.value * b.value, (a, b),
                  (lambda g: _unbroadcast(g * b.value, a.value.shape),
                   lambda g: _unbroadcast(g * a.value, b.value.shape)))
 
@@ -133,22 +137,21 @@ def mul(a, b):
 def scale(a, c):
     a = _as_var(a)
     c = float(c)
-    return _node(a.value * c, (a,), (lambda g: g * c,))
+    return node(a.value * c, (a,), (lambda g: g * c,))
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_K = 0.044715
 
 
-def gelu(a):
-    """Smooth Gaussian-error-style activation (tanh form); the derivative
-    below differentiates this exact expression, so gradient checks are
-    tight."""
-    a = _as_var(a)
-    x = a.value
-    # th = tanh(C * (x + K * x^3)) and out = 0.5 * x * (1 + th), computed in
-    # place in the same operation order (so the same values) to keep fewer
-    # full-size arrays alive at once: this is the widest array of a forward
+def gelu_value(x):
+    """Smooth Gaussian-error-style activation (tanh form) of an array.
+    Returns the activation and th = tanh(C * (x + K * x^3)), which
+    gelu_slope needs; the slope differentiates this exact expression, so
+    gradient checks are tight."""
+    # out = 0.5 * x * (1 + th), computed in place in the same operation order
+    # (so the same values) to keep fewer full-size arrays alive at once: this
+    # is the widest array of a forward
     th = x * x
     th *= x
     th *= _GELU_K
@@ -157,27 +160,19 @@ def gelu(a):
     np.tanh(th, out=th)
     out = 1.0 + th
     out *= 0.5 * x
-
-    def vjp(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x**2)
-        local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
-        return g * local
-
-    return _node(out, (a,), (vjp,))
+    return out, th
 
 
-def softmax(a):
-    """Row softmax over the last axis, computed with max subtraction."""
+def gelu_slope(x, th):
+    """Elementwise derivative of gelu_value at x, given its th."""
+    d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x**2)
+    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
+
+
+def gelu(a):
     a = _as_var(a)
-    z = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - dot)
-
-    return _node(y, (a,), (vjp,))
+    out, th = gelu_value(a.value)
+    return node(out, (a,), (lambda g: g * gelu_slope(a.value, th),))
 
 
 def log_softmax(a):
@@ -185,34 +180,7 @@ def log_softmax(a):
     z = a.value - a.value.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
     y = z - lse
-    return _node(y, (a,), (lambda g: g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
-
-
-def layer_norm(a, gain, bias, eps=1e-5):
-    """Normalization over the last axis with fixed (non-trainable) gain and
-    bias arrays."""
-    a = _as_var(a)
-    gain = np.asarray(gain, dtype=float)
-    bias = np.asarray(bias, dtype=float)
-    x = a.value
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-
-    def vjp(g):
-        d = x.shape[-1]
-        gx = g * gain
-        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).sum(axis=-1, keepdims=True) / d
-        return term * inv
-
-    return _node(xhat * gain + bias, (a,), (vjp,))
-
-
-def linear_operator(a, op, adjoint, name="linear_operator"):
-    """Apply a linear operator with an explicitly supplied adjoint."""
-    a = _as_var(a)
-    return _node(op(a.value), (a,), (adjoint,), name=name)
+    return node(y, (a,), (lambda g: g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
 
 
 def self_adjoint_linear(a, op, name="self_adjoint_linear"):
@@ -222,7 +190,8 @@ def self_adjoint_linear(a, op, name="self_adjoint_linear"):
     more application of op to the upstream gradient.  The caller is
     responsible for the operator actually being linear and symmetric.
     """
-    return linear_operator(a, op, op, name=name)
+    a = _as_var(a)
+    return node(op(a.value), (a,), (op,), name=name)
 
 
 def gather_rows(a, idx):
@@ -234,7 +203,7 @@ def gather_rows(a, idx):
         add_rows_at(da, idx, g)
         return da
 
-    return _node(a.value[idx], (a,), (vjp,))
+    return node(a.value[idx], (a,), (vjp,))
 
 
 def slice_rows(a, start, stop):
@@ -246,7 +215,7 @@ def slice_rows(a, start, stop):
         da[..., start:stop, :] = g
         return da
 
-    return _node(a.value[..., start:stop, :], (a,), (vjp,))
+    return node(a.value[..., start:stop, :], (a,), (vjp,))
 
 
 def take_column(a, j):
@@ -257,7 +226,7 @@ def take_column(a, j):
         da[:, j] = g
         return da
 
-    return _node(a.value[:, j], (a,), (vjp,))
+    return node(a.value[:, j], (a,), (vjp,))
 
 
 def concat_cols(parts):
@@ -265,23 +234,23 @@ def concat_cols(parts):
     parts = [_as_var(p) for p in parts]
     edges = np.cumsum([0] + [p.value.shape[-1] for p in parts])
     vjps = [lambda g, lo=lo, hi=hi: g[..., lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
-    return _node(np.concatenate([p.value for p in parts], axis=-1), parts, vjps)
+    return node(np.concatenate([p.value for p in parts], axis=-1), parts, vjps)
 
 
 def reshape(a, shape):
     a = _as_var(a)
-    return _node(a.value.reshape(shape), (a,), (lambda g: g.reshape(a.value.shape),))
+    return node(a.value.reshape(shape), (a,), (lambda g: g.reshape(a.value.shape),))
 
 
 def sum_axis1(a):
     a = _as_var(a)
-    return _node(a.value.sum(axis=1), (a,),
+    return node(a.value.sum(axis=1), (a,),
                  (lambda g: np.repeat(g[:, None], a.value.shape[1], axis=1),))
 
 
 def mean_all(a):
     a = _as_var(a)
-    return _node(np.asarray(a.value.mean()), (a,),
+    return node(np.asarray(a.value.mean()), (a,),
                  (lambda g: np.full_like(a.value, float(g) / a.value.size),))
 
 
@@ -292,15 +261,15 @@ def neg(a):
 def _topo_order(root):
     order, seen, stack = [], set(), [(root, False)]
     while stack:
-        node, expanded = stack.pop()
+        var, expanded = stack.pop()
         if expanded:
-            order.append(node)
+            order.append(var)
             continue
-        if id(node) in seen:
+        if id(var) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
+        seen.add(id(var))
+        stack.append((var, True))
+        for p in var.parents:
             if id(p) not in seen:
                 stack.append((p, False))
     return order
@@ -315,13 +284,13 @@ def tape_gradient(loss, params):
     if loss.value.size != 1:
         raise InputError(f"loss must be scalar, got shape {loss.value.shape}")
     order = _topo_order(loss)
-    for node in order:
-        node.grad = None
+    for var in order:
+        var.grad = None
     loss.grad = np.ones_like(loss.value)
-    for node in reversed(order):
-        if node.grad is None or node.backward_rule is None:
+    for var in reversed(order):
+        if var.grad is None or var.backward_rule is None:
             continue
-        node.backward_rule(node.grad)
+        var.backward_rule(var.grad)
     grads, unreachable = [], []
     for i, p in enumerate(params):
         if p.grad is None:

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -363,8 +364,13 @@ class TestLogging:
         quiet, loud = trained["warning"], trained["info"]
         epochs = [line for line in loud[0].err.splitlines() if "train epoch" in line]
         assert len(epochs) == 2                      # the fixture's training.epochs
-        for name in ("loss", "valid NDCG@10", "sequences used", "skipped", " s"):
+        for name in ("loss", "valid NDCG@10", "sequences used", "length groups", "skipped",
+                     " s"):
             assert all(name in line for line in epochs)
+        for line in epochs:
+            used, groups = map(int, re.search(r"(\d+) sequences used in (\d+) length groups",
+                                              line).groups())
+            assert 1 <= groups <= used
         assert "train epoch" not in quiet[0].err
         assert loud[0].out == quiet[0].out and loud[1:] == quiet[1:]
         assert json.loads(loud[0].out)["fingerprint"] == fingerprint(load_config(workdir["config"]))

@@ -54,6 +54,18 @@ class TestSampleCandidates:
         with pytest.raises(InputError):
             sample_candidates(0, split, n=split.n_items, seed=0)
 
+    def test_draws_from_the_set_based_pool(self, split):
+        # the pool is the sorted non-interacted items, as the set difference
+        # gives it, so every user's seeded draws are the same
+        for u in range(split.n_users):
+            pool = np.setdiff1d(np.arange(split.n_items),
+                                np.fromiter(split.interacted(u), dtype=np.int64))
+            for phase, seed in (("test", 0), ("valid", 5)):
+                cand = sample_candidates(u, split, phase=phase, n=50, seed=seed)
+                expected = np.random.default_rng(seed ^ u).choice(pool, size=50,
+                                                                  replace=False)
+                np.testing.assert_array_equal(cand.items[:-1], expected)
+
 
 class TestRankMetrics:
     def test_rank_one(self):

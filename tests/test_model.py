@@ -10,6 +10,7 @@ from freqrec.dataset import InteractionLog, SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.evalharness import evaluate
 from freqrec.graph import build_cooccurrence
+from freqrec.model import network
 from freqrec.model.embeddings import (
     EmbeddingTable,
     PretrainConfig,
@@ -178,6 +179,15 @@ class TestFuse:
                                    np.concatenate([id_table.rows, text_table.rows], axis=1),
                                    atol=1e-12)
 
+    def test_item_rows_are_the_gathered_inputs(self, synth_split):
+        model = small_model(synth_split)
+        ids = np.array([5, 0, 5, 17, 2])
+        inputs = np.concatenate([model.id_table.rows, model.text_table.rows], axis=1)[ids]
+        expected = model.mlp.apply(ad.constant(inputs),
+                                   [ad.constant(a) for a in model.mlp.param_arrays()])
+        tokens = fuse(model.id_table, model.text_table, model.mlp, item_ids=ids)
+        np.testing.assert_array_equal(tokens.value, expected.value)
+
     def test_vocabulary_mismatch(self, synth_split):
         id_table = EmbeddingTable(3, 4, np.zeros((3, 4)))
         text_table = EmbeddingTable(4, 4, np.zeros((4, 4)))
@@ -336,11 +346,12 @@ class TestScore:
 
 
 class TestEndToEndGradient:
-    def test_full_graph_matches_finite_differences(self, synth_split):
-        # d_model 16, T = 8, gradient path through fusion MLP, frozen
-        # backbone and the temporal filter
+    @pytest.mark.parametrize("mode", TFM_MODES)
+    def test_full_graph_matches_finite_differences(self, synth_split, mode):
+        # d_model 16, T = 8, gradient path through fusion MLP, the frozen
+        # backbone's adjoint and the temporal filter
         model = small_model(synth_split, d_id=6, d_text=4, d_model=16, n_layers=2,
-                            tfm_enabled=True)
+                            **TFM_MODES[mode])
         seq = np.asarray(synth_split.sequences[0][:8], dtype=np.intp)
         negs = np.array([1, 5, 9, 13], dtype=np.intp)
 
@@ -381,6 +392,81 @@ class TestEndToEndGradient:
 
         report = ad.finite_difference_check(loss_fn, originals, grads)
         assert report.max_relative_error < 1e-4, report.worst()
+
+
+def group_gradients(model, block, negs):
+    mlp_vars = model.mlp.make_vars()
+    loss = sequence_loss(model, block, negs, mlp_vars)
+    grads, unreachable = ad.tape_gradient(loss, mlp_vars)
+    assert unreachable == []
+    return float(loss.value), grads
+
+
+class TestGroupedLoss:
+    @pytest.mark.parametrize("mode", [*TFM_MODES, "fused"])
+    def test_block_is_the_sum_of_its_rows(self, synth_split, mode):
+        if mode == "fused":
+            model = config_model(synth_split, build_cooccurrence(synth_split),
+                                 {"glpf.apply_to": "fused"})
+        else:
+            model = small_model(synth_split, **TFM_MODES[mode])
+        block = np.stack([synth_split.sequences[u][:6] for u in range(5)])
+        negs = np.random.default_rng(6).integers(0, synth_split.n_items, size=(5, 9))
+        loss, grads = group_gradients(model, block, negs)
+        rows = [group_gradients(model, seq, neg) for seq, neg in zip(block, negs)]
+        assert loss == pytest.approx(sum(r[0] for r in rows), rel=1e-12)
+        for i, g in enumerate(grads):
+            ref = sum(r[1][i] for r in rows)
+            # relative to the parameter's largest entry: entries that cancel
+            # to near zero carry the summation-order rounding of the others
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), i
+
+    def test_tape_size_does_not_grow_with_depth(self, synth_split):
+        block = np.stack([synth_split.sequences[u][:6] for u in range(3)])
+        negs = np.arange(12).reshape(3, 4)
+        sizes = []
+        for n_layers in (1, 4):
+            model = small_model(synth_split, n_layers=n_layers, tfm_enabled=True)
+            loss = sequence_loss(model, block, negs, model.mlp.make_vars())
+            seen, stack = set(), [loss]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node.parents)
+            sizes.append(len(seen))
+        assert sizes[0] == sizes[1]
+
+    def test_rejects_mismatched_negatives(self, synth_split):
+        model = small_model(synth_split)
+        block = np.stack([synth_split.sequences[u][:6] for u in range(3)])
+        with pytest.raises(InputError):
+            sequence_loss(model, block, np.zeros((2, 4), dtype=int), model.mlp.make_vars())
+
+    def test_fused_epoch_filters_once_per_group(self, synth_split, monkeypatch):
+        model = config_model(synth_split, build_cooccurrence(synth_split),
+                             {"glpf.apply_to": "fused"})
+        config = TrainConfig(epochs=1, seed=4, batch_size=8, n_negatives=8,
+                             eval_candidates=10)
+        order = np.random.default_rng(config.seed).permutation(synth_split.n_users)
+        groups = 0
+        for start in range(0, order.size, config.batch_size):
+            lengths = [synth_split.train_items(int(u)).size
+                       for u in order[start:start + config.batch_size]]
+            groups += len(length_chunks([n for n in lengths if n >= 2]))
+        assert groups < synth_split.n_users
+
+        calls, filter_fn = [], network.polynomial_filter
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return filter_fn(*args, **kwargs)
+
+        monkeypatch.setattr(network, "polynomial_filter", counting)
+        train(model, synth_split, config)
+        # per group one filtered table and one filtered gradient (the node is
+        # self-adjoint), and one table for validation
+        assert len(calls) == 2 * groups + 1
 
 
 class TestTrain:
