@@ -25,7 +25,6 @@ import numpy as np
 from freqrec.errors import InputError
 from freqrec.graph import local_subgraph, normalized_laplacian
 from freqrec.model.network import all_item_tokens, forward, length_chunks
-from freqrec.parallel import parallel_map
 from freqrec.spectral import band_energy, basis_from_matrix, gft, smoothness
 from freqrec.tfm import tfm_apply
 
@@ -71,16 +70,15 @@ def profile_from_trace(trace_matrices, basis, n_bands):
     return np.moveaxis(energies, 0, -2)
 
 
-def trace_spectral_profile(model, sequences, graph, n_bands=4, workers=1,
-                           fingerprint=""):
+def trace_spectral_profile(model, sequences, graph, n_bands=4, fingerprint=""):
     """Aggregate layer-by-band energies across users.
 
     Sequences shorter than 3 items are skipped (a 1-node local graph has no
     spectrum), as are sequences whose local graph has no edges at all.  The
-    rest go one chunk of equal-length sequences at a time (`workers`
-    processes share the chunks) through one forward and one stacked
-    spectral pass: local graphs, eigendecompositions and band energies over
-    (B, n, n).  Per-user energies are kept, and summed in input order."""
+    rest go one chunk of equal-length sequences at a time through one
+    forward and one stacked spectral pass: local graphs,
+    eigendecompositions and band energies over (B, n, n).  Per-user
+    energies are kept, and summed in input order."""
     seqs = [np.asarray(seq, dtype=np.intp) for seq in sequences]
     long_enough = [i for i, seq in enumerate(seqs) if seq.size >= 3]
     chunks = [[long_enough[j] for j in chunk]
@@ -102,8 +100,7 @@ def trace_spectral_profile(model, sequences, graph, n_bands=4, workers=1,
                                       basis_from_matrix(local.laplacian[kept]), n_bands)
         return np.asarray(chunk)[kept], energies
 
-    done = [(users, e) for users, e in parallel_map(one_chunk, chunks, workers=workers)
-            if users.size]
+    done = [(users, e) for users, e in map(one_chunk, chunks) if users.size]
     if not done:
         raise InputError("no sequence was long enough to analyze")
     users = np.concatenate([u for u, _ in done])
@@ -199,7 +196,7 @@ def _family_adjacency(family, t_len, rho):
 
 
 def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0,
-                   n_columns=8, threshold=THEOREM1_PILOT_THRESHOLD, workers=1):
+                   n_columns=8, threshold=THEOREM1_PILOT_THRESHOLD):
     """Before/after smoothness statistics of temporal filtering on random
     signals over a graph family.  spec=None runs the identity filter.
 
@@ -227,7 +224,7 @@ def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0,
         return q0, q1, r0, r1, viol_q, viol_r
 
     base = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
-    rows = parallel_map(one_trial, [int(s) for s in base], workers=workers)
+    rows = [one_trial(int(s)) for s in base]
     q0s, q1s, r0s, r1s, vqs, vrs = zip(*rows)
     return Theorem1Report(
         family=family, rho=(rho if family == "locality" else float("nan")),

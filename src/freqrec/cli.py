@@ -76,10 +76,6 @@ def _emit_json(path, payload):
     print(text)
 
 
-def _workers(cfg):
-    return cfg["workers"] if cfg["workers"] > 0 else (os.cpu_count() or 1)
-
-
 def _load_split(cfg, data_path):
     log = ds.ingest(data_path, format=cfg["dataset"]["format"])
     split = ds.build_split(log, min_interactions=cfg["dataset"]["min_interactions"],
@@ -188,7 +184,7 @@ def cmd_train(args, cfg):
     text_table = load_external(args.text, expect_dim=cfg["model"]["d_text"])
     graph = load_graph(args.graph) if args.graph else None
     model = build_model(cfg, id_table, text_table, graph=graph)
-    result = train(model, split, _train_config(cfg), workers=_workers(cfg))
+    result = train(model, split, _train_config(cfg))
     _atomic(args.out, lambda tmp: save_checkpoint(model, tmp,
                                                   fingerprint=fingerprint(cfg),
                                                   extra={"config": cfg}))
@@ -217,7 +213,7 @@ def cmd_evaluate(args, cfg):
     _check_fingerprints(named, args.force)
     report = evaluate(model, split, phase=args.phase, seed=cfg["eval"]["seed"],
                       k=cfg["eval"]["k"], n_candidates=cfg["eval"]["n_candidates"],
-                      workers=_workers(cfg), fingerprint=fingerprint(cfg))
+                      fingerprint=fingerprint(cfg))
     payload = {"metrics": {"ndcg": report.ndcg, "recall": report.recall,
                            "k": report.k, "phase": report.phase,
                            "n_users": report.n_users,
@@ -251,7 +247,7 @@ def cmd_analyze(args, cfg):
         model.backbone.tfm_enabled = enabled
         profile = trace_spectral_profile(model, sequences, graph,
                                          n_bands=cfg["analysis"]["n_bands"],
-                                         workers=_workers(cfg), fingerprint=fp)
+                                         fingerprint=fp)
         mode = "on" if enabled else "off"
         base = f"{args.out_prefix}_tfm-{mode}_{fp}"
         _atomic(base + ".csv", lambda tmp: emit_report(profile, tmp, format="csv"))
@@ -276,8 +272,7 @@ def cmd_theorem_probe(args, cfg):
     spec = None if args.identity else ButterworthSpec.from_config(cfg["tfm"])
     report = theorem1_probe(spec, args.family, rho=a["theorem_rho"],
                             t_range=(a["theorem_t_min"], a["theorem_t_max"]),
-                            trials=a["theorem_trials"], seed=a["theorem_seed"],
-                            workers=_workers(cfg))
+                            trials=a["theorem_trials"], seed=a["theorem_seed"])
     _atomic(args.out, lambda tmp: emit_report(report, tmp, format="json"))
     _emit_json(None, report.to_dict())
     return 0
@@ -305,11 +300,10 @@ def cmd_sweep(args, cfg):
             run_cfg["tfm"]["cutoff"] = value
             run_cfg["tfm"]["enabled"] = True
         model = build_model(run_cfg, table, text_table, graph=graph)
-        train(model, split, _train_config(run_cfg), workers=_workers(cfg))
+        train(model, split, _train_config(run_cfg))
         report = evaluate(model, split, phase="test", seed=run_cfg["eval"]["seed"],
                           k=run_cfg["eval"]["k"],
-                          n_candidates=run_cfg["eval"]["n_candidates"],
-                          workers=_workers(cfg))
+                          n_candidates=run_cfg["eval"]["n_candidates"])
         rows.append((value, report.ndcg, report.recall))
 
     def write_rows(tmp):
@@ -334,10 +328,9 @@ def build_parser():
                              "FREQREC_CONFIG sets the default path)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config field, e.g. --set glpf.alpha=0.5")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="processes sharing the chunks of equal-length sequences that "
-                             "evaluate, validation and analyze forward (default 1; "
-                             "0 = one per core)")
+    # Every command runs in one process.  The benchmark harness in perfbench/
+    # still passes this flag with the value 1, so it accepts that value only.
+    parser.add_argument("--workers", type=int, choices=[1], help=argparse.SUPPRESS)
     parser.add_argument("--log-level", choices=["warning", "info", "debug"],
                         default="warning",
                         help="stderr log verbosity: info adds pretrain epochs and the "
@@ -451,10 +444,7 @@ def main(argv=None):
             if name.startswith("alias_") and value is not None:
                 section, _, key = name[len("alias_"):].partition("_")
                 overrides[f"{section}.{key}"] = value
-        cfg = load_config(args.config, overrides)
-        if args.workers is not None:
-            cfg["workers"] = args.workers
-        return args.fn(args, cfg)
+        return args.fn(args, load_config(args.config, overrides))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except NumericError as exc:

@@ -9,13 +9,12 @@ dataclasses they configure, and the `backbone` section (with
 override must have the type of its default.  The effective (fully
 merged) document is what gets serialized into JSON artifacts, so a run
 is always reproducible from its own outputs.  The fingerprint is a short
-hash of the effective document minus fields that cannot change results
-(worker counts, file locations): artifacts stamped with the same
-fingerprint were produced under the same semantics, which is what
-`evaluate` checks before mixing inputs.  Enumerated values are checked
-against the sets their consuming modules define, and explicit G-LPF
-coefficients must be finite numbers, so no command stamps artifacts with
-a config that a later stage would reject.
+hash of the effective document (which holds no file locations):
+artifacts stamped with the same fingerprint were produced under the same
+semantics, which is what `evaluate` checks before mixing inputs.
+Enumerated values are checked against the sets their consuming modules
+define, and explicit G-LPF coefficients must be finite numbers, so no
+command stamps artifacts with a config that a later stage would reject.
 """
 
 import copy
@@ -96,11 +95,7 @@ DEFAULTS = {
         "theorem_rho": 0.5,
         "theorem_seed": 0,
     },
-    "workers": 1,               # 0 = machine parallelism
 }
-
-# fields with no influence on computed values
-_VOLATILE = {("workers",)}
 
 # enumerated fields and the values their consumers accept
 _CHOICES = {("model", "activation"): ACTIVATIONS, ("dataset", "format"): FORMATS,
@@ -218,11 +213,5 @@ def canonical_json(config):
 
 
 def fingerprint(config):
-    """12-hex-digit hash of the effective config minus volatile fields."""
-    trimmed = copy.deepcopy(config)
-    for path in _VOLATILE:
-        node = trimmed
-        for key in path[:-1]:
-            node = node.get(key, {})
-        node.pop(path[-1], None)
-    return hashlib.sha256(canonical_json(trimmed).encode("utf-8")).hexdigest()[:12]
+    """12-hex-digit hash of the effective config."""
+    return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()[:12]

@@ -21,7 +21,6 @@ import numpy as np
 
 from freqrec.errors import InputError
 from freqrec.model.network import all_item_tokens, forward, length_chunks
-from freqrec.parallel import parallel_map
 
 log = logging.getLogger(__name__)
 
@@ -101,72 +100,63 @@ def _aggregate(rows, k, phase, n_excluded, fingerprint=""):
                          per_user=rows, fingerprint=fingerprint)
 
 
-def _candidate_scores_of(scorer, split, phase, n_candidates, seed, k):
-    def one_user(user):
-        try:
-            cand = sample_candidates(user, split, phase=phase, n=n_candidates, seed=seed)
-        except InputError:
-            return None
-        scores = scorer(user, cand.items)
-        ndcg, recall, rank = rank_metrics(scores, cand.truth_index, k=k)
-        return (user, rank, ndcg, recall)
-    return one_user
-
-
-def evaluate(model, split, phase="test", seed=0, k=10, n_candidates=100, workers=1,
-             fingerprint=""):
-    """Rank the phase target of every user against sampled negatives using
-    the model's inner-product scores.  Users whose candidates can be drawn
-    are forwarded one chunk of equal-length inputs at a time (`workers`
-    processes share the chunks); rows come back in user order."""
-    tokens = all_item_tokens(model)
-    cands = {}
+def _candidate_sets(split, phase, n_candidates, seed):
+    """Every user's candidate set in user order, leaving out the users
+    whose candidates cannot be drawn (too few non-interacted items)."""
+    cands = []
     for user in range(split.n_users):
         try:
-            cands[user] = sample_candidates(user, split, phase=phase, n=n_candidates,
-                                            seed=seed)
+            cands.append(sample_candidates(user, split, phase=phase, n=n_candidates,
+                                           seed=seed))
         except InputError:
             continue
-    users = list(cands)
-    inputs = [split.eval_input(u, phase) for u in users]
+    return cands
+
+
+def _row(cand, scores, k):
+    ndcg, recall, rank = rank_metrics(scores, cand.truth_index, k=k)
+    return (cand.user, rank, ndcg, recall)
+
+
+def evaluate(model, split, phase="test", seed=0, k=10, n_candidates=100, fingerprint=""):
+    """Rank the phase target of every user against sampled negatives using
+    the model's inner-product scores.  Users whose candidates can be drawn
+    are forwarded one chunk of equal-length inputs at a time; rows come
+    back in user order."""
+    tokens = all_item_tokens(model)
+    cands = _candidate_sets(split, phase, n_candidates, seed)
+    inputs = [split.eval_input(cand.user, phase) for cand in cands]
     chunks = length_chunks([len(x) for x in inputs])
-    log.info("evaluate (%s): %d users in %d length buckets, %d chunks", phase, len(users),
+    log.info("evaluate (%s): %d users in %d length buckets, %d chunks", phase, len(cands),
              len({len(x) for x in inputs}), len(chunks))
-
-    def one_chunk(chunk):
+    rows = []
+    for chunk in chunks:
         user_rep, _, _ = forward(model, np.stack([inputs[i] for i in chunk]), table=tokens)
-        rows = []
-        for i, rep in zip(chunk, user_rep.value[:, -1]):
-            cand = cands[users[i]]
-            ndcg, recall, rank = rank_metrics(tokens[cand.items] @ rep, cand.truth_index, k=k)
-            rows.append((users[i], rank, ndcg, recall))
-        return rows
-
-    per_chunk = parallel_map(one_chunk, chunks, workers=workers)
-    rows = sorted((row for chunk_rows in per_chunk for row in chunk_rows), key=lambda r: r[0])
+        rows += [_row(cands[i], tokens[cands[i].items] @ rep, k)
+                 for i, rep in zip(chunk, user_rep.value[:, -1])]
+    rows.sort(key=lambda r: r[0])
     return _aggregate(rows, k, phase, n_excluded=split.n_users - len(rows),
                       fingerprint=fingerprint)
 
 
 def baselines(split, phase="test", seed=0, k=10, n_candidates=100):
     """Floor scorers: seeded uniform-random scores, and training-frequency
-    popularity (no randomness beyond candidate sampling)."""
+    popularity (no randomness beyond candidate sampling).  Both rank the
+    same candidate sets."""
     counts = np.zeros(split.n_items)
     for items in split.train_views().values():
         np.add.at(counts, items, 1.0)
 
-    def popularity(user, items):
-        return counts[items]
+    def popularity(cand):
+        return counts[cand.items]
 
-    def random_scores(user, items):
-        rng = np.random.default_rng((seed ^ user) + 0x9E3779B9)
-        return rng.random(items.shape[0])
+    def random_scores(cand):
+        rng = np.random.default_rng((seed ^ cand.user) + 0x9E3779B9)
+        return rng.random(cand.items.shape[0])
 
+    cands = _candidate_sets(split, phase, n_candidates, seed)
     out = {}
     for name, scorer in (("random", random_scores), ("popularity", popularity)):
-        rows = [r for r in map(_candidate_scores_of(scorer, split, phase, n_candidates,
-                                                    seed, k), range(split.n_users))
-                if r is not None]
-        out[name] = _aggregate(rows, k, phase,
-                               n_excluded=split.n_users - len(rows))
+        rows = [_row(cand, scorer(cand), k) for cand in cands]
+        out[name] = _aggregate(rows, k, phase, n_excluded=split.n_users - len(rows))
     return out

@@ -20,7 +20,6 @@ from freqrec.model.network import (
     forward,
     init_backbone,
     init_fusion_mlp,
-    score,
 )
 from freqrec.model.training import (
     AdamW,
@@ -34,6 +33,6 @@ __all__ = [
     "EmbeddingTable", "PretrainConfig", "load_external", "pretrain_id_embeddings",
     "save_table", "text_surrogate_embeddings",
     "Backbone", "FusionMLP", "LayerTrace", "RecModel", "build_model", "fuse", "forward",
-    "init_backbone", "init_fusion_mlp", "score",
+    "init_backbone", "init_fusion_mlp",
     "AdamW", "TrainConfig", "load_checkpoint", "save_checkpoint", "train",
 ]

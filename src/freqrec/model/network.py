@@ -461,15 +461,6 @@ def length_chunks(lengths, max_rows=CHUNK_ROWS):
     return chunks
 
 
-def score(user_rep, candidate_tokens):
-    """Inner-product scores in candidate order."""
-    u = np.asarray(user_rep, dtype=float).reshape(-1)
-    c = np.asarray(candidate_tokens, dtype=float)
-    if c.ndim != 2 or c.shape[1] != u.shape[0]:
-        raise InputError(f"candidate tokens {c.shape} do not match user width {u.shape[0]}")
-    return c @ u
-
-
 def all_item_tokens(model):
     """Plain-array token table for every item (no gradients), for scoring."""
     return model_tokens(model).value

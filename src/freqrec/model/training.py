@@ -126,7 +126,7 @@ class TrainResult:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def train(model, split, config=TrainConfig(), log_path=None, workers=1):
+def train(model, split, config=TrainConfig(), log_path=None):
     """Train the fusion MLP in place; other components never change.
 
     Each epoch shuffles users and applies one optimizer step per batch:
@@ -190,7 +190,7 @@ def train(model, split, config=TrainConfig(), log_path=None, workers=1):
             break
         mean_loss = epoch_loss / max(n_sequences, 1)
         report = evaluate(model, split, phase="valid", seed=config.eval_seed,
-                          n_candidates=config.eval_candidates, workers=workers)
+                          n_candidates=config.eval_candidates)
         entries.append({"epoch": epoch, "loss": mean_loss,
                         "valid_ndcg10": report.ndcg, "valid_recall10": report.recall,
                         "lr": config.lr})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from freqrec import evalharness
 from freqrec.dataset import SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.evalharness import baselines, evaluate, rank_metrics, sample_candidates
@@ -145,6 +146,37 @@ class TestEvaluateAndBaselines:
         b = baselines(split, phase="test", seed=5, n_candidates=30)["popularity"]
         assert a.ndcg == b.ndcg and a.per_user == b.per_user
 
+    def test_floors_share_one_sampling_per_user(self, split, monkeypatch):
+        # a candidate count the unseen pools of some users cannot fill
+        pools = sorted(split.n_items - len(split.interacted(u)) for u in range(split.n_users))
+        n = pools[len(pools) // 4]
+        counts = np.zeros(split.n_items)
+        for items in split.train_views().values():
+            np.add.at(counts, items, 1.0)
+        reference = {"random": [], "popularity": []}
+        for user in range(split.n_users):
+            try:
+                cand = sample_candidates(user, split, phase="test", n=n, seed=4)
+            except InputError:
+                continue
+            rng = np.random.default_rng((4 ^ user) + 0x9E3779B9)
+            for name, scores in (("random", rng.random(n + 1)),
+                                 ("popularity", counts[cand.items])):
+                ndcg, recall, rank = rank_metrics(scores, cand.truth_index)
+                reference[name].append((user, rank, ndcg, recall))
+        calls, sample_fn = [], evalharness.sample_candidates
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sample_fn(*args, **kwargs)
+
+        monkeypatch.setattr(evalharness, "sample_candidates", counting)
+        floors = baselines(split, phase="test", seed=4, n_candidates=n)
+        assert len(calls) == split.n_users
+        for name, rows in reference.items():
+            assert 0 < floors[name].n_excluded < split.n_users
+            assert floors[name].per_user == rows
+
     def test_model_evaluate_deterministic(self, split):
         model = small_model(split)
         r1 = evaluate(model, split, phase="valid", seed=2, n_candidates=30)
@@ -160,12 +192,6 @@ class TestEvaluateAndBaselines:
         lines = path.read_text().splitlines()
         assert lines[0] == "user,rank,ndcg,recall"
         assert len(lines) == report.n_users + 1
-
-    def test_workers_give_identical_report(self, split):
-        model = small_model(split)
-        serial = evaluate(model, split, phase="valid", seed=2, n_candidates=30, workers=1)
-        parallel = evaluate(model, split, phase="valid", seed=2, n_candidates=30, workers=2)
-        assert serial.per_user == parallel.per_user
 
 
 def per_sequence_rows(model, split, phase, seed, n_candidates, k=10):

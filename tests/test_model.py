@@ -31,7 +31,6 @@ from freqrec.model.network import (
     init_fusion_mlp,
     length_chunks,
     model_tokens,
-    score,
 )
 from freqrec.model.training import (
     CHECKPOINT_MAGIC,
@@ -324,25 +323,6 @@ class TestLengthChunks:
         assert sorted(i for c in chunks for i in c) == list(range(100))
         assert all(len(c) * 12 <= CHUNK_ROWS for c in chunks)
         assert len(chunks) == -(-100 // (CHUNK_ROWS // 12))
-
-
-class TestScore:
-    def test_orthogonal_candidate_zero(self):
-        u = np.array([1.0, 0.0])
-        cands = np.array([[0.0, 1.0], [2.0, 0.0]])
-        np.testing.assert_allclose(score(u, cands), [0.0, 2.0])
-
-    def test_self_candidate_norm_squared(self):
-        u = np.array([1.5, -2.0, 0.5])
-        assert score(u, u[None, :])[0] == pytest.approx(float(u @ u))
-
-    def test_ranking_invariant_under_positive_scaling(self):
-        rng = np.random.default_rng(0)
-        u = rng.standard_normal(8)
-        cands = rng.standard_normal((20, 8))
-        base = np.argsort(-score(u, cands), kind="stable")
-        scaled = np.argsort(-score(3.7 * u, cands), kind="stable")
-        np.testing.assert_array_equal(base, scaled)
 
 
 class TestEndToEndGradient:
