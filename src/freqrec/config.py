@@ -13,8 +13,10 @@ hash of the effective document (which holds no file locations):
 artifacts stamped with the same fingerprint were produced under the same
 semantics, which is what `evaluate` checks before mixing inputs.
 Enumerated values are checked against the sets their consuming modules
-define, and explicit G-LPF coefficients must be finite numbers, so no
-command stamps artifacts with a config that a later stage would reject.
+define, the numeric `pretrain` and `training` fields (and `model.d_id`)
+against the RANGES of their dataclasses, and explicit G-LPF coefficients
+must be finite numbers, so no command stamps artifacts with a config
+that a later stage would reject or that trains nothing.
 """
 
 import copy
@@ -101,6 +103,11 @@ DEFAULTS = {
 _CHOICES = {("model", "activation"): ACTIVATIONS, ("dataset", "format"): FORMATS,
             ("glpf", "apply_to"): APPLY_TO}
 
+# dataclasses whose RANGES bound a section: (class, section, the config key
+# of each field that another section supplies)
+_RANGED = ((PretrainConfig, "pretrain", {"dim": "model.d_id"}),
+           (TrainConfig, "training", {}))
+
 
 def _merge(base, override, path=""):
     out = copy.deepcopy(base)
@@ -141,6 +148,14 @@ def _check_values(config):
         if config[section][key] not in allowed:
             raise InputError(f"config key '{section}.{key}' must be one of "
                              f"{', '.join(allowed)}, got {config[section][key]!r}")
+    for cls, section, outside in _RANGED:
+        for name, (op, bound) in cls.RANGES.items():
+            key = outside.get(name, f"{section}.{name}")
+            where, leaf = key.split(".")
+            value = config[where][leaf]
+            if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)):
+                raise InputError(f"config key {key!r} must be a finite number {op} {bound}, "
+                                 f"got {value!r}")
     coeffs = config["glpf"]["coefficients"]
     if coeffs is not None and not (
             isinstance(coeffs, list) and coeffs

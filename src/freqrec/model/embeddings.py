@@ -2,7 +2,16 @@
 
 The ID pretrainer is skip-gram with negative sampling over within-window
 pairs of each training sequence, so two items that are consumed together
-end up with a high inner product.  The text surrogate hashes metadata
+end up with a high inner product.  Input and output vectors live in one
+stacked (2 * n_items, d) table [w_in; w_out].  Each step takes a chunk of
+pairs and gathers, per pair, one center row and k + 1 output rows (the
+context, labelled 1, then k negatives, labelled 0) in one indexing
+operation.  It scores them with one einsum and writes every gradient
+back with one scatter.  A row hit several times in one chunk gets the
+mean of its gradients, not their sum.  Centers, contexts and negatives
+are counted apart: a row that is a context and also a negative in one
+chunk gets the mean of its context gradients plus the mean of its
+negative gradients.  The text surrogate hashes metadata
 tokens into buckets, projects the count vector through a fixed seeded
 random matrix and length-normalizes; items without metadata get the zero
 vector.  Externally trained vectors load through the same table format.
@@ -16,6 +25,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -91,30 +101,29 @@ class PretrainConfig:
     seed: int = 0
     chunk: int = 128   # smaller chunks = more mean-gradient steps per epoch
 
+    # accepted values, checked at config load: (comparison, bound) per field
+    RANGES: ClassVar[dict] = {"dim": (">=", 1), "window": (">=", 1),
+                              "negatives": (">=", 0), "epochs": (">=", 1),
+                              "lr": (">", 0.0), "chunk": (">=", 1)}
+
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-def _scatter_mean_update(target, idx, grads, lr):
-    """SGD step that averages gradients landing on the same row within a
-    chunk, so duplicated rows cannot multiply the effective step size."""
-    counts = np.bincount(idx, minlength=target.shape[0])[idx].astype(float)
-    add_rows_at(target, idx, (-lr / counts)[:, None] * grads)
-
-
 def _window_pairs(sequences, window):
-    centers, contexts = [], []
-    for seq in sequences:
-        n = len(seq)
-        for i in range(n):
-            lo = max(0, i - window)
-            hi = min(n, i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    centers.append(seq[i])
-                    contexts.append(seq[j])
-    return np.asarray(centers, dtype=np.intp), np.asarray(contexts, dtype=np.intp)
+    """(centers, contexts) of every ordered pair of distinct positions at
+    most `window` apart within one sequence: sequence by sequence, center
+    position by position, context positions ascending."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.intp)
+    flat = np.concatenate([np.asarray(seq, dtype=np.intp) for seq in sequences]
+                          + [np.empty(0, dtype=np.intp)])
+    offsets = np.concatenate([np.arange(-window, 0), np.arange(1, window + 1)])
+    pos = np.arange(flat.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    local = pos[:, None] + offsets
+    keep = (local >= 0) & (local < np.repeat(lengths, lengths)[:, None])
+    centers = np.broadcast_to(flat[:, None], keep.shape)[keep]
+    return centers, flat[(np.arange(flat.size)[:, None] + offsets)[keep]]
 
 
 def pretrain_id_embeddings(split, config=PretrainConfig()):
@@ -127,43 +136,53 @@ def pretrain_id_embeddings(split, config=PretrainConfig()):
     sequences = [v for v in views.values() if len(v) > 0]
     if not sequences:
         raise InputError("split has no training interactions to pretrain on")
-    n_items = split.n_items
+    n_items, k = split.n_items, config.negatives
     rng = np.random.default_rng(config.seed)
-    w_in = (rng.random((n_items, config.dim)) - 0.5) / config.dim
-    w_out = np.zeros((n_items, config.dim))
+    stacked = np.zeros((2 * n_items, config.dim))     # [w_in; w_out]
+    stacked[:n_items] = (rng.random((n_items, config.dim)) - 0.5) / config.dim
     centers, contexts = _window_pairs(sequences, config.window)
-    if centers.size == 0:
+    n_pairs = centers.size
+    if n_pairs == 0:
         raise InputError("training sequences are too short to form skip-gram pairs")
+    # per pair: its center row, then its context and k negative rows in the
+    # w_out half.  A chunk averages the steps that land on one row, counting
+    # centers, contexts and negatives apart: negatives count under row + n.
+    rows = np.empty((n_pairs, k + 2), dtype=np.intp)
+    group = np.r_[0, 0, np.full(k, n_items)]
+    labels = np.r_[1.0, np.zeros(k)]
 
     losses = []
     for epoch in range(config.epochs):
-        order = rng.permutation(centers.size)
-        negs = rng.integers(0, n_items, size=(centers.size, config.negatives))
+        order = rng.permutation(n_pairs)
+        negs = rng.integers(0, n_items, size=(n_pairs, k))
+        np.take(centers, order, out=rows[:, 0])
+        np.take(contexts, order, out=rows[:, 1])
+        np.take(negs, order, axis=0, out=rows[:, 2:])
+        rows[:, 1:] += n_items
         epoch_loss = 0.0
-        for start in range(0, centers.size, config.chunk):
-            sel = order[start:start + config.chunk]
-            c_idx, o_idx, n_idx = centers[sel], contexts[sel], negs[sel]
-            c = w_in[c_idx]
-            o = w_out[o_idx]
-            nv = w_out[n_idx]
-            pos = _sigmoid(np.sum(c * o, axis=1))
-            neg = _sigmoid(np.einsum("bd,bkd->bk", c, nv))
-            epoch_loss += float(-np.sum(np.log(np.maximum(pos, 1e-12)))
-                                - np.sum(np.log(np.maximum(1.0 - neg, 1e-12))))
-            g_pos = (pos - 1.0)[:, None]
-            g_neg = neg[:, :, None]
-            grad_c = g_pos * o + np.einsum("bk,bkd->bd", neg, nv)
-            _scatter_mean_update(w_in, c_idx, grad_c, config.lr)
-            _scatter_mean_update(w_out, o_idx, g_pos * c, config.lr)
-            _scatter_mean_update(w_out, n_idx.reshape(-1),
-                                 (g_neg * c[:, None, :]).reshape(-1, config.dim),
-                                 config.lr)
-        mean_loss = epoch_loss / centers.size
+        for start in range(0, n_pairs, config.chunk):
+            idx = rows[start:start + config.chunk]
+            gathered = stacked[idx]                     # (b, k + 2, d)
+            c, x = gathered[:, 0], gathered[:, 1:]
+            score = _sigmoid(np.einsum("bd,bkd->bk", c, x))
+            # the probability given to each pair's label: 1 for the context,
+            # 0 for the negatives
+            fit = np.abs(1.0 - labels - score)
+            epoch_loss -= float(np.sum(np.log(np.maximum(fit, 1e-12))))
+            keys = idx + group
+            step = -config.lr / np.bincount(keys.ravel())[keys]
+            g = score - labels                          # d loss / d score
+            grads = np.empty_like(gathered)
+            np.multiply(np.einsum("bk,bkd->bd", g, x), step[:, :1], out=grads[:, 0])
+            np.einsum("bk,bd->bkd", g * step[:, 1:], c, out=grads[:, 1:])
+            add_rows_at(stacked, idx, grads)
+        mean_loss = epoch_loss / n_pairs
         if not np.isfinite(mean_loss):
             raise NumericError(f"skip-gram loss diverged at epoch {epoch}")
         losses.append(mean_loss)
         log.info("pretrain epoch %d: loss %.5f", epoch, mean_loss)
-    table = EmbeddingTable(n_items=n_items, dim=config.dim, rows=w_in, provenance="id")
+    table = EmbeddingTable(n_items=n_items, dim=config.dim, rows=stacked[:n_items],
+                           provenance="id")
     return table, losses
 
 

@@ -13,6 +13,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -77,6 +78,11 @@ class TrainConfig:
     weight_decay: float = 0.01
     eval_seed: int = 0
     eval_candidates: int = 100
+
+    # accepted values, checked at config load, as in PretrainConfig.RANGES
+    RANGES: ClassVar[dict] = {"lr": (">", 0.0), "batch_size": (">=", 1),
+                              "epochs": (">=", 1), "patience": (">=", 0),
+                              "n_negatives": (">=", 1)}
 
 
 def sequence_loss(model, sequences, negatives, mlp_vars):

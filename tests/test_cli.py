@@ -310,6 +310,44 @@ class TestErrors:
         assert err.startswith("error: ") and repr(key) in err
         assert not id_out.exists() and not text_out.exists()
 
+    @pytest.mark.parametrize("override, key", [
+        ("pretrain.chunk=0", "pretrain.chunk"),
+        ("pretrain.chunk=-5", "pretrain.chunk"),
+        ("pretrain.negatives=-1", "pretrain.negatives"),
+        ("pretrain.epochs=0", "pretrain.epochs"),
+        ("pretrain.window=0", "pretrain.window"),
+        ("pretrain.lr=0", "pretrain.lr"),
+        ("pretrain.lr=nan", "pretrain.lr"),
+        ("pretrain.lr=inf", "pretrain.lr"),
+        ("model.d_id=0", "model.d_id"),
+    ])
+    def test_out_of_range_pretrain_setting(self, tmp_path, capsys, workdir, override, key):
+        id_out, text_out = tmp_path / "id.emb", tmp_path / "text.emb"
+        assert run(["--config", workdir["config"], "--set", override,
+                    "pretrain", "--data", workdir["data"],
+                    "--out-id", str(id_out), "--out-text", str(text_out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
+        assert not id_out.exists() and not text_out.exists()
+
+    @pytest.mark.parametrize("override, key", [
+        ("training.batch_size=0", "training.batch_size"),
+        ("training.batch_size=-4", "training.batch_size"),
+        ("training.epochs=0", "training.epochs"),
+        ("training.n_negatives=0", "training.n_negatives"),
+        ("training.patience=-1", "training.patience"),
+        ("training.lr=-1e-4", "training.lr"),
+        ("training.lr=nan", "training.lr"),
+    ])
+    def test_out_of_range_training_setting(self, tmp_path, capsys, workdir, override, key):
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["--config", workdir["config"], "--set", override,
+                    "train", "--data", workdir["data"], "--id", workdir["id_filtered"],
+                    "--text", workdir["text"], "--out", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
+        assert not ckpt.exists()
+
     def test_coefficients_not_a_list(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"glpf": {"coefficients": "abc"}}')
@@ -466,6 +504,15 @@ class TestConfig:
         path.write_text('{"training": {"lr": 1}, "glpf": {"coefficients": [1, -0.5]}}')
         cfg = load_config(path)
         assert cfg["training"]["lr"] == 1 and cfg["glpf"]["coefficients"] == [1, -0.5]
+
+    def test_range_bounds_are_inclusive(self):
+        cfg = load_config(overrides={"pretrain.negatives": "0", "pretrain.chunk": "1",
+                                     "training.patience": "0", "training.batch_size": "1"})
+        assert cfg["pretrain"]["negatives"] == 0 and cfg["training"]["patience"] == 0
+
+    def test_ranges_name_fields(self):
+        for cls in (PretrainConfig, TrainConfig):
+            assert set(cls.RANGES) <= {f.name for f in dataclasses.fields(cls)}
 
     def test_unknown_override_rejected(self):
         with pytest.raises(InputError):

@@ -14,6 +14,7 @@ from freqrec.model import network
 from freqrec.model.embeddings import (
     EmbeddingTable,
     PretrainConfig,
+    _window_pairs,
     load_external,
     pretrain_id_embeddings,
     save_table,
@@ -89,7 +90,100 @@ def config_model(split, graph, overrides):
     return build_model(cfg, id_table, text_table, graph=graph)
 
 
+def reference_window_pairs(sequences, window):
+    """The pair list as a loop over sequences, centers and contexts."""
+    centers, contexts = [], []
+    for seq in sequences:
+        n = len(seq)
+        for i in range(n):
+            for j in range(max(0, i - window), min(n, i + window + 1)):
+                if j != i:
+                    centers.append(seq[i])
+                    contexts.append(seq[j])
+    return np.asarray(centers, dtype=np.intp), np.asarray(contexts, dtype=np.intp)
+
+
+def reference_pretrain(split, config):
+    """Skip-gram on separate w_in / w_out tables, one mean-over-duplicates
+    SGD step per table and term (centers, contexts, negatives)."""
+    def scatter_mean_update(target, idx, grads):
+        counts = np.bincount(idx, minlength=target.shape[0])[idx].astype(float)
+        np.add.at(target, idx, (-config.lr / counts)[:, None] * grads)
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+
+    sequences = [v for v in split.train_views().values() if len(v) > 0]
+    n_items = split.n_items
+    rng = np.random.default_rng(config.seed)
+    w_in = (rng.random((n_items, config.dim)) - 0.5) / config.dim
+    w_out = np.zeros((n_items, config.dim))
+    centers, contexts = reference_window_pairs(sequences, config.window)
+    losses = []
+    for _ in range(config.epochs):
+        order = rng.permutation(centers.size)
+        negs = rng.integers(0, n_items, size=(centers.size, config.negatives))
+        epoch_loss = 0.0
+        for start in range(0, centers.size, config.chunk):
+            sel = order[start:start + config.chunk]
+            c_idx, o_idx, n_idx = centers[sel], contexts[sel], negs[sel]
+            c, o, nv = w_in[c_idx], w_out[o_idx], w_out[n_idx]
+            pos = sigmoid(np.sum(c * o, axis=1))
+            neg = sigmoid(np.einsum("bd,bkd->bk", c, nv))
+            epoch_loss += float(-np.sum(np.log(np.maximum(pos, 1e-12)))
+                                - np.sum(np.log(np.maximum(1.0 - neg, 1e-12))))
+            g_pos = (pos - 1.0)[:, None]
+            grad_c = g_pos * o + np.einsum("bk,bkd->bd", neg, nv)
+            scatter_mean_update(w_in, c_idx, grad_c)
+            scatter_mean_update(w_out, o_idx, g_pos * c)
+            scatter_mean_update(w_out, n_idx.reshape(-1),
+                                (neg[:, :, None] * c[:, None, :]).reshape(-1, config.dim))
+        losses.append(epoch_loss / centers.size)
+    return w_in, losses
+
+
+def duplicate_heavy_split():
+    """A 6-item catalog, so every chunk repeats rows in every group."""
+    rng = np.random.default_rng(3)
+    rows = [(f"u{u}", f"i{int(rng.integers(6))}", t, "")
+            for u in range(12) for t in range(int(rng.integers(5, 14)))]
+    return build_split(InteractionLog(rows), min_interactions=3)
+
+
 class TestPretrain:
+    @pytest.mark.parametrize("case, config", [
+        ("duplicates", PretrainConfig(dim=6, window=3, negatives=4, epochs=3, lr=0.2,
+                                      seed=2, chunk=16)),
+        ("ragged_last_chunk", PretrainConfig(dim=8, window=2, epochs=2, seed=5, chunk=37)),
+        ("chunk_1", PretrainConfig(dim=5, window=2, negatives=3, epochs=2, seed=1,
+                                   chunk=1)),
+        ("no_negatives", PretrainConfig(dim=6, negatives=0, epochs=2, seed=4, chunk=8)),
+        ("default", PretrainConfig()),
+    ], ids=["duplicates", "ragged_last_chunk", "chunk_1", "no_negatives", "default"])
+    def test_stacked_step_matches_reference(self, synth_split, case, config):
+        split = duplicate_heavy_split() if case == "duplicates" else synth_split
+        if case == "ragged_last_chunk":
+            centers, _ = reference_window_pairs(
+                [v for v in split.train_views().values() if len(v) > 0], config.window)
+            assert centers.size % config.chunk != 0
+        table, losses = pretrain_id_embeddings(split, config)
+        rows, ref_losses = reference_pretrain(split, config)
+        # summation order differs, so entries near zero are compared on the
+        # scale of the table
+        np.testing.assert_allclose(table.rows, rows, rtol=1e-12,
+                                   atol=1e-12 * np.abs(rows).max())
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[1], [2], [3, 1, 4], [12, 7, 2, 1, 9]])
+    @pytest.mark.parametrize("window", [1, 5])
+    def test_window_pairs_match_loop(self, lengths, window):
+        rng = np.random.default_rng(sum(lengths))
+        sequences = [rng.integers(0, 50, n) for n in lengths]
+        pairs, ref = _window_pairs(sequences, window), reference_window_pairs(sequences, window)
+        for got, want in zip(pairs, ref):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.shape == want.shape
+
     def test_separable_cosines(self):
         # items a, b always co-consumed; c lives with d in other users
         rows = []
