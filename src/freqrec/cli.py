@@ -429,10 +429,17 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    # log records go to this call's stderr through the package logger only,
+    # and the logger is left as it was found when the call returns
+    package_log = logging.getLogger("freqrec")
+    level, propagate = package_log.level, package_log.propagate
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    package_log.addHandler(handler)
+    package_log.propagate = False
     try:
         args = parser.parse_args(argv)
-        # force: an in-process caller may have swapped sys.stderr since the last call
-        logging.basicConfig(level=args.log_level.upper(), stream=sys.stderr, force=True)
+        package_log.setLevel(args.log_level.upper())
         overrides = {}
         for item in args.set:
             if "=" not in item:
@@ -456,6 +463,10 @@ def main(argv=None):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(level)
+        package_log.propagate = propagate
 
 
 if __name__ == "__main__":

@@ -133,7 +133,7 @@ def evaluate(model, split, phase="test", seed=0, k=10, n_candidates=100, fingerp
     for chunk in chunks:
         user_rep, _, _ = forward(model, np.stack([inputs[i] for i in chunk]), table=tokens)
         rows += [_row(cands[i], tokens[cands[i].items] @ rep, k)
-                 for i, rep in zip(chunk, user_rep.value[:, -1])]
+                 for i, rep in zip(chunk, user_rep[:, -1])]
     rows.sort(key=lambda r: r[0])
     return _aggregate(rows, k, phase, n_excluded=split.n_users - len(rows),
                       fingerprint=fingerprint)

@@ -3,12 +3,13 @@
 The backbone is a seeded, randomly initialized pre-normalization stack.
 Its weights are plain arrays, never tape parameters, which is the freeze
 contract: gradients flow through the stack to the fusion MLP, but no
-backbone gradient is ever computed.  So the stack runs in plain numpy and
-enters the autodiff tape as a single node (`autodiff.node`).  When its
-input requires a gradient, the forward keeps each layer's intermediates,
-and the node's VJP is a hand-written adjoint with respect to the input
-alone: layer norm, attention, the FFN and the temporal filter,
-backwards through the layers.  Value-only passes keep nothing.
+backbone gradient is ever computed.  Every pass here is plain numpy,
+arrays in and arrays out.  When training asks for a gradient (`grad`),
+`fuse`, `model_tokens` and `backbone_forward` also return a VJP closure
+over what their forward kept: the MLP's two matmuls and activation, the
+token filter, and the backbone's hand-written adjoint with respect to its
+input alone (layer norm, attention, the FFN and the temporal filter,
+backwards through the layers).  Value-only passes keep nothing.
 
 When temporal filtering is enabled it runs on the full hidden matrix after
 each layer's residual blocks; the filter is linear and self-adjoint, so
@@ -23,7 +24,7 @@ causal mask, which is all the spectral instrumentation needs.
 
 Every pass runs one forward per chunk of equal-length sequences
 (`length_chunks`): evaluation, validation, spectral analysis, and the
-training tape of each optimizer batch.  The filter gains depend on T, so
+training loss of each optimizer batch.  The filter gains depend on T, so
 exact-length buckets need no padding and give each sequence the numbers
 its own forward would.
 """
@@ -68,14 +69,24 @@ class FusionMLP:
     def make_vars(self):
         return [ad.parameter(a, name=n) for a, n in zip(self.param_arrays(), self.param_names())]
 
-    def apply(self, x, mlp_vars):
-        w1, b1, w2, b2 = mlp_vars
-        h = ad.add(ad.matmul(x, w1), b1)
+    def apply(self, x, grad=False):
+        """The MLP on input rows x; with grad, also a VJP from the output's
+        gradient to the gradients of (w1, b1, w2, b2)."""
         if self.activation not in ACTIVATIONS:
             raise InputError(f"unknown activation {self.activation!r}")
-        if self.activation == "gelu":
-            h = ad.gelu(h)
-        return ad.add(ad.matmul(h, w2), b2)
+        pre = x @ self.w1 + self.b1
+        act, th = ad.gelu(pre) if self.activation == "gelu" else (pre, None)
+        out = act @ self.w2 + self.b2
+        if not grad:
+            return out
+
+        def vjp(g):
+            g_pre = g @ self.w2.T
+            if th is not None:
+                g_pre = g_pre * ad.gelu_slope(pre, th)
+            return [x.T @ g_pre, g_pre.sum(axis=0), act.T @ g, g.sum(axis=0)]
+
+        return out, vjp
 
     @property
     def d_in(self):
@@ -271,7 +282,7 @@ def _layer(h, layer, n_heads, mask, tfm, residual, record):
     h = h + att
     y2, xhat2, inv2 = _layer_norm(h, layer.ln2_g, layer.ln2_b)
     pre = y2 @ layer.wf1 + layer.bf1
-    act, th = ad.gelu_value(pre)
+    act, th = ad.gelu(pre)
     h = h + (act @ layer.wf2 + layer.bf2)
     if tfm is not None:
         filtered = tfm(h)
@@ -292,15 +303,14 @@ def _layer_adjoint(g, layer, cache, tfm_adjoint, residual):
                                    layer.ln1_g, xhat1, inv1)
 
 
-def backbone_forward(backbone, tokens, capture=False):
-    """Run the frozen stack on a T x d_model token node, or a (B, T, d_model)
-    stack of B equal-length sequences.  Returns the final hidden node and,
-    when capture is set, a LayerTrace of value snapshots.
+def backbone_forward(backbone, tokens, capture=False, grad=False):
+    """Run the frozen stack on a T x d_model token matrix, or a (B, T,
+    d_model) stack of B equal-length sequences.  Returns the final hidden
+    states and, when capture is set, a LayerTrace of value snapshots; with
+    grad, also a VJP from the hidden states' gradient to the tokens'.
 
-    The stack is computed in plain numpy and enters the tape as one node.
-    Only when `tokens` requires a gradient does it keep each layer's
-    intermediates, for a VJP with respect to the tokens alone."""
-    h = tokens.value
+    Only with grad does it keep each layer's intermediates for the VJP."""
+    h = tokens
     t_len = h.shape[-2]
     mask = np.triu(np.full((t_len, t_len), CAUSAL_MASK_VALUE), k=1)
     tfm = tfm_adjoint = None
@@ -316,23 +326,24 @@ def backbone_forward(backbone, tokens, capture=False):
                 return op_matrix_t @ g
         else:
             tfm = tfm_adjoint = make_filter(backbone.tfm_spec, t_len)
-    record = tokens.requires_grad
     snapshots = [h.copy()] if capture else None
     caches = []
     for layer in backbone.layers:
         h, cache = _layer(h, layer, backbone.n_heads, mask, tfm, backbone.tfm_residual,
-                          record)
+                          grad)
         caches.append(cache)
         if capture:
             snapshots.append(h)
+    trace = LayerTrace(snapshots) if capture else None
+    if not grad:
+        return h, trace
 
     def vjp(g):
         for layer, cache in zip(reversed(backbone.layers), reversed(caches)):
             g = _layer_adjoint(g, layer, cache, tfm_adjoint, backbone.tfm_residual)
         return g
 
-    trace = LayerTrace(snapshots) if capture else None
-    return ad.node(h, (tokens,), (vjp,), name="backbone"), trace
+    return h, trace, vjp
 
 
 @dataclass
@@ -384,10 +395,10 @@ def build_model(cfg, id_table, text_table, graph=None):
                     backbone=backbone, token_filter=token_filter, graph=graph)
 
 
-def fuse(id_table, text_table, mlp, mlp_vars=None, item_ids=None):
-    """Token node for the given items (all items by default): concatenate
-    (id, text) rows and push them through the fusion MLP.  Without mlp_vars
-    the weights enter as constants and the tape records nothing."""
+def fuse(id_table, text_table, mlp, item_ids=None, grad=False):
+    """Tokens for the given items (all items by default): concatenate
+    (id, text) rows and push them through the fusion MLP.  With grad, also
+    the MLP's VJP (FusionMLP.apply)."""
     if id_table.n_items != text_table.n_items:
         raise InputError("ID and text tables cover different item vocabularies")
     if item_ids is None:
@@ -397,24 +408,34 @@ def fuse(id_table, text_table, mlp, mlp_vars=None, item_ids=None):
         if ids.size and (ids.min() < 0 or ids.max() >= id_table.n_items):
             raise InputError("item index out of range")
         inputs = np.concatenate([id_table.rows[ids], text_table.rows[ids]], axis=1)
-    if mlp_vars is None:
-        mlp_vars = [ad.constant(a) for a in mlp.param_arrays()]
-    return mlp.apply(ad.constant(inputs), mlp_vars)
+    return mlp.apply(inputs, grad=grad)
 
 
-def model_tokens(model, item_ids=None, mlp_vars=None):
-    """Token node for the model's items, honoring the optional token-stage
-    graph filter (which needs the full catalog before any row selection)."""
+def model_tokens(model, item_ids=None, grad=False):
+    """Tokens for the model's items, honoring the optional token-stage graph
+    filter (which needs the full catalog before any row selection).  With
+    grad, also a VJP from the tokens' gradient to the MLP's; item_ids must
+    then be distinct."""
     if model.token_filter is None:
-        return fuse(model.id_table, model.text_table, model.mlp,
-                    mlp_vars=mlp_vars, item_ids=item_ids)
-    full = fuse(model.id_table, model.text_table, model.mlp, mlp_vars=mlp_vars)
-    filtered = ad.self_adjoint_linear(
-        full, lambda e: polynomial_filter(model.graph, model.token_filter, e),
-        name="token_filter")
-    if item_ids is None:
-        return filtered
-    return ad.gather_rows(filtered, np.asarray(item_ids, dtype=np.intp))
+        return fuse(model.id_table, model.text_table, model.mlp, item_ids=item_ids,
+                    grad=grad)
+
+    def token_filter(e):
+        return polynomial_filter(model.graph, model.token_filter, e)
+
+    rows = slice(None) if item_ids is None else np.asarray(item_ids, dtype=np.intp)
+    if not grad:
+        return token_filter(fuse(model.id_table, model.text_table, model.mlp))[rows]
+    full, mlp_vjp = fuse(model.id_table, model.text_table, model.mlp, grad=True)
+    filtered = token_filter(full)
+
+    def vjp(g):
+        g_full = np.zeros_like(filtered)
+        g_full[rows] = g
+        # the filter is linear and self-adjoint: its VJP is the filter
+        return mlp_vjp(token_filter(g_full))
+
+    return filtered[rows], vjp
 
 
 def forward(model, sequence, capture=False, table=None):
@@ -428,8 +449,8 @@ def forward(model, sequence, capture=False, table=None):
     fuses just the block's rows either way (a row of the full-table product
     need not match them to the last bit).
 
-    Returns (user_rep_node, final_hidden_node, trace); a block adds a
-    leading B axis to each (user_rep is (B, 1, d_model))."""
+    Returns (user_rep, final_hidden, trace); a block adds a leading B axis
+    to each (user_rep is (B, 1, d_model))."""
     seq = np.asarray(sequence, dtype=np.intp)
     if seq.ndim not in (1, 2) or seq.size == 0:
         raise InputError("sequence must be a non-empty 1-D list of item indices "
@@ -437,14 +458,13 @@ def forward(model, sequence, capture=False, table=None):
     if seq.min() < 0 or seq.max() >= model.n_items:
         raise InputError("unknown item index in sequence")
     if table is not None and model.token_filter is not None:
-        tokens = ad.constant(table[seq])
+        tokens = table[seq]
     else:
-        tokens = ad.reshape(model_tokens(model, item_ids=seq.reshape(-1)),
-                            seq.shape + (model.backbone.d_model,))
+        tokens = model_tokens(model, item_ids=seq.reshape(-1)).reshape(
+            seq.shape + (model.backbone.d_model,))
     hidden, trace = backbone_forward(model.backbone, tokens, capture=capture)
     t_len = seq.shape[-1]
-    user_rep = ad.slice_rows(hidden, t_len - 1, t_len)
-    return user_rep, hidden, trace
+    return hidden[..., t_len - 1:t_len, :], hidden, trace
 
 
 def length_chunks(lengths, max_rows=CHUNK_ROWS):
@@ -462,5 +482,5 @@ def length_chunks(lengths, max_rows=CHUNK_ROWS):
 
 
 def all_item_tokens(model):
-    """Plain-array token table for every item (no gradients), for scoring."""
-    return model_tokens(model).value
+    """Token table for every item, for scoring."""
+    return model_tokens(model)

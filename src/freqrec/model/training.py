@@ -3,10 +3,12 @@
 The loss is a sampled softmax over each training position: the position's
 next item is the positive, scored against n_negatives uniform catalog
 draws shared across the positions of one sequence.  Each optimizer batch
-builds one tape per group of equal-length sequences.  Only the fusion MLP
-receives updates; the backbone is held frozen by construction (its
-weights never become tape parameters), which the parameter-hash test
-pins down.  Early stopping watches validation NDCG@10.
+takes one loss per group of equal-length sequences, and each loss is one
+tape node over the fusion MLP's four parameters with a hand-written
+backward.  Only the fusion MLP receives updates; the backbone is held
+frozen by construction (its weights never become tape parameters), which
+the parameter-hash test pins down.  Early stopping watches validation
+NDCG@10.
 """
 
 import json
@@ -28,6 +30,7 @@ from freqrec.model.network import (
     model_tokens,
 )
 from freqrec.numcore import autodiff as ad
+from freqrec.numcore.linalg import add_rows_at
 from freqrec.tfm import ButterworthSpec
 
 log = logging.getLogger(__name__)
@@ -90,7 +93,12 @@ def sequence_loss(model, sequences, negatives, mlp_vars):
     sequences with (B, n_negatives) negatives, or of one sequence (T,)
     with its (n_negatives,): the sum over sequences of the mean loss over
     each one's next-item positions.  A sequence's negatives are shared
-    across its positions."""
+    across its positions.
+
+    The loss is one tape node whose parents are mlp_vars, the Vars of
+    model.mlp.make_vars().  Its hand-written backward runs once, at the
+    first VJP call: log-softmax, scores, the backbone's adjoint, one
+    scatter into the block's distinct token rows, then model_tokens' VJP."""
     seqs = np.asarray(sequences, dtype=np.intp)
     negatives = np.asarray(negatives, dtype=np.intp)
     if seqs.ndim == 1:
@@ -100,23 +108,49 @@ def sequence_loss(model, sequences, negatives, mlp_vars):
         raise InputError("need at least 2 items to form a prediction position")
     if negatives.ndim != 2 or negatives.shape[0] != n_seqs:
         raise InputError(f"negatives {negatives.shape} do not match {n_seqs} sequences")
+    if any(v.value is not a for v, a in zip(mlp_vars, model.mlp.param_arrays())):
+        raise InputError("mlp_vars must wrap the model's own MLP arrays (make_vars)")
     unique, inverse = np.unique(np.concatenate([seqs.ravel(), negatives.ravel()]),
                                 return_inverse=True)
     local_seq = inverse[:seqs.size].reshape(seqs.shape)
     local_negs = inverse[seqs.size:].reshape(negatives.shape)
 
-    tokens = model_tokens(model, item_ids=unique, mlp_vars=mlp_vars)
-    hidden, _ = backbone_forward(model.backbone, ad.gather_rows(tokens, local_seq))
-    h_pred = ad.slice_rows(hidden, 0, t_len - 1)
+    tokens, tokens_vjp = model_tokens(model, item_ids=unique, grad=True)
+    hidden, _, backbone_vjp = backbone_forward(model.backbone, tokens[local_seq], grad=True)
+    h_pred = hidden[:, :t_len - 1]
+    pos_tokens, neg_tokens = tokens[local_seq[:, 1:]], tokens[local_negs]
     n_pred = n_seqs * (t_len - 1)
-    pos = ad.mul(h_pred, ad.gather_rows(tokens, local_seq[:, 1:]))
-    pos_scores = ad.reshape(ad.sum_axis1(ad.reshape(pos, (n_pred, -1))),
-                            (n_seqs, t_len - 1, 1))
-    neg_scores = ad.matmul(h_pred, ad.transpose(ad.gather_rows(tokens, local_negs)))
-    logits = ad.reshape(ad.concat_cols([pos_scores, neg_scores]), (n_pred, -1))
+    pos_scores = (h_pred * pos_tokens).reshape(n_pred, -1).sum(axis=1)
+    neg_scores = h_pred @ np.swapaxes(neg_tokens, -1, -2)
+    logits = np.concatenate([pos_scores.reshape(n_seqs, t_len - 1, 1), neg_scores],
+                            axis=-1).reshape(n_pred, -1)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     # every sequence has t_len - 1 positions, so the sum of per-sequence
     # means is n_seqs times the mean over all positions
-    return ad.neg(ad.scale(ad.mean_all(ad.take_column(ad.log_softmax(logits), 0)), n_seqs))
+    loss = -(log_probs[:, 0].mean() * n_seqs)
+    grads = []
+
+    def backward(i, g):
+        if not grads:
+            # d loss / d logits: the positive column's weight minus softmax
+            weight = -float(n_seqs) / n_pred
+            g_logits = np.exp(log_probs) * -weight
+            g_logits[:, 0] += weight
+            g_logits = g_logits.reshape(n_seqs, t_len - 1, -1)
+            g_pos, g_neg = g_logits[..., :1], g_logits[..., 1:]
+            g_hidden = np.zeros_like(hidden)
+            g_hidden[:, :t_len - 1] = g_pos * pos_tokens + g_neg @ neg_tokens
+            g_tokens = np.zeros_like(tokens)
+            add_rows_at(g_tokens,
+                        np.concatenate([local_seq, local_seq[:, 1:], local_negs], axis=1),
+                        np.concatenate([backbone_vjp(g_hidden), g_pos * h_pred,
+                                        np.swapaxes(g_neg, -1, -2) @ h_pred], axis=1))
+            grads.extend(tokens_vjp(g_tokens))
+        return g * grads[i]
+
+    return ad.node(loss, mlp_vars, [lambda g, i=i: backward(i, g) for i in range(4)],
+                   name="sequence_loss")
 
 
 @dataclass

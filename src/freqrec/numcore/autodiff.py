@@ -1,30 +1,19 @@
 """Minimal reverse-mode differentiation tape over numpy arrays.
 
-Each operation is its forward value plus one vector-Jacobian product per
-parent, and `node` alone decides what the tape records.  A node that no
-parameter (requires_grad) feeds records nothing: no parents and no backward
-rule, so a value-only pass builds no graph.  `node` is public so that a
-composite computed in plain numpy can enter the tape as one node with a
-hand-written VJP; the frozen backbone does this (model.network).
+A node is its forward value plus one vector-Jacobian product per parent,
+and `node` alone decides what the tape records.  A node that no parameter
+(requires_grad) feeds records nothing: no parents and no backward rule.
+Composites computed in plain numpy enter the tape as one node with a
+hand-written VJP; the training loss does this (model.training), so its
+tape is that node over the fusion MLP's parameters.
 
-Matrix ops act on the trailing two axes, so a (B, T, d) stack of
-equal-shaped matrices runs through the same graph as one T x d matrix:
-matmul, transpose, concat_cols and slice_rows work on axes -2/-1, and a
-2-D operand of a batched matmul (a weight) gets its gradient summed over
-the batch.
-
-The self_adjoint_linear node is the hook for spectral filters on the
-tape: a linear operator whose matrix is symmetric backpropagates by
-applying the very same operator to the upstream gradient.  Its one user is
-the token-stage graph filter (glpf.apply_to=fused); the temporal filter
-runs inside the backbone's node, whose adjoint applies it to the gradient
-the same way.
+`gelu` and `gelu_slope` are the plain-array activation and its derivative
+that the fusion MLP and the backbone's FFN share.
 """
 
 import numpy as np
 
 from freqrec.errors import InputError, ProtocolError
-from freqrec.numcore.linalg import add_rows_at
 
 
 class Var:
@@ -57,10 +46,6 @@ def parameter(value, name=""):
     return Var(value, requires_grad=True, name=name)
 
 
-def _as_var(x):
-    return x if isinstance(x, Var) else Var(x)
-
-
 def node(value, parents, vjps, name=""):
     """A derived node: its value plus one vector-Jacobian product per parent.
 
@@ -87,64 +72,11 @@ def _accumulate(var, g):
         var.grad += g
 
 
-def _unbroadcast(g, shape):
-    """Sum gradient g down to the given operand shape after broadcasting."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
-def _mT(x):
-    return np.swapaxes(x, -1, -2)
-
-
-def matmul(a, b):
-    a, b = _as_var(a), _as_var(b)
-    return node(a.value @ b.value, (a, b),
-                 (lambda g: _unbroadcast(g @ _mT(b.value), a.value.shape),
-                  lambda g: _unbroadcast(_mT(a.value) @ g, b.value.shape)))
-
-
-def transpose(a):
-    a = _as_var(a)
-    return node(_mT(a.value), (a,), (_mT,))
-
-
-def add(a, b):
-    a, b = _as_var(a), _as_var(b)
-    return node(a.value + b.value, (a, b),
-                 (lambda g: _unbroadcast(g, a.value.shape),
-                  lambda g: _unbroadcast(g, b.value.shape)))
-
-
-def sub(a, b):
-    a, b = _as_var(a), _as_var(b)
-    return node(a.value - b.value, (a, b),
-                 (lambda g: _unbroadcast(g, a.value.shape),
-                  lambda g: _unbroadcast(-g, b.value.shape)))
-
-
-def mul(a, b):
-    a, b = _as_var(a), _as_var(b)
-    return node(a.value * b.value, (a, b),
-                 (lambda g: _unbroadcast(g * b.value, a.value.shape),
-                  lambda g: _unbroadcast(g * a.value, b.value.shape)))
-
-
-def scale(a, c):
-    a = _as_var(a)
-    c = float(c)
-    return node(a.value * c, (a,), (lambda g: g * c,))
-
-
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_K = 0.044715
 
 
-def gelu_value(x):
+def gelu(x):
     """Smooth Gaussian-error-style activation (tanh form) of an array.
     Returns the activation and th = tanh(C * (x + K * x^3)), which
     gelu_slope needs; the slope differentiates this exact expression, so
@@ -164,98 +96,9 @@ def gelu_value(x):
 
 
 def gelu_slope(x, th):
-    """Elementwise derivative of gelu_value at x, given its th."""
+    """Elementwise derivative of gelu at x, given its th."""
     d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x**2)
     return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
-
-
-def gelu(a):
-    a = _as_var(a)
-    out, th = gelu_value(a.value)
-    return node(out, (a,), (lambda g: g * gelu_slope(a.value, th),))
-
-
-def log_softmax(a):
-    a = _as_var(a)
-    z = a.value - a.value.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    y = z - lse
-    return node(y, (a,), (lambda g: g - np.exp(y) * g.sum(axis=-1, keepdims=True),))
-
-
-def self_adjoint_linear(a, op, name="self_adjoint_linear"):
-    """Apply a linear, self-adjoint operator op: ndarray -> ndarray.
-
-    Because the operator equals its own adjoint, the backward pass is one
-    more application of op to the upstream gradient.  The caller is
-    responsible for the operator actually being linear and symmetric.
-    """
-    a = _as_var(a)
-    return node(op(a.value), (a,), (op,), name=name)
-
-
-def gather_rows(a, idx):
-    a = _as_var(a)
-    idx = np.asarray(idx, dtype=np.intp)
-
-    def vjp(g):
-        da = np.zeros(a.value.shape)
-        add_rows_at(da, idx, g)
-        return da
-
-    return node(a.value[idx], (a,), (vjp,))
-
-
-def slice_rows(a, start, stop):
-    """Rows start:stop of each matrix (axis -2)."""
-    a = _as_var(a)
-
-    def vjp(g):
-        da = np.zeros_like(a.value)
-        da[..., start:stop, :] = g
-        return da
-
-    return node(a.value[..., start:stop, :], (a,), (vjp,))
-
-
-def take_column(a, j):
-    a = _as_var(a)
-
-    def vjp(g):
-        da = np.zeros_like(a.value)
-        da[:, j] = g
-        return da
-
-    return node(a.value[:, j], (a,), (vjp,))
-
-
-def concat_cols(parts):
-    """Side-by-side columns (axis -1)."""
-    parts = [_as_var(p) for p in parts]
-    edges = np.cumsum([0] + [p.value.shape[-1] for p in parts])
-    vjps = [lambda g, lo=lo, hi=hi: g[..., lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
-    return node(np.concatenate([p.value for p in parts], axis=-1), parts, vjps)
-
-
-def reshape(a, shape):
-    a = _as_var(a)
-    return node(a.value.reshape(shape), (a,), (lambda g: g.reshape(a.value.shape),))
-
-
-def sum_axis1(a):
-    a = _as_var(a)
-    return node(a.value.sum(axis=1), (a,),
-                 (lambda g: np.repeat(g[:, None], a.value.shape[1], axis=1),))
-
-
-def mean_all(a):
-    a = _as_var(a)
-    return node(np.asarray(a.value.mean()), (a,),
-                 (lambda g: np.full_like(a.value, float(g) / a.value.size),))
-
-
-def neg(a):
-    return scale(a, -1.0)
 
 
 def _topo_order(root):

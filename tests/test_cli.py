@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import logging
 import re
 
 import numpy as np
@@ -17,7 +18,7 @@ from freqrec.evalharness import evaluate
 from freqrec.graph import load_graph
 from freqrec.model.embeddings import PretrainConfig, load_external
 from freqrec.model.network import build_model, init_backbone, init_fusion_mlp
-from freqrec.model.training import TrainConfig, train
+from freqrec.model.training import TrainConfig, load_checkpoint, train
 
 
 def run(argv):
@@ -393,6 +394,21 @@ class TestOneProcess:
 
 
 class TestLogging:
+    def test_main_leaves_the_loggers_as_it_found_them(self, tmp_path, workdir, capsys):
+        loggers = (logging.getLogger(), logging.getLogger("freqrec"))
+        before = [(lg.level, list(lg.handlers), lg.propagate) for lg in loggers]
+        assert run(["--config", workdir["config"], "--log-level", "info",
+                    "evaluate", "--data", workdir["data"], "--id", workdir["id_filtered"],
+                    "--text", workdir["text"], "--checkpoint", workdir["ckpt"],
+                    "--out", str(tmp_path / "m.json")]) == 0
+        assert "length buckets" in capsys.readouterr().err
+        assert [(lg.level, list(lg.handlers), lg.propagate) for lg in loggers] == before
+        # a later library call logs nothing into the stream main wrote to
+        model, _ = load_checkpoint(workdir["ckpt"], load_external(workdir["id_filtered"]),
+                                   load_external(workdir["text"]))
+        evaluate(model, ds.build_split(ds.ingest(workdir["data"])), n_candidates=20)
+        assert capsys.readouterr().err == ""
+
     def test_info_reports_without_changing_outputs(self, tmp_path, workdir, capsys):
         base = ["--config", workdir["config"]]
         outs = {}

@@ -204,7 +204,7 @@ def per_sequence_rows(model, split, phase, seed, n_candidates, k=10):
         except InputError:
             continue
         rep, _, _ = forward(model, split.eval_input(user, phase))
-        ndcg, recall, rank = rank_metrics(tokens[cand.items] @ rep.value.reshape(-1),
+        ndcg, recall, rank = rank_metrics(tokens[cand.items] @ rep.reshape(-1),
                                           cand.truth_index, k=k)
         rows.append((user, rank, ndcg, recall))
     return rows

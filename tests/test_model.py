@@ -253,7 +253,7 @@ class TestFuse:
         for a in model.mlp.param_arrays():
             a[...] = 0.0
         tokens = fuse(model.id_table, model.text_table, model.mlp)
-        np.testing.assert_array_equal(tokens.value, 0.0)
+        np.testing.assert_array_equal(tokens, 0.0)
 
     def test_identity_like_linear_mlp(self, synth_split):
         d = 6
@@ -268,7 +268,7 @@ class TestFuse:
         mlp.w2[...] = np.eye(2 * d)
         mlp.b2[...] = 0.0
         tokens = fuse(id_table, text_table, mlp)
-        np.testing.assert_allclose(tokens.value,
+        np.testing.assert_allclose(tokens,
                                    np.concatenate([id_table.rows, text_table.rows], axis=1),
                                    atol=1e-12)
 
@@ -276,10 +276,8 @@ class TestFuse:
         model = small_model(synth_split)
         ids = np.array([5, 0, 5, 17, 2])
         inputs = np.concatenate([model.id_table.rows, model.text_table.rows], axis=1)[ids]
-        expected = model.mlp.apply(ad.constant(inputs),
-                                   [ad.constant(a) for a in model.mlp.param_arrays()])
         tokens = fuse(model.id_table, model.text_table, model.mlp, item_ids=ids)
-        np.testing.assert_array_equal(tokens.value, expected.value)
+        np.testing.assert_array_equal(tokens, model.mlp.apply(inputs))
 
     def test_vocabulary_mismatch(self, synth_split):
         id_table = EmbeddingTable(3, 4, np.zeros((3, 4)))
@@ -294,7 +292,7 @@ class TestForward:
         rep_off, _, _ = forward(base, [0])
         filt = small_model(synth_split, tfm_enabled=True)
         rep_on, _, _ = forward(filt, [0])
-        np.testing.assert_allclose(rep_off.value, rep_on.value, atol=1e-12)
+        np.testing.assert_allclose(rep_off, rep_on, atol=1e-12)
 
     def test_causality_without_tfm(self, synth_split):
         model = small_model(synth_split)
@@ -336,7 +334,7 @@ class TestForward:
         seq = list(synth_split.sequences[2][:7])
         a, _, _ = forward(base, seq)
         b, _, _ = forward(toggled, seq)
-        np.testing.assert_allclose(a.value, b.value, atol=1e-8)
+        np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_value_only_passes_record_no_tape(self, synth_split):
         graph = build_cooccurrence(synth_split)
@@ -344,11 +342,8 @@ class TestForward:
         for model in (small_model(synth_split, tfm_enabled=True),
                       config_model(synth_split, graph, {"glpf.apply_to": "fused"})):
             rep, hidden, _ = forward(model, seq)
-            # all_item_tokens returns model_tokens(model).value
-            for node in (rep, hidden, model_tokens(model)):
-                assert not node.requires_grad
-                assert node.parents == ()
-                assert node.backward_rule is None
+            for out in (rep, hidden, model_tokens(model), all_item_tokens(model)):
+                assert type(out) is np.ndarray
 
     def test_wide_open_cutoff_gains_above_inv_sqrt2(self):
         gains = butterworth_gains(ButterworthSpec(cutoff=1.0, order=1), 16)
@@ -375,10 +370,9 @@ class TestBatchedForward:
     def test_backbone_block_is_stacked_single_sequences(self, synth_split, mode):
         model = small_model(synth_split, **TFM_MODES[mode])
         tokens = np.random.default_rng(4).standard_normal((5, 7, model.backbone.d_model))
-        hidden, trace = backbone_forward(model.backbone, ad.constant(tokens), capture=True)
-        singles = [backbone_forward(model.backbone, ad.constant(t), capture=True)
-                   for t in tokens]
-        np.testing.assert_array_equal(hidden.value, np.stack([h.value for h, _ in singles]))
+        hidden, trace = backbone_forward(model.backbone, tokens, capture=True)
+        singles = [backbone_forward(model.backbone, t, capture=True) for t in tokens]
+        np.testing.assert_array_equal(hidden, np.stack([h for h, _ in singles]))
         for layer, h in enumerate(trace.matrices):
             np.testing.assert_array_equal(h, np.stack([t.matrices[layer] for _, t in singles]))
 
@@ -387,11 +381,10 @@ class TestBatchedForward:
         model = small_model(synth_split, **TFM_MODES[mode])
         block = np.stack([synth_split.sequences[u][:6] for u in range(4)])
         rep, hidden, _ = forward(model, block)
-        assert rep.value.shape == (4, 1, model.backbone.d_model)
+        assert rep.shape == (4, 1, model.backbone.d_model)
         singles = [forward(model, seq) for seq in block]
-        np.testing.assert_array_equal(rep.value, np.stack([r.value for r, _, _ in singles]))
-        np.testing.assert_array_equal(hidden.value,
-                                      np.stack([h.value for _, h, _ in singles]))
+        np.testing.assert_array_equal(rep, np.stack([r for r, _, _ in singles]))
+        np.testing.assert_array_equal(hidden, np.stack([h for _, h, _ in singles]))
 
     def test_block_rejects_unknown_item(self, synth_split):
         model = small_model(synth_split)
@@ -420,12 +413,17 @@ class TestLengthChunks:
 
 
 class TestEndToEndGradient:
-    @pytest.mark.parametrize("mode", TFM_MODES)
+    @pytest.mark.parametrize("mode", [*TFM_MODES, "fused"])
     def test_full_graph_matches_finite_differences(self, synth_split, mode):
-        # d_model 16, T = 8, gradient path through fusion MLP, the frozen
-        # backbone's adjoint and the temporal filter
-        model = small_model(synth_split, d_id=6, d_text=4, d_model=16, n_layers=2,
-                            **TFM_MODES[mode])
+        # d_model 16, T = 8, gradient path through fusion MLP, the token
+        # filter when fused, the frozen backbone's adjoint and the temporal
+        # filter
+        if mode == "fused":
+            model = config_model(synth_split, build_cooccurrence(synth_split),
+                                 {"glpf.apply_to": "fused"})
+        else:
+            model = small_model(synth_split, d_id=6, d_text=4, d_model=16, n_layers=2,
+                                **TFM_MODES[mode])
         seq = np.asarray(synth_split.sequences[0][:8], dtype=np.intp)
         negs = np.array([1, 5, 9, 13], dtype=np.intp)
 
@@ -510,6 +508,31 @@ class TestGroupedLoss:
                     stack.extend(node.parents)
             sizes.append(len(seen))
         assert sizes[0] == sizes[1]
+
+    def test_one_node_with_a_lazy_backward(self, synth_split, monkeypatch):
+        model = config_model(synth_split, build_cooccurrence(synth_split),
+                             {"glpf.apply_to": "fused"})
+        calls, filter_fn = [], network.polynomial_filter
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return filter_fn(*args, **kwargs)
+
+        monkeypatch.setattr(network, "polynomial_filter", counting)
+        mlp_vars = model.mlp.make_vars()
+        loss = sequence_loss(model, synth_split.sequences[0][:6], np.arange(4), mlp_vars)
+        assert loss.parents == tuple(mlp_vars)
+        # the forward filters the table once; the backward, run once for all
+        # four parameters, filters the gradient once
+        assert len(calls) == 1
+        ad.tape_gradient(loss, mlp_vars)
+        assert len(calls) == 2
+
+    def test_rejects_foreign_vars(self, synth_split):
+        model = small_model(synth_split)
+        foreign = [ad.parameter(a.copy()) for a in model.mlp.param_arrays()]
+        with pytest.raises(InputError):
+            sequence_loss(model, synth_split.sequences[0][:6], np.arange(4), foreign)
 
     def test_rejects_mismatched_negatives(self, synth_split):
         model = small_model(synth_split)
@@ -596,7 +619,7 @@ class TestTrain:
         seq = list(synth_split.sequences[0][:5])
         a, _, _ = forward(model, seq)
         b, _, _ = forward(loaded, seq)
-        np.testing.assert_allclose(a.value, b.value, atol=1e-12)
+        np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_checkpoint_rejects_wrong_tables(self, synth_split, tmp_path):
         model = small_model(synth_split)
@@ -645,8 +668,7 @@ class TestCheckpointRecipe:
                                     graph=graph if model.token_filter else None)
         np.testing.assert_array_equal(all_item_tokens(loaded), all_item_tokens(model))
         seq = list(synth_split.sequences[0][:7])
-        np.testing.assert_array_equal(forward(loaded, seq)[0].value,
-                                      forward(model, seq)[0].value)
+        np.testing.assert_array_equal(forward(loaded, seq)[0], forward(model, seq)[0])
 
     def test_fused_checkpoint_needs_its_graph(self, synth_split, tmp_path):
         graph = build_cooccurrence(synth_split)
