@@ -76,9 +76,10 @@ def trace_spectral_profile(model, sequences, graph, n_bands=4, fingerprint=""):
     Sequences shorter than 3 items are skipped (a 1-node local graph has no
     spectrum), as are sequences whose local graph has no edges at all.  The
     rest go one chunk of equal-length sequences at a time through one
-    forward and one stacked spectral pass: local graphs,
-    eigendecompositions and band energies over (B, n, n).  Per-user
-    energies are kept, and summed in input order."""
+    forward, which gathers from one token table for the whole catalog, and
+    one stacked spectral pass: local graphs, eigendecompositions and band
+    energies over (B, n, n).  Per-user energies are kept, and summed in
+    input order."""
     seqs = [np.asarray(seq, dtype=np.intp) for seq in sequences]
     long_enough = [i for i, seq in enumerate(seqs) if seq.size >= 3]
     chunks = [[long_enough[j] for j in chunk]
@@ -86,8 +87,7 @@ def trace_spectral_profile(model, sequences, graph, n_bands=4, fingerprint=""):
     log.info("analyze (tfm %s): %d sequences in %d length buckets, %d chunks",
              "on" if model.backbone.tfm_enabled else "off", len(long_enough),
              len({seqs[i].size for i in long_enough}), len(chunks))
-    # a token-filtered model's rows all come from one filtered catalog
-    table = all_item_tokens(model) if model.token_filter is not None else None
+    table = all_item_tokens(model)
 
     def one_chunk(chunk):
         block = np.stack([seqs[i] for i in chunk])
@@ -264,7 +264,8 @@ def _emit_profile(profile, path, format):
             fh.write("layer,band,energy,share\n")
             for l in range(profile.raw.shape[0]):
                 for b in range(profile.n_bands):
-                    fh.write(f"{l},{b},{profile.raw[l, b]!r},{shares[l, b]!r}\n")
+                    fh.write(f"{l},{b},{float(profile.raw[l, b])!r},"
+                             f"{float(shares[l, b])!r}\n")
     else:
         payload = {
             "n_bands": profile.n_bands,

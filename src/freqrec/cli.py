@@ -135,7 +135,7 @@ def cmd_ingest(args, cfg):
 
 def cmd_build_graph(args, cfg):
     split = _load_split(cfg, args.data)
-    graph = build_cooccurrence(split, binarize=True)
+    graph = build_cooccurrence(split)
     graph.fingerprint = fingerprint(cfg)
     _atomic(args.out, lambda tmp: save_graph(graph, tmp))
     _emit_json(None, {"n_items": graph.n_items, "nnz": graph.nnz // 2,
@@ -212,8 +212,7 @@ def cmd_evaluate(args, cfg):
         named["graph"] = graph.fingerprint
     _check_fingerprints(named, args.force)
     report = evaluate(model, split, phase=args.phase, seed=cfg["eval"]["seed"],
-                      k=cfg["eval"]["k"], n_candidates=cfg["eval"]["n_candidates"],
-                      fingerprint=fingerprint(cfg))
+                      k=cfg["eval"]["k"], n_candidates=cfg["eval"]["n_candidates"])
     payload = {"metrics": {"ndcg": report.ndcg, "recall": report.recall,
                            "k": report.k, "phase": report.phase,
                            "n_users": report.n_users,
@@ -279,7 +278,12 @@ def cmd_theorem_probe(args, cfg):
 
 
 def cmd_sweep(args, cfg):
-    values = [float(v) for v in args.values.split(",")]
+    values = []
+    for token in args.values.split(","):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise InputError(f"--values: {token!r} is not a number") from None
     split = _load_split(cfg, args.data)
     id_table = load_external(args.id)
     text_table = load_external(args.text)

@@ -14,9 +14,11 @@ artifacts stamped with the same fingerprint were produced under the same
 semantics, which is what `evaluate` checks before mixing inputs.
 Enumerated values are checked against the sets their consuming modules
 define, the numeric `pretrain` and `training` fields (and `model.d_id`)
-against the RANGES of their dataclasses, and explicit G-LPF coefficients
-must be finite numbers, so no command stamps artifacts with a config
-that a later stage would reject or that trains nothing.
+against the RANGES of their dataclasses, `eval.k`, `eval.n_candidates`,
+`analysis.n_bands` and `analysis.theorem_trials` must be at least 1, and
+explicit G-LPF coefficients must be finite numbers, so no command stamps
+artifacts with a config that a later stage would reject, that trains
+nothing or that ranks nothing.
 """
 
 import copy
@@ -103,10 +105,13 @@ DEFAULTS = {
 _CHOICES = {("model", "activation"): ACTIVATIONS, ("dataset", "format"): FORMATS,
             ("glpf", "apply_to"): APPLY_TO}
 
-# dataclasses whose RANGES bound a section: (class, section, the config key
-# of each field that another section supplies)
-_RANGED = ((PretrainConfig, "pretrain", {"dim": "model.d_id"}),
-           (TrainConfig, "training", {}))
+# bounds on numeric fields, the pretrain and training ones from their
+# dataclasses' RANGES: (field -> (op, bound), section, the config key of each
+# field that another section supplies)
+_RANGED = ((PretrainConfig.RANGES, "pretrain", {"dim": "model.d_id"}),
+           (TrainConfig.RANGES, "training", {}),
+           ({"k": (">=", 1), "n_candidates": (">=", 1)}, "eval", {}),
+           ({"n_bands": (">=", 1), "theorem_trials": (">=", 1)}, "analysis", {}))
 
 
 def _merge(base, override, path=""):
@@ -148,8 +153,8 @@ def _check_values(config):
         if config[section][key] not in allowed:
             raise InputError(f"config key '{section}.{key}' must be one of "
                              f"{', '.join(allowed)}, got {config[section][key]!r}")
-    for cls, section, outside in _RANGED:
-        for name, (op, bound) in cls.RANGES.items():
+    for ranges, section, outside in _RANGED:
+        for name, (op, bound) in ranges.items():
             key = outside.get(name, f"{section}.{name}")
             where, leaf = key.split(".")
             value = config[where][leaf]

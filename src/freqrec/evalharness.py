@@ -1,21 +1,23 @@
 """Leave-one-out ranking evaluation with sampled negatives.
 
 Each user is scored on 100 sampled non-interacted candidates plus the
-ground-truth item.  The truth sits at the LAST candidate index and ties
-break by ascending candidate index, so a degenerate all-equal scorer ranks
-the truth last and floors both metrics at zero.  Candidate sampling for
-user u uses generator seed (global_seed XOR u): per-user sets are
-independent but reproducible, and any reduction order gives the same
-report.
+ground-truth item.  A pass draws every user's candidate row into one
+(U, n + 1) item matrix, negatives first and the truth at the LAST index,
+fills a score matrix of the same shape and ranks it in one count: the
+truth's rank is 1 + #(scores above it) + #(scores tied with it at a lower
+index), the rank a stable descending sort gives.  A degenerate all-equal
+scorer therefore ranks the truth last and floors both metrics at zero.
+Candidate sampling for user u uses generator seed (global_seed XOR u):
+reproducible, and the same in any reduction order, but not independent
+across seeds, since (seed 0, user 1) and (seed 1, user 0) share a stream.
 
 With a single relevant item, NDCG@k is 1/log2(rank+1) when rank <= k and
 0 otherwise, and Recall@k is the indicator of rank <= k; NDCG@k > 0 if
 and only if Recall@k = 1.
 """
 
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,20 +27,9 @@ from freqrec.model.network import all_item_tokens, forward, length_chunks
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    user: int
-    items: np.ndarray       # negatives first, ground truth last
-    truth_index: int
-    seed: int
-
-    @property
-    def truth(self):
-        return int(self.items[self.truth_index])
-
-
 def sample_candidates(user, split, phase="test", n=100, seed=0):
-    """n non-interacted negatives plus the phase target, truth last."""
+    """The user's (n + 1,) candidate row: n non-interacted negatives, then
+    the phase target."""
     keep = np.ones(split.n_items, dtype=bool)
     keep[split.sequences[user]] = False
     pool = np.flatnonzero(keep)
@@ -46,23 +37,29 @@ def sample_candidates(user, split, phase="test", n=100, seed=0):
         raise InputError(
             f"user {user} has only {pool.size} non-interacted items, needs {n}")
     truth = split.valid_target(user) if phase == "valid" else split.test_target(user)
-    rng = np.random.default_rng(seed ^ user)
-    negatives = rng.choice(pool, size=n, replace=False)
-    items = np.concatenate([negatives, [truth]]).astype(np.int64)
-    return CandidateSet(user=user, items=items, truth_index=n, seed=seed)
+    negatives = np.random.default_rng(seed ^ user).choice(pool, size=n, replace=False)
+    return np.append(negatives, truth)
 
 
 def rank_metrics(scores, truth_index, k=10):
-    """(NDCG@k, Recall@k) for a single relevant item at truth_index."""
+    """(NDCG@k, Recall@k, rank) for a single relevant item at truth_index of
+    one score vector, or three (B,) arrays for a (B, n) block whose rows
+    all hold their relevant item at truth_index."""
     scores = np.asarray(scores, dtype=float)
     if np.any(np.isnan(scores)):
-        bad = int(np.argmax(np.isnan(scores)))
-        raise InputError(f"NaN score for candidate {bad}")
-    order = np.argsort(-scores, kind="stable")
-    rank = int(np.nonzero(order == truth_index)[0][0]) + 1
-    if rank <= k:
-        return 1.0 / np.log2(rank + 1.0), 1.0, rank
-    return 0.0, 0.0, rank
+        bad = np.argwhere(np.isnan(scores))[0]
+        raise InputError(f"NaN score for candidate {bad[-1]}"
+                         + (f" in row {bad[0]}" if scores.ndim == 2 else ""))
+    block = np.atleast_2d(scores)
+    truth = block[:, truth_index, None]
+    rank = (1 + np.count_nonzero(block > truth, axis=1)
+            + np.count_nonzero(block[:, :truth_index] == truth, axis=1))
+    hit = rank <= k
+    ndcg = np.where(hit, 1.0 / np.log2(rank + 1.0), 0.0)
+    recall = hit.astype(float)
+    if scores.ndim == 1:
+        return float(ndcg[0]), float(recall[0]), int(rank[0])
+    return ndcg, recall, rank
 
 
 @dataclass
@@ -73,15 +70,7 @@ class MetricsReport:
     phase: str
     n_users: int
     n_excluded: int
-    per_user: list = field(default_factory=list)   # (user, rank, ndcg, recall)
-    fingerprint: str = ""
-
-    def to_json(self):
-        return json.dumps({
-            "ndcg@k": self.ndcg, "recall@k": self.recall, "k": self.k,
-            "phase": self.phase, "n_users": self.n_users,
-            "n_excluded": self.n_excluded, "fingerprint": self.fingerprint,
-        }, sort_keys=True)
+    per_user: list          # (user, rank, ndcg, recall)
 
     def per_user_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -90,73 +79,59 @@ class MetricsReport:
                 fh.write(f"{user},{rank},{ndcg!r},{recall!r}\n")
 
 
-def _aggregate(rows, k, phase, n_excluded, fingerprint=""):
-    if not rows:
-        raise InputError("no users could be evaluated")
-    ndcg = float(np.mean([r[2] for r in rows]))
-    recall = float(np.mean([r[3] for r in rows]))
-    return MetricsReport(ndcg=ndcg, recall=recall, k=k, phase=phase,
-                         n_users=len(rows), n_excluded=n_excluded,
-                         per_user=rows, fingerprint=fingerprint)
+def _aggregate(split, users, metrics, k, phase):
+    ndcg, recall, rank = metrics
+    return MetricsReport(ndcg=float(np.mean(ndcg)), recall=float(np.mean(recall)), k=k,
+                         phase=phase, n_users=len(users),
+                         n_excluded=split.n_users - len(users),
+                         per_user=list(zip(users.tolist(), rank.tolist(), ndcg.tolist(),
+                                           recall.tolist())))
 
 
 def _candidate_sets(split, phase, n_candidates, seed):
-    """Every user's candidate set in user order, leaving out the users
-    whose candidates cannot be drawn (too few non-interacted items)."""
-    cands = []
+    """The users whose candidates can be drawn (those with at least
+    n_candidates non-interacted items), ascending, and their (U,
+    n_candidates + 1) candidate matrix."""
+    users, rows = [], []
     for user in range(split.n_users):
         try:
-            cands.append(sample_candidates(user, split, phase=phase, n=n_candidates,
-                                           seed=seed))
+            rows.append(sample_candidates(user, split, phase=phase, n=n_candidates,
+                                          seed=seed))
         except InputError:
             continue
-    return cands
+        users.append(user)
+    if not users:
+        raise InputError("no users could be evaluated")
+    return np.asarray(users), np.stack(rows)
 
 
-def _row(cand, scores, k):
-    ndcg, recall, rank = rank_metrics(scores, cand.truth_index, k=k)
-    return (cand.user, rank, ndcg, recall)
-
-
-def evaluate(model, split, phase="test", seed=0, k=10, n_candidates=100, fingerprint=""):
+def evaluate(model, split, phase="test", seed=0, k=10, n_candidates=100):
     """Rank the phase target of every user against sampled negatives using
     the model's inner-product scores.  Users whose candidates can be drawn
-    are forwarded one chunk of equal-length inputs at a time; rows come
-    back in user order."""
+    are forwarded one chunk of equal-length inputs at a time, each chunk
+    filling its rows of the score matrix, which is then ranked at once."""
+    users, cands = _candidate_sets(split, phase, n_candidates, seed)
     tokens = all_item_tokens(model)
-    cands = _candidate_sets(split, phase, n_candidates, seed)
-    inputs = [split.eval_input(cand.user, phase) for cand in cands]
+    inputs = [split.eval_input(user, phase) for user in users]
     chunks = length_chunks([len(x) for x in inputs])
-    log.info("evaluate (%s): %d users in %d length buckets, %d chunks", phase, len(cands),
+    log.info("evaluate (%s): %d users in %d length buckets, %d chunks", phase, len(users),
              len({len(x) for x in inputs}), len(chunks))
-    rows = []
+    scores = np.empty(cands.shape)
     for chunk in chunks:
         user_rep, _, _ = forward(model, np.stack([inputs[i] for i in chunk]), table=tokens)
-        rows += [_row(cands[i], tokens[cands[i].items] @ rep, k)
-                 for i, rep in zip(chunk, user_rep[:, -1])]
-    rows.sort(key=lambda r: r[0])
-    return _aggregate(rows, k, phase, n_excluded=split.n_users - len(rows),
-                      fingerprint=fingerprint)
+        # a stacked matmul, not einsum: each row then matches tokens[row] @ rep
+        scores[chunk] = (tokens[cands[chunk]] @ user_rep[:, -1, :, None])[..., 0]
+    return _aggregate(split, users, rank_metrics(scores, n_candidates, k), k, phase)
 
 
 def baselines(split, phase="test", seed=0, k=10, n_candidates=100):
     """Floor scorers: seeded uniform-random scores, and training-frequency
     popularity (no randomness beyond candidate sampling).  Both rank the
-    same candidate sets."""
-    counts = np.zeros(split.n_items)
-    for items in split.train_views().values():
-        np.add.at(counts, items, 1.0)
-
-    def popularity(cand):
-        return counts[cand.items]
-
-    def random_scores(cand):
-        rng = np.random.default_rng((seed ^ cand.user) + 0x9E3779B9)
-        return rng.random(cand.items.shape[0])
-
-    cands = _candidate_sets(split, phase, n_candidates, seed)
-    out = {}
-    for name, scorer in (("random", random_scores), ("popularity", popularity)):
-        rows = [_row(cand, scorer(cand), k) for cand in cands]
-        out[name] = _aggregate(rows, k, phase, n_excluded=split.n_users - len(rows))
-    return out
+    same candidate matrix."""
+    users, cands = _candidate_sets(split, phase, n_candidates, seed)
+    counts = np.bincount(np.concatenate(list(split.train_views().values())),
+                         minlength=split.n_items)
+    rngs = [np.random.default_rng((seed ^ user) + 0x9E3779B9) for user in users.tolist()]
+    random = np.stack([rng.random(n_candidates + 1) for rng in rngs])
+    return {name: _aggregate(split, users, rank_metrics(scores, n_candidates, k), k, phase)
+            for name, scores in (("random", random), ("popularity", counts[cands]))}

@@ -1,12 +1,11 @@
 """Item co-occurrence graph and per-sequence local subgraphs.
 
 The global graph counts, for every item pair (i, j), how many users'
-training histories contain both items (set membership by default, raw
-products of interaction counts when binarize is off).  The diagonal is
-zeroed before degrees are computed: self-pairs carry no neighbor-
-difference information and would only inflate degrees.  Storage is a
-symmetric coordinate list sorted by a single int64 key, so local T x T
-blocks come out of one vectorized searchsorted pass.
+training histories contain both items (set membership, not interaction
+counts).  The diagonal is zeroed before degrees are computed: self-pairs
+carry no neighbor-difference information and would only inflate degrees.
+Storage is a symmetric coordinate list sorted by a single int64 key, so
+local T x T blocks come out of one vectorized searchsorted pass.
 """
 
 import hashlib
@@ -125,54 +124,35 @@ def normalized_laplacian(adjacency):
     return np.eye(a.shape[-1]) - dh[..., :, None] * a * dh[..., None, :]
 
 
-def build_cooccurrence(split, binarize=True):
-    """Global item graph from the training views of a SplitDataset.
-
-    W_ij counts users whose training history contains both i and j when
-    binarize is set; otherwise each user contributes (count_i * count_j).
-    """
+def build_cooccurrence(split):
+    """Global item graph from the training views of a SplitDataset: W_ij
+    counts the users whose training history contains both i and j."""
     train_views = split.train_views()
     if not any(len(v) for v in train_views.values()):
         raise InputError("split has no training interactions")
     n = split.n_items
-    key_chunks = []
-    val_chunks = []
+    key_chunks = [np.zeros(0, dtype=np.int64)]
     for items in train_views.values():
-        if binarize:
-            uniq = np.unique(np.asarray(items, dtype=np.int64))
-            if uniq.size < 2:
-                continue
-            ii, jj = np.meshgrid(uniq, uniq, indexing="ij")
-            mask = ii < jj
-            key_chunks.append(ii[mask] * n + jj[mask])
-            val_chunks.append(np.ones(int(mask.sum())))
-        else:
-            uniq, counts = np.unique(np.asarray(items, dtype=np.int64), return_counts=True)
-            if uniq.size < 2:
-                continue
-            ii, jj = np.meshgrid(uniq, uniq, indexing="ij")
-            cc = np.outer(counts, counts).astype(float)
-            mask = ii < jj
-            key_chunks.append(ii[mask] * n + jj[mask])
-            val_chunks.append(cc[mask])
-    if key_chunks:
-        keys = np.concatenate(key_chunks)
-        vals = np.concatenate(val_chunks)
-        uniq_keys, inverse = np.unique(keys, return_inverse=True)
-        sums = np.bincount(inverse, weights=vals)
-        up_r = (uniq_keys // n).astype(np.intp)
-        up_c = (uniq_keys % n).astype(np.intp)
-        rows = np.concatenate([up_r, up_c])
-        cols = np.concatenate([up_c, up_r])
-        weights = np.concatenate([sums, sums])
-        order = np.argsort(rows.astype(np.int64) * n + cols.astype(np.int64), kind="stable")
-        rows, cols, weights = rows[order], cols[order], weights[order]
-    else:
-        rows = np.zeros(0, dtype=np.intp)
-        cols = np.zeros(0, dtype=np.intp)
-        weights = np.zeros(0)
+        uniq = np.unique(np.asarray(items, dtype=np.int64))
+        ii, jj = np.meshgrid(uniq, uniq, indexing="ij")
+        mask = ii < jj
+        key_chunks.append(ii[mask] * n + jj[mask])
+    keys, counts = np.unique(np.concatenate(key_chunks), return_counts=True)
+    return _from_upper_triangle(n, (keys // n).astype(np.intp), (keys % n).astype(np.intp),
+                                counts.astype(float))
+
+
+def _from_upper_triangle(n, up_r, up_c, up_w, fingerprint=""):
+    """The graph whose (i < j) edges are given: mirrored, sorted by
+    i * n + j, with weighted degrees."""
+    rows = np.concatenate([up_r, up_c])
+    cols = np.concatenate([up_c, up_r])
+    weights = np.concatenate([up_w, up_w])
+    order = np.argsort(rows.astype(np.int64) * n + cols.astype(np.int64), kind="stable")
+    rows, cols, weights = rows[order], cols[order], weights[order]
     degrees = np.bincount(rows, weights=weights, minlength=n).astype(float)
-    return CooccurrenceGraph(n_items=n, rows=rows, cols=cols, weights=weights, degrees=degrees)
+    return CooccurrenceGraph(n_items=n, rows=rows, cols=cols, weights=weights,
+                             degrees=degrees, fingerprint=fingerprint)
 
 
 def local_subgraph(graph, target_items):
@@ -237,14 +217,6 @@ def load_graph(path):
             up_w.append(w)
     if len(up_r) != nnz:
         raise InputError(f"{path}: header says nnz={nnz} but found {len(up_r)} triples")
-    up_r = np.asarray(up_r, dtype=np.intp)
-    up_c = np.asarray(up_c, dtype=np.intp)
-    up_w = np.asarray(up_w, dtype=float)
-    rows = np.concatenate([up_r, up_c])
-    cols = np.concatenate([up_c, up_r])
-    weights = np.concatenate([up_w, up_w])
-    order = np.argsort(rows.astype(np.int64) * n + cols.astype(np.int64), kind="stable")
-    rows, cols, weights = rows[order], cols[order], weights[order]
-    degrees = np.bincount(rows, weights=weights, minlength=n).astype(float)
-    return CooccurrenceGraph(n_items=n, rows=rows, cols=cols, weights=weights,
-                             degrees=degrees, fingerprint=header.get("fingerprint", ""))
+    return _from_upper_triangle(n, np.asarray(up_r, dtype=np.intp),
+                                np.asarray(up_c, dtype=np.intp), np.asarray(up_w, dtype=float),
+                                fingerprint=header.get("fingerprint", ""))

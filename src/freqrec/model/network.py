@@ -440,14 +440,11 @@ def model_tokens(model, item_ids=None, grad=False):
 
 def forward(model, sequence, capture=False, table=None):
     """User representation for one item-index sequence (T,), or for each row
-    of a (B, T) block of equal-length sequences: run the fused tokens
-    through the backbone and take the last position's final hidden row.
-
-    `table` is the model's full token table (`all_item_tokens`) when the
-    caller holds one.  A token-filtered model gathers the block's rows from
-    it instead of filtering the whole catalog again; an unfiltered model
-    fuses just the block's rows either way (a row of the full-table product
-    need not match them to the last bit).
+    of a (B, T) block of equal-length sequences: gather the tokens from the
+    model's full token table, run them through the backbone and take the
+    last position's final hidden row.  `table` is that table
+    (`all_item_tokens`) when the caller holds one; without it the forward
+    computes its own.
 
     Returns (user_rep, final_hidden, trace); a block adds a leading B axis
     to each (user_rep is (B, 1, d_model))."""
@@ -457,11 +454,7 @@ def forward(model, sequence, capture=False, table=None):
                          "or a (B, T) block of them")
     if seq.min() < 0 or seq.max() >= model.n_items:
         raise InputError("unknown item index in sequence")
-    if table is not None and model.token_filter is not None:
-        tokens = table[seq]
-    else:
-        tokens = model_tokens(model, item_ids=seq.reshape(-1)).reshape(
-            seq.shape + (model.backbone.d_model,))
+    tokens = (all_item_tokens(model) if table is None else table)[seq]
     hidden, trace = backbone_forward(model.backbone, tokens, capture=capture)
     t_len = seq.shape[-1]
     return hidden[..., t_len - 1:t_len, :], hidden, trace

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from freqrec import cli
 from freqrec import dataset as ds
 from freqrec.analysis import trace_spectral_profile
 from freqrec.cli import main
@@ -139,6 +140,22 @@ class TestStages:
         lines = out.read_text().splitlines()
         assert lines[0] == "cutoff,ndcg,recall"
         assert len(lines) == 3
+
+    def test_csv_cells_are_plain_numbers(self, tmp_path, workdir):
+        base = ["--config", workdir["config"]]
+        per_user = tmp_path / "per_user.csv"
+        assert run(base + ["analyze", "--data", workdir["data"], "--id", workdir["id_filtered"],
+                           "--text", workdir["text"], "--graph", workdir["graph"],
+                           "--tfm", "on", "--out-prefix", str(tmp_path / "profile")]) == 0
+        assert run(base + ["evaluate", "--data", workdir["data"], "--id", workdir["id_filtered"],
+                           "--text", workdir["text"], "--checkpoint", workdir["ckpt"],
+                           "--per-user", str(per_user)]) == 0
+        profile, = tmp_path.glob("profile_tfm-on_*.csv")
+        for path in (profile, per_user):
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+            assert rows and all(len(row) == 4 for row in rows)
+            for row in rows:
+                int(row[0]), int(row[1]), float(row[2]), float(row[3])
 
     def test_pretrain_rerun_byte_identical(self, tmp_path, workdir):
         base = ["--config", workdir["config"]]
@@ -348,6 +365,44 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("override, key", [
+        ("eval.n_candidates=0", "eval.n_candidates"),
+        ("eval.n_candidates=-1", "eval.n_candidates"),
+        ("eval.k=0", "eval.k"),
+        ("analysis.n_bands=0", "analysis.n_bands"),
+        ("analysis.theorem_trials=0", "analysis.theorem_trials"),
+        ("analysis.theorem_trials=-2", "analysis.theorem_trials"),
+    ])
+    def test_out_of_range_eval_or_analysis_setting(self, tmp_path, capsys, workdir,
+                                                   override, key):
+        out = str(tmp_path / "out.json")
+        inputs = ["--data", workdir["data"], "--id", workdir["id_filtered"],
+                  "--text", workdir["text"]]
+        command = {
+            "eval.n_candidates": ["evaluate", *inputs, "--checkpoint", workdir["ckpt"],
+                                  "--out", out, "--per-user", str(tmp_path / "u.csv")],
+            "analysis.n_bands": ["analyze", *inputs, "--graph", workdir["graph"],
+                                 "--out-prefix", str(tmp_path / "p"), "--out", out],
+            "analysis.theorem_trials": ["theorem-probe", "--family", "ring", "--out", out],
+        }
+        command["eval.k"] = command["eval.n_candidates"]
+        assert run(["--config", workdir["config"], "--set", override, *command[key]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_value_not_a_number(self, tmp_path, capsys, workdir, monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(1))
+        out = tmp_path / "sweep.csv"
+        assert run(["--config", workdir["config"],
+                    "sweep", "--param", "cutoff", "--values", "0.3,abc",
+                    "--data", workdir["data"], "--id", workdir["id_filtered"],
+                    "--text", workdir["text"], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'abc'" in err and "Traceback" not in err
+        assert not trained and not out.exists()
 
     def test_coefficients_not_a_list(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -43,8 +43,7 @@ class TestBuildCooccurrence:
         split = split_from_histories([["a", "a", "b"], ["a", "b"]])
         ia = split.item_tokens.index("a")
         ib = split.item_tokens.index("b")
-        assert build_cooccurrence(split, binarize=True).dense_adjacency()[ia, ib] == 2.0
-        assert build_cooccurrence(split, binarize=False).dense_adjacency()[ia, ib] == 3.0
+        assert build_cooccurrence(split).dense_adjacency()[ia, ib] == 2.0
 
     def test_single_training_item_gives_zero_graph(self):
         split = split_from_histories([["a"]])
