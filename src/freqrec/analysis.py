@@ -14,11 +14,13 @@ quotient.  On ring graphs the temporal and graph frequency orders
 coincide exactly, so the Rayleigh quotient can never increase; on
 locality graphs the statement is statistical and is gated by a
 pre-registered pilot threshold.
+
+Nothing here writes a file: the CLI writes the profiles (CSV and JSON)
+and the theorem report (JSON) through its own writers.
 """
 
-import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,8 +46,7 @@ class SpectralProfile:
     user_count: int
     skipped_short: int = 0
     skipped_degenerate: int = 0
-    fingerprint: str = ""
-    # Per profiled user, kept out of the emitted reports: energies
+    # Per profiled user, kept out of the written reports: energies
     # (users, n_layers + 1, n_bands), whose sum over users is raw, and the
     # users' positions in the analyzed sequences, ascending.
     user_energies: np.ndarray = None
@@ -70,7 +71,7 @@ def profile_from_trace(trace_matrices, basis, n_bands):
     return np.moveaxis(energies, 0, -2)
 
 
-def trace_spectral_profile(model, sequences, graph, n_bands=4, fingerprint=""):
+def trace_spectral_profile(model, sequences, graph, n_bands=4):
     """Aggregate layer-by-band energies across users.
 
     Sequences shorter than 3 items are skipped (a 1-node local graph has no
@@ -110,8 +111,7 @@ def trace_spectral_profile(model, sequences, graph, n_bands=4, fingerprint=""):
                            user_count=len(users),
                            skipped_short=len(seqs) - len(long_enough),
                            skipped_degenerate=len(long_enough) - len(users),
-                           fingerprint=fingerprint, user_energies=energies,
-                           users=users[order])
+                           user_energies=energies, users=users[order])
 
 
 @dataclass
@@ -166,19 +166,8 @@ class Theorem1Report:
         return self.rayleigh_violation_rate <= self.threshold
 
     def to_dict(self):
-        return {
-            "family": self.family, "rho": self.rho, "trials": self.trials,
-            "t_range": list(self.t_range), "seed": self.seed,
-            "cutoff": self.cutoff, "order": self.order, "n_columns": self.n_columns,
-            "violations_rayleigh": self.violations_rayleigh,
-            "violations_quadratic": self.violations_quadratic,
-            "rayleigh_violation_rate": self.rayleigh_violation_rate,
-            "threshold": self.threshold,
-            "mean_smoothness_before": self.mean_smoothness_before,
-            "mean_smoothness_after": self.mean_smoothness_after,
-            "mean_rayleigh_before": self.mean_rayleigh_before,
-            "mean_rayleigh_after": self.mean_rayleigh_after,
-        }
+        return dict(asdict(self),
+                    rayleigh_violation_rate=self.rayleigh_violation_rate)
 
 
 def _family_adjacency(family, t_len, rho):
@@ -238,67 +227,3 @@ def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0,
         mean_rayleigh_before=float(np.mean(r0s)),
         mean_rayleigh_after=float(np.mean(r1s)),
         threshold=threshold)
-
-
-def emit_report(obj, path, format="csv"):
-    """Write a SpectralProfile or Theorem1Report; identical inputs give
-    byte-identical files."""
-    if format not in ("csv", "json"):
-        raise InputError(f"unknown report format {format!r}")
-    try:
-        if isinstance(obj, SpectralProfile):
-            _emit_profile(obj, path, format)
-        elif isinstance(obj, Theorem1Report):
-            _emit_theorem(obj, path, format)
-        else:
-            raise InputError(f"cannot emit object of type {type(obj).__name__}")
-    except OSError as exc:
-        raise InputError(f"cannot write report to {path}: {exc}") from exc
-    return path
-
-
-def _emit_profile(profile, path, format):
-    shares = profile.shares()
-    if format == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("layer,band,energy,share\n")
-            for l in range(profile.raw.shape[0]):
-                for b in range(profile.n_bands):
-                    fh.write(f"{l},{b},{float(profile.raw[l, b])!r},"
-                             f"{float(shares[l, b])!r}\n")
-    else:
-        payload = {
-            "n_bands": profile.n_bands,
-            "user_count": profile.user_count,
-            "skipped_short": profile.skipped_short,
-            "skipped_degenerate": profile.skipped_degenerate,
-            "fingerprint": profile.fingerprint,
-            "raw": [[float(x) for x in row] for row in profile.raw],
-            "share": [[float(x) for x in row] for row in shares],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True))
-
-
-def _emit_theorem(report, path, format):
-    payload = report.to_dict()
-    if format == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("key,value\n")
-            for key in sorted(payload):
-                fh.write(f"{key},{payload[key]!r}\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True))
-
-
-def load_profile_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    profile = SpectralProfile(raw=np.asarray(payload["raw"], dtype=float),
-                              n_bands=int(payload["n_bands"]),
-                              user_count=int(payload["user_count"]),
-                              skipped_short=int(payload["skipped_short"]),
-                              skipped_degenerate=int(payload["skipped_degenerate"]),
-                              fingerprint=payload.get("fingerprint", ""))
-    return profile, payload

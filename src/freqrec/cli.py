@@ -9,6 +9,14 @@ outputs.  Outputs are written atomically, so a failing command leaves no
 partial files.  Exit codes: 0 success, 1 input/capability error, 2
 numeric or training error.  Log records (`--log-level`) go to stderr
 only, never into an artifact or the fingerprint.
+
+The model commands (train, evaluate, analyze, sweep) load their inputs
+through one helper, which requires embedding tables of the configured
+widths (model.d_id, model.d_text).  evaluate and analyze get their model
+through one more, which refuses artifacts whose fingerprints disagree
+with the run config unless --force is given.  Every number file is
+written here, by one CSV writer (cells are the repr of Python ints and
+floats) and one sorted-key JSON writer.
 """
 
 import argparse
@@ -17,15 +25,13 @@ import dataclasses
 import json
 import logging
 import os
+import pathlib
 import sys
 
+import numpy as np
+
 from freqrec import dataset as ds
-from freqrec.analysis import (
-    attenuation_metric,
-    emit_report,
-    theorem1_probe,
-    trace_spectral_profile,
-)
+from freqrec.analysis import attenuation_metric, theorem1_probe, trace_spectral_profile
 from freqrec.config import fingerprint, load_config
 from freqrec.errors import FreqRecError, InputError, NumericError
 from freqrec.evalharness import baselines, evaluate
@@ -66,14 +72,25 @@ def _atomic(path, writer):
         raise
 
 
+def _write(path, text):
+    _atomic(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
+
+
+def _write_csv(path, header, rows):
+    """One line per row of Python ints and floats, each cell its repr,
+    under a header line when one is given."""
+    lines = ([",".join(header)] if header else []) + [",".join(map(repr, r)) for r in rows]
+    _write(path, "".join(line + "\n" for line in lines))
+
+
+def _write_json(path, payload):
+    _write(path, json.dumps(payload, sort_keys=True))
+
+
 def _emit_json(path, payload):
-    text = json.dumps(payload, sort_keys=True)
     if path:
-        def write(tmp):
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        _atomic(path, write)
-    print(text)
+        _write_json(path, payload)
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _load_split(cfg, data_path):
@@ -90,30 +107,53 @@ def _train_config(cfg):
 
 
 def _check_fingerprints(named, force):
-    prints = {name: fp for name, fp in named.items() if fp}
-    missing = [name for name, fp in named.items() if not fp]
-    distinct = set(prints.values())
     if force:
         return
+    missing = [name for name, fp in named.items() if not fp]
     if missing:
         raise InputError(
             f"artifacts without a config fingerprint: {', '.join(missing)} "
-            "(pass --force to evaluate anyway)")
-    if len(distinct) > 1:
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(prints.items()))
+            "(pass --force to use them anyway)")
+    if len(set(named.values())) > 1:
+        detail = ", ".join(f"{k}={v}" for k, v in sorted(named.items()))
         raise InputError(f"config fingerprints disagree: {detail} "
-                         "(pass --force to evaluate anyway)")
+                         "(pass --force to use them anyway)")
+
+
+def _inputs(args, cfg):
+    """The split, both embedding tables (refused unless of the configured
+    widths) and the graph, None without --graph."""
+    split = _load_split(cfg, args.data)
+    id_table = load_external(args.id, expect_dim=cfg["model"]["d_id"])
+    text_table = load_external(args.text, expect_dim=cfg["model"]["d_text"])
+    graph = load_graph(args.graph) if args.graph else None
+    return split, id_table, text_table, graph
+
+
+def _checked_model(args, cfg):
+    """The split, the graph and the model: the checkpoint when one is
+    given, else the configured model over the tables.  Refused when the
+    run config, the tables, the graph and the checkpoint do not all carry
+    one fingerprint, unless --force."""
+    split, id_table, text_table, graph = _inputs(args, cfg)
+    named = {"run-config": fingerprint(cfg), "id-embeddings": id_table.fingerprint,
+             "text-embeddings": text_table.fingerprint}
+    if graph is not None:
+        named["graph"] = graph.fingerprint
+    if args.checkpoint:
+        model, header = load_checkpoint(args.checkpoint, id_table, text_table, graph=graph)
+        named["checkpoint"] = header.get("fingerprint", "")
+    else:
+        model = build_model(cfg, id_table, text_table, graph=graph)
+    _check_fingerprints(named, args.force)
+    return split, graph, model
 
 
 def cmd_synth(args, cfg):
     log, affinity = ds.synthesize(ds.SynthConfig(**cfg["synth"]))
     _atomic(args.out, lambda tmp: ds.write_tsv(log, tmp))
     if args.affinity_out:
-        def write_affinity(tmp):
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for row in affinity:
-                    fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        _atomic(args.affinity_out, write_affinity)
+        _write_csv(args.affinity_out, None, affinity.tolist())
     _emit_json(args.summary, {"events": log.n_events,
                               "fingerprint": fingerprint(cfg), "config": cfg})
     return 0
@@ -179,17 +219,15 @@ def cmd_glpf(args, cfg):
 
 
 def cmd_train(args, cfg):
-    split = _load_split(cfg, args.data)
-    id_table = load_external(args.id, expect_dim=cfg["model"]["d_id"])
-    text_table = load_external(args.text, expect_dim=cfg["model"]["d_text"])
-    graph = load_graph(args.graph) if args.graph else None
+    split, id_table, text_table, graph = _inputs(args, cfg)
     model = build_model(cfg, id_table, text_table, graph=graph)
     result = train(model, split, _train_config(cfg))
     _atomic(args.out, lambda tmp: save_checkpoint(model, tmp,
                                                   fingerprint=fingerprint(cfg),
                                                   extra={"config": cfg}))
     if args.log:
-        _atomic(args.log, lambda tmp: result.write_log(tmp))
+        _write(args.log, "".join(json.dumps(entry, sort_keys=True) + "\n"
+                                 for entry in result.entries))
     _emit_json(None, {"best_epoch": result.best_epoch,
                       "best_valid_ndcg": result.best_valid_ndcg,
                       "epochs_run": len(result.entries),
@@ -199,18 +237,7 @@ def cmd_train(args, cfg):
 
 
 def cmd_evaluate(args, cfg):
-    split = _load_split(cfg, args.data)
-    id_table = load_external(args.id)
-    text_table = load_external(args.text)
-    graph = load_graph(args.graph) if args.graph else None
-    model, header = load_checkpoint(args.checkpoint, id_table, text_table, graph=graph)
-    named = {"run-config": fingerprint(cfg),
-             "id-embeddings": id_table.fingerprint,
-             "text-embeddings": text_table.fingerprint,
-             "checkpoint": header.get("fingerprint", "")}
-    if graph is not None:
-        named["graph"] = graph.fingerprint
-    _check_fingerprints(named, args.force)
+    split, _, model = _checked_model(args, cfg)
     report = evaluate(model, split, phase=args.phase, seed=cfg["eval"]["seed"],
                       k=cfg["eval"]["k"], n_candidates=cfg["eval"]["n_candidates"])
     payload = {"metrics": {"ndcg": report.ndcg, "recall": report.recall,
@@ -225,41 +252,38 @@ def cmd_evaluate(args, cfg):
                                 for name, rep in floors.items()}
     _emit_json(args.out, payload)
     if args.per_user:
-        _atomic(args.per_user, lambda tmp: report.per_user_csv(tmp))
+        _write_csv(args.per_user, ("user", "rank", "ndcg", "recall"), report.per_user)
     return 0
 
 
 def cmd_analyze(args, cfg):
-    split = _load_split(cfg, args.data)
-    id_table = load_external(args.id)
-    text_table = load_external(args.text)
-    graph = load_graph(args.graph)
+    split, graph, model = _checked_model(args, cfg)
     fp = fingerprint(cfg)
     modes = {"on": [True], "off": [False], "both": [True, False]}[args.tfm]
     sequences = split.windows()
     summary = {"fingerprint": fp, "config": cfg, "modes": {}}
-    if args.checkpoint:
-        model, _ = load_checkpoint(args.checkpoint, id_table, text_table, graph=graph)
-    else:
-        model = build_model(cfg, id_table, text_table, graph=graph)
     for enabled in modes:
         model.backbone.tfm_enabled = enabled
         profile = trace_spectral_profile(model, sequences, graph,
-                                         n_bands=cfg["analysis"]["n_bands"],
-                                         fingerprint=fp)
+                                         n_bands=cfg["analysis"]["n_bands"])
         mode = "on" if enabled else "off"
         base = f"{args.out_prefix}_tfm-{mode}_{fp}"
-        _atomic(base + ".csv", lambda tmp: emit_report(profile, tmp, format="csv"))
-        _atomic(base + ".json", lambda tmp: emit_report(profile, tmp, format="json"))
+        raw, shares = profile.raw.tolist(), profile.shares().tolist()
+        _write_csv(base + ".csv", ("layer", "band", "energy", "share"),
+                   [(l, b, raw[l][b], shares[l][b]) for l, b in np.ndindex(profile.raw.shape)])
+        _write_json(base + ".json", {"n_bands": profile.n_bands,
+                                     "user_count": profile.user_count,
+                                     "skipped_short": profile.skipped_short,
+                                     "skipped_degenerate": profile.skipped_degenerate,
+                                     "fingerprint": fp, "raw": raw, "share": shares})
         att = attenuation_metric(profile)
-        shares = profile.shares()
         summary["modes"][mode] = {
             "profile_csv": base + ".csv",
             "users": profile.user_count,
             "skipped_short": profile.skipped_short,
             "skipped_degenerate": profile.skipped_degenerate,
-            "band1_input_share": float(shares[0, 0]),
-            "band1_final_share": float(shares[-1, 0]),
+            "band1_input_share": shares[0][0],
+            "band1_final_share": shares[-1][0],
             "attenuation": att.band_summary(),
         }
     _emit_json(args.out, summary)
@@ -272,8 +296,7 @@ def cmd_theorem_probe(args, cfg):
     report = theorem1_probe(spec, args.family, rho=a["theorem_rho"],
                             t_range=(a["theorem_t_min"], a["theorem_t_max"]),
                             trials=a["theorem_trials"], seed=a["theorem_seed"])
-    _atomic(args.out, lambda tmp: emit_report(report, tmp, format="json"))
-    _emit_json(None, report.to_dict())
+    _emit_json(args.out, report.to_dict())
     return 0
 
 
@@ -284,10 +307,7 @@ def cmd_sweep(args, cfg):
             values.append(float(token))
         except ValueError:
             raise InputError(f"--values: {token!r} is not a number") from None
-    split = _load_split(cfg, args.data)
-    id_table = load_external(args.id)
-    text_table = load_external(args.text)
-    graph = load_graph(args.graph) if args.graph else None
+    split, id_table, text_table, graph = _inputs(args, cfg)
     if args.param == "alpha" and graph is None:
         raise InputError("alpha sweep needs --graph")
     rows = []
@@ -309,14 +329,7 @@ def cmd_sweep(args, cfg):
                           k=run_cfg["eval"]["k"],
                           n_candidates=run_cfg["eval"]["n_candidates"])
         rows.append((value, report.ndcg, report.recall))
-
-    def write_rows(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"{args.param},ndcg,recall\n")
-            for value, ndcg, recall in rows:
-                fh.write(f"{value!r},{ndcg!r},{recall!r}\n")
-
-    _atomic(args.out, write_rows)
+    _write_csv(args.out, (args.param, "ndcg", "recall"), rows)
     _emit_json(None, {"param": args.param,
                       "rows": [{args.param: v, "ndcg": n, "recall": r}
                                for v, n, r in rows],
@@ -340,6 +353,13 @@ def build_parser():
                         help="stderr log verbosity: info adds pretrain epochs and the "
                              "length buckets of evaluate and analyze")
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = _Parser(add_help=False)
+    inputs.add_argument("--data", required=True)
+    inputs.add_argument("--id", required=True)
+    inputs.add_argument("--text", required=True)
+    force = _Parser(add_help=False)
+    force.add_argument("--force", action="store_true",
+                       help="skip the config-fingerprint consistency check")
 
     p = sub.add_parser("synth", help="generate a locality-controlled interaction log")
     p.add_argument("--out", required=True)
@@ -377,33 +397,25 @@ def build_parser():
     p.add_argument("--alpha", dest="alias_glpf_alpha")
     p.set_defaults(fn=cmd_glpf)
 
-    p = sub.add_parser("train", help="train the fusion MLP against a frozen backbone")
-    p.add_argument("--data", required=True)
-    p.add_argument("--id", required=True)
-    p.add_argument("--text", required=True)
+    p = sub.add_parser("train", parents=[inputs],
+                       help="train the fusion MLP against a frozen backbone")
     p.add_argument("--graph", help="needed when glpf.apply_to=fused")
     p.add_argument("--out", required=True)
     p.add_argument("--log")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("evaluate", help="leave-one-out ranking metrics")
-    p.add_argument("--data", required=True)
-    p.add_argument("--id", required=True)
-    p.add_argument("--text", required=True)
+    p = sub.add_parser("evaluate", parents=[inputs, force],
+                       help="leave-one-out ranking metrics")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph")
     p.add_argument("--phase", choices=["valid", "test"], default="test")
     p.add_argument("--out")
     p.add_argument("--per-user")
     p.add_argument("--with-baselines", action="store_true")
-    p.add_argument("--force", action="store_true",
-                   help="skip the config-fingerprint consistency check")
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("analyze", help="layer-wise band-energy profiles")
-    p.add_argument("--data", required=True)
-    p.add_argument("--id", required=True)
-    p.add_argument("--text", required=True)
+    p = sub.add_parser("analyze", parents=[inputs, force],
+                       help="layer-wise band-energy profiles")
     p.add_argument("--graph", required=True)
     p.add_argument("--checkpoint")
     p.add_argument("--tfm", choices=["on", "off", "both"], default="both")
@@ -418,12 +430,10 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_theorem_probe)
 
-    p = sub.add_parser("sweep", help="grid over alpha or cutoff: filter+train+evaluate")
+    p = sub.add_parser("sweep", parents=[inputs],
+                       help="grid over alpha or cutoff: filter+train+evaluate")
     p.add_argument("--param", choices=["alpha", "cutoff"], required=True)
     p.add_argument("--values", required=True, help="comma-separated grid values")
-    p.add_argument("--data", required=True)
-    p.add_argument("--id", required=True)
-    p.add_argument("--text", required=True)
     p.add_argument("--graph")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sweep)

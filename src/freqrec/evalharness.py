@@ -72,12 +72,6 @@ class MetricsReport:
     n_excluded: int
     per_user: list          # (user, rank, ndcg, recall)
 
-    def per_user_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("user,rank,ndcg,recall\n")
-            for user, rank, ndcg, recall in self.per_user:
-                fh.write(f"{user},{rank},{ndcg!r},{recall!r}\n")
-
 
 def _aggregate(split, users, metrics, k, phase):
     ndcg, recall, rank = metrics

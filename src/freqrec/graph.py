@@ -10,6 +10,7 @@ local T x T blocks come out of one vectorized searchsorted pass.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,6 +191,8 @@ def save_graph(graph, path):
 
 
 def load_graph(path):
+    """The graph save_graph wrote.  Every line must hold an i < j pair of
+    items in [0, n_items), not seen before, with a finite weight > 0."""
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -201,7 +204,7 @@ def load_graph(path):
             nnz = int(header["nnz"])
         except (ValueError, KeyError) as exc:
             raise InputError(f"malformed graph header in {path}: {exc}") from exc
-        up_r, up_c, up_w = [], [], []
+        up_r, up_c, up_w, seen = [], [], [], set()
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -212,6 +215,15 @@ def load_graph(path):
                 i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
+            if not (0 <= i < n and 0 <= j < n):
+                raise InputError(f"{path}:{lineno}: item index outside [0, {n})")
+            if i >= j:
+                raise InputError(f"{path}:{lineno}: pair ({i}, {j}) is not i < j")
+            if not (w > 0.0 and math.isfinite(w)):
+                raise InputError(f"{path}:{lineno}: weight {w!r} is not finite and > 0")
+            if (i, j) in seen:
+                raise InputError(f"{path}:{lineno}: pair ({i}, {j}) repeated")
+            seen.add((i, j))
             up_r.append(i)
             up_c.append(j)
             up_w.append(w)

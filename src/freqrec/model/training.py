@@ -160,13 +160,8 @@ class TrainResult:
     best_valid_ndcg: float
     aborted: bool = False
 
-    def write_log(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
-
-def train(model, split, config=TrainConfig(), log_path=None):
+def train(model, split, config=TrainConfig()):
     """Train the fusion MLP in place; other components never change.
 
     Each epoch shuffles users and applies one optimizer step per batch:
@@ -249,16 +244,14 @@ def train(model, split, config=TrainConfig(), log_path=None):
 
     for p, b in zip(params, best):
         p[...] = b
-    result = TrainResult(entries=entries, best_epoch=best_epoch,
-                         best_valid_ndcg=(best_metric if np.isfinite(best_metric) else 0.0),
-                         aborted=aborted)
-    if log_path is not None:
-        result.write_log(log_path)
-    return result
+    return TrainResult(entries=entries, best_epoch=best_epoch,
+                       best_valid_ndcg=(best_metric if np.isfinite(best_metric) else 0.0),
+                       aborted=aborted)
 
 
 CHECKPOINT_MAGIC = b"FRQR\x01"
 CHECKPOINT_FORMAT = 2
+CHECKPOINT_KEYS = ("n_items", "d_id", "d_text", "mlp", "backbone", "token_filter")
 
 
 def save_checkpoint(model, path, fingerprint="", extra=None):
@@ -302,12 +295,20 @@ def load_checkpoint(path, id_table, text_table, graph=None):
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise InputError(f"{path}: not a checkpoint (bad magic bytes)")
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:
+            raise InputError(f"{path}: malformed checkpoint header: {exc}") from exc
         blob = fh.read()
+    if not isinstance(header, dict):
+        raise InputError(f"{path}: malformed checkpoint header: not a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise InputError(f"{path}: unsupported checkpoint format {header.get('format')} "
                          f"(this version reads format {CHECKPOINT_FORMAT}; re-train "
                          "the model to write one)")
+    missing = [key for key in CHECKPOINT_KEYS if key not in header]
+    if missing:
+        raise InputError(f"{path}: malformed checkpoint header: no {', '.join(missing)}")
     if header["n_items"] != id_table.n_items:
         raise InputError(
             f"{path}: checkpoint covers {header['n_items']} items, tables have "

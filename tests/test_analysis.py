@@ -1,15 +1,11 @@
 """Spectral profile, attenuation and theorem-probe tests."""
 
-import json
-
 import numpy as np
 import pytest
 
 from freqrec.analysis import (
     SpectralProfile,
     attenuation_metric,
-    emit_report,
-    load_profile_json,
     profile_from_trace,
     theorem1_probe,
     trace_spectral_profile,
@@ -200,47 +196,3 @@ class TestTheoremProbe:
     def test_bad_rho(self):
         with pytest.raises(InputError):
             theorem1_probe(ButterworthSpec(0.3, 2), "locality", rho=1.5, trials=10)
-
-
-class TestEmit:
-    def test_profile_csv_rows(self, tmp_path):
-        profile = SpectralProfile(raw=np.array([[1.0, 2.0], [3.0, 4.0]]),
-                                  n_bands=2, user_count=3)
-        path = tmp_path / "profile.csv"
-        emit_report(profile, path, format="csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "layer,band,energy,share"
-        assert len(lines) == 5
-
-    def test_reemit_byte_identical(self, tmp_path):
-        profile = SpectralProfile(raw=np.array([[1.0, 2.0], [3.0, 4.0]]) / 3.0,
-                                  n_bands=2, user_count=3)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_report(profile, p1, format="csv")
-        emit_report(profile, p2, format="csv")
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_json_roundtrip_full_precision(self, tmp_path):
-        rng = np.random.default_rng(0)
-        raw = rng.random((3, 4))
-        profile = SpectralProfile(raw=raw, n_bands=4, user_count=7,
-                                  fingerprint="fp")
-        path = tmp_path / "profile.json"
-        emit_report(profile, path, format="json")
-        loaded, payload = load_profile_json(path)
-        np.testing.assert_array_equal(loaded.raw, raw)
-        assert loaded.user_count == 7
-        assert loaded.fingerprint == "fp"
-
-    def test_theorem_report_json(self, tmp_path):
-        report = theorem1_probe(ButterworthSpec(0.3, 2), "ring", trials=20, seed=3)
-        path = tmp_path / "thm.json"
-        emit_report(report, path, format="json")
-        payload = json.loads(path.read_text())
-        assert payload["trials"] == 20
-        assert payload["threshold"] == report.threshold
-
-    def test_bad_format(self, tmp_path):
-        profile = SpectralProfile(raw=np.ones((2, 2)), n_bands=2, user_count=1)
-        with pytest.raises(InputError):
-            emit_report(profile, tmp_path / "x", format="yaml")

@@ -11,7 +11,7 @@ import pytest
 
 from freqrec import cli
 from freqrec import dataset as ds
-from freqrec.analysis import trace_spectral_profile
+from freqrec.analysis import THEOREM1_PILOT_THRESHOLD, trace_spectral_profile
 from freqrec.cli import main
 from freqrec.config import DEFAULTS, fingerprint, load_config
 from freqrec.errors import InputError
@@ -121,7 +121,7 @@ class TestStages:
             with open(csv_path) as fh:
                 assert fh.readline().strip() == "layer,band,energy,share"
 
-    def test_theorem_probe(self, tmp_path, workdir):
+    def test_theorem_probe(self, tmp_path, workdir, capsys):
         out = tmp_path / "thm.json"
         code = run(["--config", workdir["config"],
                     "theorem-probe", "--family", "ring", "--out", str(out)])
@@ -129,6 +129,8 @@ class TestStages:
         payload = json.loads(out.read_text())
         assert payload["violations_rayleigh"] == 0
         assert payload["trials"] == 50
+        assert payload["threshold"] == THEOREM1_PILOT_THRESHOLD
+        assert capsys.readouterr().out == out.read_text() + "\n"
 
     def test_sweep_cutoff(self, tmp_path, workdir):
         out = tmp_path / "sweep.csv"
@@ -143,13 +145,16 @@ class TestStages:
 
     def test_csv_cells_are_plain_numbers(self, tmp_path, workdir):
         base = ["--config", workdir["config"]]
-        per_user = tmp_path / "per_user.csv"
+        per_user, metrics = tmp_path / "per_user.csv", tmp_path / "metrics.json"
         assert run(base + ["analyze", "--data", workdir["data"], "--id", workdir["id_filtered"],
                            "--text", workdir["text"], "--graph", workdir["graph"],
                            "--tfm", "on", "--out-prefix", str(tmp_path / "profile")]) == 0
         assert run(base + ["evaluate", "--data", workdir["data"], "--id", workdir["id_filtered"],
                            "--text", workdir["text"], "--checkpoint", workdir["ckpt"],
-                           "--per-user", str(per_user)]) == 0
+                           "--per-user", str(per_user), "--out", str(metrics)]) == 0
+        lines = per_user.read_text().splitlines()
+        assert lines[0] == "user,rank,ndcg,recall"
+        assert len(lines) == json.loads(metrics.read_text())["metrics"]["n_users"] + 1
         profile, = tmp_path.glob("profile_tfm-on_*.csv")
         for path in (profile, per_user):
             rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
@@ -184,6 +189,71 @@ class TestStages:
         run(["--config", workdir["config"],
              "ingest", "--input", str(out), "--out", str(out2)])
         assert out.read_bytes() == out2.read_bytes()
+
+
+class TestAnalyze:
+    @staticmethod
+    def analyze(workdir, out_dir, *flags, setting=None, checkpoint=True):
+        return run(["--config", workdir["config"], *(["--set", setting] if setting else []),
+                    "analyze", "--data", workdir["data"], "--id", workdir["id_filtered"],
+                    "--text", workdir["text"], "--graph", workdir["graph"],
+                    *(["--checkpoint", workdir["ckpt"]] if checkpoint else []),
+                    "--out-prefix", str(out_dir / "p"), "--out", str(out_dir / "a.json"),
+                    *flags])
+
+    def test_refuses_a_checkpoint_of_another_config(self, tmp_path, workdir, capsys):
+        assert self.analyze(workdir, tmp_path, setting="backbone.layers=3") == 1
+        err = capsys.readouterr().err
+        ours = fingerprint(load_config(workdir["config"], {"backbone.layers": "3"}))
+        theirs = fingerprint(load_config(workdir["config"]))
+        assert "config fingerprints disagree" in err
+        assert f"run-config={ours}" in err and f"checkpoint={theirs}" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_force_uses_them_anyway(self, tmp_path, workdir):
+        assert self.analyze(workdir, tmp_path, "--force", setting="backbone.layers=3") == 0
+        assert json.loads((tmp_path / "a.json").read_text())["modes"]
+
+    def test_refuses_tables_of_another_width(self, tmp_path, workdir, capsys):
+        assert self.analyze(workdir, tmp_path, "--force", setting="model.d_id=8",
+                            checkpoint=False) == 1
+        err = capsys.readouterr().err
+        assert "dimension 16" in err and "required 8" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_profiles(self, tmp_path, workdir):
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out_dir in runs:
+            out_dir.mkdir()
+            assert self.analyze(workdir, out_dir, checkpoint=False) == 0
+        cfg = load_config(workdir["config"])
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir())
+        for name in names:
+            if name != "a.json":        # the summary names its own paths
+                assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+        graph = load_graph(workdir["graph"])
+        model = build_model(cfg, load_external(workdir["id_filtered"]),
+                            load_external(workdir["text"]), graph=graph)
+        split = ds.build_split(ds.ingest(workdir["data"]))
+        n_bands = cfg["analysis"]["n_bands"]
+        for mode, enabled in (("on", True), ("off", False)):
+            model.backbone.tfm_enabled = enabled
+            raw = trace_spectral_profile(model, split.windows(), graph, n_bands=n_bands).raw
+            base = runs[0] / f"p_tfm-{mode}_{fingerprint(cfg)}"
+            lines = base.with_suffix(".csv").read_text().splitlines()
+            assert lines[0] == "layer,band,energy,share"
+            assert len(lines) == 1 + (cfg["backbone"]["layers"] + 1) * n_bands
+            assert np.array_equal(json.loads(base.with_suffix(".json").read_text())["raw"], raw)
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest", "build-graph", "pretrain", "glpf",
+                                     "train", "evaluate", "analyze", "theorem-probe",
+                                     "sweep"])
+def test_help(command, capsys):
+    assert run([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: freqrec {command}")
 
 
 FUSED = ["--set", "glpf.apply_to=fused", "--set", "glpf.alpha=0.8",

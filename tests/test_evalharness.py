@@ -210,15 +210,6 @@ class TestEvaluateAndBaselines:
         r2 = evaluate(model, split, phase="valid", seed=2, n_candidates=30)
         assert r1 == r2
 
-    def test_per_user_csv(self, split, tmp_path):
-        model = small_model(split)
-        report = evaluate(model, split, phase="valid", seed=2, n_candidates=30)
-        path = tmp_path / "per_user.csv"
-        report.per_user_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "user,rank,ndcg,recall"
-        assert len(lines) == report.n_users + 1
-
 
 def per_sequence_rows(model, split, phase, seed, n_candidates, k=10):
     """The reference: one forward per user, in user order."""

@@ -1,5 +1,7 @@
 """Co-occurrence graph and local subgraph tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -211,9 +213,28 @@ class TestGraphIO:
         np.testing.assert_array_equal(loaded.cols, graph.cols)
         np.testing.assert_allclose(loaded.weights, graph.weights)
         np.testing.assert_allclose(loaded.degrees, graph.degrees)
+        assert loaded.digest() == graph.digest()
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("not json\n0\t1\t2\n")
         with pytest.raises(InputError):
+            load_graph(path)
+
+    @pytest.mark.parametrize("line, reason", [
+        ("0\t5\t1.0", "outside"),
+        ("-1\t3\t1.0", "outside"),
+        ("2\t2\t1.0", "not i < j"),
+        ("3\t1\t1.0", "not i < j"),
+        ("0\t1\t2.0", "repeated"),
+        ("1\t3\tnan", "weight"),
+        ("1\t3\tinf", "weight"),
+        ("1\t3\t0.0", "weight"),
+        ("1\t3\t-2.0", "weight"),
+    ])
+    def test_bad_line_named(self, tmp_path, line, reason):
+        # a 5-item graph whose third line is the bad one
+        path = tmp_path / "bad.tsv"
+        path.write_text('{"n_items": 5, "nnz": 2}\n0\t1\t1.0\n' + line + "\n")
+        with pytest.raises(InputError, match=re.escape(f"{path}:3: ") + f".*{reason}"):
             load_graph(path)

@@ -691,3 +691,11 @@ class TestCheckpointRecipe:
         path.write_bytes(CHECKPOINT_MAGIC + json.dumps(old).encode() + b"\n" + weights)
         with pytest.raises(InputError, match="re-train"):
             load_checkpoint(path, model.id_table, model.text_table)
+
+    @pytest.mark.parametrize("header", [b"{not json", b'{"format": 2}', b"[2]"])
+    def test_malformed_header_is_an_input_error(self, synth_split, tmp_path, header):
+        model = small_model(synth_split)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + header + b"\n")
+        with pytest.raises(InputError, match="malformed checkpoint header"):
+            load_checkpoint(path, model.id_table, model.text_table)
