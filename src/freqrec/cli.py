@@ -5,9 +5,10 @@ analyze, theorem-probe, sweep.  Every command reads a JSON config
 (defaults apply when none is given), accepts dotted overrides via
 --set section.key=value, stamps the config fingerprint into each artifact
 it writes, and embeds the fully explicit effective config into its JSON
-outputs.  Outputs are written atomically, so a failing command leaves no
-partial files.  Exit codes: 0 success, 1 input/capability error, 2
-numeric or training error.  Log records (`--log-level`) go to stderr
+outputs.  Outputs are all-or-nothing: a command writes each file as
+`<path>.part` and renames them only when all were written, so a failing
+command leaves none of its files, whole or partial.  Exit codes: 0
+success, 1 input/capability error, 2 numeric or training error.  Log records (`--log-level`) go to stderr
 only, never into an artifact or the fingerprint.
 
 The model commands (train, evaluate, analyze, sweep) load their inputs
@@ -16,7 +17,7 @@ widths (model.d_id, model.d_text).  evaluate and analyze get their model
 through one more, which refuses artifacts whose fingerprints disagree
 with the run config unless --force is given.  Every number file is
 written here, by one CSV writer (cells are the repr of Python ints and
-floats) and one sorted-key JSON writer.
+floats) and one sorted-key JSON writer (`_Outputs`).
 """
 
 import argparse
@@ -61,36 +62,45 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _atomic(path, writer):
-    tmp = f"{path}.part"
-    try:
+class _Outputs:
+    """The files one command writes, all-or-nothing.  Each goes to
+    `<path>.part`; `commit` renames them all once the command has returned,
+    and `discard` removes whatever is left."""
+
+    def __init__(self):
+        self.parts = {}         # final path -> its .part file
+
+    def write(self, path, writer):
+        tmp = f"{path}.part"
+        self.parts[path] = tmp
         writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
+    def text(self, path, text):
+        self.write(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
 
-def _write(path, text):
-    _atomic(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
+    def csv(self, path, header, rows):
+        """One line per row, each cell its repr, under a header line when
+        one is given."""
+        lines = ([",".join(header)] if header else []) + [",".join(map(repr, r)) for r in rows]
+        self.text(path, "".join(line + "\n" for line in lines))
 
+    def json(self, path, payload):
+        self.text(path, json.dumps(payload, sort_keys=True))
 
-def _write_csv(path, header, rows):
-    """One line per row of Python ints and floats, each cell its repr,
-    under a header line when one is given."""
-    lines = ([",".join(header)] if header else []) + [",".join(map(repr, r)) for r in rows]
-    _write(path, "".join(line + "\n" for line in lines))
+    def emit(self, path, payload):
+        """The payload to `path` when one is given, and to stdout."""
+        if path:
+            self.json(path, payload)
+        print(json.dumps(payload, sort_keys=True))
 
+    def commit(self):
+        for path, tmp in self.parts.items():
+            os.replace(tmp, path)
 
-def _write_json(path, payload):
-    _write(path, json.dumps(payload, sort_keys=True))
-
-
-def _emit_json(path, payload):
-    if path:
-        _write_json(path, payload)
-    print(json.dumps(payload, sort_keys=True))
+    def discard(self):
+        for tmp in self.parts.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _load_split(cfg, data_path):
@@ -149,41 +159,41 @@ def _checked_model(args, cfg):
     return split, graph, model
 
 
-def cmd_synth(args, cfg):
+def cmd_synth(args, cfg, files):
     log, affinity = ds.synthesize(ds.SynthConfig(**cfg["synth"]))
-    _atomic(args.out, lambda tmp: ds.write_tsv(log, tmp))
+    files.write(args.out, lambda tmp: ds.write_tsv(log, tmp))
     if args.affinity_out:
-        _write_csv(args.affinity_out, None, affinity.tolist())
-    _emit_json(args.summary, {"events": log.n_events,
+        files.csv(args.affinity_out, None, affinity.tolist())
+    files.emit(args.summary, {"events": log.n_events,
                               "fingerprint": fingerprint(cfg), "config": cfg})
     return 0
 
 
-def cmd_ingest(args, cfg):
+def cmd_ingest(args, cfg, files):
     log = ds.ingest(args.input, format=args.format or cfg["dataset"]["format"])
     split = ds.build_split(log, min_interactions=cfg["dataset"]["min_interactions"],
                            max_seq_len=cfg["dataset"]["max_seq_len"])
     if args.out:
-        _atomic(args.out, lambda tmp: ds.write_tsv(log, tmp))
+        files.write(args.out, lambda tmp: ds.write_tsv(log, tmp))
     payload = split.summary()
     payload["filter_trace"] = split.filter_trace
     payload["fingerprint"] = fingerprint(cfg)
     payload["config"] = cfg
-    _emit_json(args.summary, payload)
+    files.emit(args.summary, payload)
     return 0
 
 
-def cmd_build_graph(args, cfg):
+def cmd_build_graph(args, cfg, files):
     split = _load_split(cfg, args.data)
     graph = build_cooccurrence(split)
     graph.fingerprint = fingerprint(cfg)
-    _atomic(args.out, lambda tmp: save_graph(graph, tmp))
-    _emit_json(None, {"n_items": graph.n_items, "nnz": graph.nnz // 2,
+    files.write(args.out, lambda tmp: save_graph(graph, tmp))
+    files.emit(None, {"n_items": graph.n_items, "nnz": graph.nnz // 2,
                       "fingerprint": graph.fingerprint})
     return 0
 
 
-def cmd_pretrain(args, cfg):
+def cmd_pretrain(args, cfg, files):
     split = _load_split(cfg, args.data)
     id_table, losses = pretrain_id_embeddings(
         split, PretrainConfig(**cfg["pretrain"], dim=cfg["model"]["d_id"]))
@@ -191,15 +201,15 @@ def cmd_pretrain(args, cfg):
                                            seed=cfg["pretrain"]["seed"])
     id_table.fingerprint = fingerprint(cfg)
     text_table.fingerprint = fingerprint(cfg)
-    _atomic(args.out_id, lambda tmp: save_table(id_table, tmp))
-    _atomic(args.out_text, lambda tmp: save_table(text_table, tmp))
-    _emit_json(None, {"losses": losses, "fingerprint": id_table.fingerprint,
+    files.write(args.out_id, lambda tmp: save_table(id_table, tmp))
+    files.write(args.out_text, lambda tmp: save_table(text_table, tmp))
+    files.emit(None, {"losses": losses, "fingerprint": id_table.fingerprint,
                       "id_stats": id_table.norm_stats(),
                       "text_stats": text_table.norm_stats()})
     return 0
 
 
-def cmd_glpf(args, cfg):
+def cmd_glpf(args, cfg, files):
     graph = load_graph(args.graph)
     table = load_external(args.embeddings)
     if table.n_items != graph.n_items:
@@ -211,24 +221,24 @@ def cmd_glpf(args, cfg):
     if not filters_tokens(cfg["glpf"]) and cfg["glpf"]["enabled"]:
         table.rows = polynomial_filter(graph, spec, table.rows)
     table.fingerprint = fingerprint(cfg)
-    _atomic(args.out, lambda tmp: save_table(table, tmp))
-    _emit_json(None, {"enabled": cfg["glpf"]["enabled"],
+    files.write(args.out, lambda tmp: save_table(table, tmp))
+    files.emit(None, {"enabled": cfg["glpf"]["enabled"],
                       "coefficients": list(spec.coefficients),
                       "fingerprint": table.fingerprint})
     return 0
 
 
-def cmd_train(args, cfg):
+def cmd_train(args, cfg, files):
     split, id_table, text_table, graph = _inputs(args, cfg)
     model = build_model(cfg, id_table, text_table, graph=graph)
     result = train(model, split, _train_config(cfg))
-    _atomic(args.out, lambda tmp: save_checkpoint(model, tmp,
-                                                  fingerprint=fingerprint(cfg),
-                                                  extra={"config": cfg}))
+    files.write(args.out, lambda tmp: save_checkpoint(model, tmp,
+                                                      fingerprint=fingerprint(cfg),
+                                                      extra={"config": cfg}))
     if args.log:
-        _write(args.log, "".join(json.dumps(entry, sort_keys=True) + "\n"
-                                 for entry in result.entries))
-    _emit_json(None, {"best_epoch": result.best_epoch,
+        files.text(args.log, "".join(json.dumps(entry, sort_keys=True) + "\n"
+                                     for entry in result.entries))
+    files.emit(None, {"best_epoch": result.best_epoch,
                       "best_valid_ndcg": result.best_valid_ndcg,
                       "epochs_run": len(result.entries),
                       "aborted": result.aborted,
@@ -236,7 +246,7 @@ def cmd_train(args, cfg):
     return 2 if result.aborted else 0
 
 
-def cmd_evaluate(args, cfg):
+def cmd_evaluate(args, cfg, files):
     split, _, model = _checked_model(args, cfg)
     report = evaluate(model, split, phase=args.phase, seed=cfg["eval"]["seed"],
                       k=cfg["eval"]["k"], n_candidates=cfg["eval"]["n_candidates"])
@@ -250,13 +260,13 @@ def cmd_evaluate(args, cfg):
                            k=cfg["eval"]["k"], n_candidates=cfg["eval"]["n_candidates"])
         payload["baselines"] = {name: {"ndcg": rep.ndcg, "recall": rep.recall}
                                 for name, rep in floors.items()}
-    _emit_json(args.out, payload)
+    files.emit(args.out, payload)
     if args.per_user:
-        _write_csv(args.per_user, ("user", "rank", "ndcg", "recall"), report.per_user)
+        files.csv(args.per_user, ("user", "rank", "ndcg", "recall"), report.per_user)
     return 0
 
 
-def cmd_analyze(args, cfg):
+def cmd_analyze(args, cfg, files):
     split, graph, model = _checked_model(args, cfg)
     fp = fingerprint(cfg)
     modes = {"on": [True], "off": [False], "both": [True, False]}[args.tfm]
@@ -269,13 +279,13 @@ def cmd_analyze(args, cfg):
         mode = "on" if enabled else "off"
         base = f"{args.out_prefix}_tfm-{mode}_{fp}"
         raw, shares = profile.raw.tolist(), profile.shares().tolist()
-        _write_csv(base + ".csv", ("layer", "band", "energy", "share"),
-                   [(l, b, raw[l][b], shares[l][b]) for l, b in np.ndindex(profile.raw.shape)])
-        _write_json(base + ".json", {"n_bands": profile.n_bands,
-                                     "user_count": profile.user_count,
-                                     "skipped_short": profile.skipped_short,
-                                     "skipped_degenerate": profile.skipped_degenerate,
-                                     "fingerprint": fp, "raw": raw, "share": shares})
+        files.csv(base + ".csv", ("layer", "band", "energy", "share"),
+                  [(l, b, raw[l][b], shares[l][b]) for l, b in np.ndindex(profile.raw.shape)])
+        files.json(base + ".json", {"n_bands": profile.n_bands,
+                                    "user_count": profile.user_count,
+                                    "skipped_short": profile.skipped_short,
+                                    "skipped_degenerate": profile.skipped_degenerate,
+                                    "fingerprint": fp, "raw": raw, "share": shares})
         att = attenuation_metric(profile)
         summary["modes"][mode] = {
             "profile_csv": base + ".csv",
@@ -286,21 +296,21 @@ def cmd_analyze(args, cfg):
             "band1_final_share": shares[-1][0],
             "attenuation": att.band_summary(),
         }
-    _emit_json(args.out, summary)
+    files.emit(args.out, summary)
     return 0
 
 
-def cmd_theorem_probe(args, cfg):
+def cmd_theorem_probe(args, cfg, files):
     a = cfg["analysis"]
     spec = None if args.identity else ButterworthSpec.from_config(cfg["tfm"])
     report = theorem1_probe(spec, args.family, rho=a["theorem_rho"],
                             t_range=(a["theorem_t_min"], a["theorem_t_max"]),
                             trials=a["theorem_trials"], seed=a["theorem_seed"])
-    _emit_json(args.out, report.to_dict())
+    files.emit(args.out, report.to_dict())
     return 0
 
 
-def cmd_sweep(args, cfg):
+def cmd_sweep(args, cfg, files):
     values = []
     for token in args.values.split(","):
         try:
@@ -329,8 +339,8 @@ def cmd_sweep(args, cfg):
                           k=run_cfg["eval"]["k"],
                           n_candidates=run_cfg["eval"]["n_candidates"])
         rows.append((value, report.ndcg, report.recall))
-    _write_csv(args.out, (args.param, "ndcg", "recall"), rows)
-    _emit_json(None, {"param": args.param,
+    files.csv(args.out, (args.param, "ndcg", "recall"), rows)
+    files.emit(None, {"param": args.param,
                       "rows": [{args.param: v, "ndcg": n, "recall": r}
                                for v, n, r in rows],
                       "fingerprint": fingerprint(cfg)})
@@ -451,6 +461,7 @@ def main(argv=None):
     handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
     package_log.addHandler(handler)
     package_log.propagate = False
+    files = _Outputs()
     try:
         args = parser.parse_args(argv)
         package_log.setLevel(args.log_level.upper())
@@ -465,7 +476,9 @@ def main(argv=None):
             if name.startswith("alias_") and value is not None:
                 section, _, key = name[len("alias_"):].partition("_")
                 overrides[f"{section}.{key}"] = value
-        return args.fn(args, load_config(args.config, overrides))
+        code = args.fn(args, load_config(args.config, overrides), files)
+        files.commit()
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except NumericError as exc:
@@ -478,6 +491,7 @@ def main(argv=None):
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
     finally:
+        files.discard()
         package_log.removeHandler(handler)
         package_log.setLevel(level)
         package_log.propagate = propagate

@@ -12,12 +12,21 @@ input alone (layer norm, attention, the FFN and the temporal filter,
 backwards through the layers).  Value-only passes keep nothing.
 
 When temporal filtering is enabled it runs on the full hidden matrix after
-each layer's residual blocks; the filter is linear and self-adjoint, so
-the adjoint applies it once more to the gradient (the causal-safe filter
-applies its transpose).  Note the full-matrix filter intentionally mixes
-information across positions, so strict causality holds only with the
-filter disabled (or in the slower causal-safe mode, which filters each
-prefix separately).
+each layer's residual blocks, as one dense (T, T) operator per length
+(`_filter_operator`, built once per spec, length and mode): the FFT
+filter's own matrix, or the causal-safe prefix matrix.  The forward
+applies `op @ h` and the adjoint its transpose, `op.T @ g`.  At every
+`max_seq_len` in use this matmul costs a fraction of an rfft/irfft pair
+(the two cross near T = 400).  Note the full-matrix filter intentionally
+mixes information across positions, so strict causality holds only with
+the filter disabled (or in the causal-safe mode, whose row t filters the
+prefix up to t alone).
+
+Attention projects each layer's rows once, through the (d, 3d) `wqkv`,
+and runs all heads at once on a head axis (..., H, T, dh).  The kernels
+update their own temporaries in place, with the operations and order of
+the plain expressions, so the values are the same bit for bit; no array
+a capture snapshot holds is ever written.
 
 No positional embeddings: position information enters only through the
 causal mask, which is all the spectral instrumentation needs.
@@ -29,6 +38,7 @@ exact-length buckets need no padding and give each sequence the numbers
 its own forward would.
 """
 
+import functools
 import hashlib
 from dataclasses import asdict, dataclass, field, fields
 
@@ -45,7 +55,11 @@ ACTIVATIONS = ("gelu", "linear")
 # FFN activations at CHUNK_ROWS x ffn_mult * d_model floats per array.
 # Measured on both benchmark workloads: 128 rows gave the fastest pipeline
 # evaluate (3 sequences at T = 40); 256 and more cost the analyze workload
-# about 10% in peak memory for no speed.
+# about 10% in peak memory.  Re-measured with the fused layer kernels (12
+# alternating in-process runs, 2-core box): pipeline evaluate 0.31, 0.27,
+# 0.27 and 0.28 s at 64, 128, 256 and 512 rows; analyze 0.24, 0.22, 0.19
+# and 0.19 s.  256 would buy analyze about 10% but regroups its per-chunk
+# sums, so it needs its own change.
 CHUNK_ROWS = 128
 
 
@@ -124,6 +138,12 @@ class BackboneLayer:
     def arrays(self):
         return [self.ln1_g, self.ln1_b, self.wq, self.wk, self.wv, self.wo,
                 self.ln2_g, self.ln2_b, self.wf1, self.bf1, self.wf2, self.bf2]
+
+    @functools.cached_property
+    def wqkv(self):
+        """wq, wk and wv side by side, (d, 3d): the layer's one projection,
+        built once because the stack is frozen."""
+        return np.concatenate([self.wq, self.wk, self.wv], axis=1)
 
 
 @dataclass
@@ -211,95 +231,127 @@ def _causal_safe_matrix(spec, t_len):
     return m
 
 
+@functools.lru_cache(maxsize=256)
+def _filter_operator(spec, t_len, causal_safe):
+    """The temporal filter at length T as one read-only (T, T) matrix: the
+    causal-safe prefix matrix, or the FFT filter applied to the identity."""
+    op = (_causal_safe_matrix(spec, t_len) if causal_safe
+          else make_filter(spec, t_len)(np.eye(t_len)))
+    op.flags.writeable = False
+    return op
+
+
 def _mT(x):
     return np.swapaxes(x, -1, -2)
 
 
 def _layer_norm(x, gain, bias, eps=1e-5):
     """Normalization over the last axis with the layer's fixed gain and bias;
-    also returns the (xhat, inv) its adjoint needs."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    also returns the (xhat, inv) its adjoint needs.  It centres once: the
+    means are `x.mean`'s own sum over n, and the variance takes `x.var`'s
+    own steps on the centred rows, which xhat then reuses."""
+    n = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, xhat, inv
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+    return y, xhat, inv
 
 
 def _layer_norm_adjoint(g, gain, xhat, inv):
+    n = xhat.shape[-1]
     gx = g * gain
-    term = (gx - gx.mean(axis=-1, keepdims=True)
-            - xhat * (gx * xhat).sum(axis=-1, keepdims=True) / xhat.shape[-1])
-    return term * inv
+    mean = gx.sum(axis=-1, keepdims=True) / n
+    proj = xhat * (gx * xhat).sum(axis=-1, keepdims=True)
+    proj /= n
+    gx -= mean
+    gx -= proj
+    gx *= inv
+    return gx
 
 
 def _softmax(s):
-    """Row softmax over the last axis, computed with max subtraction."""
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax over the last axis, computed with max subtraction, in
+    place on s."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def _head_views(x, n_heads, parts):
+    """Views (parts, ..., H, T, dh) of a (..., T, parts * H * dh) array: its
+    column blocks, each split into heads.  Writes to a view reach x."""
+    *lead, t_len, width = x.shape
+    x = x.reshape(*lead, t_len, parts, n_heads, width // (parts * n_heads))
+    n = len(lead)
+    return x.transpose(n + 1, *range(n), n + 2, n, n + 3)
 
 
 def _attention(y, layer, n_heads, mask, record):
-    """Causal multi-head self-attention on normalized rows y; with record,
-    also the per-head (q, k, v, probabilities) its adjoint needs."""
-    dh = layer.wq.shape[0] // n_heads
-    scale = float(1.0 / np.sqrt(dh))
-    heads, saved = [], []
-    for h in range(n_heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        q = y @ layer.wq[:, sl]
-        k = y @ layer.wk[:, sl]
-        v = y @ layer.wv[:, sl]
-        p = _softmax((q @ _mT(k)) * scale + mask)
-        heads.append(p @ v)
-        if record:
-            saved.append((q, k, v, p))
-    return np.concatenate(heads, axis=-1) @ layer.wo, saved
+    """Causal multi-head self-attention on normalized rows y, every head in
+    one matmul per step; with record, also the (q, k, v, probabilities)
+    its adjoint needs."""
+    q, k, v = _head_views(y @ layer.wqkv, n_heads, 3)
+    scale = float(1.0 / np.sqrt(q.shape[-1]))
+    p = _softmax((q @ _mT(k)) * scale + mask)
+    heads = np.empty(y.shape)
+    np.matmul(p, v, out=_head_views(heads, n_heads, 1)[0])
+    return heads @ layer.wo, ((q, k, v, p) if record else None)
 
 
 def _attention_adjoint(g_out, layer, saved):
     """Gradient with respect to the attention input rows y."""
-    dh = layer.wq.shape[0] // len(saved)
-    scale = float(1.0 / np.sqrt(dh))
-    g_heads = g_out @ layer.wo.T
-    dq, dk, dv = [], [], []
-    for h, (q, k, v, p) in enumerate(saved):
-        g_h = g_heads[..., h * dh:(h + 1) * dh]
-        g_p = g_h @ _mT(v)
-        g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * scale
-        dq.append(g_s @ k)
-        dk.append(_mT(g_s) @ q)
-        dv.append(_mT(p) @ g_h)
-    return (np.concatenate(dq, axis=-1) @ layer.wq.T
-            + np.concatenate(dk, axis=-1) @ layer.wk.T
-            + np.concatenate(dv, axis=-1) @ layer.wv.T)
+    q, k, v, p = saved
+    n_heads = q.shape[-3]
+    scale = float(1.0 / np.sqrt(q.shape[-1]))
+    g_h = _head_views(g_out @ layer.wo.T, n_heads, 1)[0]
+    g_s = g_h @ _mT(v)
+    g_s -= (g_s * p).sum(axis=-1, keepdims=True)
+    g_s *= p
+    g_s *= scale
+    g_qkv = np.empty(g_out.shape[:-1] + (3 * g_out.shape[-1],))
+    g_q, g_k, g_v = _head_views(g_qkv, n_heads, 3)
+    np.matmul(g_s, k, out=g_q)
+    np.matmul(_mT(g_s), q, out=g_k)
+    np.matmul(_mT(p), g_h, out=g_v)
+    return g_qkv @ layer.wqkv.T
 
 
-def _layer(h, layer, n_heads, mask, tfm, residual, record):
-    """One pre-normalization block, then the temporal filter when tfm is
-    set.  Returns the new state and, with record, what the adjoint needs."""
+def _layer(h, layer, n_heads, mask, op, residual, record):
+    """One pre-normalization block, then the temporal filter operator op
+    when set.  Returns the new state and, with record, what the adjoint
+    needs."""
     y1, xhat1, inv1 = _layer_norm(h, layer.ln1_g, layer.ln1_b)
-    att, heads = _attention(y1, layer, n_heads, mask, record)
+    att, saved = _attention(y1, layer, n_heads, mask, record)
     h = h + att
     y2, xhat2, inv2 = _layer_norm(h, layer.ln2_g, layer.ln2_b)
-    pre = y2 @ layer.wf1 + layer.bf1
+    pre = y2 @ layer.wf1
+    pre += layer.bf1
     act, th = ad.gelu(pre)
-    h = h + (act @ layer.wf2 + layer.bf2)
-    if tfm is not None:
-        filtered = tfm(h)
+    ffn = act @ layer.wf2
+    ffn += layer.bf2
+    ffn += h
+    h = ffn
+    if op is not None:
+        filtered = op @ h
         h = h + filtered if residual else filtered
-    return h, ((xhat1, inv1, heads, xhat2, inv2, pre, th) if record else None)
+    return h, ((xhat1, inv1, saved, xhat2, inv2, pre, th) if record else None)
 
 
-def _layer_adjoint(g, layer, cache, tfm_adjoint, residual):
+def _layer_adjoint(g, layer, cache, op, residual):
     """Gradient with respect to a layer's input state, given the gradient
     with respect to its output."""
-    xhat1, inv1, heads, xhat2, inv2, pre, th = cache
-    if tfm_adjoint is not None:
-        filtered = tfm_adjoint(g)
+    xhat1, inv1, saved, xhat2, inv2, pre, th = cache
+    if op is not None:
+        filtered = op.T @ g
         g = g + filtered if residual else filtered
-    g_pre = (g @ layer.wf2.T) * ad.gelu_slope(pre, th)
+    g_pre = g @ layer.wf2.T
+    g_pre *= ad.gelu_slope(pre, th)
     g = g + _layer_norm_adjoint(g_pre @ layer.wf1.T, layer.ln2_g, xhat2, inv2)
-    return g + _layer_norm_adjoint(_attention_adjoint(g, layer, heads),
+    return g + _layer_norm_adjoint(_attention_adjoint(g, layer, saved),
                                    layer.ln1_g, xhat1, inv1)
 
 
@@ -313,24 +365,12 @@ def backbone_forward(backbone, tokens, capture=False, grad=False):
     h = tokens
     t_len = h.shape[-2]
     mask = np.triu(np.full((t_len, t_len), CAUSAL_MASK_VALUE), k=1)
-    tfm = tfm_adjoint = None
-    if backbone.tfm_enabled:
-        if backbone.tfm_causal_safe:
-            op_matrix = _causal_safe_matrix(backbone.tfm_spec, t_len)
-            op_matrix_t = op_matrix.T.copy()
-
-            def tfm(a):
-                return op_matrix @ a
-
-            def tfm_adjoint(g):
-                return op_matrix_t @ g
-        else:
-            tfm = tfm_adjoint = make_filter(backbone.tfm_spec, t_len)
+    op = (_filter_operator(backbone.tfm_spec, t_len, backbone.tfm_causal_safe)
+          if backbone.tfm_enabled else None)
     snapshots = [h.copy()] if capture else None
     caches = []
     for layer in backbone.layers:
-        h, cache = _layer(h, layer, backbone.n_heads, mask, tfm, backbone.tfm_residual,
-                          grad)
+        h, cache = _layer(h, layer, backbone.n_heads, mask, op, backbone.tfm_residual, grad)
         caches.append(cache)
         if capture:
             snapshots.append(h)
@@ -340,7 +380,7 @@ def backbone_forward(backbone, tokens, capture=False, grad=False):
 
     def vjp(g):
         for layer, cache in zip(reversed(backbone.layers), reversed(caches)):
-            g = _layer_adjoint(g, layer, cache, tfm_adjoint, backbone.tfm_residual)
+            g = _layer_adjoint(g, layer, cache, op, backbone.tfm_residual)
         return g
 
     return h, trace, vjp

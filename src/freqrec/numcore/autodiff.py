@@ -97,8 +97,22 @@ def gelu(x):
 
 def gelu_slope(x, th):
     """Elementwise derivative of gelu at x, given its th."""
-    d_inner = _GELU_C * (1.0 + 3.0 * _GELU_K * x**2)
-    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * d_inner
+    # 0.5 * (1 + th) + 0.5 * x * (1 - th**2) * C * (1 + 3K * x**2), computed
+    # in place in two arrays with the same operations in the same order
+    # (each swapped operand pair is an exact, commutative + or *)
+    slope = th * th
+    np.subtract(1.0, slope, out=slope)
+    d_inner = np.multiply(x, 0.5)
+    slope *= d_inner
+    np.multiply(x, x, out=d_inner)
+    d_inner *= 3.0 * _GELU_K
+    d_inner += 1.0
+    d_inner *= _GELU_C
+    slope *= d_inner
+    np.add(th, 1.0, out=d_inner)
+    d_inner *= 0.5
+    slope += d_inner
+    return slope
 
 
 def _topo_order(root):

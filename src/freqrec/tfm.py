@@ -7,8 +7,10 @@ real magnitude gain sqrt(1 / (1 + (omega_k / omega_c)^(2n))).  Conjugate
 bin pairs share a gain, so the filter runs on numpy's real FFT
 (rfft/irfft, O(T log T) for every T): a real matrix maps to a real
 matrix with no phase shift.  The operator is linear with a symmetric
-real spectral multiplier, hence self-adjoint; the autodiff tape
-backpropagates through it by applying the filter once more.
+real spectral multiplier, hence self-adjoint.  The backbone does not run
+the FFT per pass: it applies the filter's own (T, T) matrix, built once
+per length by filtering the identity, and backpropagates through its
+transpose (`model.network`).  `tfm_apply` keeps the FFT.
 """
 
 from dataclasses import dataclass
@@ -69,8 +71,8 @@ def tfm_apply(h, spec):
 
 
 def make_filter(spec, t_len):
-    """Fixed-length filter closure for use as a tape node (linear and
-    self-adjoint by construction).  It filters along axis -2, so a
+    """Fixed-length filter closure (linear and self-adjoint by
+    construction).  It filters along axis -2, so a
     (B, T, d) stack is B independent T x d matrices.  The real FFT keeps
     bins 0..T//2 only; the gains are conjugate-symmetric, so the dropped
     bins need none."""

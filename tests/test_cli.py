@@ -487,6 +487,31 @@ class TestErrors:
                     "synth", "--out", str(tmp_path / "x.tsv")]) == 1
 
 
+class TestAllOrNothing:
+    """A command that fails while writing one of its files leaves none."""
+
+    def test_evaluate(self, tmp_path, workdir, capsys):
+        argv = ["--config", workdir["config"],
+                "evaluate", "--data", workdir["data"], "--id", workdir["id_filtered"],
+                "--text", workdir["text"], "--checkpoint", workdir["ckpt"],
+                "--out", str(tmp_path / "m.json")]
+        assert run(argv + ["--per-user", str(tmp_path / "missing" / "u.csv")]) == 1
+        assert "i/o error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run(argv + ["--per-user", str(tmp_path / "u.csv")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "u.csv"]
+
+    def test_train(self, tmp_path, workdir, capsys):
+        argv = ["--config", workdir["config"], "--set", "training.epochs=1",
+                "train", "--data", workdir["data"], "--id", workdir["id_filtered"],
+                "--text", workdir["text"], "--out", str(tmp_path / "model.ckpt")]
+        assert run(argv + ["--log", str(tmp_path / "missing" / "log.jsonl")]) == 1
+        assert "i/o error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run(argv + ["--log", str(tmp_path / "log.jsonl")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl", "model.ckpt"]
+
+
 class TestOneProcess:
     """Every command runs in one process; `--workers` accepts only 1."""
 

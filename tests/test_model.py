@@ -42,7 +42,7 @@ from freqrec.model.training import (
     train,
 )
 from freqrec.numcore import autodiff as ad
-from freqrec.tfm import ButterworthSpec, butterworth_gains
+from freqrec.tfm import ButterworthSpec, butterworth_gains, make_filter, tfm_apply
 
 
 def cycle_log(n_cycles=40, cycle_len=3, laps=4):
@@ -392,6 +392,126 @@ class TestBatchedForward:
         block[2, 1] = synth_split.n_items
         with pytest.raises(InputError):
             forward(model, block)
+
+
+def _ref_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mu) * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _ref_layer_norm_adjoint(g, gain, xhat, inv):
+    gx = g * gain
+    return inv * (gx - gx.mean(axis=-1, keepdims=True)
+                  - xhat * (gx * xhat).sum(axis=-1, keepdims=True) / xhat.shape[-1])
+
+
+def _ref_gelu_slope(x, th):
+    c, k = np.sqrt(2.0 / np.pi), 0.044715
+    return 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * c * (1.0 + 3.0 * k * x**2)
+
+
+def reference_backbone(backbone, tokens):
+    """The frozen stack with the plain kernels: per-head projections,
+    softmaxes and adjoints, `x.var` layer norm, and the FFT filter closure
+    (the causal-safe prefix matrix in that mode) applied again, or
+    transposed, in the adjoint.  Returns (hidden, snapshots, vjp)."""
+    t_len, d = tokens.shape[-2:]
+    dh = d // backbone.n_heads
+    scale = 1.0 / np.sqrt(dh)
+    mask = np.triu(np.full((t_len, t_len), network.CAUSAL_MASK_VALUE), k=1)
+    filt = filt_adjoint = None
+    if backbone.tfm_enabled and backbone.tfm_causal_safe:
+        m = network._causal_safe_matrix(backbone.tfm_spec, t_len)
+        filt, filt_adjoint = (lambda a: m @ a), (lambda g: m.T @ g)
+    elif backbone.tfm_enabled:
+        filt = filt_adjoint = make_filter(backbone.tfm_spec, t_len)
+    heads = [slice(i * dh, (i + 1) * dh) for i in range(backbone.n_heads)]
+    mT = lambda a: np.swapaxes(a, -1, -2)  # noqa: E731
+    h, snapshots, caches = tokens, [tokens], []
+    for layer in backbone.layers:
+        y1, xhat1, inv1 = _ref_layer_norm(h, layer.ln1_g, layer.ln1_b)
+        outs, saved = [], []
+        for sl in heads:
+            q, k, v = y1 @ layer.wq[:, sl], y1 @ layer.wk[:, sl], y1 @ layer.wv[:, sl]
+            s = (q @ mT(k)) * scale + mask
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            p = e / e.sum(axis=-1, keepdims=True)
+            outs.append(p @ v)
+            saved.append((q, k, v, p))
+        h = h + np.concatenate(outs, axis=-1) @ layer.wo
+        y2, xhat2, inv2 = _ref_layer_norm(h, layer.ln2_g, layer.ln2_b)
+        pre = y2 @ layer.wf1 + layer.bf1
+        act, th = ad.gelu(pre)
+        h = h + (act @ layer.wf2 + layer.bf2)
+        if filt is not None:
+            h = h + filt(h) if backbone.tfm_residual else filt(h)
+        snapshots.append(h)
+        caches.append((xhat1, inv1, saved, xhat2, inv2, pre, th))
+
+    def vjp(g):
+        for layer, (xhat1, inv1, saved, xhat2, inv2, pre, th) in zip(
+                reversed(backbone.layers), reversed(caches)):
+            if filt_adjoint is not None:
+                g = g + filt_adjoint(g) if backbone.tfm_residual else filt_adjoint(g)
+            g_pre = (g @ layer.wf2.T) * _ref_gelu_slope(pre, th)
+            g = g + _ref_layer_norm_adjoint(g_pre @ layer.wf1.T, layer.ln2_g, xhat2, inv2)
+            g_heads = g @ layer.wo.T
+            g_y = 0.0
+            for sl, (q, k, v, p) in zip(heads, saved):
+                g_h = g_heads[..., sl]
+                g_p = g_h @ mT(v)
+                g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * scale
+                g_y = (g_y + (g_s @ k) @ layer.wq[:, sl].T + (mT(g_s) @ q) @ layer.wk[:, sl].T
+                       + (mT(p) @ g_h) @ layer.wv[:, sl].T)
+            g = g + _ref_layer_norm_adjoint(g_y, layer.ln1_g, xhat1, inv1)
+        return g
+
+    return h, snapshots, vjp
+
+
+def assert_close_to_scale(got, want, rel):
+    np.testing.assert_allclose(got, want, rtol=0, atol=rel * np.max(np.abs(want)))
+
+
+class TestReferenceKernels:
+    """The backbone's fused kernels (one (T, T) filter operator, one QKV
+    projection with a head axis, single-pass layer norm) against the
+    per-head, FFT-filter stack they replace."""
+
+    @pytest.mark.parametrize("t_len", [1, 2, 7, 8, 45])
+    @pytest.mark.parametrize("mode", TFM_MODES)
+    def test_backbone_matches_reference(self, synth_split, mode, t_len):
+        model = small_model(synth_split, **TFM_MODES[mode])
+        rng = np.random.default_rng(t_len)
+        tokens = rng.standard_normal((3, t_len, model.backbone.d_model))
+        hidden, trace, vjp = backbone_forward(model.backbone, tokens, capture=True, grad=True)
+        want, snapshots, want_vjp = reference_backbone(model.backbone, tokens)
+        assert_close_to_scale(hidden, want, 1e-14)
+        assert len(trace.matrices) == len(snapshots)
+        for got, ref in zip(trace.matrices, snapshots):
+            assert_close_to_scale(got, ref, 1e-14)
+        g = rng.standard_normal(hidden.shape)
+        assert_close_to_scale(vjp(g), want_vjp(g), 1e-12)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 7, 8, 45])
+    def test_operator_is_the_fft_filter(self, t_len):
+        spec = ButterworthSpec(cutoff=0.3, order=2)
+        op = network._filter_operator(spec, t_len, False)
+        assert op is network._filter_operator(spec, t_len, False)
+        assert not op.flags.writeable
+        h = np.random.default_rng(t_len).standard_normal((t_len, 5))
+        assert_close_to_scale(op @ h, tfm_apply(h, spec), 1e-14)
+
+    @pytest.mark.parametrize("t_len", [1, 2, 7, 8, 45])
+    def test_causal_safe_row_is_its_prefix_filter(self, t_len):
+        spec = ButterworthSpec(cutoff=0.25, order=3)
+        op = network._filter_operator(spec, t_len, True)
+        h = np.random.default_rng(t_len).standard_normal((t_len, 4))
+        out = op @ h
+        for t in range(t_len):
+            assert_close_to_scale(out[t], tfm_apply(h[:t + 1], spec)[t], 1e-14)
 
 
 class TestLengthChunks:
