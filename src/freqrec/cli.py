@@ -8,16 +8,18 @@ it writes, and embeds the fully explicit effective config into its JSON
 outputs.  Outputs are all-or-nothing: a command writes each file as
 `<path>.part` and renames them only when all were written, so a failing
 command leaves none of its files, whole or partial.  Exit codes: 0
-success, 1 input/capability error, 2 numeric or training error.  Log records (`--log-level`) go to stderr
-only, never into an artifact or the fingerprint.
+success, 1 input/capability error, 2 numeric or training error.  Log
+records (`--log-level`) go to stderr only, never into an artifact or the
+fingerprint.
 
 The model commands (train, evaluate, analyze, sweep) load their inputs
 through one helper, which requires embedding tables of the configured
-widths (model.d_id, model.d_text).  evaluate and analyze get their model
-through one more, which refuses artifacts whose fingerprints disagree
-with the run config unless --force is given.  Every number file is
-written here, by one CSV writer (cells are the repr of Python ints and
-floats) and one sorted-key JSON writer (`_Outputs`).
+widths (model.d_id, model.d_text) and inputs over one item count, even
+under --force.  evaluate and analyze get their model through one more,
+which refuses artifacts whose fingerprints disagree with the run config
+unless --force is given.  Every number file is written here, by one CSV
+writer (cells are the repr of Python ints and floats) and one sorted-key
+JSON writer (`_Outputs`).
 """
 
 import argparse
@@ -132,11 +134,17 @@ def _check_fingerprints(named, force):
 
 def _inputs(args, cfg):
     """The split, both embedding tables (refused unless of the configured
-    widths) and the graph, None without --graph."""
+    widths) and the graph, None without --graph; all must cover the split's
+    item count."""
     split = _load_split(cfg, args.data)
     id_table = load_external(args.id, expect_dim=cfg["model"]["d_id"])
     text_table = load_external(args.text, expect_dim=cfg["model"]["d_text"])
     graph = load_graph(args.graph) if args.graph else None
+    counts = {"--data": split.n_items, "--id": id_table.n_items, "--text": text_table.n_items,
+              **({"--graph": graph.n_items} if graph is not None else {})}
+    if len(set(counts.values())) > 1:
+        raise InputError("inputs cover different item counts: "
+                         + ", ".join(f"{k} {n}" for k, n in counts.items()))
     return split, id_table, text_table, graph
 
 
@@ -170,7 +178,7 @@ def cmd_synth(args, cfg, files):
 
 
 def cmd_ingest(args, cfg, files):
-    log = ds.ingest(args.input, format=args.format or cfg["dataset"]["format"])
+    log = ds.ingest(args.input, format=cfg["dataset"]["format"])
     split = ds.build_split(log, min_interactions=cfg["dataset"]["min_interactions"],
                            max_seq_len=cfg["dataset"]["max_seq_len"])
     if args.out:
@@ -384,7 +392,7 @@ def build_parser():
 
     p = sub.add_parser("ingest", help="parse, dedup and summarize an interaction log")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["tsv", "jsonlines"])
+    p.add_argument("--format", choices=["tsv", "jsonlines"], dest="alias_dataset_format")
     p.add_argument("--out", help="write the canonical deduplicated TSV here")
     p.add_argument("--summary")
     p.set_defaults(fn=cmd_ingest)

@@ -202,7 +202,9 @@ def load_graph(path):
             header = json.loads(fh.readline())
             n = int(header["n_items"])
             nnz = int(header["nnz"])
-        except (ValueError, KeyError) as exc:
+            if min(n, nnz) < 0:
+                raise ValueError(f"negative n_items {n} or nnz {nnz}")
+        except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"malformed graph header in {path}: {exc}") from exc
         up_r, up_c, up_w, seen = [], [], [], set()
         for lineno, line in enumerate(fh, start=2):

@@ -76,7 +76,9 @@ def load_external(path, expect_dim=None):
         try:
             header = json.loads(fh.readline().decode("utf-8"))
             n_items, dim = int(header["n_items"]), int(header["dim"])
-        except (ValueError, KeyError) as exc:
+            if min(n_items, dim) < 0:
+                raise ValueError(f"negative n_items {n_items} or dim {dim}")
+        except (ValueError, KeyError, TypeError) as exc:
             raise InputError(f"malformed embedding header in {path}: {exc}") from exc
         blob = fh.read()
     expected_bytes = n_items * dim * 8

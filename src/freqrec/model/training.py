@@ -4,11 +4,11 @@ The loss is a sampled softmax over each training position: the position's
 next item is the positive, scored against n_negatives uniform catalog
 draws shared across the positions of one sequence.  Each optimizer batch
 takes one loss per group of equal-length sequences, and each loss is one
-tape node over the fusion MLP's four parameters with a hand-written
-backward.  Only the fusion MLP receives updates; the backbone is held
-frozen by construction (its weights never become tape parameters), which
-the parameter-hash test pins down.  Early stopping watches validation
-NDCG@10.
+tape node over the fusion MLP's four parameters whose one VJP is a
+hand-written backward that returns all four gradients.  Only the fusion
+MLP receives updates; the backbone is held frozen by construction (its
+weights never become tape parameters), which the parameter-hash test pins
+down.  Early stopping watches validation NDCG@10.
 """
 
 import json
@@ -96,9 +96,10 @@ def sequence_loss(model, sequences, negatives, mlp_vars):
     across its positions.
 
     The loss is one tape node whose parents are mlp_vars, the Vars of
-    model.mlp.make_vars().  Its hand-written backward runs once, at the
-    first VJP call: log-softmax, scores, the backbone's adjoint, one
-    scatter into the block's distinct token rows, then model_tokens' VJP."""
+    model.mlp.make_vars(), and whose one VJP is the hand-written backward:
+    log-softmax, scores, the backbone's adjoint, one scatter into the
+    block's distinct token rows, then model_tokens' VJP, which returns the
+    four parameters' gradients."""
     seqs = np.asarray(sequences, dtype=np.intp)
     negatives = np.asarray(negatives, dtype=np.intp)
     if seqs.ndim == 1:
@@ -129,28 +130,24 @@ def sequence_loss(model, sequences, negatives, mlp_vars):
     # every sequence has t_len - 1 positions, so the sum of per-sequence
     # means is n_seqs times the mean over all positions
     loss = -(log_probs[:, 0].mean() * n_seqs)
-    grads = []
 
-    def backward(i, g):
-        if not grads:
-            # d loss / d logits: the positive column's weight minus softmax
-            weight = -float(n_seqs) / n_pred
-            g_logits = np.exp(log_probs) * -weight
-            g_logits[:, 0] += weight
-            g_logits = g_logits.reshape(n_seqs, t_len - 1, -1)
-            g_pos, g_neg = g_logits[..., :1], g_logits[..., 1:]
-            g_hidden = np.zeros_like(hidden)
-            g_hidden[:, :t_len - 1] = g_pos * pos_tokens + g_neg @ neg_tokens
-            g_tokens = np.zeros_like(tokens)
-            add_rows_at(g_tokens,
-                        np.concatenate([local_seq, local_seq[:, 1:], local_negs], axis=1),
-                        np.concatenate([backbone_vjp(g_hidden), g_pos * h_pred,
-                                        np.swapaxes(g_neg, -1, -2) @ h_pred], axis=1))
-            grads.extend(tokens_vjp(g_tokens))
-        return g * grads[i]
+    def backward(g):
+        # d loss / d logits: the positive column's weight minus softmax
+        weight = -float(n_seqs) / n_pred * float(g)
+        g_logits = np.exp(log_probs) * -weight
+        g_logits[:, 0] += weight
+        g_logits = g_logits.reshape(n_seqs, t_len - 1, -1)
+        g_pos, g_neg = g_logits[..., :1], g_logits[..., 1:]
+        g_hidden = np.zeros_like(hidden)
+        g_hidden[:, :t_len - 1] = g_pos * pos_tokens + g_neg @ neg_tokens
+        g_tokens = np.zeros_like(tokens)
+        add_rows_at(g_tokens,
+                    np.concatenate([local_seq, local_seq[:, 1:], local_negs], axis=1),
+                    np.concatenate([backbone_vjp(g_hidden), g_pos * h_pred,
+                                    np.swapaxes(g_neg, -1, -2) @ h_pred], axis=1))
+        return tokens_vjp(g_tokens)
 
-    return ad.node(loss, mlp_vars, [lambda g, i=i: backward(i, g) for i in range(4)],
-                   name="sequence_loss")
+    return ad.node(loss, mlp_vars, backward, name="sequence_loss")
 
 
 @dataclass
@@ -315,29 +312,29 @@ def load_checkpoint(path, id_table, text_table, graph=None):
             f"{id_table.n_items}")
     if header["d_id"] != id_table.dim or header["d_text"] != text_table.dim:
         raise InputError(f"{path}: embedding dimensions do not match the tables")
-    shapes = [tuple(s) for s in header["mlp"]["shapes"]]
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape)) * 8
-        arrays.append(np.frombuffer(blob[offset:offset + size], dtype="<f8")
-                      .reshape(shape).copy())
-        offset += size
-    if offset != len(blob):
-        raise InputError(f"{path}: trailing bytes in weight payload")
-    mlp = FusionMLP(w1=arrays[0], b1=arrays[1], w2=arrays[2], b2=arrays[3],
-                    activation=header["mlp"]["activation"])
-    recipe = header["backbone"]
-    backbone = init_backbone(**dict(recipe, tfm_spec=ButterworthSpec(**recipe["tfm_spec"])))
-    stored, token_filter = header["token_filter"], None
-    if stored is not None:
+    try:
+        shapes = [tuple(int(n) for n in s) for s in header["mlp"]["shapes"]]
+        activation, recipe, stored = (header["mlp"]["activation"], header["backbone"],
+                                      header["token_filter"])
+        backbone = init_backbone(**dict(recipe, tfm_spec=ButterworthSpec(**recipe["tfm_spec"])))
+        token_filter = None if stored is None else PolyFilterSpec(stored["coefficients"])
+        trained_on = None if stored is None else stored["graph"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed checkpoint header: {exc}") from exc
+    ends = np.cumsum([0] + [8 * int(np.prod(s)) for s in shapes])
+    if len(shapes) != 4 or any(n < 0 for s in shapes for n in s) or ends[-1] != len(blob):
+        raise InputError(f"{path}: a weight payload of {len(blob)} bytes does not hold "
+                         f"four float64 arrays of the header's shapes {shapes}")
+    w1, b1, w2, b2 = (np.frombuffer(blob[i:j], dtype="<f8").reshape(s).copy()
+                      for i, j, s in zip(ends[:-1], ends[1:], shapes))
+    mlp = FusionMLP(w1=w1, b1=b1, w2=w2, b2=b2, activation=activation)
+    if token_filter is not None:
         if graph is None:
             raise InputError(f"{path}: the model filters its item tokens on a graph; "
                              "pass the graph it was trained with (--graph)")
-        if graph.digest() != stored["graph"]:
+        if graph.digest() != trained_on:
             raise InputError(f"{path}: graph {graph.digest()} is not the graph the model "
-                             f"was trained with ({stored['graph']})")
-        token_filter = PolyFilterSpec(stored["coefficients"])
+                             f"was trained with ({trained_on})")
     model = RecModel(id_table=id_table, text_table=text_table, mlp=mlp, backbone=backbone,
                      token_filter=token_filter, graph=graph)
     return model, header

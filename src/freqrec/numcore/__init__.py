@@ -1,12 +1,12 @@
 """Numerical substrate: checked entry points to numpy's symmetric
-eigensolver and discrete Fourier transforms, and a minimal reverse-mode
-differentiation tape."""
+eigensolver and discrete Fourier transforms, and a one-level reverse-mode
+tape (a loss node with one VJP over its parameters)."""
 
 from freqrec.numcore.linalg import sym_eigendecompose
 from freqrec.numcore.fourier import dft
 from freqrec.numcore.autodiff import (
     Var,
-    constant,
+    node,
     parameter,
     tape_gradient,
     finite_difference_check,
@@ -16,7 +16,7 @@ __all__ = [
     "sym_eigendecompose",
     "dft",
     "Var",
-    "constant",
+    "node",
     "parameter",
     "tape_gradient",
     "finite_difference_check",

@@ -1,15 +1,18 @@
-"""Minimal reverse-mode differentiation tape over numpy arrays.
+"""Minimal reverse-mode differentiation tape over numpy arrays, one level
+deep.
 
-A node is its forward value plus one vector-Jacobian product per parent,
-and `node` alone decides what the tape records.  A node that no parameter
-(requires_grad) feeds records nothing: no parents and no backward rule.
-Composites computed in plain numpy enter the tape as one node with a
-hand-written VJP; the training loss does this (model.training), so its
-tape is that node over the fusion MLP's parameters.
+A node is its forward value, its parents and one vector-Jacobian product
+that maps the value's gradient to one gradient per parent; the parents are
+parameters (leaves).  Composites computed in plain numpy enter the tape as
+one node with a hand-written VJP, and the training loss does this
+(model.training): its tape is that one node over the fusion MLP's four
+parameters, and `tape_gradient` calls its VJP once.
 
 `gelu` and `gelu_slope` are the plain-array activation and its derivative
 that the fusion MLP and the backbone's FFN share.
 """
+
+import functools
 
 import numpy as np
 
@@ -17,59 +20,26 @@ from freqrec.errors import InputError, ProtocolError
 
 
 class Var:
-    """One tape node: a value, its provenance and a backward rule."""
+    """One tape node: a value, its parents and one VJP that maps the
+    value's gradient to one gradient per parent.  A parameter has neither."""
 
-    __slots__ = ("value", "grad", "parents", "backward_rule", "requires_grad", "name")
+    __slots__ = ("value", "parents", "vjp", "name")
 
-    def __init__(self, value, requires_grad=False, name=""):
+    def __init__(self, value, parents=(), vjp=None, name=""):
         self.value = np.asarray(value, dtype=float)
-        self.grad = None
-        self.parents = ()
-        self.backward_rule = None
-        self.requires_grad = bool(requires_grad)
+        self.parents = tuple(parents)
+        self.vjp = vjp
         self.name = name
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        tag = self.name or "var"
-        return f"Var({tag}, shape={self.value.shape}, requires_grad={self.requires_grad})"
-
-
-def constant(value, name=""):
-    return Var(value, name=name)
 
 
 def parameter(value, name=""):
-    return Var(value, requires_grad=True, name=name)
+    return Var(value, name=name)
 
 
-def node(value, parents, vjps, name=""):
-    """A derived node: its value plus one vector-Jacobian product per parent.
-
-    Parents and a backward rule are recorded only when some parent requires
-    a gradient, and the rule calls vjps[i] only for those parents."""
-    out = Var(value, name=name)
-    live = [(p, vjp) for p, vjp in zip(parents, vjps) if p.requires_grad]
-    if live:
-        out.requires_grad = True
-        out.parents = tuple(parents)
-
-        def rule(g):
-            for p, vjp in live:
-                _accumulate(p, vjp(g))
-
-        out.backward_rule = rule
-    return out
-
-
-def _accumulate(var, g):
-    if var.grad is None:
-        var.grad = np.array(g, dtype=float, copy=True)
-    else:
-        var.grad += g
+def node(value, parents, vjp, name=""):
+    """A node over parameters: its value plus vjp(g), which returns one
+    gradient per parent."""
+    return Var(value, parents, vjp, name)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -115,46 +85,23 @@ def gelu_slope(x, th):
     return slope
 
 
-def _topo_order(root):
-    order, seen, stack = [], set(), [(root, False)]
-    while stack:
-        var, expanded = stack.pop()
-        if expanded:
-            order.append(var)
-            continue
-        if id(var) in seen:
-            continue
-        seen.add(id(var))
-        stack.append((var, True))
-        for p in var.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order
-
-
 def tape_gradient(loss, params):
-    """Reverse-mode gradients of a scalar loss for each trainable parameter.
+    """Gradients of a scalar loss node for each parameter, from one call of
+    its VJP; a parameter that is a parent more than once gets the sum.
 
     Returns (grads, unreachable): one array per parameter, and the names of
-    parameters the loss does not depend on (their gradient is zeros).
+    parameters that are not parents of the loss (their gradient is zeros).
     """
     if loss.value.size != 1:
         raise InputError(f"loss must be scalar, got shape {loss.value.shape}")
-    order = _topo_order(loss)
-    for var in order:
-        var.grad = None
-    loss.grad = np.ones_like(loss.value)
-    for var in reversed(order):
-        if var.grad is None or var.backward_rule is None:
-            continue
-        var.backward_rule(var.grad)
+    given = loss.vjp(np.ones_like(loss.value))
     grads, unreachable = [], []
     for i, p in enumerate(params):
-        if p.grad is None:
-            grads.append(np.zeros_like(p.value))
+        mine = [g for parent, g in zip(loss.parents, given) if parent is p]
+        if not mine:
             unreachable.append(p.name or f"param{i}")
-        else:
-            grads.append(p.grad)
+            mine = [np.zeros_like(p.value)]
+        grads.append(np.array(functools.reduce(np.add, mine), dtype=float))
     return grads, unreachable
 
 
@@ -166,8 +113,7 @@ class GradientCheckReport:
         self.max_relative_error = max((e for _, e, _ in per_param), default=0.0)
 
     def worst(self):
-        name, err, idx = max(self.per_param, key=lambda t: t[1])
-        return name, err, idx
+        return max(self.per_param, key=lambda t: t[1])
 
     def __repr__(self):
         return f"GradientCheckReport(max_relative_error={self.max_relative_error:.3e})"

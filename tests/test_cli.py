@@ -190,6 +190,22 @@ class TestStages:
              "ingest", "--input", str(out), "--out", str(out2)])
         assert out.read_bytes() == out2.read_bytes()
 
+    def test_ingest_format_flag_is_the_config_format(self, tmp_path, workdir, capsys):
+        data = tmp_path / "log.jsonl"
+        rows = [line.split("\t") for line in open(workdir["data"]).read().splitlines()]
+        data.write_text("".join(json.dumps({"user": r[0], "item": r[1], "ts": int(r[2])}) + "\n"
+                                for r in rows))
+        printed = []
+        for argv in (["--set", "dataset.format=jsonlines", "ingest", "--input", str(data)],
+                     ["ingest", "--input", str(data), "--format", "jsonlines"]):
+            assert run(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        payload = json.loads(printed[1])
+        assert payload["config"]["dataset"]["format"] == "jsonlines"
+        assert payload["fingerprint"] == fingerprint(
+            load_config(overrides={"dataset.format": "jsonlines"})) != fingerprint(DEFAULTS)
+
 
 class TestAnalyze:
     @staticmethod
@@ -481,6 +497,37 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'glpf.coefficients'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("header", ["[1, 2]", "5", "null"])
+    @pytest.mark.parametrize("kind", ["embeddings", "graph"])
+    def test_malformed_input_header(self, tmp_path, capsys, workdir, kind, header):
+        bad = tmp_path / "bad"
+        bad.write_text(header + "\n")
+        files = {"graph": workdir["graph"], "embeddings": workdir["id"], kind: str(bad)}
+        out = tmp_path / "out.emb"
+        assert run(["glpf", "--graph", files["graph"], "--embeddings", files["embeddings"],
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "malformed" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_inputs_over_another_item_count(self, tmp_path, capsys, workdir):
+        # the workdir's tables, graph and checkpoint cover its split of a 40-item log
+        other = tmp_path / "b.tsv"
+        assert run(["--config", workdir["config"], "synth", "--items", "30",
+                    "--out", str(other)]) == 0
+        capsys.readouterr()
+        n_items = load_external(workdir["id"]).n_items
+        out = tmp_path / "m.json"
+        for force in ([], ["--force"]):
+            assert run(["--config", workdir["config"],
+                        "evaluate", "--data", str(other), "--id", workdir["id_filtered"],
+                        "--text", workdir["text"], "--checkpoint", workdir["ckpt"],
+                        "--graph", workdir["graph"], "--out", str(out), *force]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "item counts" in err
+            assert f"--id {n_items}" in err and f"--graph {n_items}" in err
+            assert "Traceback" not in err and not out.exists()
 
     def test_bad_rho_override(self, tmp_path):
         assert run(["--set", "synth.rho=1.0",

@@ -221,6 +221,16 @@ class TestGraphIO:
         with pytest.raises(InputError):
             load_graph(path)
 
+    @pytest.mark.parametrize("header", ["null", "[1, 2]", "5", '"nnz"', '{"n_items": 5}',
+                                        '{"n_items": null, "nnz": 1}',
+                                        '{"n_items": 5, "nnz": "x"}',
+                                        '{"n_items": -1, "nnz": 0}'])
+    def test_header_not_an_object_of_counts(self, tmp_path, header):
+        path = tmp_path / "bad.tsv"
+        path.write_text(header + "\n0\t1\t2.0\n")
+        with pytest.raises(InputError, match="malformed graph header"):
+            load_graph(path)
+
     @pytest.mark.parametrize("line, reason", [
         ("0\t5\t1.0", "outside"),
         ("-1\t3\t1.0", "outside"),

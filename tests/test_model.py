@@ -246,6 +246,16 @@ class TestTextSurrogate:
         with pytest.raises(InputError):
             load_external(path, expect_dim=99)
 
+    @pytest.mark.parametrize("header", [b"{not json", b"[1, 2]", b"5", b"null", b'"dim"',
+                                        b'{"n_items": 2}', b'{"n_items": null, "dim": 3}',
+                                        b'{"n_items": "x", "dim": 3}',
+                                        b'{"n_items": -2, "dim": -3}'])
+    def test_malformed_table_header_is_an_input_error(self, tmp_path, header):
+        path = tmp_path / "bad.emb"
+        path.write_bytes(header + b"\n" + bytes(48))
+        with pytest.raises(InputError, match="malformed embedding header"):
+            load_external(path)
+
 
 class TestFuse:
     def test_zero_mlp_zero_tokens(self, synth_split):
@@ -818,4 +828,40 @@ class TestCheckpointRecipe:
         path = tmp_path / "model.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + header + b"\n")
         with pytest.raises(InputError, match="malformed checkpoint header"):
+            load_checkpoint(path, model.id_table, model.text_table)
+
+    @staticmethod
+    def edited_checkpoint(synth_split, tmp_path, edit):
+        """A saved checkpoint whose header (as a dict) and weight payload
+        pass through edit(header, payload) -> (header, payload)."""
+        model = small_model(synth_split)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        header, _, weights = path.read_bytes()[len(CHECKPOINT_MAGIC):].partition(b"\n")
+        header, weights = edit(json.loads(header), weights)
+        path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + weights)
+        return model, path
+
+    @pytest.mark.parametrize("field, value", [
+        ("mlp", 5), ("mlp", {"activation": "gelu"}), ("mlp", {"activation": "gelu", "shapes": 5}),
+        ("mlp", {"activation": "gelu", "shapes": [["a"]]}), ("backbone", 5),
+        ("backbone", {"layers": 2}), ("token_filter", 5), ("token_filter", {"graph": "x"}),
+    ], ids=str)
+    def test_malformed_header_field_is_an_input_error(self, synth_split, tmp_path, field,
+                                                      value):
+        model, path = self.edited_checkpoint(synth_split, tmp_path,
+                                             lambda h, w: (dict(h, **{field: value}), w))
+        with pytest.raises(InputError, match="malformed checkpoint header"):
+            load_checkpoint(path, model.id_table, model.text_table)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h, w: (h, w[:-8]), lambda h, w: (h, w[:8]), lambda h, w: (h, b""),
+        lambda h, w: (h, w + bytes(8)), lambda h, w: (h, w[:-1]),
+        # the payload fits the shapes, but they are not the MLP's four
+        lambda h, w: (dict(h, mlp=dict(h["mlp"], shapes=[[len(w) // 8]])), w),
+    ], ids=["one-float-short", "one-float", "empty", "one-float-over", "one-byte-short",
+            "one-shape"])
+    def test_payload_not_of_the_header_shapes(self, synth_split, tmp_path, edit):
+        model, path = self.edited_checkpoint(synth_split, tmp_path, edit)
+        with pytest.raises(InputError, match="weight payload"):
             load_checkpoint(path, model.id_table, model.text_table)
