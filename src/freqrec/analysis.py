@@ -5,7 +5,8 @@ the global co-occurrence matrix; the hidden rows that predict those
 targets are projected onto the local Laplacian eigenbasis, and per-
 frequency energies are binned into rank-quantile bands and summed across
 users.  The headline diagnostic is how the low-band energy share moves
-with depth.
+with depth, with temporal filtering on and off: one pass profiles both
+modes, which share everything up to layer 1's filter.
 
 The theorem probe quantifies the core filtering claim: temporally
 low-pass filtering a signal on a graph whose weights favor temporally
@@ -71,22 +72,26 @@ def profile_from_trace(trace_matrices, basis, n_bands):
     return np.moveaxis(energies, 0, -2)
 
 
-def trace_spectral_profile(model, sequences, graph, n_bands=4):
+def trace_spectral_profile(model, sequences, graph, n_bands=4, tfm_modes=None):
     """Aggregate layer-by-band energies across users.
 
-    Sequences shorter than 3 items are skipped (a 1-node local graph has no
-    spectrum), as are sequences whose local graph has no edges at all.  The
+    Sequences whose local graph has no edges are skipped as degenerate, and
+    those of fewer than max(3, n_bands + 1) items, whose local graph has
+    fewer nodes than bands, as short, all before their forward pass.  The
     rest go one chunk of equal-length sequences at a time through one
     forward, which gathers from one token table for the whole catalog, and
     one stacked spectral pass: local graphs, eigendecompositions and band
     energies over (B, n, n).  Per-user energies are kept, and summed in
-    input order."""
+    input order.  With tfm_modes (filter switches, see `backbone_forward`)
+    it returns one profile per mode from that one pass, which does all the
+    work before layer 1's filter once for all modes."""
+    modes = [model.backbone.tfm_enabled] if tfm_modes is None else list(tfm_modes)
     seqs = [np.asarray(seq, dtype=np.intp) for seq in sequences]
     long_enough = [i for i, seq in enumerate(seqs) if seq.size >= 3]
     chunks = [[long_enough[j] for j in chunk]
               for chunk in length_chunks([seqs[i].size for i in long_enough])]
     log.info("analyze (tfm %s): %d sequences in %d length buckets, %d chunks",
-             "on" if model.backbone.tfm_enabled else "off", len(long_enough),
+             ", ".join("on" if on else "off" for on in modes), len(long_enough),
              len({seqs[i].size for i in long_enough}), len(chunks))
     table = all_item_tokens(model)
 
@@ -94,24 +99,32 @@ def trace_spectral_profile(model, sequences, graph, n_bands=4):
         block = np.stack([seqs[i] for i in chunk])
         local = local_subgraph(graph, block[:, 1:])
         kept = ~local.is_degenerate()
-        if not kept.any():
-            return np.zeros(0, dtype=np.intp), None
-        _, _, trace = forward(model, block[kept], capture=True, table=table)
-        energies = profile_from_trace([h[:, :-1] for h in trace.matrices],
-                                      basis_from_matrix(local.laplacian[kept]), n_bands)
-        return np.asarray(chunk)[kept], energies
+        if block.shape[1] <= n_bands or not kept.any():
+            return np.asarray(chunk)[kept], None       # short, or all degenerate
+        basis = basis_from_matrix(local.laplacian[kept])
+        traces = [t.matrices for _, _, t in
+                  forward(model, block[kept], capture=True, table=table, tfm_modes=modes)]
+        # the modes share layer 0, the tokens: one stacked transform of it
+        # and of every mode's layers 1..L
+        states = traces[0][:1] + [h for matrices in traces for h in matrices[1:]]
+        e = profile_from_trace([h[:, :-1] for h in states], basis, n_bands)
+        return np.asarray(chunk)[kept], np.stack([np.concatenate([e[:, :1], layers], axis=1)
+                                                  for layers in np.split(e[:, 1:], len(modes), 1)])
 
-    done = [(users, e) for users, e in map(one_chunk, chunks) if users.size]
+    results = list(map(one_chunk, chunks))
+    done = [(users, e) for users, e in results if e is not None]
     if not done:
         raise InputError("no sequence was long enough to analyze")
     users = np.concatenate([u for u, _ in done])
     order = np.argsort(users, kind="stable")
-    energies = np.concatenate([e for _, e in done])[order]
-    return SpectralProfile(raw=energies.sum(axis=0), n_bands=n_bands,
-                           user_count=len(users),
-                           skipped_short=len(seqs) - len(long_enough),
-                           skipped_degenerate=len(long_enough) - len(users),
-                           user_energies=energies, users=users[order])
+    short = len(seqs) - len(long_enough) + sum(u.size for u, e in results if e is None)
+    energies = np.concatenate([e for _, e in done], axis=1)[:, order]    # (modes, users, ...)
+    profiles = [SpectralProfile(raw=per_user.sum(axis=0), n_bands=n_bands,
+                                user_count=len(users), skipped_short=short,
+                                skipped_degenerate=len(seqs) - short - len(users),
+                                user_energies=per_user, users=users[order])
+                for per_user in energies]
+    return profiles[0] if tfm_modes is None else profiles
 
 
 @dataclass
@@ -143,7 +156,7 @@ def attenuation_metric(profile):
 @dataclass
 class Theorem1Report:
     family: str
-    rho: float
+    rho: float               # None for the ring family, which has no rho
     trials: int
     t_range: tuple
     seed: int
@@ -216,7 +229,7 @@ def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0,
     rows = [one_trial(int(s)) for s in base]
     q0s, q1s, r0s, r1s, vqs, vrs = zip(*rows)
     return Theorem1Report(
-        family=family, rho=(rho if family == "locality" else float("nan")),
+        family=family, rho=(rho if family == "locality" else None),
         trials=trials, t_range=(lo, hi), seed=seed,
         cutoff=(spec.cutoff if spec is not None else 1.0),
         order=(spec.order if spec is not None else 0),

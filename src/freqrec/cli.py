@@ -19,7 +19,7 @@ under --force.  evaluate and analyze get their model through one more,
 which refuses artifacts whose fingerprints disagree with the run config
 unless --force is given.  Every number file is written here, by one CSV
 writer (cells are the repr of Python ints and floats) and one sorted-key
-JSON writer (`_Outputs`).
+strict JSON writer (`_Outputs`), which refuses NaN and infinities.
 """
 
 import argparse
@@ -64,6 +64,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _dumps(payload):
+    """Sorted-key strict JSON; a NaN or an infinity is a numeric error."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"cannot write strict JSON: {exc}") from None
+
+
 class _Outputs:
     """The files one command writes, all-or-nothing.  Each goes to
     `<path>.part`; `commit` renames them all once the command has returned,
@@ -87,13 +95,13 @@ class _Outputs:
         self.text(path, "".join(line + "\n" for line in lines))
 
     def json(self, path, payload):
-        self.text(path, json.dumps(payload, sort_keys=True))
+        self.text(path, _dumps(payload))
 
     def emit(self, path, payload):
         """The payload to `path` when one is given, and to stdout."""
         if path:
             self.json(path, payload)
-        print(json.dumps(payload, sort_keys=True))
+        print(_dumps(payload))
 
     def commit(self):
         for path, tmp in self.parts.items():
@@ -244,8 +252,7 @@ def cmd_train(args, cfg, files):
                                                       fingerprint=fingerprint(cfg),
                                                       extra={"config": cfg}))
     if args.log:
-        files.text(args.log, "".join(json.dumps(entry, sort_keys=True) + "\n"
-                                     for entry in result.entries))
+        files.text(args.log, "".join(_dumps(entry) + "\n" for entry in result.entries))
     files.emit(None, {"best_epoch": result.best_epoch,
                       "best_valid_ndcg": result.best_valid_ndcg,
                       "epochs_run": len(result.entries),
@@ -277,14 +284,12 @@ def cmd_evaluate(args, cfg, files):
 def cmd_analyze(args, cfg, files):
     split, graph, model = _checked_model(args, cfg)
     fp = fingerprint(cfg)
-    modes = {"on": [True], "off": [False], "both": [True, False]}[args.tfm]
-    sequences = split.windows()
+    modes = {"on": ["on"], "off": ["off"], "both": ["on", "off"]}[args.tfm]
+    profiles = trace_spectral_profile(model, split.windows(), graph,
+                                      n_bands=cfg["analysis"]["n_bands"],
+                                      tfm_modes=[mode == "on" for mode in modes])
     summary = {"fingerprint": fp, "config": cfg, "modes": {}}
-    for enabled in modes:
-        model.backbone.tfm_enabled = enabled
-        profile = trace_spectral_profile(model, sequences, graph,
-                                         n_bands=cfg["analysis"]["n_bands"])
-        mode = "on" if enabled else "off"
+    for mode, profile in zip(modes, profiles):
         base = f"{args.out_prefix}_tfm-{mode}_{fp}"
         raw, shares = profile.raw.tolist(), profile.shares().tolist()
         files.csv(base + ".csv", ("layer", "band", "energy", "share"),

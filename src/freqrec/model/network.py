@@ -320,10 +320,9 @@ def _attention_adjoint(g_out, layer, saved):
     return g_qkv @ layer.wqkv.T
 
 
-def _layer(h, layer, n_heads, mask, op, residual, record):
-    """One pre-normalization block, then the temporal filter operator op
-    when set.  Returns the new state and, with record, what the adjoint
-    needs."""
+def _blocks(h, layer, n_heads, mask, record):
+    """One layer's two pre-normalization residual blocks, attention and FFN.
+    Returns the new state and, with record, what the adjoint needs."""
     y1, xhat1, inv1 = _layer_norm(h, layer.ln1_g, layer.ln1_b)
     att, saved = _attention(y1, layer, n_heads, mask, record)
     h = h + att
@@ -334,11 +333,15 @@ def _layer(h, layer, n_heads, mask, op, residual, record):
     ffn = act @ layer.wf2
     ffn += layer.bf2
     ffn += h
-    h = ffn
-    if op is not None:
-        filtered = op @ h
-        h = h + filtered if residual else filtered
-    return h, ((xhat1, inv1, saved, xhat2, inv2, pre, th) if record else None)
+    return ffn, ((xhat1, inv1, saved, xhat2, inv2, pre, th) if record else None)
+
+
+def _filtered(h, op, residual):
+    """The temporal filter operator op on a state, when op is set."""
+    if op is None:
+        return h
+    filtered = op @ h
+    return h + filtered if residual else filtered
 
 
 def _layer_adjoint(g, layer, cache, op, residual):
@@ -355,26 +358,41 @@ def _layer_adjoint(g, layer, cache, op, residual):
                                    layer.ln1_g, xhat1, inv1)
 
 
-def backbone_forward(backbone, tokens, capture=False, grad=False):
+def backbone_forward(backbone, tokens, capture=False, grad=False, tfm_modes=None):
     """Run the frozen stack on a T x d_model token matrix, or a (B, T,
     d_model) stack of B equal-length sequences.  Returns the final hidden
     states and, when capture is set, a LayerTrace of value snapshots; with
     grad, also a VJP from the hidden states' gradient to the tokens'.
 
+    tfm_modes, on the value path only, is a sequence of filter switches
+    (True for the stack's own filter form, False for none) and gives one
+    (hidden, trace) per mode; layer 1's residual blocks run once for all.
+
     Only with grad does it keep each layer's intermediates for the VJP."""
-    h = tokens
-    t_len = h.shape[-2]
+    if grad and tfm_modes is not None:
+        raise InputError("a gradient needs the stack's own filter mode")
+    modes = [backbone.tfm_enabled] if tfm_modes is None else list(tfm_modes)
+    t_len = tokens.shape[-2]
     mask = np.triu(np.full((t_len, t_len), CAUSAL_MASK_VALUE), k=1)
-    op = (_filter_operator(backbone.tfm_spec, t_len, backbone.tfm_causal_safe)
-          if backbone.tfm_enabled else None)
-    snapshots = [h.copy()] if capture else None
+    ops = [_filter_operator(backbone.tfm_spec, t_len, backbone.tfm_causal_safe)
+           if on else None for on in modes]
+    states = [tokens] * len(modes)
+    snapshots = [[tokens.copy()] * len(modes)] if capture else None
     caches = []
     for layer in backbone.layers:
-        h, cache = _layer(h, layer, backbone.n_heads, mask, op, backbone.tfm_residual, grad)
-        caches.append(cache)
+        last, outs = None, []
+        for h, op in zip(states, ops):
+            if h is not last:
+                (blocks, cache), last = _blocks(h, layer, backbone.n_heads, mask, grad), h
+                caches.append(cache)
+            outs.append(_filtered(blocks, op, backbone.tfm_residual))
+        states = outs
         if capture:
-            snapshots.append(h)
-    trace = LayerTrace(snapshots) if capture else None
+            snapshots.append(states)
+    traces = [LayerTrace(list(s)) for s in zip(*snapshots)] if capture else [None] * len(modes)
+    if tfm_modes is not None:
+        return list(zip(states, traces))
+    h, trace, op = states[0], traces[0], ops[0]
     if not grad:
         return h, trace
 
@@ -478,7 +496,7 @@ def model_tokens(model, item_ids=None, grad=False):
     return filtered[rows], vjp
 
 
-def forward(model, sequence, capture=False, table=None):
+def forward(model, sequence, capture=False, table=None, tfm_modes=None):
     """User representation for one item-index sequence (T,), or for each row
     of a (B, T) block of equal-length sequences: gather the tokens from the
     model's full token table, run them through the backbone and take the
@@ -487,7 +505,8 @@ def forward(model, sequence, capture=False, table=None):
     computes its own.
 
     Returns (user_rep, final_hidden, trace); a block adds a leading B axis
-    to each (user_rep is (B, 1, d_model))."""
+    to each (user_rep is (B, 1, d_model)).  With tfm_modes (see
+    `backbone_forward`) it returns one such triple per mode."""
     seq = np.asarray(sequence, dtype=np.intp)
     if seq.ndim not in (1, 2) or seq.size == 0:
         raise InputError("sequence must be a non-empty 1-D list of item indices "
@@ -495,9 +514,11 @@ def forward(model, sequence, capture=False, table=None):
     if seq.min() < 0 or seq.max() >= model.n_items:
         raise InputError("unknown item index in sequence")
     tokens = (all_item_tokens(model) if table is None else table)[seq]
-    hidden, trace = backbone_forward(model.backbone, tokens, capture=capture)
+    runs = backbone_forward(model.backbone, tokens, capture=capture, tfm_modes=tfm_modes)
     t_len = seq.shape[-1]
-    return hidden[..., t_len - 1:t_len, :], hidden, trace
+    out = [(hidden[..., t_len - 1:t_len, :], hidden, trace)
+           for hidden, trace in (runs if tfm_modes is not None else [runs])]
+    return out if tfm_modes is not None else out[0]
 
 
 def length_chunks(lengths, max_rows=CHUNK_ROWS):

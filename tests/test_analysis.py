@@ -17,7 +17,7 @@ from freqrec.model import network
 from freqrec.model.network import forward
 from freqrec.spectral import basis_from_matrix
 from freqrec.tfm import ButterworthSpec
-from tests.test_model import config_model, small_model
+from tests.test_model import TFM_MODES, config_model, small_model
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,36 @@ class TestProfile:
         np.testing.assert_allclose(profile.user_energies, np.stack(energies), rtol=1e-12)
         np.testing.assert_array_equal(profile.raw, profile.user_energies.sum(axis=0))
 
+    @pytest.mark.parametrize("form", TFM_MODES)
+    def test_both_modes_are_two_single_mode_calls(self, setup, form):
+        split, graph, _ = setup
+        model = small_model(split, d_model=16, n_layers=2, **TFM_MODES[form])
+        # plus a short sequence, a length-4 chunk whose one graph has no
+        # edges and an edgeless graph among the length-6 sequences
+        seqs = list(split.sequences) + [np.array([1, 2]), np.array([0, 5, 5, 5]),
+                                        np.array([3, 5, 5, 5, 5, 5])]
+        assert any(seq.size == 6 for seq in split.sequences)
+        both = trace_spectral_profile(model, seqs, graph, n_bands=3, tfm_modes=(True, False))
+        for enabled, profile in zip((True, False), both):
+            model.backbone.tfm_enabled = enabled
+            single = trace_spectral_profile(model, seqs, graph, n_bands=3)
+            np.testing.assert_array_equal(profile.raw, single.raw)
+            np.testing.assert_array_equal(profile.user_energies, single.user_energies)
+            np.testing.assert_array_equal(profile.users, single.users)
+            assert (profile.user_count, profile.skipped_short, profile.skipped_degenerate) == (
+                single.user_count, 1, 2)
+
+    def test_windows_too_short_for_the_bands_are_skipped(self, setup):
+        split, graph, model = setup
+        # a 4-item window has 3 target nodes: enough for 3 bands, not for 4
+        seqs = list(split.sequences) + [np.array([0, 1, 2, 3]), np.array([0, 5, 5, 5])]
+        three = trace_spectral_profile(model, seqs, graph, n_bands=3)
+        four = trace_spectral_profile(model, seqs, graph, n_bands=4)
+        assert (three.skipped_short, three.skipped_degenerate) == (0, 1)
+        assert (four.skipped_short, four.skipped_degenerate) == (1, 1)
+        assert four.user_count == three.user_count - 1 == len(split.sequences)
+        assert len(seqs) - 2 in three.users and len(seqs) - 2 not in four.users
+
     def test_fused_table_filtered_once(self, setup, monkeypatch):
         split, graph, _ = setup
         model = config_model(split, graph, {"glpf.apply_to": "fused"})
@@ -188,6 +218,12 @@ class TestTheoremProbe:
         assert report.violations_rayleigh == 0
         assert report.violations_quadratic == 0
         assert report.mean_smoothness_before == report.mean_smoothness_after
+
+    def test_ring_report_has_no_rho(self):
+        ring = theorem1_probe(ButterworthSpec(0.3, 2), "ring", rho=0.5, trials=10, seed=0)
+        assert ring.rho is None and ring.to_dict()["rho"] is None
+        locality = theorem1_probe(ButterworthSpec(0.3, 2), "locality", rho=0.5, trials=10)
+        assert locality.to_dict()["rho"] == 0.5
 
     def test_bad_family(self):
         with pytest.raises(InputError):

@@ -132,6 +132,31 @@ class TestStages:
         assert payload["threshold"] == THEOREM1_PILOT_THRESHOLD
         assert capsys.readouterr().out == out.read_text() + "\n"
 
+    @pytest.mark.parametrize("family", ["ring", "locality"])
+    def test_theorem_probe_writes_strict_json(self, tmp_path, workdir, capsys, family):
+        out = tmp_path / "thm.json"
+        assert run(["--config", workdir["config"],
+                    "theorem-probe", "--family", family, "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        for text in (out.read_text(), capsys.readouterr().out):
+            payload = json.loads(text, parse_constant=refuse)
+            assert payload["family"] == family
+            assert payload["rho"] == (None if family == "ring" else 0.5)
+
+    def test_non_finite_output_is_a_numeric_error(self, tmp_path, workdir, capsys,
+                                                  monkeypatch):
+        probe = cli.theorem1_probe
+        monkeypatch.setattr(cli, "theorem1_probe", lambda *a, **kw: dataclasses.replace(
+            probe(*a, **kw), mean_rayleigh_after=float("inf")))
+        assert run(["--config", workdir["config"], "theorem-probe", "--family", "locality",
+                    "--out", str(tmp_path / "thm.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numeric error: ") and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_sweep_cutoff(self, tmp_path, workdir):
         out = tmp_path / "sweep.csv"
         code = run(["--config", workdir["config"], "--set", "training.epochs=1",
@@ -262,6 +287,43 @@ class TestAnalyze:
             assert lines[0] == "layer,band,energy,share"
             assert len(lines) == 1 + (cfg["backbone"]["layers"] + 1) * n_bands
             assert np.array_equal(json.loads(base.with_suffix(".json").read_text())["raw"], raw)
+
+    def test_both_writes_the_bytes_of_on_and_off(self, tmp_path, workdir):
+        runs = {}
+        for tfm in ("both", "on", "off"):
+            (tmp_path / tfm).mkdir()
+            assert self.analyze(workdir, tmp_path / tfm, "--tfm", tfm) == 0
+            runs[tfm] = {p.name: p.read_bytes() for p in (tmp_path / tfm).iterdir()}
+        summaries = {tfm: json.loads(files.pop("a.json")) for tfm, files in runs.items()}
+        assert runs["both"] == {**runs["on"], **runs["off"]} and len(runs["both"]) == 4
+        for mode in ("on", "off"):
+            both, single = summaries["both"]["modes"][mode], summaries[mode]["modes"][mode]
+            assert both.pop("profile_csv") != single.pop("profile_csv")
+            assert both == single
+
+    def test_windows_too_short_for_the_bands(self, tmp_path, workdir, capsys):
+        # the fixture's shortest window holds 6 items, 5 target nodes: too
+        # few for 8 bands, so those users are skipped as short
+        paths = {name: str(tmp_path / name) for name in ("graph.tsv", "id.emb", "text.emb",
+                                                         "id_f.emb", "a.json")}
+        base = ["--config", workdir["config"], "--set", "analysis.n_bands=8"]
+        assert run(base + ["build-graph", "--data", workdir["data"],
+                           "--out", paths["graph.tsv"]]) == 0
+        assert run(base + ["pretrain", "--data", workdir["data"], "--out-id", paths["id.emb"],
+                           "--out-text", paths["text.emb"]]) == 0
+        assert run(base + ["glpf", "--graph", paths["graph.tsv"],
+                           "--embeddings", paths["id.emb"], "--out", paths["id_f.emb"]]) == 0
+        capsys.readouterr()
+        assert run(base + ["analyze", "--data", workdir["data"], "--id", paths["id_f.emb"],
+                           "--text", paths["text.emb"], "--graph", paths["graph.tsv"],
+                           "--tfm", "both", "--out-prefix", str(tmp_path / "p"),
+                           "--out", paths["a.json"]]) == 0
+        assert capsys.readouterr().err == ""
+        windows = ds.build_split(ds.ingest(workdir["data"])).windows()
+        assert min(w.size for w in windows) == 6
+        for m in json.loads((tmp_path / "a.json").read_text())["modes"].values():
+            assert 0 < m["skipped_short"] <= sum(w.size < 9 for w in windows)
+            assert m["users"] + m["skipped_short"] + m["skipped_degenerate"] == len(windows)
 
 
 @pytest.mark.parametrize("command", ["synth", "ingest", "build-graph", "pretrain", "glpf",

@@ -387,6 +387,29 @@ class TestBatchedForward:
             np.testing.assert_array_equal(h, np.stack([t.matrices[layer] for _, t in singles]))
 
     @pytest.mark.parametrize("mode", TFM_MODES)
+    def test_filter_modes_are_single_mode_passes(self, synth_split, mode):
+        model = small_model(synth_split, **TFM_MODES[mode])
+        tokens = np.random.default_rng(5).standard_normal((3, 7, model.backbone.d_model))
+        runs = backbone_forward(model.backbone, tokens, capture=True,
+                                tfm_modes=(True, False, True))
+        assert len(runs) == 3
+        for enabled, (hidden, trace) in zip((True, False, True), runs):
+            model.backbone.tfm_enabled = enabled
+            single, single_trace = backbone_forward(model.backbone, tokens, capture=True)
+            np.testing.assert_array_equal(hidden, single)
+            for h, expected in zip(trace.matrices, single_trace.matrices, strict=True):
+                np.testing.assert_array_equal(h, expected)
+        block = np.stack([synth_split.sequences[u][:6] for u in range(4)])
+        for enabled, (rep, hidden, _) in zip((False, True),
+                                             forward(model, block, tfm_modes=(False, True))):
+            model.backbone.tfm_enabled = enabled
+            expected_rep, expected_hidden, _ = forward(model, block)
+            np.testing.assert_array_equal(rep, expected_rep)
+            np.testing.assert_array_equal(hidden, expected_hidden)
+        with pytest.raises(InputError):
+            backbone_forward(model.backbone, tokens, grad=True, tfm_modes=(True,))
+
+    @pytest.mark.parametrize("mode", TFM_MODES)
     def test_forward_block_is_stacked_single_sequences(self, synth_split, mode):
         model = small_model(synth_split, **TFM_MODES[mode])
         block = np.stack([synth_split.sequences[u][:6] for u in range(4)])
