@@ -115,10 +115,8 @@ class _Outputs:
 
 def _load_split(cfg, data_path):
     log = ds.ingest(data_path, format=cfg["dataset"]["format"])
-    split = ds.build_split(log, min_interactions=cfg["dataset"]["min_interactions"],
-                           max_seq_len=cfg["dataset"]["max_seq_len"])
-    split.fingerprint = fingerprint(cfg)
-    return split
+    return ds.build_split(log, min_interactions=cfg["dataset"]["min_interactions"],
+                          max_seq_len=cfg["dataset"]["max_seq_len"])
 
 
 def _train_config(cfg):

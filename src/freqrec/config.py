@@ -15,10 +15,11 @@ semantics, which is what `evaluate` checks before mixing inputs.
 Enumerated values are checked against the sets their consuming modules
 define, the numeric `pretrain` and `training` fields (and `model.d_id`)
 against the RANGES of their dataclasses, `eval.k`, `eval.n_candidates`,
-`analysis.n_bands` and `analysis.theorem_trials` must be at least 1, and
-explicit G-LPF coefficients must be finite numbers, so no command stamps
-artifacts with a config that a later stage would reject, that trains
-nothing or that ranks nothing.
+`analysis.n_bands` and `analysis.theorem_trials` must be at least 1,
+explicit G-LPF coefficients must be finite numbers, and the `tfm`, `glpf`
+and `backbone` sections must pass their consumers' checks, so no command
+stamps artifacts with a config that a later stage would reject, that
+trains nothing or that ranks nothing.
 """
 
 import copy
@@ -30,9 +31,9 @@ from dataclasses import asdict
 
 from freqrec.dataset import FORMATS, SynthConfig
 from freqrec.errors import InputError
-from freqrec.glpf import APPLY_TO
+from freqrec.glpf import APPLY_TO, PolyFilterSpec
 from freqrec.model.embeddings import PretrainConfig
-from freqrec.model.network import ACTIVATIONS, init_backbone, init_fusion_mlp
+from freqrec.model.network import ACTIVATIONS, check_heads, init_backbone, init_fusion_mlp
 from freqrec.model.training import TrainConfig
 from freqrec.tfm import ButterworthSpec
 
@@ -168,6 +169,14 @@ def _check_values(config):
                     and math.isfinite(c) for c in coeffs)):
         raise InputError("config key 'glpf.coefficients' must be null or a non-empty "
                          f"list of finite numbers, got {coeffs!r}")
+    for section, check, *args in (
+            ("tfm", ButterworthSpec.from_config, config["tfm"]),
+            ("glpf", PolyFilterSpec.from_config, config["glpf"]),
+            ("backbone", check_heads, config["model"]["d_model"], config["backbone"]["heads"])):
+        try:
+            check(*args)
+        except InputError as exc:
+            raise InputError(f"config section {section!r}: {exc}") from None
 
 
 def _apply_override(config, dotted, raw):

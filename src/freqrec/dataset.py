@@ -1,9 +1,11 @@
 """Interaction logs, protocol filtering and leave-one-out splits.
 
 Ingestion accepts headerless TSV (user, item, timestamp, optional metadata
-text) or JSON-lines ({"user", "item", "ts", "text"}).  Events are
-deduplicated on the (user, item, timestamp) triple and canonically sorted
-by (user, timestamp, item), so the result does not depend on file order.
+text) or JSON-lines ({"user", "item", "ts", "text"}: string or integer
+user and item, integer ts; tabs and line breaks in the text read as
+spaces, so `write_tsv` round-trips the log).  Events are deduplicated on
+the (user, item, timestamp) triple and canonically sorted by (user,
+timestamp, item), so the result does not depend on file order.
 
 Filtering removes users and items with fewer than min_interactions events,
 iterating to a fixed point because each removal can push other counts
@@ -20,6 +22,7 @@ import numpy as np
 from freqrec.errors import DatasetTooSparseError, InputError
 
 FORMATS = ("tsv", "jsonlines")
+_TO_SPACE = str.maketrans("\t\r\n", "   ")
 
 
 @dataclass
@@ -77,15 +80,18 @@ def ingest(path, format="tsv"):
             else:
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                try:
-                    user, item, ts = str(obj["user"]), str(obj["item"]), int(obj["ts"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise InputError(
-                        f"{path}:{lineno}: record must carry user, item and integer ts "
-                        f"({exc})") from exc
-                text = str(obj.get("text", ""))
+                    user, item, ts = obj["user"], obj["item"], obj["ts"]
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    raise InputError(f"{path}:{lineno}: expected a JSON record with user, "
+                                     f"item and ts ({exc})") from exc
+                if not (type(user) in (str, int) and type(item) in (str, int)
+                        and type(ts) is int):
+                    raise InputError(f"{path}:{lineno}: user and item must be strings or "
+                                     f"integers and ts an integer, got {[user, item, ts]}")
+                user, item = str(user), str(item)
+                if any(c in user + item for c in "\t\r\n"):
+                    raise InputError(f"{path}:{lineno}: tab or line break in {[user, item]}")
+                text = str(obj.get("text", "")).translate(_TO_SPACE)
             if ts < 0:
                 raise InputError(f"{path}:{lineno}: negative timestamp {ts}")
             if not user or not item:
@@ -114,7 +120,6 @@ class SplitDataset:
     max_seq_len: int
     min_interactions: int
     filter_trace: list = field(default_factory=list)
-    fingerprint: str = ""
 
     @property
     def n_users(self):

@@ -176,6 +176,12 @@ class Backbone:
         return digest.hexdigest()
 
 
+def check_heads(d_model, n_heads):
+    """Refuses a head count below 1 or one that does not divide d_model."""
+    if n_heads < 1 or d_model % n_heads:
+        raise InputError(f"heads must be at least 1 and divide d_model {d_model}, got {n_heads}")
+
+
 def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
                   tfm_enabled=False, tfm_spec=None, tfm_residual=False,
                   tfm_causal_safe=False):
@@ -183,8 +189,7 @@ def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
     section and `model.d_model`.  Temporal filtering defaults to off here
     and on in the config (`tfm.enabled`): the bare stack here, the default
     experiment there."""
-    if d_model % n_heads != 0:
-        raise InputError(f"d_model {d_model} must divide evenly into {n_heads} heads")
+    check_heads(d_model, n_heads)
     rng = np.random.default_rng(seed)
     hidden = ffn_mult * d_model
     layers = []

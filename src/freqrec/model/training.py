@@ -20,6 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from freqrec.errors import InputError
+from freqrec.evalharness import evaluate
 from freqrec.glpf import PolyFilterSpec
 from freqrec.model.network import (
     FusionMLP,
@@ -168,8 +169,6 @@ def train(model, split, config=TrainConfig()):
     NDCG@10 drives early stopping, and the best-epoch MLP weights are
     restored at the end.  A non-finite loss aborts with the last good
     weights kept."""
-    from freqrec.evalharness import evaluate  # deferred: evalharness scores models
-
     params = model.mlp.param_arrays()
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)

@@ -465,6 +465,11 @@ class TestErrors:
         ("glpf.coefficients=[]", "glpf.coefficients"),
         ("glpf.coefficients=[1, NaN]", "glpf.coefficients"),
         ('glpf.coefficients=[1, "x"]', "glpf.coefficients"),
+        # values that pass their type check but that the stage consuming
+        # their section refuses (the config's model.d_model is 32)
+        ("tfm.cutoff=2", "tfm"), ("tfm.cutoff=0", "tfm"), ("tfm.order=0", "tfm"),
+        ("glpf.alpha=1.5", "glpf"), ("glpf.alpha=-0.1", "glpf"),
+        ("backbone.heads=3", "backbone"), ("backbone.heads=0", "backbone"),
     ])
     def test_value_a_later_stage_rejects(self, tmp_path, capsys, workdir, override, key):
         # rejected at load, before pretrain writes a table stamped with it

@@ -1,5 +1,7 @@
 """Ingestion, filtering and synthesizer tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from freqrec.dataset import (
     write_tsv,
 )
 from freqrec.errors import DatasetTooSparseError, InputError
+from freqrec.model.embeddings import text_surrogate_embeddings
 
 
 def make_log(rows):
@@ -32,6 +35,49 @@ class TestIngest:
         log = ingest(p, format="jsonlines")
         assert log.n_events == 2
         assert log.events[0][3] == "hello"
+
+    def test_jsonlines_integer_tokens(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        p.write_text('{"user": 7, "item": 30, "ts": 0}\n')
+        assert ingest(p, format="jsonlines").events == [("7", "30", 0, "")]
+
+    @pytest.mark.parametrize("record", [
+        '{"user": null, "item": "x", "ts": 1}',
+        '{"user": true, "item": "x", "ts": 1}',
+        '{"user": "a", "item": 1.0, "ts": 1}',
+        '{"user": "a", "item": ["x"], "ts": 1}',
+        '{"user": "a", "item": "x", "ts": -0.5}',
+        '{"user": "a", "item": "x", "ts": 1.7}',
+        '{"user": "a", "item": "x", "ts": 1.0}',
+        '{"user": "a", "item": "x", "ts": true}',
+        '{"user": "a", "item": "x", "ts": "1"}',
+        '{"user": "a", "item": "x"}',
+        '["a", "x", 1]',
+        '{"user": "a\\tb", "item": "x", "ts": 1}',
+        '{"user": "a", "item": "x\\ny", "ts": 1}',
+        '{"user": "a", "item": "x\\ry", "ts": 1}',
+    ])
+    def test_jsonlines_field_is_not_coerced(self, tmp_path, record):
+        p = tmp_path / "log.jsonl"
+        p.write_text('{"user": "a", "item": "x", "ts": 0}\n' + record + "\n")
+        with pytest.raises(InputError, match=r"log\.jsonl:2: "):
+            ingest(p, format="jsonlines")
+
+    def test_jsonlines_round_trips_through_tsv(self, tmp_path):
+        def records(text):
+            return "".join(json.dumps({"user": u, "item": f"i{k}", "ts": k, "text": text(u, k)})
+                           + "\n" for u in "abc" for k in range(5))
+
+        src, out, spaced = tmp_path / "log.jsonl", tmp_path / "log.tsv", tmp_path / "sp.jsonl"
+        src.write_text(records(lambda u, k: f"item{k}\tline\nbreak\r\n{u}"))
+        spaced.write_text(records(lambda u, k: f"item{k} line break  {u}"))
+        log = ingest(src, format="jsonlines")
+        write_tsv(log, out)
+        assert ingest(out).events == log.events
+        tables = [text_surrogate_embeddings(build_split(lg, min_interactions=3), d_text=8)
+                  for lg in (ingest(out), ingest(spaced, format="jsonlines"))]
+        assert tables[0].rows.any()
+        np.testing.assert_array_equal(tables[0].rows, tables[1].rows)
 
     def test_missing_timestamp_names_line(self, tmp_path):
         p = tmp_path / "log.tsv"
