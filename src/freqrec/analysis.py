@@ -53,10 +53,6 @@ class SpectralProfile:
     user_energies: np.ndarray = None
     users: np.ndarray = None
 
-    @property
-    def n_layers(self):
-        return int(self.raw.shape[0]) - 1
-
     def shares(self):
         totals = self.raw.sum(axis=1, keepdims=True)
         safe = np.where(totals > 0, totals, 1.0)
@@ -68,7 +64,7 @@ def profile_from_trace(trace_matrices, basis, n_bands):
     hidden stack (rows already cut to the target positions).  With a basis
     stacked over B users each state is (B, n, d) and the energies are per
     user, (B, n_layers + 1, n_bands)."""
-    energies = band_energy(basis, gft(basis, np.stack(trace_matrices)), n_bands).energies
+    energies = band_energy(basis, gft(basis, np.stack(trace_matrices)), n_bands)
     return np.moveaxis(energies, 0, -2)
 
 
@@ -97,16 +93,16 @@ def trace_spectral_profile(model, sequences, graph, n_bands=4, tfm_modes=None):
 
     def one_chunk(chunk):
         block = np.stack([seqs[i] for i in chunk])
-        local = local_subgraph(graph, block[:, 1:])
-        kept = ~local.is_degenerate()
+        adjacency = local_subgraph(graph, block[:, 1:])
+        kept = adjacency.any(axis=(-2, -1))        # degenerate graphs have no edge
         if block.shape[1] <= n_bands or not kept.any():
             return np.asarray(chunk)[kept], None       # short, or all degenerate
-        basis = basis_from_matrix(local.laplacian[kept])
-        traces = [t.matrices for _, _, t in
+        basis = basis_from_matrix(normalized_laplacian(adjacency[kept]))
+        traces = [trace for _, trace in
                   forward(model, block[kept], capture=True, table=table, tfm_modes=modes)]
         # the modes share layer 0, the tokens: one stacked transform of it
         # and of every mode's layers 1..L
-        states = traces[0][:1] + [h for matrices in traces for h in matrices[1:]]
+        states = traces[0][:1] + [h for trace in traces for h in trace[1:]]
         e = profile_from_trace([h[:, :-1] for h in states], basis, n_bands)
         return np.asarray(chunk)[kept], np.stack([np.concatenate([e[:, :1], layers], axis=1)
                                                   for layers in np.split(e[:, 1:], len(modes), 1)])
@@ -127,30 +123,22 @@ def trace_spectral_profile(model, sequences, graph, n_bands=4, tfm_modes=None):
     return profiles[0] if tfm_modes is None else profiles
 
 
-@dataclass
-class AttenuationReport:
-    ratios: list      # final-layer share / input share per band (None if undefined)
-    slopes: list      # least-squares slope of share against layer index
-
-    def band_summary(self):
-        return [{"band": b, "ratio": self.ratios[b], "slope": self.slopes[b]}
-                for b in range(len(self.ratios))]
-
-
 def attenuation_metric(profile):
-    """Per-band final/initial share ratio and share-vs-depth slope."""
+    """One {"band", "ratio", "slope"} entry per band: the final-layer share
+    over the input share (None when the input share is 0) and the
+    least-squares slope of the share against the layer index."""
     if profile.raw.shape[0] < 2:
         raise InputError("attenuation needs at least 2 layers")
     shares = profile.shares()
     layers = np.arange(shares.shape[0], dtype=float)
-    ratios, slopes = [], []
+    summary = []
     for b in range(profile.n_bands):
         first, last = shares[0, b], shares[-1, b]
-        ratios.append(float(last / first) if first > 0 else None)
         x = layers - layers.mean()
         y = shares[:, b] - shares[:, b].mean()
-        slopes.append(float(np.sum(x * y) / np.sum(x * x)))
-    return AttenuationReport(ratios=ratios, slopes=slopes)
+        summary.append({"band": b, "ratio": float(last / first) if first > 0 else None,
+                        "slope": float(np.sum(x * y) / np.sum(x * x))})
+    return summary
 
 
 @dataclass

@@ -297,7 +297,6 @@ def cmd_analyze(args, cfg, files):
                                     "skipped_short": profile.skipped_short,
                                     "skipped_degenerate": profile.skipped_degenerate,
                                     "fingerprint": fp, "raw": raw, "share": shares})
-        att = attenuation_metric(profile)
         summary["modes"][mode] = {
             "profile_csv": base + ".csv",
             "users": profile.user_count,
@@ -305,7 +304,7 @@ def cmd_analyze(args, cfg, files):
             "skipped_degenerate": profile.skipped_degenerate,
             "band1_input_share": shares[0][0],
             "band1_final_share": shares[-1][0],
-            "attenuation": att.band_summary(),
+            "attenuation": attenuation_metric(profile),
         }
     files.emit(args.out, summary)
     return 0

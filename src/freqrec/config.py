@@ -14,8 +14,9 @@ artifacts stamped with the same fingerprint were produced under the same
 semantics, which is what `evaluate` checks before mixing inputs.
 Enumerated values are checked against the sets their consuming modules
 define, the numeric `pretrain` and `training` fields (and `model.d_id`)
-against the RANGES of their dataclasses, `eval.k`, `eval.n_candidates`,
-`analysis.n_bands` and `analysis.theorem_trials` must be at least 1,
+against the RANGES of their dataclasses, `model.d_model`,
+`backbone.layers`, `eval.k`, `eval.n_candidates`, `analysis.n_bands` and
+`analysis.theorem_trials` must be at least 1,
 explicit G-LPF coefficients must be finite numbers, and the `tfm`, `glpf`
 and `backbone` sections must pass their consumers' checks, so no command
 stamps artifacts with a config that a later stage would reject, that
@@ -111,6 +112,8 @@ _CHOICES = {("model", "activation"): ACTIVATIONS, ("dataset", "format"): FORMATS
 # field that another section supplies)
 _RANGED = ((PretrainConfig.RANGES, "pretrain", {"dim": "model.d_id"}),
            (TrainConfig.RANGES, "training", {}),
+           ({"d_model": (">=", 1)}, "model", {}),
+           ({"layers": (">=", 1)}, "backbone", {}),
            ({"k": (">=", 1), "n_candidates": (">=", 1)}, "eval", {}),
            ({"n_bands": (">=", 1), "theorem_trials": (">=", 1)}, "analysis", {}))
 

@@ -2,10 +2,10 @@
 
 Ingestion accepts headerless TSV (user, item, timestamp, optional metadata
 text) or JSON-lines ({"user", "item", "ts", "text"}: string or integer
-user and item, integer ts; tabs and line breaks in the text read as
-spaces, so `write_tsv` round-trips the log).  Events are deduplicated on
-the (user, item, timestamp) triple and canonically sorted by (user,
-timestamp, item), so the result does not depend on file order.
+user and item, integer ts, string or null text; tabs and line breaks in
+the text read as spaces, so `write_tsv` round-trips the log).  Events are
+deduplicated on the (user, item, timestamp) triple and canonically sorted
+by (user, timestamp, item), so the result does not depend on file order.
 
 Filtering removes users and items with fewer than min_interactions events,
 iterating to a fixed point because each removal can push other counts
@@ -91,7 +91,11 @@ def ingest(path, format="tsv"):
                 user, item = str(user), str(item)
                 if any(c in user + item for c in "\t\r\n"):
                     raise InputError(f"{path}:{lineno}: tab or line break in {[user, item]}")
-                text = str(obj.get("text", "")).translate(_TO_SPACE)
+                text = obj.get("text")
+                if text is not None and not isinstance(text, str):
+                    raise InputError(f"{path}:{lineno}: text must be a JSON string or null, "
+                                     f"got {text!r}")
+                text = (text or "").translate(_TO_SPACE)
             if ts < 0:
                 raise InputError(f"{path}:{lineno}: negative timestamp {ts}")
             if not user or not item:

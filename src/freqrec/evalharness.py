@@ -112,9 +112,9 @@ def evaluate(model, split, phase="test", seed=0, k=10, n_candidates=100):
              len({len(x) for x in inputs}), len(chunks))
     scores = np.empty(cands.shape)
     for chunk in chunks:
-        user_rep, _, _ = forward(model, np.stack([inputs[i] for i in chunk]), table=tokens)
+        hidden, _ = forward(model, np.stack([inputs[i] for i in chunk]), table=tokens)
         # a stacked matmul, not einsum: each row then matches tokens[row] @ rep
-        scores[chunk] = (tokens[cands[chunk]] @ user_rep[:, -1, :, None])[..., 0]
+        scores[chunk] = (tokens[cands[chunk]] @ hidden[:, -1, :, None])[..., 0]
     return _aggregate(split, users, rank_metrics(scores, n_candidates, k), k, phase)
 
 

@@ -96,25 +96,6 @@ class CooccurrenceGraph:
         return normalized_laplacian(self.dense_adjacency())
 
 
-@dataclass
-class LocalGraph:
-    """One local graph over n targets, or a stack of B of them: every array
-    then gains a leading B axis."""
-
-    positions: np.ndarray   # item indices of the target subsequence, in order
-    adjacency: np.ndarray   # dense, symmetric, zero diagonal
-    laplacian: np.ndarray   # symmetric normalized
-    degrees: np.ndarray
-
-    @property
-    def size(self):
-        return int(self.adjacency.shape[-1])
-
-    def is_degenerate(self):
-        """True where a graph has no edge at all (one flag per stacked graph)."""
-        return ~np.any(self.adjacency, axis=(-2, -1))
-
-
 def normalized_laplacian(adjacency):
     """I - D^{-1/2} A D^{-1/2} for a dense symmetric nonnegative adjacency,
     or for each of a (..., n, n) stack of them; isolated nodes keep an
@@ -157,8 +138,9 @@ def _from_upper_triangle(n, up_r, up_c, up_w, fingerprint=""):
 
 
 def local_subgraph(graph, target_items):
-    """Dense local graph over an ordered target subsequence (n,), or a stack
-    of B of them over the rows of a (B, n) block of equal-length targets.
+    """Dense local adjacency (n, n) over an ordered target subsequence (n,),
+    or a (B, n, n) stack of them over the rows of a (B, n) block of
+    equal-length targets: symmetric, with a zero diagonal.
 
     Repeated items occupy distinct nodes; because the global diagonal is
     zero, the weight between two occurrences of the same item is zero.
@@ -174,8 +156,7 @@ def local_subgraph(graph, target_items):
     a = graph.lookup(items[..., :, None], items[..., None, :])
     diag = np.arange(t_len)
     a[..., diag, diag] = 0.0
-    return LocalGraph(positions=items, adjacency=a, laplacian=normalized_laplacian(a),
-                      degrees=a.sum(axis=-1))
+    return a
 
 
 def save_graph(graph, path):

@@ -212,18 +212,6 @@ def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
                     tfm_residual=tfm_residual, tfm_causal_safe=tfm_causal_safe)
 
 
-@dataclass
-class LayerTrace:
-    """Hidden matrices per residual-stream state: index 0 is the fused input,
-    index l the state after layer l (including the filter when enabled)."""
-
-    matrices: list
-
-    @property
-    def n_layers(self):
-        return len(self.matrices) - 1
-
-
 def _causal_safe_matrix(spec, t_len):
     """Dense operator for prefix-only filtering: row t is row t of the
     length-(t+1) circulant filter, zero-padded.  Linear but not symmetric,
@@ -366,8 +354,10 @@ def _layer_adjoint(g, layer, cache, op, residual):
 def backbone_forward(backbone, tokens, capture=False, grad=False, tfm_modes=None):
     """Run the frozen stack on a T x d_model token matrix, or a (B, T,
     d_model) stack of B equal-length sequences.  Returns the final hidden
-    states and, when capture is set, a LayerTrace of value snapshots; with
-    grad, also a VJP from the hidden states' gradient to the tokens'.
+    states and, when capture is set, the list of value snapshots of the
+    residual stream (else None): index 0 is the input tokens, index l the
+    state after layer l, filter included.  With grad it also returns a VJP
+    from the hidden states' gradient to the tokens'.
 
     tfm_modes, on the value path only, is a sequence of filter switches
     (True for the stack's own filter form, False for none) and gives one
@@ -394,7 +384,7 @@ def backbone_forward(backbone, tokens, capture=False, grad=False, tfm_modes=None
         states = outs
         if capture:
             snapshots.append(states)
-    traces = [LayerTrace(list(s)) for s in zip(*snapshots)] if capture else [None] * len(modes)
+    traces = [list(s) for s in zip(*snapshots)] if capture else [None] * len(modes)
     if tfm_modes is not None:
         return list(zip(states, traces))
     h, trace, op = states[0], traces[0], ops[0]
@@ -502,16 +492,16 @@ def model_tokens(model, item_ids=None, grad=False):
 
 
 def forward(model, sequence, capture=False, table=None, tfm_modes=None):
-    """User representation for one item-index sequence (T,), or for each row
-    of a (B, T) block of equal-length sequences: gather the tokens from the
-    model's full token table, run them through the backbone and take the
-    last position's final hidden row.  `table` is that table
-    (`all_item_tokens`) when the caller holds one; without it the forward
-    computes its own.
+    """Backbone pass for one item-index sequence (T,), or for each row of a
+    (B, T) block of equal-length sequences: gather the tokens from the
+    model's full token table and run them through the backbone.  `table`
+    is that table (`all_item_tokens`) when the caller holds one; without it
+    the forward computes its own.
 
-    Returns (user_rep, final_hidden, trace); a block adds a leading B axis
-    to each (user_rep is (B, 1, d_model)).  With tfm_modes (see
-    `backbone_forward`) it returns one such triple per mode."""
+    Returns (final_hidden, trace) as `backbone_forward` does; a block adds
+    a leading B axis, and the user representation is the last position's
+    row, final_hidden[..., -1, :].  With tfm_modes it returns one such pair
+    per mode."""
     seq = np.asarray(sequence, dtype=np.intp)
     if seq.ndim not in (1, 2) or seq.size == 0:
         raise InputError("sequence must be a non-empty 1-D list of item indices "
@@ -519,11 +509,7 @@ def forward(model, sequence, capture=False, table=None, tfm_modes=None):
     if seq.min() < 0 or seq.max() >= model.n_items:
         raise InputError("unknown item index in sequence")
     tokens = (all_item_tokens(model) if table is None else table)[seq]
-    runs = backbone_forward(model.backbone, tokens, capture=capture, tfm_modes=tfm_modes)
-    t_len = seq.shape[-1]
-    out = [(hidden[..., t_len - 1:t_len, :], hidden, trace)
-           for hidden, trace in (runs if tfm_modes is not None else [runs])]
-    return out if tfm_modes is not None else out[0]
+    return backbone_forward(model.backbone, tokens, capture=capture, tfm_modes=tfm_modes)
 
 
 def length_chunks(lengths, max_rows=CHUNK_ROWS):

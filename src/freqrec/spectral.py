@@ -66,21 +66,6 @@ def smoothness(laplacian, signal):
     return float(np.sum(f * (lap @ f)))
 
 
-@dataclass(frozen=True)
-class BandEnergy:
-    n_bands: int
-    energies: np.ndarray     # (..., n_bands) per-band energy, sums to total signal energy
-    boundaries: np.ndarray   # band b covers eigenvalue ranks [boundaries[b], boundaries[b+1])
-
-    @property
-    def total(self):
-        return self.energies.sum(axis=-1)
-
-    def shares(self):
-        total = self.energies.sum(axis=-1, keepdims=True)
-        return self.energies / np.where(total > 0, total, 1.0)
-
-
 def band_boundaries(n, n_bands):
     """Contiguous rank-quantile boundaries: n frequencies split into n_bands
     groups as evenly as possible, ties resolved by stable ascending rank."""
@@ -101,7 +86,9 @@ def band_energy(basis, coefficients, n_bands=4):
     band boundary.
 
     Coefficients are (..., n, d), or (..., B, n, d) for a basis stacked over
-    B graphs, giving energies (..., n_bands) or (..., B, n_bands).  Each
+    B graphs; returns the energies, (..., n_bands) or (..., B, n_bands),
+    which sum to the signal's energy.  Band b covers the eigenvalue ranks
+    [bounds[b], bounds[b + 1]) of `band_boundaries(n, n_bands)`.  Each
     graph's clusters are found once and shared by the leading axes."""
     c = np.asarray(coefficients, dtype=float)
     w = basis.eigenvalues
@@ -125,6 +112,5 @@ def band_energy(basis, coefficients, n_bands=4):
     flat = per_freq.reshape(lead + (w.size,))
     spread = np.repeat(np.add.reduceat(flat, starts, axis=-1) / sizes, sizes, axis=-1)
     band_starts = (np.arange(w.shape[0])[:, None] * n + bounds[:-1]).ravel()
-    energies = np.add.reduceat(spread, band_starts, axis=-1).reshape(
+    return np.add.reduceat(spread, band_starts, axis=-1).reshape(
         per_freq.shape[:-1] + (n_bands,))
-    return BandEnergy(n_bands=n_bands, energies=energies, boundaries=bounds)

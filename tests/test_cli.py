@@ -132,6 +132,17 @@ class TestStages:
         assert payload["threshold"] == THEOREM1_PILOT_THRESHOLD
         assert capsys.readouterr().out == out.read_text() + "\n"
 
+    def test_theorem_probe_identity(self, tmp_path, workdir, capsys):
+        out = tmp_path / "thm.json"
+        assert run(["--config", workdir["config"], "theorem-probe", "--family", "locality",
+                    "--identity", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert (payload["cutoff"], payload["order"]) == (1.0, 0)
+        assert payload["violations_rayleigh"] == payload["violations_quadratic"] == 0
+        assert payload["mean_smoothness_after"] == payload["mean_smoothness_before"]
+        assert payload["mean_rayleigh_after"] == payload["mean_rayleigh_before"]
+        assert capsys.readouterr().out == out.read_text() + "\n"
+
     @pytest.mark.parametrize("family", ["ring", "locality"])
     def test_theorem_probe_writes_strict_json(self, tmp_path, workdir, capsys, family):
         out = tmp_path / "thm.json"
@@ -491,6 +502,8 @@ class TestErrors:
         ("pretrain.lr=nan", "pretrain.lr"),
         ("pretrain.lr=inf", "pretrain.lr"),
         ("model.d_id=0", "model.d_id"),
+        ("model.d_model=0", "model.d_model"),
+        ("backbone.layers=0", "backbone.layers"),
     ])
     def test_out_of_range_pretrain_setting(self, tmp_path, capsys, workdir, override, key):
         id_out, text_out = tmp_path / "id.emb", tmp_path / "text.emb"
@@ -509,6 +522,9 @@ class TestErrors:
         ("training.patience=-1", "training.patience"),
         ("training.lr=-1e-4", "training.lr"),
         ("training.lr=nan", "training.lr"),
+        ("model.d_model=0", "model.d_model"),
+        ("model.d_model=-8", "model.d_model"),
+        ("backbone.layers=0", "backbone.layers"),
     ])
     def test_out_of_range_training_setting(self, tmp_path, capsys, workdir, override, key):
         ckpt = tmp_path / "model.ckpt"

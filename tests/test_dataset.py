@@ -31,10 +31,11 @@ class TestIngest:
     def test_jsonlines(self, tmp_path):
         p = tmp_path / "log.jsonl"
         p.write_text('{"user": "a", "item": "x", "ts": 5, "text": "hello"}\n'
-                     '{"user": "a", "item": "y", "ts": 6}\n')
+                     '{"user": "a", "item": "y", "ts": 6}\n'
+                     '{"user": "a", "item": "z", "ts": 7, "text": null}\n')
         log = ingest(p, format="jsonlines")
-        assert log.n_events == 2
-        assert log.events[0][3] == "hello"
+        assert log.n_events == 3
+        assert [event[3] for event in log.events] == ["hello", "", ""]
 
     def test_jsonlines_integer_tokens(self, tmp_path):
         p = tmp_path / "log.jsonl"
@@ -56,6 +57,9 @@ class TestIngest:
         '{"user": "a\\tb", "item": "x", "ts": 1}',
         '{"user": "a", "item": "x\\ny", "ts": 1}',
         '{"user": "a", "item": "x\\ry", "ts": 1}',
+        '{"user": "a", "item": "x", "ts": 1, "text": 12}',
+        '{"user": "a", "item": "x", "ts": 1, "text": false}',
+        '{"user": "a", "item": "x", "ts": 1, "text": ["t"]}',
     ])
     def test_jsonlines_field_is_not_coerced(self, tmp_path, record):
         p = tmp_path / "log.jsonl"

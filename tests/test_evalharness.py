@@ -220,8 +220,8 @@ def per_sequence_rows(model, split, phase, seed, n_candidates, k=10):
             cand = sample_candidates(user, split, phase=phase, n=n_candidates, seed=seed)
         except InputError:
             continue
-        rep, _, _ = forward(model, split.eval_input(user, phase))
-        ndcg, recall, rank = rank_metrics(tokens[cand] @ rep.reshape(-1), n_candidates, k=k)
+        hidden, _ = forward(model, split.eval_input(user, phase))
+        ndcg, recall, rank = rank_metrics(tokens[cand] @ hidden[-1], n_candidates, k=k)
         rows.append((user, rank, ndcg, recall))
     return rows
 

@@ -105,17 +105,16 @@ class TestLocalSubgraph:
         split, graph = self.make_graph()
         items = [split.item_tokens.index(t) for t in "abc"]
         local = local_subgraph(graph, items)
-        np.testing.assert_array_equal(local.adjacency,
-                                      graph.dense_adjacency()[np.ix_(items, items)])
-        np.testing.assert_array_equal(local.adjacency, [[0, 2, 1], [2, 0, 1], [1, 1, 0]])
+        np.testing.assert_array_equal(local, graph.dense_adjacency()[np.ix_(items, items)])
+        np.testing.assert_array_equal(local, [[0, 2, 1], [2, 0, 1], [1, 1, 0]])
 
     def test_repeated_item_yields_identity_laplacian(self):
         split, graph = self.make_graph()
         ia = split.item_tokens.index("a")
         local = local_subgraph(graph, [ia, ia])
-        np.testing.assert_array_equal(local.adjacency, np.zeros((2, 2)))
-        np.testing.assert_array_equal(local.laplacian, np.eye(2))
-        assert local.is_degenerate()
+        np.testing.assert_array_equal(local, np.zeros((2, 2)))
+        np.testing.assert_array_equal(normalized_laplacian(local), np.eye(2))
+        assert not local.any()
 
     def test_spectrum_in_zero_two(self):
         log, _ = synthesize(SynthConfig(users=60, items=30, mean_length=12, rho=0.5, seed=8))
@@ -125,8 +124,7 @@ class TestLocalSubgraph:
         for _ in range(1000):
             t_len = int(rng.integers(2, 9))
             items = rng.integers(0, graph.n_items, size=t_len)
-            local = local_subgraph(graph, items)
-            w, _ = sym_eigendecompose(local.laplacian)
+            w, _ = sym_eigendecompose(normalized_laplacian(local_subgraph(graph, items)))
             assert w[0] >= -1e-9
             assert w[-1] <= 2.0 + 1e-9
 
@@ -154,8 +152,8 @@ class TestLocalSubgraph:
         split, graph = self.make_graph()
         items = np.array([split.item_tokens.index(t) for t in "abc"])
         perm = np.array([2, 0, 1])
-        direct = local_subgraph(graph, items[perm]).adjacency
-        permuted = local_subgraph(graph, items).adjacency[np.ix_(perm, perm)]
+        direct = local_subgraph(graph, items[perm])
+        permuted = local_subgraph(graph, items)[np.ix_(perm, perm)]
         np.testing.assert_array_equal(direct, permuted)
 
     def test_too_short_rejected(self):
@@ -176,14 +174,15 @@ class TestLocalSubgraph:
             block = rng.integers(0, graph.n_items, size=(7, n))
             block[3] = block[3, 0]          # one item repeated: no edge at all
             stacked = local_subgraph(graph, block)
-            assert stacked.size == n
-            flags = stacked.is_degenerate()
-            assert flags.shape == (7,) and flags[3]
+            assert stacked.shape == (7, n, n)
+            edgeless = ~stacked.any(axis=(-2, -1))
+            assert edgeless.shape == (7,) and edgeless[3]
+            laplacians = normalized_laplacian(stacked)
             for b, items in enumerate(block):
                 one = local_subgraph(graph, items)
-                for name in ("positions", "adjacency", "laplacian", "degrees"):
-                    np.testing.assert_array_equal(getattr(stacked, name)[b], getattr(one, name))
-                assert flags[b] == one.is_degenerate()
+                np.testing.assert_array_equal(stacked[b], one)
+                np.testing.assert_array_equal(laplacians[b], normalized_laplacian(one))
+                assert edgeless[b] == (not one.any())
 
     def test_stack_out_of_range_rejected(self):
         _, graph = self.make_graph()

@@ -299,37 +299,36 @@ class TestFuse:
 class TestForward:
     def test_t1_runs_and_tfm_identity(self, synth_split):
         base = small_model(synth_split)
-        rep_off, _, _ = forward(base, [0])
+        hidden_off, _ = forward(base, [0])
         filt = small_model(synth_split, tfm_enabled=True)
-        rep_on, _, _ = forward(filt, [0])
-        np.testing.assert_allclose(rep_off, rep_on, atol=1e-12)
+        hidden_on, _ = forward(filt, [0])
+        np.testing.assert_allclose(hidden_off, hidden_on, atol=1e-12)
 
     def test_causality_without_tfm(self, synth_split):
         model = small_model(synth_split)
         seq = list(synth_split.sequences[0][:6])
-        _, _, trace = forward(model, seq, capture=True)
+        _, trace = forward(model, seq, capture=True)
         perturbed = list(seq)
         perturbed[4] = (perturbed[4] + 1) % synth_split.n_items
-        _, _, trace2 = forward(model, perturbed, capture=True)
-        for h1, h2 in zip(trace.matrices, trace2.matrices):
+        _, trace2 = forward(model, perturbed, capture=True)
+        for h1, h2 in zip(trace, trace2):
             np.testing.assert_allclose(h1[:4], h2[:4], atol=1e-12)
 
     def test_tfm_breaks_strict_causality(self, synth_split):
         model = small_model(synth_split, tfm_enabled=True)
         seq = list(synth_split.sequences[0][:6])
-        _, _, trace = forward(model, seq, capture=True)
+        _, trace = forward(model, seq, capture=True)
         perturbed = list(seq)
         perturbed[5] = (perturbed[5] + 1) % synth_split.n_items
-        _, _, trace2 = forward(model, perturbed, capture=True)
-        assert np.max(np.abs(trace.matrices[-1][:5] - trace2.matrices[-1][:5])) > 1e-9
+        _, trace2 = forward(model, perturbed, capture=True)
+        assert np.max(np.abs(trace[-1][:5] - trace2[-1][:5])) > 1e-9
 
     def test_capture_shapes(self, synth_split):
         model = small_model(synth_split, n_layers=3)
         seq = list(synth_split.sequences[1][:5])
-        _, _, trace = forward(model, seq, capture=True)
-        assert trace.n_layers == 3
-        assert len(trace.matrices) == 4
-        for h in trace.matrices:
+        _, trace = forward(model, seq, capture=True)
+        assert len(trace) == 3 + 1
+        for h in trace:
             assert h.shape == (5, model.backbone.d_model)
 
     def test_unknown_item_rejected(self, synth_split):
@@ -342,17 +341,17 @@ class TestForward:
         toggled = small_model(synth_split, tfm_enabled=True)
         toggled.backbone.tfm_enabled = False
         seq = list(synth_split.sequences[2][:7])
-        a, _, _ = forward(base, seq)
-        b, _, _ = forward(toggled, seq)
-        np.testing.assert_allclose(a, b, atol=1e-8)
+        a, _ = forward(base, seq)
+        b, _ = forward(toggled, seq)
+        np.testing.assert_allclose(a[-1], b[-1], atol=1e-8)
 
     def test_value_only_passes_record_no_tape(self, synth_split):
         graph = build_cooccurrence(synth_split)
         seq = list(synth_split.sequences[0][:6])
         for model in (small_model(synth_split, tfm_enabled=True),
                       config_model(synth_split, graph, {"glpf.apply_to": "fused"})):
-            rep, hidden, _ = forward(model, seq)
-            for out in (rep, hidden, model_tokens(model), all_item_tokens(model)):
+            hidden, _ = forward(model, seq)
+            for out in (hidden, model_tokens(model), all_item_tokens(model)):
                 assert type(out) is np.ndarray
 
     def test_wide_open_cutoff_gains_above_inv_sqrt2(self):
@@ -362,11 +361,11 @@ class TestForward:
     def test_causal_safe_mode_preserves_prefixes(self, synth_split):
         model = small_model(synth_split, tfm_enabled=True, tfm_causal_safe=True)
         seq = list(synth_split.sequences[0][:6])
-        _, _, trace = forward(model, seq, capture=True)
+        _, trace = forward(model, seq, capture=True)
         perturbed = list(seq)
         perturbed[5] = (perturbed[5] + 1) % synth_split.n_items
-        _, _, trace2 = forward(model, perturbed, capture=True)
-        for h1, h2 in zip(trace.matrices, trace2.matrices):
+        _, trace2 = forward(model, perturbed, capture=True)
+        for h1, h2 in zip(trace, trace2):
             np.testing.assert_allclose(h1[:5], h2[:5], atol=1e-12)
 
 
@@ -383,8 +382,8 @@ class TestBatchedForward:
         hidden, trace = backbone_forward(model.backbone, tokens, capture=True)
         singles = [backbone_forward(model.backbone, t, capture=True) for t in tokens]
         np.testing.assert_array_equal(hidden, np.stack([h for h, _ in singles]))
-        for layer, h in enumerate(trace.matrices):
-            np.testing.assert_array_equal(h, np.stack([t.matrices[layer] for _, t in singles]))
+        for layer, h in enumerate(trace):
+            np.testing.assert_array_equal(h, np.stack([t[layer] for _, t in singles]))
 
     @pytest.mark.parametrize("mode", TFM_MODES)
     def test_filter_modes_are_single_mode_passes(self, synth_split, mode):
@@ -397,15 +396,13 @@ class TestBatchedForward:
             model.backbone.tfm_enabled = enabled
             single, single_trace = backbone_forward(model.backbone, tokens, capture=True)
             np.testing.assert_array_equal(hidden, single)
-            for h, expected in zip(trace.matrices, single_trace.matrices, strict=True):
+            for h, expected in zip(trace, single_trace, strict=True):
                 np.testing.assert_array_equal(h, expected)
         block = np.stack([synth_split.sequences[u][:6] for u in range(4)])
-        for enabled, (rep, hidden, _) in zip((False, True),
-                                             forward(model, block, tfm_modes=(False, True))):
+        for enabled, (hidden, _) in zip((False, True),
+                                        forward(model, block, tfm_modes=(False, True))):
             model.backbone.tfm_enabled = enabled
-            expected_rep, expected_hidden, _ = forward(model, block)
-            np.testing.assert_array_equal(rep, expected_rep)
-            np.testing.assert_array_equal(hidden, expected_hidden)
+            np.testing.assert_array_equal(hidden, forward(model, block)[0])
         with pytest.raises(InputError):
             backbone_forward(model.backbone, tokens, grad=True, tfm_modes=(True,))
 
@@ -413,11 +410,9 @@ class TestBatchedForward:
     def test_forward_block_is_stacked_single_sequences(self, synth_split, mode):
         model = small_model(synth_split, **TFM_MODES[mode])
         block = np.stack([synth_split.sequences[u][:6] for u in range(4)])
-        rep, hidden, _ = forward(model, block)
-        assert rep.shape == (4, 1, model.backbone.d_model)
-        singles = [forward(model, seq) for seq in block]
-        np.testing.assert_array_equal(rep, np.stack([r for r, _, _ in singles]))
-        np.testing.assert_array_equal(hidden, np.stack([h for _, h, _ in singles]))
+        hidden, _ = forward(model, block)
+        assert hidden.shape == (4, 6, model.backbone.d_model)
+        np.testing.assert_array_equal(hidden, np.stack([forward(model, seq)[0] for seq in block]))
 
     def test_block_rejects_unknown_item(self, synth_split):
         model = small_model(synth_split)
@@ -522,8 +517,8 @@ class TestReferenceKernels:
         hidden, trace, vjp = backbone_forward(model.backbone, tokens, capture=True, grad=True)
         want, snapshots, want_vjp = reference_backbone(model.backbone, tokens)
         assert_close_to_scale(hidden, want, 1e-14)
-        assert len(trace.matrices) == len(snapshots)
-        for got, ref in zip(trace.matrices, snapshots):
+        assert len(trace) == len(snapshots)
+        for got, ref in zip(trace, snapshots):
             assert_close_to_scale(got, ref, 1e-14)
         g = rng.standard_normal(hidden.shape)
         assert_close_to_scale(vjp(g), want_vjp(g), 1e-12)
@@ -770,9 +765,9 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
         assert loaded.backbone.parameter_hash() == model.backbone.parameter_hash()
         seq = list(synth_split.sequences[0][:5])
-        a, _, _ = forward(model, seq)
-        b, _, _ = forward(loaded, seq)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        a, _ = forward(model, seq)
+        b, _ = forward(loaded, seq)
+        np.testing.assert_allclose(a[-1], b[-1], atol=1e-12)
 
     def test_checkpoint_rejects_wrong_tables(self, synth_split, tmp_path):
         model = small_model(synth_split)
