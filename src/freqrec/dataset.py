@@ -1,10 +1,10 @@
 """Interaction logs, protocol filtering and leave-one-out splits.
 
 Ingestion accepts headerless TSV (user, item, timestamp, optional metadata
-text) or JSON-lines ({"user", "item", "ts", "text"}: string or integer
-user and item, integer ts, string or null text; tabs and line breaks in
-the text read as spaces, so `write_tsv` round-trips the log).  Events are
-deduplicated on the (user, item, timestamp) triple and canonically sorted
+text without tabs) or JSON-lines ({"user", "item", "ts", "text"}: string
+or integer user and item, integer ts, string or null text; tabs and line
+breaks in the text read as spaces, so `write_tsv` round-trips the log).
+Events are deduplicated on the (user, item, timestamp) triple and sorted
 by (user, timestamp, item), so the result does not depend on file order.
 
 Filtering removes users and items with fewer than min_interactions events,
@@ -67,10 +67,10 @@ def ingest(path, format="tsv"):
                 continue
             if format == "tsv":
                 parts = line.split("\t")
-                if len(parts) < 3:
+                if not 3 <= len(parts) <= 4:
                     raise InputError(
-                        f"{path}:{lineno}: expected at least 3 tab-separated columns "
-                        f"(user, item, timestamp), got {len(parts)}")
+                        f"{path}:{lineno}: expected 3 or 4 tab-separated columns "
+                        f"(user, item, timestamp, optional text), got {len(parts)}")
                 user, item = parts[0], parts[1]
                 try:
                     ts = int(parts[2])

@@ -32,10 +32,10 @@ No positional embeddings: position information enters only through the
 causal mask, which is all the spectral instrumentation needs.
 
 Every pass runs one forward per chunk of equal-length sequences
-(`length_chunks`): evaluation, validation, spectral analysis, and the
-training loss of each optimizer batch.  The filter gains depend on T, so
-exact-length buckets need no padding and give each sequence the numbers
-its own forward would.
+(`length_chunks`): evaluation, validation and spectral analysis over one
+token table, and training over one token block per optimizer batch, with
+one loss per chunk.  The filter gains depend on T, so exact-length buckets
+need no padding and give each sequence the numbers its own forward would.
 """
 
 import functools
@@ -53,13 +53,11 @@ CAUSAL_MASK_VALUE = -1e9
 ACTIVATIONS = ("gelu", "linear")
 # Token rows (sequences x length) one batched forward holds; it bounds the
 # FFN activations at CHUNK_ROWS x ffn_mult * d_model floats per array.
-# Measured on both benchmark workloads: 128 rows gave the fastest pipeline
-# evaluate (3 sequences at T = 40); 256 and more cost the analyze workload
-# about 10% in peak memory.  Re-measured with the fused layer kernels (12
-# alternating in-process runs, 2-core box): pipeline evaluate 0.31, 0.27,
-# 0.27 and 0.28 s at 64, 128, 256 and 512 rows; analyze 0.24, 0.22, 0.19
-# and 0.19 s.  256 would buy analyze about 10% but regroups its per-chunk
-# sums, so it needs its own change.
+# Grouping does not change the numbers: at 128 and 256 rows the analyze
+# and evaluate files are byte-identical (benchmark seeds 12 and 3).
+# Benchmark analyze median on a 2-core box: 154.5, 147.2, 149.6 and 154.2
+# ms at 128, 256, 512 and 1024 rows, within noise; peak RSS 45.3 MiB at
+# 128 rows and 47.7 at 256.
 CHUNK_ROWS = 128
 
 
@@ -76,12 +74,6 @@ class FusionMLP:
 
     def param_arrays(self):
         return [self.w1, self.b1, self.w2, self.b2]
-
-    def param_names(self):
-        return ["mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"]
-
-    def make_vars(self):
-        return [ad.parameter(a, name=n) for a, n in zip(self.param_arrays(), self.param_names())]
 
     def apply(self, x, grad=False):
         """The MLP on input rows x; with grad, also a VJP from the output's

@@ -3,12 +3,14 @@
 The loss is a sampled softmax over each training position: the position's
 next item is the positive, scored against n_negatives uniform catalog
 draws shared across the positions of one sequence.  Each optimizer batch
-takes one loss per group of equal-length sequences, and each loss is one
-tape node over the fusion MLP's four parameters whose one VJP is a
-hand-written backward that returns all four gradients.  Only the fusion
-MLP receives updates; the backbone is held frozen by construction (its
-weights never become tape parameters), which the parameter-hash test pins
-down.  Early stopping watches validation NDCG@10.
+fuses its distinct items' tokens once (`batch_loss`), and each group of
+equal-length sequences in it is one tape node over that token block,
+whose one VJP is a hand-written backward through the frozen backbone.  The
+groups' token gradients sum into one block, and one fusion-MLP VJP gives
+the four gradients of the step.  Only the fusion MLP receives updates; the
+backbone is held frozen by construction (its weights never reach the
+tape), which the parameter-hash test pins down.  Early stopping watches
+validation NDCG@10.
 """
 
 import json
@@ -89,38 +91,26 @@ class TrainConfig:
                               "n_negatives": (">=", 1)}
 
 
-def sequence_loss(model, sequences, negatives, mlp_vars):
+def sequence_loss(backbone, sequences, negatives, tokens):
     """Sampled-softmax loss of a (B, T) block of equal-length training
-    sequences with (B, n_negatives) negatives, or of one sequence (T,)
-    with its (n_negatives,): the sum over sequences of the mean loss over
-    each one's next-item positions.  A sequence's negatives are shared
-    across its positions.
-
-    The loss is one tape node whose parents are mlp_vars, the Vars of
-    model.mlp.make_vars(), and whose one VJP is the hand-written backward:
-    log-softmax, scores, the backbone's adjoint, one scatter into the
-    block's distinct token rows, then model_tokens' VJP, which returns the
-    four parameters' gradients."""
+    sequences with (B, n_negatives) negatives, all row indices into
+    `tokens`, a tape parameter over a token block: the sum over sequences
+    of the mean loss over each one's next-item positions.  A sequence's
+    negatives are shared across its positions.  The loss is one tape node
+    whose only parent is that block; its one VJP is the hand-written
+    backward: log-softmax, scores, the backbone's adjoint and one scatter
+    into the block's rows."""
     seqs = np.asarray(sequences, dtype=np.intp)
     negatives = np.asarray(negatives, dtype=np.intp)
-    if seqs.ndim == 1:
-        seqs, negatives = seqs[None], negatives[None]
     n_seqs, t_len = seqs.shape
     if t_len < 2:
         raise InputError("need at least 2 items to form a prediction position")
     if negatives.ndim != 2 or negatives.shape[0] != n_seqs:
         raise InputError(f"negatives {negatives.shape} do not match {n_seqs} sequences")
-    if any(v.value is not a for v, a in zip(mlp_vars, model.mlp.param_arrays())):
-        raise InputError("mlp_vars must wrap the model's own MLP arrays (make_vars)")
-    unique, inverse = np.unique(np.concatenate([seqs.ravel(), negatives.ravel()]),
-                                return_inverse=True)
-    local_seq = inverse[:seqs.size].reshape(seqs.shape)
-    local_negs = inverse[seqs.size:].reshape(negatives.shape)
-
-    tokens, tokens_vjp = model_tokens(model, item_ids=unique, grad=True)
-    hidden, _, backbone_vjp = backbone_forward(model.backbone, tokens[local_seq], grad=True)
+    block = tokens.value
+    hidden, _, backbone_vjp = backbone_forward(backbone, block[seqs], grad=True)
     h_pred = hidden[:, :t_len - 1]
-    pos_tokens, neg_tokens = tokens[local_seq[:, 1:]], tokens[local_negs]
+    pos_tokens, neg_tokens = block[seqs[:, 1:]], block[negatives]
     n_pred = n_seqs * (t_len - 1)
     pos_scores = (h_pred * pos_tokens).reshape(n_pred, -1).sum(axis=1)
     neg_scores = h_pred @ np.swapaxes(neg_tokens, -1, -2)
@@ -141,14 +131,42 @@ def sequence_loss(model, sequences, negatives, mlp_vars):
         g_pos, g_neg = g_logits[..., :1], g_logits[..., 1:]
         g_hidden = np.zeros_like(hidden)
         g_hidden[:, :t_len - 1] = g_pos * pos_tokens + g_neg @ neg_tokens
-        g_tokens = np.zeros_like(tokens)
-        add_rows_at(g_tokens,
-                    np.concatenate([local_seq, local_seq[:, 1:], local_negs], axis=1),
+        g_block = np.zeros_like(block)
+        add_rows_at(g_block, np.concatenate([seqs, seqs[:, 1:], negatives], axis=1),
                     np.concatenate([backbone_vjp(g_hidden), g_pos * h_pred,
                                     np.swapaxes(g_neg, -1, -2) @ h_pred], axis=1))
-        return tokens_vjp(g_tokens)
+        return [g_block]
 
-    return ad.node(loss, mlp_vars, backward, name="sequence_loss")
+    return ad.node(loss, (tokens,), backward, name="sequence_loss")
+
+
+def batch_loss(model, sequences, negatives):
+    """The loss of one optimizer batch (sequences of any lengths of at
+    least 2, (B, n_negatives) negatives) and the MLP's four gradients of
+    it.  One `model_tokens` pass covers the batch's distinct items; each
+    exact-length group (`length_chunks`) is one `sequence_loss` node over
+    that block, taken through `tape_gradient` at once, so its backbone
+    intermediates are freed before the next group runs.  One MLP VJP maps
+    the groups' summed token gradients to the four gradients.  Returns
+    (the groups' losses, the gradients), stopping with gradients None at
+    the first group whose loss is not finite."""
+    lengths = [len(seq) for seq in sequences]
+    unique, inverse = np.unique(np.concatenate([*sequences, negatives.ravel()]),
+                                return_inverse=True)
+    *local, local_negs = np.split(inverse, np.cumsum(lengths))
+    local_negs = local_negs.reshape(negatives.shape)
+    block, tokens_vjp = model_tokens(model, item_ids=unique, grad=True)
+    tokens = ad.parameter(block, name="tokens")
+    g_block, losses = np.zeros_like(block), []
+    for group in length_chunks(lengths):
+        loss = sequence_loss(model.backbone, np.stack([local[i] for i in group]),
+                             local_negs[group], tokens)
+        losses.append(float(loss.value))
+        if not np.isfinite(losses[-1]):
+            return losses, None
+        (g,), _ = ad.tape_gradient(loss, [tokens])
+        g_block += g
+    return losses, tokens_vjp(g_block)
 
 
 @dataclass
@@ -163,12 +181,12 @@ def train(model, split, config=TrainConfig()):
     """Train the fusion MLP in place; other components never change.
 
     Each epoch shuffles users and applies one optimizer step per batch:
-    the mean of its sequences' gradients, taken from one tape per exact-
-    length group (`length_chunks`).  Negatives are drawn per user in the
-    shuffled order, skipped users included.  Validation
-    NDCG@10 drives early stopping, and the best-epoch MLP weights are
-    restored at the end.  A non-finite loss aborts with the last good
-    weights kept."""
+    the mean of its sequences' gradients (`batch_loss`).  Negatives are
+    drawn per user in the shuffled order, skipped users included.
+    Validation NDCG@10 drives early stopping, and the best-epoch MLP
+    weights are restored at the end.  A non-finite loss in any length
+    group aborts the run before that batch's step, with the best weights
+    kept."""
     params = model.mlp.param_arrays()
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
@@ -199,24 +217,14 @@ def train(model, split, config=TrainConfig()):
             if not seqs:
                 log.warning("epoch %d: skipped a batch with no usable sequences", epoch)
                 continue
-            grad_sum = [np.zeros_like(p) for p in params]
-            groups = length_chunks([seq.size for seq in seqs])
-            for group in groups:
-                mlp_vars = model.mlp.make_vars()
-                loss = sequence_loss(model, np.stack([seqs[i] for i in group]),
-                                     np.stack([negs[i] for i in group]), mlp_vars)
-                if not np.isfinite(loss.value):
-                    aborted = True
-                    break
-                grads, _ = ad.tape_gradient(loss, mlp_vars)
-                for gs, g in zip(grad_sum, grads):
-                    gs += g
-                epoch_loss += float(loss.value)
-            if aborted:
+            losses, grads = batch_loss(model, seqs, np.stack(negs))
+            if grads is None:
+                aborted = True
                 break
-            opt.step([g / len(seqs) for g in grad_sum])
+            opt.step([g / len(seqs) for g in grads])
+            epoch_loss += sum(losses)
             n_sequences += len(seqs)
-            n_groups += len(groups)
+            n_groups += len(losses)
         if aborted:
             break
         mean_loss = epoch_loss / max(n_sequences, 1)

@@ -5,8 +5,8 @@ A node is its forward value, its parents and one vector-Jacobian product
 that maps the value's gradient to one gradient per parent; the parents are
 parameters (leaves).  Composites computed in plain numpy enter the tape as
 one node with a hand-written VJP, and the training loss does this
-(model.training): its tape is that one node over the fusion MLP's four
-parameters, and `tape_gradient` calls its VJP once.
+(model.training): each length group of a batch is one node over the
+batch's token block, and `tape_gradient` calls its VJP once.
 
 `gelu` and `gelu_slope` are the plain-array activation and its derivative
 that the fusion MLP and the backbone's FFN share.

@@ -24,8 +24,8 @@ from freqrec.model.embeddings import (
     pretrain_id_embeddings,
     text_surrogate_embeddings,
 )
-from freqrec.model.network import RecModel, init_backbone, init_fusion_mlp
-from freqrec.model.training import TrainConfig, sequence_loss, train
+from freqrec.model.network import RecModel, init_backbone, init_fusion_mlp, model_tokens
+from freqrec.model.training import TrainConfig, batch_loss, sequence_loss, train
 from freqrec.numcore import autodiff as ad
 from freqrec.numcore.fourier import dft
 from freqrec.numcore.linalg import sym_eigendecompose
@@ -164,14 +164,16 @@ class TestCriterion4Numerics:
                          backbone=backbone)
         seq = np.asarray(split.sequences[0][:8], dtype=np.intp)
         negs = np.array([1, 5, 9, 13], dtype=np.intp)
-        mlp_vars = model.mlp.make_vars()
-        grads, _ = ad.tape_gradient(sequence_loss(model, seq, negs, mlp_vars), mlp_vars)
+        _, grads = batch_loss(model, [seq], negs[None])
         originals = [np.array(a, copy=True) for a in model.mlp.param_arrays()]
+        unique, inverse = np.unique(np.concatenate([seq, negs]), return_inverse=True)
 
         def loss_fn(values):
             for target, v in zip(model.mlp.param_arrays(), values):
                 target[...] = v
-            out = float(sequence_loss(model, seq, negs, model.mlp.make_vars()).value)
+            tokens = ad.parameter(model_tokens(model, item_ids=unique))
+            out = float(sequence_loss(model.backbone, inverse[None, :seq.size],
+                                      inverse[None, seq.size:], tokens).value)
             for target, orig in zip(model.mlp.param_arrays(), originals):
                 target[...] = orig
             return out

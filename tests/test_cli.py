@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from freqrec import cli
+from freqrec import analysis, cli, evalharness
 from freqrec import dataset as ds
 from freqrec.analysis import THEOREM1_PILOT_THRESHOLD, trace_spectral_profile
 from freqrec.cli import main
@@ -18,7 +18,7 @@ from freqrec.errors import InputError
 from freqrec.evalharness import evaluate
 from freqrec.graph import load_graph
 from freqrec.model.embeddings import PretrainConfig, load_external
-from freqrec.model.network import build_model, init_backbone, init_fusion_mlp
+from freqrec.model.network import build_model, init_backbone, init_fusion_mlp, length_chunks
 from freqrec.model.training import TrainConfig, load_checkpoint, train
 
 
@@ -168,6 +168,24 @@ class TestStages:
         assert captured.err.startswith("numeric error: ") and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_train_exits_2_on_a_non_finite_loss(self, tmp_path, workdir, capsys,
+                                                monkeypatch):
+        build = cli.build_model
+
+        def overflowing(*args, **kwargs):
+            model = build(*args, **kwargs)
+            model.mlp.w2 *= 1e300         # every token overflows, so every loss is NaN
+            return model
+
+        monkeypatch.setattr(cli, "build_model", overflowing)
+        with np.errstate(all="ignore"):
+            code = run(["--config", workdir["config"], "train", "--data", workdir["data"],
+                        "--id", workdir["id_filtered"], "--text", workdir["text"],
+                        "--out", str(tmp_path / "model.ckpt")])
+        assert code == 2
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["aborted"] is True and summary["epochs_run"] == 0
+
     def test_sweep_cutoff(self, tmp_path, workdir):
         out = tmp_path / "sweep.csv"
         code = run(["--config", workdir["config"], "--set", "training.epochs=1",
@@ -311,6 +329,24 @@ class TestAnalyze:
             both, single = summaries["both"]["modes"][mode], summaries[mode]["modes"][mode]
             assert both.pop("profile_csv") != single.pop("profile_csv")
             assert both == single
+
+    def test_chunk_size_changes_no_output(self, tmp_path, workdir, monkeypatch):
+        outputs, calls = [], []
+        for max_rows in (16, 1024):
+            def chunks(lengths, max_rows=max_rows):
+                calls.append(max_rows)
+                return length_chunks(lengths, max_rows=max_rows)
+
+            monkeypatch.setattr(analysis, "length_chunks", chunks)
+            monkeypatch.setattr(evalharness, "length_chunks", chunks)
+            assert self.analyze(workdir, tmp_path, "--tfm", "both") == 0
+            assert run(["--config", workdir["config"], "evaluate", "--data", workdir["data"],
+                        "--id", workdir["id_filtered"], "--text", workdir["text"],
+                        "--checkpoint", workdir["ckpt"], "--out", str(tmp_path / "m.json"),
+                        "--per-user", str(tmp_path / "u.csv")]) == 0
+            outputs.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
+        assert calls == [16, 16, 1024, 1024] and len(outputs[0]) == 7
+        assert outputs[0] == outputs[1]
 
     def test_windows_too_short_for_the_bands(self, tmp_path, workdir, capsys):
         # the fixture's shortest window holds 6 items, 5 target nodes: too

@@ -89,6 +89,12 @@ class TestIngest:
         with pytest.raises(InputError, match="2"):
             ingest(p)
 
+    def test_extra_column_names_line(self, tmp_path):
+        p = tmp_path / "log.tsv"
+        p.write_text("u0\ti0\t0\tfine text\nu1\ti1\t1\thello\tworld\n")
+        with pytest.raises(InputError, match=f"{p}:2: .*got 5"):
+            ingest(p)
+
     def test_bad_timestamp_names_line(self, tmp_path):
         p = tmp_path / "log.tsv"
         p.write_text("a\tx\tnotanumber\n")

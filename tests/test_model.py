@@ -1,5 +1,6 @@
 """Model tests: embeddings, fusion, backbone, training."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from freqrec.dataset import InteractionLog, SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.evalharness import evaluate
 from freqrec.graph import build_cooccurrence
-from freqrec.model import network
+from freqrec.model import network, training
 from freqrec.model.embeddings import (
     EmbeddingTable,
     PretrainConfig,
@@ -36,6 +37,7 @@ from freqrec.model.network import (
 from freqrec.model.training import (
     CHECKPOINT_MAGIC,
     TrainConfig,
+    batch_loss,
     load_checkpoint,
     save_checkpoint,
     sequence_loss,
@@ -560,86 +562,98 @@ class TestLengthChunks:
         assert len(chunks) == -(-100 // (CHUNK_ROWS // 12))
 
 
+def group_reference(model, sequences, negatives, grad=True):
+    """The per-group composition that `batch_loss` replaced: each length
+    group's own token pass, loss node and MLP VJP.  Returns the summed loss
+    and the summed gradients (None without grad)."""
+    total, grads = 0.0, None
+    for group in length_chunks([len(seq) for seq in sequences]):
+        seqs = np.stack([sequences[i] for i in group])
+        negs = np.asarray(negatives)[group]
+        unique, inverse = np.unique(np.concatenate([seqs.ravel(), negs.ravel()]),
+                                    return_inverse=True)
+        block, vjp = (model_tokens(model, item_ids=unique, grad=True) if grad
+                      else (model_tokens(model, item_ids=unique), None))
+        tokens = ad.parameter(block)
+        loss = sequence_loss(model.backbone, inverse[:seqs.size].reshape(seqs.shape),
+                             inverse[seqs.size:].reshape(negs.shape), tokens)
+        total += float(loss.value)
+        if grad:
+            (g,), unreachable = ad.tape_gradient(loss, [tokens])
+            assert unreachable == []
+            mine = vjp(g)
+            grads = mine if grads is None else [a + b for a, b in zip(grads, mine)]
+    return total, grads
+
+
+def mode_model(split, mode, **small_kw):
+    if mode == "fused":
+        return config_model(split, build_cooccurrence(split), {"glpf.apply_to": "fused"})
+    return small_model(split, **small_kw, **TFM_MODES[mode])
+
+
+def assert_gradient_fd(model, seq, negs):
+    """batch_loss's gradients for one sequence against central differences
+    of the value-only loss."""
+    _, grads = batch_loss(model, [seq], negs[None])
+    originals = [np.array(a, copy=True) for a in model.mlp.param_arrays()]
+
+    def loss_fn(values):
+        for target, v in zip(model.mlp.param_arrays(), values):
+            target[...] = v
+        out, _ = group_reference(model, [seq], negs[None], grad=False)
+        for target, orig in zip(model.mlp.param_arrays(), originals):
+            target[...] = orig
+        return out
+
+    report = ad.finite_difference_check(loss_fn, originals, grads)
+    assert report.max_relative_error < 1e-4, report.worst()
+
+
 class TestEndToEndGradient:
     @pytest.mark.parametrize("mode", [*TFM_MODES, "fused"])
     def test_full_graph_matches_finite_differences(self, synth_split, mode):
         # d_model 16, T = 8, gradient path through fusion MLP, the token
         # filter when fused, the frozen backbone's adjoint and the temporal
         # filter
-        if mode == "fused":
-            model = config_model(synth_split, build_cooccurrence(synth_split),
-                                 {"glpf.apply_to": "fused"})
-        else:
-            model = small_model(synth_split, d_id=6, d_text=4, d_model=16, n_layers=2,
-                                **TFM_MODES[mode])
-        seq = np.asarray(synth_split.sequences[0][:8], dtype=np.intp)
-        negs = np.array([1, 5, 9, 13], dtype=np.intp)
-
-        mlp_vars = model.mlp.make_vars()
-        loss = sequence_loss(model, seq, negs, mlp_vars)
-        grads, unreachable = ad.tape_gradient(loss, mlp_vars)
-        assert unreachable == []
-
-        originals = [np.array(a, copy=True) for a in model.mlp.param_arrays()]
-
-        def loss_fn(values):
-            for target, v in zip(model.mlp.param_arrays(), values):
-                target[...] = v
-            lv = sequence_loss(model, seq, negs, model.mlp.make_vars())
-            for target, orig in zip(model.mlp.param_arrays(), originals):
-                target[...] = orig
-            return float(lv.value)
-
-        report = ad.finite_difference_check(loss_fn, originals, grads)
-        assert report.max_relative_error < 1e-4, report.worst()
+        model = mode_model(synth_split, mode, d_id=6, d_text=4, d_model=16, n_layers=2)
+        assert_gradient_fd(model, np.asarray(synth_split.sequences[0][:8], dtype=np.intp),
+                           np.array([1, 5, 9, 13], dtype=np.intp))
 
     def test_causal_safe_filter_gradient(self, synth_split):
         model = small_model(synth_split, d_id=4, d_text=4, d_model=16, n_layers=1,
                             tfm_enabled=True, tfm_causal_safe=True)
-        seq = np.asarray(synth_split.sequences[1][:6], dtype=np.intp)
-        negs = np.array([0, 3, 7], dtype=np.intp)
-        mlp_vars = model.mlp.make_vars()
-        grads, _ = ad.tape_gradient(sequence_loss(model, seq, negs, mlp_vars), mlp_vars)
-        originals = [np.array(a, copy=True) for a in model.mlp.param_arrays()]
-
-        def loss_fn(values):
-            for target, v in zip(model.mlp.param_arrays(), values):
-                target[...] = v
-            out = float(sequence_loss(model, seq, negs, model.mlp.make_vars()).value)
-            for target, orig in zip(model.mlp.param_arrays(), originals):
-                target[...] = orig
-            return out
-
-        report = ad.finite_difference_check(loss_fn, originals, grads)
-        assert report.max_relative_error < 1e-4, report.worst()
+        assert_gradient_fd(model, np.asarray(synth_split.sequences[1][:6], dtype=np.intp),
+                           np.array([0, 3, 7], dtype=np.intp))
 
 
-def group_gradients(model, block, negs):
-    mlp_vars = model.mlp.make_vars()
-    loss = sequence_loss(model, block, negs, mlp_vars)
-    grads, unreachable = ad.tape_gradient(loss, mlp_vars)
-    assert unreachable == []
-    return float(loss.value), grads
+def assert_matches(losses, grads, ref_loss, ref_grads):
+    assert sum(losses) == pytest.approx(ref_loss, rel=1e-12)
+    for i, (g, ref) in enumerate(zip(grads, ref_grads)):
+        # relative to the parameter's largest entry: entries that cancel
+        # to near zero carry the summation-order rounding of the others
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), i
 
 
 class TestGroupedLoss:
     @pytest.mark.parametrize("mode", [*TFM_MODES, "fused"])
     def test_block_is_the_sum_of_its_rows(self, synth_split, mode):
-        if mode == "fused":
-            model = config_model(synth_split, build_cooccurrence(synth_split),
-                                 {"glpf.apply_to": "fused"})
-        else:
-            model = small_model(synth_split, **TFM_MODES[mode])
+        model = mode_model(synth_split, mode)
         block = np.stack([synth_split.sequences[u][:6] for u in range(5)])
         negs = np.random.default_rng(6).integers(0, synth_split.n_items, size=(5, 9))
-        loss, grads = group_gradients(model, block, negs)
-        rows = [group_gradients(model, seq, neg) for seq, neg in zip(block, negs)]
-        assert loss == pytest.approx(sum(r[0] for r in rows), rel=1e-12)
-        for i, g in enumerate(grads):
-            ref = sum(r[1][i] for r in rows)
-            # relative to the parameter's largest entry: entries that cancel
-            # to near zero carry the summation-order rounding of the others
-            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), i
+        rows = [batch_loss(model, [seq], neg[None]) for seq, neg in zip(block, negs)]
+        assert_matches(*batch_loss(model, block, negs), sum(sum(r[0]) for r in rows),
+                       [sum(r[1][i] for r in rows) for i in range(4)])
+
+    @pytest.mark.parametrize("mode", [*TFM_MODES, "fused"])
+    def test_batch_matches_the_per_group_reference(self, synth_split, mode):
+        model = mode_model(synth_split, mode)
+        lengths = [3, 5, 6, 3, 5, 4, 6, 2]
+        seqs = [np.asarray(synth_split.sequences[u][:n]) for u, n in enumerate(lengths)]
+        negs = np.random.default_rng(7).integers(0, synth_split.n_items, size=(8, 9))
+        losses, grads = batch_loss(model, seqs, negs)
+        assert len(losses) == len(set(lengths)) >= 3
+        assert_matches(losses, grads, *group_reference(model, seqs, negs))
 
     def test_tape_size_does_not_grow_with_depth(self, synth_split):
         block = np.stack([synth_split.sequences[u][:6] for u in range(3)])
@@ -647,7 +661,8 @@ class TestGroupedLoss:
         sizes = []
         for n_layers in (1, 4):
             model = small_model(synth_split, n_layers=n_layers, tfm_enabled=True)
-            loss = sequence_loss(model, block, negs, model.mlp.make_vars())
+            tokens = ad.parameter(all_item_tokens(model))
+            loss = sequence_loss(model.backbone, block, negs, tokens)
             seen, stack = set(), [loss]
             while stack:
                 node = stack.pop()
@@ -655,51 +670,56 @@ class TestGroupedLoss:
                     seen.add(id(node))
                     stack.extend(node.parents)
             sizes.append(len(seen))
-        assert sizes[0] == sizes[1]
+        assert sizes == [2, 2]
 
     def test_one_node_with_a_lazy_backward(self, synth_split, monkeypatch):
         model = config_model(synth_split, build_cooccurrence(synth_split),
                              {"glpf.apply_to": "fused"})
-        calls, filter_fn = [], network.polynomial_filter
+        calls = {"filter": 0, "adjoint": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return filter_fn(*args, **kwargs)
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(network, "polynomial_filter", counting)
-        mlp_vars = model.mlp.make_vars()
-        loss = sequence_loss(model, synth_split.sequences[0][:6], np.arange(4), mlp_vars)
-        assert loss.parents == tuple(mlp_vars)
-        # the forward filters the table once; the backward, run once for all
-        # four parameters, filters the gradient once
-        assert len(calls) == 1
-        ad.tape_gradient(loss, mlp_vars)
-        assert len(calls) == 2
-
-    def test_rejects_foreign_vars(self, synth_split):
-        model = small_model(synth_split)
-        foreign = [ad.parameter(a.copy()) for a in model.mlp.param_arrays()]
-        with pytest.raises(InputError):
-            sequence_loss(model, synth_split.sequences[0][:6], np.arange(4), foreign)
+        monkeypatch.setattr(network, "polynomial_filter",
+                            counting("filter", network.polynomial_filter))
+        monkeypatch.setattr(network, "_layer_adjoint",
+                            counting("adjoint", network._layer_adjoint))
+        block, vjp = model_tokens(model, item_ids=np.arange(8), grad=True)
+        tokens = ad.parameter(block)
+        loss = sequence_loss(model.backbone, [[0, 5, 2, 7, 1, 3]], [np.arange(4)], tokens)
+        assert loss.parents == (tokens,)
+        # the token pass filters the table once; the value-only node runs no
+        # backward; the tape runs each layer's adjoint once, and the MLP's
+        # VJP filters the gradient once
+        assert calls == {"filter": 1, "adjoint": 0}
+        (g,), _ = ad.tape_gradient(loss, [tokens])
+        assert calls == {"filter": 1, "adjoint": model.backbone.n_layers}
+        vjp(g)
+        assert calls == {"filter": 2, "adjoint": model.backbone.n_layers}
 
     def test_rejects_mismatched_negatives(self, synth_split):
         model = small_model(synth_split)
         block = np.stack([synth_split.sequences[u][:6] for u in range(3)])
         with pytest.raises(InputError):
-            sequence_loss(model, block, np.zeros((2, 4), dtype=int), model.mlp.make_vars())
+            sequence_loss(model.backbone, block, np.zeros((2, 4), dtype=int),
+                          ad.parameter(all_item_tokens(model)))
 
-    def test_fused_epoch_filters_once_per_group(self, synth_split, monkeypatch):
+    def test_fused_epoch_filters_once_per_batch(self, synth_split, monkeypatch):
         model = config_model(synth_split, build_cooccurrence(synth_split),
                              {"glpf.apply_to": "fused"})
         config = TrainConfig(epochs=1, seed=4, batch_size=8, n_negatives=8,
                              eval_candidates=10)
         order = np.random.default_rng(config.seed).permutation(synth_split.n_users)
-        groups = 0
+        batches = groups = 0
         for start in range(0, order.size, config.batch_size):
             lengths = [synth_split.train_items(int(u)).size
                        for u in order[start:start + config.batch_size]]
             groups += len(length_chunks([n for n in lengths if n >= 2]))
-        assert groups < synth_split.n_users
+            batches += any(n >= 2 for n in lengths)
+        assert batches < groups
 
         calls, filter_fn = [], network.polynomial_filter
 
@@ -709,9 +729,10 @@ class TestGroupedLoss:
 
         monkeypatch.setattr(network, "polynomial_filter", counting)
         train(model, synth_split, config)
-        # per group one filtered table and one filtered gradient (the node is
-        # self-adjoint), and one table for validation
-        assert len(calls) == 2 * groups + 1
+        # per batch one filtered table and one filtered gradient (the filter
+        # is self-adjoint), whatever its number of groups, and one table for
+        # validation
+        assert len(calls) == 2 * batches + 1
 
 
 class TestTrain:
@@ -777,6 +798,50 @@ class TestTrain:
                              np.zeros((synth_split.n_items, 5)))
         with pytest.raises(InputError):
             load_checkpoint(path, bad, model.text_table)
+
+    def test_non_finite_loss_in_epoch_one_keeps_the_initial_weights(self, synth_split):
+        model = small_model(synth_split)
+        model.mlp.w2 *= 1e300             # every token overflows, so every loss is NaN
+        before = [np.array(a, copy=True) for a in model.mlp.param_arrays()]
+        with np.errstate(all="ignore"):
+            result = train(model, synth_split, TrainConfig(epochs=2, n_negatives=8,
+                                                           eval_candidates=10))
+        assert result.aborted and result.entries == [] and result.best_epoch == 0
+        for a, b in zip(model.mlp.param_arrays(), before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_non_finite_loss_later_keeps_the_best_epoch(self, synth_split, monkeypatch):
+        config = TrainConfig(epochs=3, seed=2, batch_size=8, n_negatives=8,
+                             eval_candidates=10)
+        losses, steps, loss_fn, step_fn = [], [], training.sequence_loss, training.AdamW.step
+        poison_at = [None]
+
+        def poisoned(*args, **kwargs):
+            loss = loss_fn(*args, **kwargs)
+            losses.append(1)
+            if len(losses) == poison_at[0]:
+                loss.value = np.array(np.nan)
+            return loss
+
+        def counted(self, grads):
+            steps.append(1)
+            return step_fn(self, grads)
+
+        monkeypatch.setattr(training, "sequence_loss", poisoned)
+        monkeypatch.setattr(training.AdamW, "step", counted)
+        epoch_one = small_model(synth_split)
+        train(epoch_one, synth_split, dataclasses.replace(config, epochs=1))
+        per_epoch, epoch_steps = len(losses), len(steps)
+        # the second loss of epoch 2 is NaN: its batch's first group was
+        # finite, yet that batch takes no step
+        losses.clear(), steps.clear()
+        poison_at[0] = per_epoch + 2
+        model = small_model(synth_split)
+        result = train(model, synth_split, config)
+        assert result.aborted and result.best_epoch == 1 and len(result.entries) == 1
+        assert len(steps) == epoch_steps
+        for a, b in zip(model.mlp.param_arrays(), epoch_one.mlp.param_arrays()):
+            np.testing.assert_array_equal(a, b)
 
     def test_evaluation_reproducible(self, synth_split):
         model = small_model(synth_split)
