@@ -14,9 +14,11 @@ artifacts stamped with the same fingerprint were produced under the same
 semantics, which is what `evaluate` checks before mixing inputs.
 Enumerated values are checked against the sets their consuming modules
 define, the numeric `pretrain` and `training` fields (and `model.d_id`)
-against the RANGES of their dataclasses, `model.d_model`,
-`backbone.layers`, `eval.k`, `eval.n_candidates`, `analysis.n_bands` and
-`analysis.theorem_trials` must be at least 1,
+against the RANGES of their dataclasses, `dataset.min_interactions` and
+`dataset.max_seq_len` against `build_split`'s floor of 3 and
+`model.d_text` against `text_surrogate_embeddings`' floor of 1,
+`model.d_model`, `backbone.layers`, `eval.k`, `eval.n_candidates`,
+`analysis.n_bands` and `analysis.theorem_trials` must be at least 1,
 explicit G-LPF coefficients must be finite numbers, and the `tfm`, `glpf`
 and `backbone` sections must pass their consumers' checks, so no command
 stamps artifacts with a config that a later stage would reject, that
@@ -30,10 +32,10 @@ import json
 import math
 from dataclasses import asdict
 
-from freqrec.dataset import FORMATS, SynthConfig
+from freqrec.dataset import FORMATS, SPLIT_FLOOR, SynthConfig
 from freqrec.errors import InputError
 from freqrec.glpf import APPLY_TO, PolyFilterSpec
-from freqrec.model.embeddings import PretrainConfig
+from freqrec.model.embeddings import D_TEXT_FLOOR, PretrainConfig
 from freqrec.model.network import ACTIVATIONS, check_heads, init_backbone, init_fusion_mlp
 from freqrec.model.training import TrainConfig
 from freqrec.tfm import ButterworthSpec
@@ -108,11 +110,14 @@ _CHOICES = {("model", "activation"): ACTIVATIONS, ("dataset", "format"): FORMATS
             ("glpf", "apply_to"): APPLY_TO}
 
 # bounds on numeric fields, the pretrain and training ones from their
-# dataclasses' RANGES: (field -> (op, bound), section, the config key of each
-# field that another section supplies)
+# dataclasses' RANGES and the dataset and d_text ones from the floors of
+# build_split and text_surrogate_embeddings: (field -> (op, bound), section,
+# the config key of each field that another section supplies)
 _RANGED = ((PretrainConfig.RANGES, "pretrain", {"dim": "model.d_id"}),
            (TrainConfig.RANGES, "training", {}),
-           ({"d_model": (">=", 1)}, "model", {}),
+           ({"min_interactions": (">=", SPLIT_FLOOR), "max_seq_len": (">=", SPLIT_FLOOR)},
+            "dataset", {}),
+           ({"d_model": (">=", 1), "d_text": (">=", D_TEXT_FLOOR)}, "model", {}),
            ({"layers": (">=", 1)}, "backbone", {}),
            ({"k": (">=", 1), "n_candidates": (">=", 1)}, "eval", {}),
            ({"n_bands": (">=", 1), "theorem_trials": (">=", 1)}, "analysis", {}))

@@ -184,12 +184,18 @@ class SplitDataset:
         }
 
 
+# the least min_interactions and max_seq_len build_split accepts (a user's
+# test, validation and one training item), checked at config load too
+SPLIT_FLOOR = 3
+
+
 def build_split(log, min_interactions=5, max_seq_len=50):
     """Filter to the fixed point, index tokens, and cut leave-one-out views."""
-    if min_interactions < 3:
-        raise InputError("min_interactions below 3 leaves no training items per user")
-    if max_seq_len < 3:
-        raise InputError("max_seq_len must be at least 3")
+    if min_interactions < SPLIT_FLOOR:
+        raise InputError(f"min_interactions below {SPLIT_FLOOR} leaves no training items "
+                         "per user")
+    if max_seq_len < SPLIT_FLOOR:
+        raise InputError(f"max_seq_len must be at least {SPLIT_FLOOR}")
     events = list(log.events)
     trace = []
     iteration = 0

@@ -193,11 +193,15 @@ def _bucket(token, buckets):
     return int.from_bytes(digest, "little") % buckets
 
 
+# the least d_text text_surrogate_embeddings accepts, checked at config load too
+D_TEXT_FLOOR = 1
+
+
 def text_surrogate_embeddings(split, d_text=50, seed=0, buckets=512):
     """Feature-hashed metadata embeddings; identical metadata gives identical
     vectors and missing metadata gives the zero vector."""
-    if d_text < 1:
-        raise InputError(f"d_text must be positive, got {d_text}")
+    if d_text < D_TEXT_FLOOR:
+        raise InputError(f"d_text must be at least {D_TEXT_FLOOR}, got {d_text}")
     rng = np.random.default_rng(seed)
     projection = rng.standard_normal((buckets, d_text)) / np.sqrt(buckets)
     rows = np.zeros((split.n_items, d_text))

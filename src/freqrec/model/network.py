@@ -1,15 +1,18 @@
 """Fusion MLP, frozen causal Transformer backbone and scoring.
 
 The backbone is a seeded, randomly initialized pre-normalization stack.
-Its weights are plain arrays, never tape parameters, which is the freeze
-contract: gradients flow through the stack to the fusion MLP, but no
-backbone gradient is ever computed.  Every pass here is plain numpy,
-arrays in and arrays out.  When training asks for a gradient (`grad`),
-`fuse`, `model_tokens` and `backbone_forward` also return a VJP closure
-over what their forward kept: the MLP's two matmuls and activation, the
-token filter, and the backbone's hand-written adjoint with respect to its
-input alone (layer norm, attention, the FFN and the temporal filter,
-backwards through the layers).  Value-only passes keep nothing.
+Each layer is four matrices (`BackboneLayer`): its layer norms have no
+affine, since a frozen gain of 1 and bias of 0 change no bit, and its FFN
+has no biases for the same reason.  Its weights are plain arrays, never
+tape parameters, which is the freeze contract: gradients flow through the
+stack to the fusion MLP, but no backbone gradient is ever computed.
+Every pass here is plain numpy, arrays in and arrays out.  When training
+asks for a gradient (`grad`), `fuse`, `model_tokens` and
+`backbone_forward` also return a VJP closure over what their forward
+kept: the MLP's two matmuls and activation, the token filter, and the
+backbone's hand-written adjoint with respect to its input alone (layer
+norm, attention, the FFN and the temporal filter, backwards through the
+layers).  Value-only passes keep nothing.
 
 When temporal filtering is enabled it runs on the full hidden matrix after
 each layer's residual blocks, as one dense (T, T) operator per length
@@ -114,28 +117,14 @@ def init_fusion_mlp(d_in, d_model, hidden=None, seed=1, activation="gelu"):
 
 @dataclass
 class BackboneLayer:
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    """The four matrices a frozen layer's kernels read: wq, wk and wv side
+    by side as the one (d, 3d) projection `wqkv`, then `wo`, `wf1` and
+    `wf2`.  Its layer norms have no affine and its FFN no biases."""
+
+    wqkv: np.ndarray
     wo: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
     wf1: np.ndarray
-    bf1: np.ndarray
     wf2: np.ndarray
-    bf2: np.ndarray
-
-    def arrays(self):
-        return [self.ln1_g, self.ln1_b, self.wq, self.wk, self.wv, self.wo,
-                self.ln2_g, self.ln2_b, self.wf1, self.bf1, self.wf2, self.bf2]
-
-    @functools.cached_property
-    def wqkv(self):
-        """wq, wk and wv side by side, (d, 3d): the layer's one projection,
-        built once because the stack is frozen."""
-        return np.concatenate([self.wq, self.wk, self.wv], axis=1)
 
 
 @dataclass
@@ -163,7 +152,7 @@ class Backbone:
     def parameter_hash(self):
         digest = hashlib.sha256()
         for layer in self.layers:
-            for a in layer.arrays():
+            for a in (layer.wqkv, layer.wo, layer.wf1, layer.wf2):
                 digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
         return digest.hexdigest()
 
@@ -186,18 +175,13 @@ def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
     hidden = ffn_mult * d_model
     layers = []
     for _ in range(n_layers):
-        layers.append(BackboneLayer(
-            ln1_g=np.ones(d_model), ln1_b=np.zeros(d_model),
-            wq=rng.standard_normal((d_model, d_model)) / np.sqrt(d_model),
-            wk=rng.standard_normal((d_model, d_model)) / np.sqrt(d_model),
-            wv=rng.standard_normal((d_model, d_model)) / np.sqrt(d_model),
-            wo=rng.standard_normal((d_model, d_model)) / np.sqrt(d_model),
-            ln2_g=np.ones(d_model), ln2_b=np.zeros(d_model),
-            wf1=rng.standard_normal((d_model, hidden)) / np.sqrt(d_model),
-            bf1=np.zeros(hidden),
-            wf2=rng.standard_normal((hidden, d_model)) / np.sqrt(hidden),
-            bf2=np.zeros(d_model),
-        ))
+        # draw order wq, wk, wv, wo, wf1, wf2: the weights behind every stored number
+        wqkv = np.concatenate([rng.standard_normal((d_model, d_model)) / np.sqrt(d_model)
+                               for _ in range(3)], axis=1)
+        wo = rng.standard_normal((d_model, d_model)) / np.sqrt(d_model)
+        wf1 = rng.standard_normal((d_model, hidden)) / np.sqrt(d_model)
+        wf2 = rng.standard_normal((hidden, d_model)) / np.sqrt(hidden)
+        layers.append(BackboneLayer(wqkv=wqkv, wo=wo, wf1=wf1, wf2=wf2))
     return Backbone(layers=layers, d_model=d_model, n_heads=n_heads, seed=seed,
                     ffn_mult=ffn_mult, tfm_enabled=tfm_enabled,
                     tfm_spec=tfm_spec if tfm_spec is not None else ButterworthSpec(),
@@ -230,31 +214,31 @@ def _mT(x):
     return np.swapaxes(x, -1, -2)
 
 
-def _layer_norm(x, gain, bias, eps=1e-5):
-    """Normalization over the last axis with the layer's fixed gain and bias;
-    also returns the (xhat, inv) its adjoint needs.  It centres once: the
-    means are `x.mean`'s own sum over n, and the variance takes `x.var`'s
-    own steps on the centred rows, which xhat then reuses."""
+def _layer_norm(x, eps=1e-5):
+    """Normalization over the last axis, without affine (the frozen stack's
+    gain would be 1 and its bias 0); returns xhat and the inv its adjoint
+    needs.  It centres once: the means are `x.mean`'s own sum over n, and
+    the variance takes `x.var`'s own steps on the centred rows, which xhat
+    then reuses."""
     n = x.shape[-1]
     xhat = x - x.sum(axis=-1, keepdims=True) / n
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    y = xhat * gain
-    y += bias
-    return y, xhat, inv
+    return xhat, inv
 
 
-def _layer_norm_adjoint(g, gain, xhat, inv):
+def _layer_norm_adjoint(g, xhat, inv):
+    """Gradient with respect to the layer norm's input, computed in place
+    on g, a temporary of the caller's."""
     n = xhat.shape[-1]
-    gx = g * gain
-    mean = gx.sum(axis=-1, keepdims=True) / n
-    proj = xhat * (gx * xhat).sum(axis=-1, keepdims=True)
+    mean = g.sum(axis=-1, keepdims=True) / n
+    proj = xhat * (g * xhat).sum(axis=-1, keepdims=True)
     proj /= n
-    gx -= mean
-    gx -= proj
-    gx *= inv
-    return gx
+    g -= mean
+    g -= proj
+    g *= inv
+    return g
 
 
 def _softmax(s):
@@ -308,15 +292,13 @@ def _attention_adjoint(g_out, layer, saved):
 def _blocks(h, layer, n_heads, mask, record):
     """One layer's two pre-normalization residual blocks, attention and FFN.
     Returns the new state and, with record, what the adjoint needs."""
-    y1, xhat1, inv1 = _layer_norm(h, layer.ln1_g, layer.ln1_b)
-    att, saved = _attention(y1, layer, n_heads, mask, record)
+    xhat1, inv1 = _layer_norm(h)
+    att, saved = _attention(xhat1, layer, n_heads, mask, record)
     h = h + att
-    y2, xhat2, inv2 = _layer_norm(h, layer.ln2_g, layer.ln2_b)
-    pre = y2 @ layer.wf1
-    pre += layer.bf1
+    xhat2, inv2 = _layer_norm(h)
+    pre = xhat2 @ layer.wf1
     act, th = ad.gelu(pre)
     ffn = act @ layer.wf2
-    ffn += layer.bf2
     ffn += h
     return ffn, ((xhat1, inv1, saved, xhat2, inv2, pre, th) if record else None)
 
@@ -338,9 +320,8 @@ def _layer_adjoint(g, layer, cache, op, residual):
         g = g + filtered if residual else filtered
     g_pre = g @ layer.wf2.T
     g_pre *= ad.gelu_slope(pre, th)
-    g = g + _layer_norm_adjoint(g_pre @ layer.wf1.T, layer.ln2_g, xhat2, inv2)
-    return g + _layer_norm_adjoint(_attention_adjoint(g, layer, saved),
-                                   layer.ln1_g, xhat1, inv1)
+    g = g + _layer_norm_adjoint(g_pre @ layer.wf1.T, xhat2, inv2)
+    return g + _layer_norm_adjoint(_attention_adjoint(g, layer, saved), xhat1, inv1)
 
 
 def backbone_forward(backbone, tokens, capture=False, grad=False, tfm_modes=None):

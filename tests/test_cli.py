@@ -528,6 +528,23 @@ class TestErrors:
         assert err.startswith("error: ") and repr(key) in err
         assert not id_out.exists() and not text_out.exists()
 
+    @pytest.mark.parametrize("override, command", [
+        ("dataset.min_interactions=2", "glpf"), ("dataset.max_seq_len=1", "glpf"),
+        ("model.d_text=0", "build-graph"),
+    ])
+    def test_floor_refused_by_a_command_that_skips_its_section(
+            self, tmp_path, capsys, workdir, override, command):
+        # build_split and text_surrogate_embeddings refuse these values;
+        # a command that never calls them must not stamp artifacts with them
+        out = tmp_path / "out"
+        inputs = (["--graph", workdir["graph"], "--embeddings", workdir["id"]]
+                  if command == "glpf" else ["--data", workdir["data"]])
+        assert run(["--config", workdir["config"], "--set", override, command,
+                    *inputs, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(override.split("=")[0]) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override, key", [
         ("pretrain.chunk=0", "pretrain.chunk"),
         ("pretrain.chunk=-5", "pretrain.chunk"),

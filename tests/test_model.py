@@ -424,17 +424,15 @@ class TestBatchedForward:
             forward(model, block)
 
 
-def _ref_layer_norm(x, gain, bias, eps=1e-5):
+def _ref_layer_norm(x, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
-    xhat = (x - mu) * inv
-    return xhat * gain + bias, xhat, inv
+    return (x - mu) * inv, inv
 
 
-def _ref_layer_norm_adjoint(g, gain, xhat, inv):
-    gx = g * gain
-    return inv * (gx - gx.mean(axis=-1, keepdims=True)
-                  - xhat * (gx * xhat).sum(axis=-1, keepdims=True) / xhat.shape[-1])
+def _ref_layer_norm_adjoint(g, xhat, inv):
+    return inv * (g - g.mean(axis=-1, keepdims=True)
+                  - xhat * (g * xhat).sum(axis=-1, keepdims=True) / xhat.shape[-1])
 
 
 def _ref_gelu_slope(x, th):
@@ -443,10 +441,11 @@ def _ref_gelu_slope(x, th):
 
 
 def reference_backbone(backbone, tokens):
-    """The frozen stack with the plain kernels: per-head projections,
-    softmaxes and adjoints, `x.var` layer norm, and the FFT filter closure
-    (the causal-safe prefix matrix in that mode) applied again, or
-    transposed, in the adjoint.  Returns (hidden, snapshots, vjp)."""
+    """The frozen stack with the plain kernels: per-head projections (head
+    slices of `wqkv`'s Q, K and V blocks), softmaxes and adjoints, `x.var`
+    layer norm without affine, and the FFT filter closure (the causal-safe
+    prefix matrix in that mode) applied again, or transposed, in the
+    adjoint.  Returns (hidden, snapshots, vjp)."""
     t_len, d = tokens.shape[-2:]
     dh = d // backbone.n_heads
     scale = 1.0 / np.sqrt(dh)
@@ -461,24 +460,25 @@ def reference_backbone(backbone, tokens):
     mT = lambda a: np.swapaxes(a, -1, -2)  # noqa: E731
     h, snapshots, caches = tokens, [tokens], []
     for layer in backbone.layers:
-        y1, xhat1, inv1 = _ref_layer_norm(h, layer.ln1_g, layer.ln1_b)
+        wq, wk, wv = np.split(layer.wqkv, 3, axis=1)
+        y1, inv1 = _ref_layer_norm(h)
         outs, saved = [], []
         for sl in heads:
-            q, k, v = y1 @ layer.wq[:, sl], y1 @ layer.wk[:, sl], y1 @ layer.wv[:, sl]
+            q, k, v = y1 @ wq[:, sl], y1 @ wk[:, sl], y1 @ wv[:, sl]
             s = (q @ mT(k)) * scale + mask
             e = np.exp(s - s.max(axis=-1, keepdims=True))
             p = e / e.sum(axis=-1, keepdims=True)
             outs.append(p @ v)
             saved.append((q, k, v, p))
         h = h + np.concatenate(outs, axis=-1) @ layer.wo
-        y2, xhat2, inv2 = _ref_layer_norm(h, layer.ln2_g, layer.ln2_b)
-        pre = y2 @ layer.wf1 + layer.bf1
+        y2, inv2 = _ref_layer_norm(h)
+        pre = y2 @ layer.wf1
         act, th = ad.gelu(pre)
-        h = h + (act @ layer.wf2 + layer.bf2)
+        h = h + act @ layer.wf2
         if filt is not None:
             h = h + filt(h) if backbone.tfm_residual else filt(h)
         snapshots.append(h)
-        caches.append((xhat1, inv1, saved, xhat2, inv2, pre, th))
+        caches.append((y1, inv1, saved, y2, inv2, pre, th))
 
     def vjp(g):
         for layer, (xhat1, inv1, saved, xhat2, inv2, pre, th) in zip(
@@ -486,16 +486,17 @@ def reference_backbone(backbone, tokens):
             if filt_adjoint is not None:
                 g = g + filt_adjoint(g) if backbone.tfm_residual else filt_adjoint(g)
             g_pre = (g @ layer.wf2.T) * _ref_gelu_slope(pre, th)
-            g = g + _ref_layer_norm_adjoint(g_pre @ layer.wf1.T, layer.ln2_g, xhat2, inv2)
+            g = g + _ref_layer_norm_adjoint(g_pre @ layer.wf1.T, xhat2, inv2)
+            wq, wk, wv = np.split(layer.wqkv, 3, axis=1)
             g_heads = g @ layer.wo.T
             g_y = 0.0
             for sl, (q, k, v, p) in zip(heads, saved):
                 g_h = g_heads[..., sl]
                 g_p = g_h @ mT(v)
                 g_s = p * (g_p - (g_p * p).sum(axis=-1, keepdims=True)) * scale
-                g_y = (g_y + (g_s @ k) @ layer.wq[:, sl].T + (mT(g_s) @ q) @ layer.wk[:, sl].T
-                       + (mT(p) @ g_h) @ layer.wv[:, sl].T)
-            g = g + _ref_layer_norm_adjoint(g_y, layer.ln1_g, xhat1, inv1)
+                g_y = (g_y + (g_s @ k) @ wq[:, sl].T + (mT(g_s) @ q) @ wk[:, sl].T
+                       + (mT(p) @ g_h) @ wv[:, sl].T)
+            g = g + _ref_layer_norm_adjoint(g_y, xhat1, inv1)
         return g
 
     return h, snapshots, vjp
@@ -524,6 +525,20 @@ class TestReferenceKernels:
             assert_close_to_scale(got, ref, 1e-14)
         g = rng.standard_normal(hidden.shape)
         assert_close_to_scale(vjp(g), want_vjp(g), 1e-12)
+
+    def test_weights_are_the_seeded_draws_in_order(self):
+        # wq, wk, wv, wo, wf1, wf2 per layer from one stream, each scaled by
+        # 1/sqrt(fan-in): the weights behind every stored number
+        d, hidden, seed = 8, 16, 7
+        backbone = init_backbone(n_layers=3, d_model=d, n_heads=2, seed=seed, ffn_mult=2)
+        rng = np.random.default_rng(seed)
+        for layer in backbone.layers:
+            q, k, v, o = (rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4))
+            np.testing.assert_array_equal(layer.wqkv, np.concatenate([q, k, v], axis=1))
+            np.testing.assert_array_equal(layer.wo, o)
+            np.testing.assert_array_equal(layer.wf1, rng.standard_normal((d, hidden)) / np.sqrt(d))
+            np.testing.assert_array_equal(layer.wf2,
+                                          rng.standard_normal((hidden, d)) / np.sqrt(hidden))
 
     @pytest.mark.parametrize("t_len", [1, 2, 7, 8, 45])
     def test_operator_is_the_fft_filter(self, t_len):
