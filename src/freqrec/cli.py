@@ -166,7 +166,7 @@ def _checked_model(args, cfg):
         named["graph"] = graph.fingerprint
     if args.checkpoint:
         model, header = load_checkpoint(args.checkpoint, id_table, text_table, graph=graph)
-        named["checkpoint"] = header.get("fingerprint", "")
+        named["checkpoint"] = header["fingerprint"]
     else:
         model = build_model(cfg, id_table, text_table, graph=graph)
     _check_fingerprints(named, args.force)

@@ -9,12 +9,12 @@ local T x T blocks come out of one vectorized searchsorted pass.
 """
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from freqrec import artifact
 from freqrec.errors import InputError
 from freqrec.numcore.linalg import add_rows_at
 
@@ -160,58 +160,46 @@ def local_subgraph(graph, target_items):
 
 
 def save_graph(graph, path):
-    """One JSON header line, then one 'i<TAB>j<TAB>weight' line per stored
-    upper-triangle entry."""
+    """`freqrec.artifact` with a header of n_items, nnz and fingerprint, then
+    one 'i<TAB>j<TAB>weight' line per stored upper-triangle entry."""
     mask = graph.rows < graph.cols
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {"n_items": graph.n_items, "nnz": int(mask.sum()),
-                  "fingerprint": graph.fingerprint}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i, j, w in zip(graph.rows[mask], graph.cols[mask], graph.weights[mask]):
-            fh.write(f"{int(i)}\t{int(j)}\t{float(w)!r}\n")
+    header = {"n_items": graph.n_items, "nnz": int(mask.sum()),
+              "fingerprint": graph.fingerprint}
+    body = "".join(f"{int(i)}\t{int(j)}\t{float(w)!r}\n"
+                   for i, j, w in zip(graph.rows[mask], graph.cols[mask], graph.weights[mask]))
+    artifact.write(path, header, body.encode("utf-8"))
 
 
 def load_graph(path):
     """The graph save_graph wrote.  Every line must hold an i < j pair of
     items in [0, n_items), not seen before, with a finite weight > 0."""
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read graph {path}: {exc}") from exc
-    with handle as fh:
+    header, body = artifact.read(path, "graph", counts=("n_items", "nnz"))
+    n, nnz = header["n_items"], header["nnz"]
+    up_r, up_c, up_w, seen = [], [], [], set()
+    for lineno, line in enumerate(body.decode("utf-8", errors="replace").splitlines(), start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise InputError(f"{path}:{lineno}: expected 3 tab-separated fields")
         try:
-            header = json.loads(fh.readline())
-            n = int(header["n_items"])
-            nnz = int(header["nnz"])
-            if min(n, nnz) < 0:
-                raise ValueError(f"negative n_items {n} or nnz {nnz}")
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"malformed graph header in {path}: {exc}") from exc
-        up_r, up_c, up_w, seen = [], [], [], set()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-            if not (0 <= i < n and 0 <= j < n):
-                raise InputError(f"{path}:{lineno}: item index outside [0, {n})")
-            if i >= j:
-                raise InputError(f"{path}:{lineno}: pair ({i}, {j}) is not i < j")
-            if not (w > 0.0 and math.isfinite(w)):
-                raise InputError(f"{path}:{lineno}: weight {w!r} is not finite and > 0")
-            if (i, j) in seen:
-                raise InputError(f"{path}:{lineno}: pair ({i}, {j}) repeated")
-            seen.add((i, j))
-            up_r.append(i)
-            up_c.append(j)
-            up_w.append(w)
+            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if not (0 <= i < n and 0 <= j < n):
+            raise InputError(f"{path}:{lineno}: item index outside [0, {n})")
+        if i >= j:
+            raise InputError(f"{path}:{lineno}: pair ({i}, {j}) is not i < j")
+        if not (w > 0.0 and math.isfinite(w)):
+            raise InputError(f"{path}:{lineno}: weight {w!r} is not finite and > 0")
+        if (i, j) in seen:
+            raise InputError(f"{path}:{lineno}: pair ({i}, {j}) repeated")
+        seen.add((i, j))
+        up_r.append(i)
+        up_c.append(j)
+        up_w.append(w)
     if len(up_r) != nnz:
         raise InputError(f"{path}: header says nnz={nnz} but found {len(up_r)} triples")
     return _from_upper_triangle(n, np.asarray(up_r, dtype=np.intp),
                                 np.asarray(up_c, dtype=np.intp), np.asarray(up_w, dtype=float),
-                                fingerprint=header.get("fingerprint", ""))
+                                fingerprint=header["fingerprint"])

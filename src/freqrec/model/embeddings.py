@@ -16,12 +16,11 @@ tokens into buckets, projects the count vector through a fixed seeded
 random matrix and length-normalizes; items without metadata get the zero
 vector.  Externally trained vectors load through the same table format.
 
-Table file format: one JSON header line (n_items, dim, provenance,
-fingerprint), then n_items * dim little-endian float64 values.
+Table file format: `freqrec.artifact` with a header of n_items, dim,
+provenance and fingerprint, then n_items * dim little-endian float64s.
 """
 
 import hashlib
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from freqrec import artifact
 from freqrec.errors import InputError, NumericError
 from freqrec.numcore.linalg import add_rows_at
 
@@ -62,25 +62,12 @@ class EmbeddingTable:
 def save_table(table, path):
     header = {"n_items": table.n_items, "dim": table.dim,
               "provenance": table.provenance, "fingerprint": table.fingerprint}
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(table.rows, dtype="<f8").tobytes())
+    artifact.write(path, header, np.ascontiguousarray(table.rows, dtype="<f8").tobytes())
 
 
 def load_external(path, expect_dim=None):
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise InputError(f"cannot read embedding table {path}: {exc}") from exc
-    with handle as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-            n_items, dim = int(header["n_items"]), int(header["dim"])
-            if min(n_items, dim) < 0:
-                raise ValueError(f"negative n_items {n_items} or dim {dim}")
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"malformed embedding header in {path}: {exc}") from exc
-        blob = fh.read()
+    header, blob = artifact.read(path, "embedding", counts=("n_items", "dim"))
+    n_items, dim = header["n_items"], header["dim"]
     expected_bytes = n_items * dim * 8
     if len(blob) != expected_bytes:
         raise InputError(
@@ -90,7 +77,7 @@ def load_external(path, expect_dim=None):
     rows = np.frombuffer(blob, dtype="<f8").reshape(n_items, dim).copy()
     return EmbeddingTable(n_items=n_items, dim=dim, rows=rows,
                           provenance=str(header.get("provenance", "external")),
-                          fingerprint=str(header.get("fingerprint", "")))
+                          fingerprint=header["fingerprint"])
 
 
 @dataclass(frozen=True)

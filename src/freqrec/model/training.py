@@ -13,7 +13,6 @@ tape), which the parameter-hash test pins down.  Early stopping watches
 validation NDCG@10.
 """
 
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from freqrec import artifact
 from freqrec.errors import InputError
 from freqrec.evalharness import evaluate
 from freqrec.glpf import PolyFilterSpec
@@ -255,15 +255,14 @@ def train(model, split, config=TrainConfig()):
 
 CHECKPOINT_MAGIC = b"FRQR\x01"
 CHECKPOINT_FORMAT = 2
-CHECKPOINT_KEYS = ("n_items", "d_id", "d_text", "mlp", "backbone", "token_filter")
 
 
 def save_checkpoint(model, path, fingerprint="", extra=None):
-    """Versioned binary checkpoint: magic bytes, a JSON header with the
-    model's recipe and the raw little-endian float64 fusion-MLP weight
-    blocks.  The frozen backbone is reproducible from its recipe (the
-    init_backbone arguments), so only that is stored; a token-stage graph
-    filter is stored as its coefficients and the digest of its graph."""
+    """Versioned `freqrec.artifact`: magic bytes, a header with the model's
+    recipe and the raw little-endian float64 fusion-MLP weight blocks.  The
+    frozen backbone is reproducible from its recipe (the init_backbone
+    arguments), so only that is stored; a token-stage graph filter is
+    stored as its coefficients and the digest of its graph."""
     mlp = model.mlp
     token_filter = None
     if model.token_filter is not None:
@@ -281,38 +280,20 @@ def save_checkpoint(model, path, fingerprint="", extra=None):
         "token_filter": token_filter,
         "extra": extra or {},
     }
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for a in mlp.param_arrays():
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
+                       for a in mlp.param_arrays())
+    artifact.write(path, header, payload, magic=CHECKPOINT_MAGIC)
 
 
 def load_checkpoint(path, id_table, text_table, graph=None):
     """Rebuild the saved model over the given tables.  A model that filters
     its item tokens needs the graph it was trained with."""
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise InputError(f"cannot read checkpoint {path}: {exc}") from exc
-    with handle as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise InputError(f"{path}: not a checkpoint (bad magic bytes)")
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError as exc:
-            raise InputError(f"{path}: malformed checkpoint header: {exc}") from exc
-        blob = fh.read()
-    if not isinstance(header, dict):
-        raise InputError(f"{path}: malformed checkpoint header: not a JSON object")
+    header, blob = artifact.read(path, "checkpoint", counts=("n_items", "d_id", "d_text"),
+                                 magic=CHECKPOINT_MAGIC)
     if header.get("format") != CHECKPOINT_FORMAT:
         raise InputError(f"{path}: unsupported checkpoint format {header.get('format')} "
                          f"(this version reads format {CHECKPOINT_FORMAT}; re-train "
                          "the model to write one)")
-    missing = [key for key in CHECKPOINT_KEYS if key not in header]
-    if missing:
-        raise InputError(f"{path}: malformed checkpoint header: no {', '.join(missing)}")
     if header["n_items"] != id_table.n_items:
         raise InputError(
             f"{path}: checkpoint covers {header['n_items']} items, tables have "
@@ -327,7 +308,7 @@ def load_checkpoint(path, id_table, text_table, graph=None):
         token_filter = None if stored is None else PolyFilterSpec(stored["coefficients"])
         trained_on = None if stored is None else stored["graph"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path}: malformed checkpoint header: {exc}") from exc
+        raise InputError(f"malformed checkpoint header in {path}: {exc}") from exc
     ends = np.cumsum([0] + [8 * int(np.prod(s)) for s in shapes])
     if len(shapes) != 4 or any(n < 0 for s in shapes for n in s) or ends[-1] != len(blob):
         raise InputError(f"{path}: a weight payload of {len(blob)} bytes does not hold "

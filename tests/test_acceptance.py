@@ -8,6 +8,9 @@ enable it, otherwise that clause is reported as SKIP.
 """
 
 import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -361,13 +364,30 @@ class TestCriterion9Performance:
                 best[j] = min(best[j], (time.perf_counter() - t0) / calls)
         return best[1] / best[0]
 
-    def test_subquadratic_scaling(self):
+    @classmethod
+    def ratios(cls):
+        """time(512)/time(256) of the temporal filter and of the attention
+        stand-in."""
         rng = np.random.default_rng(0)
         spec = ButterworthSpec(0.3, 2)
         h256 = rng.standard_normal((256, 64))
         h512 = rng.standard_normal((512, 64))
-        tfm_ratio = self._ratio(lambda h: tfm_apply(h, spec), h256, h512)
-        att_ratio = self._ratio(self._attention_standin, h256, h512)
+        return (cls._ratio(lambda h: tfm_apply(h, spec), h256, h512),
+                cls._ratio(cls._attention_standin, h256, h512))
+
+    def test_subquadratic_scaling(self):
+        # Timed in a child interpreter whose BLAS runs one thread: with two
+        # threads, a process busy on one core of a small machine stalls the
+        # matmuls for the whole run, and the ratio measures the load.
+        root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]))
+        script = ("from tests.test_acceptance import TestCriterion9Performance as c\n"
+                  "print(*c.ratios())")
+        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        tfm_ratio, att_ratio = map(float, done.stdout.split())
         assert tfm_ratio < 3.0, f"temporal filter ratio {tfm_ratio:.2f}"
         assert att_ratio >= 3.5, f"attention ratio {att_ratio:.2f}"
         report(9, f"time(512)/time(256): filter {tfm_ratio:.2f} < 3.0, "

@@ -1,0 +1,90 @@
+"""The bytes of the three saved artifacts: an embedding table, a
+co-occurrence graph and a checkpoint.
+
+Each fixture is built from explicit values or seeded draws, with no
+training and no BLAS product, so its bytes do not depend on the thread
+count.  The sha256 constants were recorded by saving the same fixtures
+with the writers as they stood before the shared artifact codec, so a
+match says the layout on disk is unchanged and the loaders still read
+files written the old way.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from freqrec.dataset import InteractionLog, build_split
+from freqrec.glpf import PolyFilterSpec
+from freqrec.graph import build_cooccurrence, load_graph, save_graph
+from freqrec.model.embeddings import EmbeddingTable, load_external, save_table
+from freqrec.model.network import RecModel, init_backbone, init_fusion_mlp
+from freqrec.model.training import load_checkpoint, save_checkpoint
+from freqrec.tfm import ButterworthSpec
+
+FINGERPRINT = "22e246fff4b1"
+
+GOLDEN = {
+    "table": "c739f8094e55694a9475ac8cf0df1db6bcbe36ead822414f9d9dbcaf83bbae29",
+    "graph": "33db9100722465055a02812dfe2b2564d6e2da5236c5f36f56a22c5d9d9df6ea",
+    "checkpoint": "3491b71be0a8062dec634c5c2cb9e3aee0345d003eda733d1522fabe7b5a903a",
+}
+
+
+@pytest.fixture(scope="module")
+def graph():
+    # four users over five items, five interactions each
+    rows = [(u, item, t, "") for u, items in enumerate(("abcde", "bcdea", "cdeab", "deabc"))
+            for t, item in enumerate(items)]
+    graph = build_cooccurrence(build_split(InteractionLog(rows), min_interactions=3))
+    graph.fingerprint = FINGERPRINT
+    return graph
+
+
+def tables(n_items):
+    id_table = EmbeddingTable(n_items, 3, np.arange(n_items * 3).reshape(n_items, 3) / 8.0 - 1.0,
+                              provenance="id", fingerprint=FINGERPRINT)
+    text_table = EmbeddingTable(n_items, 2, np.linspace(-0.5, 0.5, n_items * 2).reshape(n_items, 2),
+                                provenance="text", fingerprint=FINGERPRINT)
+    return id_table, text_table
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_table_bytes(tmp_path):
+    table, _ = tables(4)
+    path = tmp_path / "id.emb"
+    save_table(table, path)
+    assert sha256(path) == GOLDEN["table"]
+    loaded = load_external(path, expect_dim=3)
+    np.testing.assert_array_equal(loaded.rows, table.rows)
+    assert (loaded.provenance, loaded.fingerprint) == ("id", FINGERPRINT)
+
+
+def test_graph_bytes(tmp_path, graph):
+    path = tmp_path / "graph.tsv"
+    save_graph(graph, path)
+    assert sha256(path) == GOLDEN["graph"]
+    loaded = load_graph(path)
+    assert loaded.digest() == graph.digest() and loaded.fingerprint == FINGERPRINT
+    np.testing.assert_array_equal(loaded.degrees, graph.degrees)
+
+
+def test_checkpoint_bytes(tmp_path, graph):
+    id_table, text_table = tables(graph.n_items)
+    backbone = init_backbone(n_layers=2, d_model=4, n_heads=2, seed=2, tfm_enabled=True,
+                             tfm_spec=ButterworthSpec(0.3, 2))
+    model = RecModel(id_table=id_table, text_table=text_table,
+                     mlp=init_fusion_mlp(5, 4, seed=1), backbone=backbone,
+                     token_filter=PolyFilterSpec([0.5, 0.25, 0.125]), graph=graph)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path, fingerprint=FINGERPRINT, extra={"best_epoch": 0})
+    assert sha256(path) == GOLDEN["checkpoint"]
+    loaded, header = load_checkpoint(path, id_table, text_table, graph=graph)
+    assert header["fingerprint"] == FINGERPRINT and header["extra"] == {"best_epoch": 0}
+    for a, b in zip(loaded.mlp.param_arrays(), model.mlp.param_arrays()):
+        np.testing.assert_array_equal(a, b)
+    assert loaded.backbone.parameter_hash() == backbone.parameter_hash()
+    assert loaded.token_filter.coefficients == model.token_filter.coefficients

@@ -223,7 +223,11 @@ class TestGraphIO:
     @pytest.mark.parametrize("header", ["null", "[1, 2]", "5", '"nnz"', '{"n_items": 5}',
                                         '{"n_items": null, "nnz": 1}',
                                         '{"n_items": 5, "nnz": "x"}',
-                                        '{"n_items": -1, "nnz": 0}'])
+                                        '{"n_items": -1, "nnz": 0}',
+                                        '{"n_items": "5", "nnz": 1}',
+                                        '{"n_items": true, "nnz": 1}',
+                                        '{"n_items": 5, "nnz": 1.0}',
+                                        '{"n_items": 5, "nnz": 1, "fingerprint": null}'])
     def test_header_not_an_object_of_counts(self, tmp_path, header):
         path = tmp_path / "bad.tsv"
         path.write_text(header + "\n0\t1\t2.0\n")

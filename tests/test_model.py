@@ -251,7 +251,11 @@ class TestTextSurrogate:
     @pytest.mark.parametrize("header", [b"{not json", b"[1, 2]", b"5", b"null", b'"dim"',
                                         b'{"n_items": 2}', b'{"n_items": null, "dim": 3}',
                                         b'{"n_items": "x", "dim": 3}',
-                                        b'{"n_items": -2, "dim": -3}'])
+                                        b'{"n_items": -2, "dim": -3}',
+                                        b'{"n_items": "2", "dim": 3}',
+                                        b'{"n_items": true, "dim": 3}',
+                                        b'{"n_items": 2, "dim": 3.0}',
+                                        b'{"n_items": 2, "dim": 3, "fingerprint": null}'])
     def test_malformed_table_header_is_an_input_error(self, tmp_path, header):
         path = tmp_path / "bad.emb"
         path.write_bytes(header + b"\n" + bytes(48))
@@ -944,6 +948,7 @@ class TestCheckpointRecipe:
         ("mlp", 5), ("mlp", {"activation": "gelu"}), ("mlp", {"activation": "gelu", "shapes": 5}),
         ("mlp", {"activation": "gelu", "shapes": [["a"]]}), ("backbone", 5),
         ("backbone", {"layers": 2}), ("token_filter", 5), ("token_filter", {"graph": "x"}),
+        ("n_items", "23"), ("n_items", True), ("d_id", 8.0), ("fingerprint", None),
     ], ids=str)
     def test_malformed_header_field_is_an_input_error(self, synth_split, tmp_path, field,
                                                       value):
