@@ -37,7 +37,7 @@ from freqrec import dataset as ds
 from freqrec.analysis import attenuation_metric, theorem1_probe, trace_spectral_profile
 from freqrec.config import fingerprint, load_config
 from freqrec.errors import FreqRecError, InputError, NumericError
-from freqrec.evalharness import baselines, evaluate
+from freqrec.evalharness import baselines, draw_candidates, evaluate
 from freqrec.glpf import PolyFilterSpec, filters_tokens, polynomial_filter
 from freqrec.graph import build_cooccurrence, load_graph, save_graph
 from freqrec.model.embeddings import (
@@ -261,16 +261,16 @@ def cmd_train(args, cfg, files):
 
 def cmd_evaluate(args, cfg, files):
     split, _, model = _checked_model(args, cfg)
-    report = evaluate(model, split, phase=args.phase, seed=cfg["eval"]["seed"],
-                      k=cfg["eval"]["k"], n_candidates=cfg["eval"]["n_candidates"])
+    candidates = draw_candidates(split, args.phase, cfg["eval"]["n_candidates"],
+                                 cfg["eval"]["seed"])
+    report = evaluate(model, split, candidates, k=cfg["eval"]["k"])
     payload = {"metrics": {"ndcg": report.ndcg, "recall": report.recall,
                            "k": report.k, "phase": report.phase,
                            "n_users": report.n_users,
                            "n_excluded": report.n_excluded},
                "fingerprint": fingerprint(cfg), "config": cfg}
     if args.with_baselines:
-        floors = baselines(split, phase=args.phase, seed=cfg["eval"]["seed"],
-                           k=cfg["eval"]["k"], n_candidates=cfg["eval"]["n_candidates"])
+        floors = baselines(split, candidates, k=cfg["eval"]["k"])
         payload["baselines"] = {name: {"ndcg": rep.ndcg, "recall": rep.recall}
                                 for name, rep in floors.items()}
     files.emit(args.out, payload)
@@ -330,6 +330,8 @@ def cmd_sweep(args, cfg, files):
     split, id_table, text_table, graph = _inputs(args, cfg)
     if args.param == "alpha" and graph is None:
         raise InputError("alpha sweep needs --graph")
+    # the grid changes only glpf and tfm keys, so every value ranks one test draw
+    test = draw_candidates(split, "test", cfg["eval"]["n_candidates"], cfg["eval"]["seed"])
     rows = []
     for value in values:
         run_cfg = copy.deepcopy(cfg)
@@ -345,9 +347,7 @@ def cmd_sweep(args, cfg, files):
             run_cfg["tfm"]["enabled"] = True
         model = build_model(run_cfg, table, text_table, graph=graph)
         train(model, split, _train_config(run_cfg))
-        report = evaluate(model, split, phase="test", seed=run_cfg["eval"]["seed"],
-                          k=run_cfg["eval"]["k"],
-                          n_candidates=run_cfg["eval"]["n_candidates"])
+        report = evaluate(model, split, test, k=cfg["eval"]["k"])
         rows.append((value, report.ndcg, report.recall))
     files.csv(args.out, (args.param, "ndcg", "recall"), rows)
     files.emit(None, {"param": args.param,

@@ -1,15 +1,16 @@
 """Leave-one-out ranking evaluation with sampled negatives.
 
 Each user is scored on 100 sampled non-interacted candidates plus the
-ground-truth item.  A pass draws every user's candidate row into one
-(U, n + 1) item matrix, negatives first and the truth at the LAST index,
-fills a score matrix of the same shape and ranks it in one count: the
-truth's rank is 1 + #(scores above it) + #(scores tied with it at a lower
-index), the rank a stable descending sort gives.  A degenerate all-equal
-scorer therefore ranks the truth last and floors both metrics at zero.
-Candidate sampling for user u uses generator seed (global_seed XOR u):
-reproducible, and the same in any reduction order, but not independent
-across seeds, since (seed 0, user 1) and (seed 1, user 0) share a stream.
+ground-truth item.  `draw_candidates` draws every user's row once into one
+(U, n + 1) item matrix, negatives first and the truth at the LAST index;
+the model and both floors each fill a score matrix of that shape and rank
+it in one count: the truth's rank is 1 + #(scores above it) + #(scores
+tied with it at a lower index), the rank a stable descending sort gives.
+A degenerate all-equal scorer therefore ranks the truth last and floors
+both metrics at zero.  Candidate sampling for user u uses generator seed
+(global_seed XOR u): reproducible, and the same in any reduction order,
+but not independent across seeds: (seed 0, user 1) and (seed 1, user 0)
+share a stream.
 
 With a single relevant item, NDCG@k is 1/log2(rank+1) when rank <= k and
 0 otherwise, and Recall@k is the indicator of rank <= k; NDCG@k > 0 if
@@ -17,6 +18,7 @@ and only if Recall@k = 1.
 """
 
 import logging
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,7 @@ from freqrec.errors import InputError
 from freqrec.model.network import all_item_tokens, forward, length_chunks
 
 log = logging.getLogger(__name__)
+Candidates = namedtuple("Candidates", "phase seed users items")     # see draw_candidates
 
 
 def sample_candidates(user, split, phase="test", n=100, seed=0):
@@ -73,38 +76,37 @@ class MetricsReport:
     per_user: list          # (user, rank, ndcg, recall)
 
 
-def _aggregate(split, users, metrics, k, phase):
+def _aggregate(split, candidates, metrics, k):
     ndcg, recall, rank = metrics
     return MetricsReport(ndcg=float(np.mean(ndcg)), recall=float(np.mean(recall)), k=k,
-                         phase=phase, n_users=len(users),
-                         n_excluded=split.n_users - len(users),
-                         per_user=list(zip(users.tolist(), rank.tolist(), ndcg.tolist(),
-                                           recall.tolist())))
+                         phase=candidates.phase, n_users=len(candidates.users),
+                         n_excluded=split.n_users - len(candidates.users),
+                         per_user=list(zip(candidates.users.tolist(), rank.tolist(),
+                                           ndcg.tolist(), recall.tolist())))
 
 
-def _candidate_sets(split, phase, n_candidates, seed):
-    """The users whose candidates can be drawn (those with at least
-    n_candidates non-interacted items), ascending, and their (U,
-    n_candidates + 1) candidate matrix."""
+def draw_candidates(split, phase, n_candidates, seed):
+    """The phase's candidates, drawn once: the users whose rows can be
+    drawn (those with at least n_candidates non-interacted items),
+    ascending, and their (U, n_candidates + 1) item matrix, truth last."""
     users, rows = [], []
     for user in range(split.n_users):
         try:
-            rows.append(sample_candidates(user, split, phase=phase, n=n_candidates,
-                                          seed=seed))
+            rows.append(sample_candidates(user, split, phase, n_candidates, seed))
         except InputError:
             continue
         users.append(user)
     if not users:
         raise InputError("no users could be evaluated")
-    return np.asarray(users), np.stack(rows)
+    return Candidates(phase, seed, np.asarray(users), np.stack(rows))
 
 
-def evaluate(model, split, phase="test", seed=0, k=10, n_candidates=100):
-    """Rank the phase target of every user against sampled negatives using
-    the model's inner-product scores.  Users whose candidates can be drawn
-    are forwarded one chunk of equal-length inputs at a time, each chunk
-    filling its rows of the score matrix, which is then ranked at once."""
-    users, cands = _candidate_sets(split, phase, n_candidates, seed)
+def evaluate(model, split, candidates, k=10):
+    """Rank each candidate user's phase target against its drawn negatives
+    using the model's inner-product scores.  The users are forwarded one
+    chunk of equal-length inputs at a time, each chunk filling its rows of
+    the score matrix, which is then ranked at once."""
+    phase, _, users, cands = candidates
     tokens = all_item_tokens(model)
     inputs = [split.eval_input(user, phase) for user in users]
     chunks = length_chunks([len(x) for x in inputs])
@@ -115,17 +117,17 @@ def evaluate(model, split, phase="test", seed=0, k=10, n_candidates=100):
         hidden, _ = forward(model, np.stack([inputs[i] for i in chunk]), table=tokens)
         # a stacked matmul, not einsum: each row then matches tokens[row] @ rep
         scores[chunk] = (tokens[cands[chunk]] @ hidden[:, -1, :, None])[..., 0]
-    return _aggregate(split, users, rank_metrics(scores, n_candidates, k), k, phase)
+    return _aggregate(split, candidates, rank_metrics(scores, cands.shape[1] - 1, k), k)
 
 
-def baselines(split, phase="test", seed=0, k=10, n_candidates=100):
-    """Floor scorers: seeded uniform-random scores, and training-frequency
-    popularity (no randomness beyond candidate sampling).  Both rank the
-    same candidate matrix."""
-    users, cands = _candidate_sets(split, phase, n_candidates, seed)
+def baselines(split, candidates, k=10):
+    """Floor scorers on the drawn candidate matrix: uniform-random scores
+    seeded per user from the draw's seed, and training-frequency popularity
+    (no randomness beyond the draw)."""
+    _, seed, users, cands = candidates
     counts = np.bincount(np.concatenate(list(split.train_views().values())),
                          minlength=split.n_items)
     rngs = [np.random.default_rng((seed ^ user) + 0x9E3779B9) for user in users.tolist()]
-    random = np.stack([rng.random(n_candidates + 1) for rng in rngs])
-    return {name: _aggregate(split, users, rank_metrics(scores, n_candidates, k), k, phase)
+    random = np.stack([rng.random(cands.shape[1]) for rng in rngs])
+    return {name: _aggregate(split, candidates, rank_metrics(scores, cands.shape[1] - 1, k), k)
             for name, scores in (("random", random), ("popularity", counts[cands]))}

@@ -19,6 +19,11 @@ from freqrec.errors import InputError
 from freqrec.numcore.linalg import add_rows_at
 
 
+def _inv_sqrt_degree(d):
+    """D^{-1/2} of degrees d, with the zero-degree rule: 0 for an isolated item."""
+    return np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+
+
 @dataclass
 class CooccurrenceGraph:
     n_items: int
@@ -72,10 +77,6 @@ class CooccurrenceGraph:
         add_rows_at(out, self.rows, self.weights[:, None] * x[self.cols])
         return out[:, 0] if squeeze else out
 
-    def _dinv_sqrt(self):
-        d = self.degrees
-        return np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
-
     def laplacian_matvec(self, x):
         """(I - D^{-1/2} W D^{-1/2}) @ x with the zero-degree convention
         D^{-1/2}_ii = 0 for isolated items."""
@@ -83,7 +84,7 @@ class CooccurrenceGraph:
         squeeze = x.ndim == 1
         if squeeze:
             x = x[:, None]
-        dh = self._dinv_sqrt()[:, None]
+        dh = _inv_sqrt_degree(self.degrees)[:, None]
         out = x - dh * self.adjacency_matvec(dh * x)
         return out[:, 0] if squeeze else out
 
@@ -101,8 +102,7 @@ def normalized_laplacian(adjacency):
     or for each of a (..., n, n) stack of them; isolated nodes keep an
     identity row."""
     a = np.asarray(adjacency, dtype=float)
-    d = a.sum(axis=-1)
-    dh = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
+    dh = _inv_sqrt_degree(a.sum(axis=-1))
     return np.eye(a.shape[-1]) - dh[..., :, None] * a * dh[..., None, :]
 
 

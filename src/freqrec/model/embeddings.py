@@ -67,6 +67,9 @@ def save_table(table, path):
 
 def load_external(path, expect_dim=None):
     header, blob = artifact.read(path, "embedding", counts=("n_items", "dim"))
+    if not isinstance(header.setdefault("provenance", "external"), str):
+        raise InputError(f"malformed embedding header in {path}: provenance "
+                         f"{header['provenance']!r} is not a string")
     n_items, dim = header["n_items"], header["dim"]
     expected_bytes = n_items * dim * 8
     if len(blob) != expected_bytes:
@@ -76,7 +79,7 @@ def load_external(path, expect_dim=None):
         raise InputError(f"{path}: table dimension {dim} does not match required {expect_dim}")
     rows = np.frombuffer(blob, dtype="<f8").reshape(n_items, dim).copy()
     return EmbeddingTable(n_items=n_items, dim=dim, rows=rows,
-                          provenance=str(header.get("provenance", "external")),
+                          provenance=header["provenance"],
                           fingerprint=header["fingerprint"])
 
 

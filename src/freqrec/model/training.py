@@ -22,7 +22,7 @@ import numpy as np
 
 from freqrec import artifact
 from freqrec.errors import InputError
-from freqrec.evalharness import evaluate
+from freqrec.evalharness import draw_candidates, evaluate
 from freqrec.glpf import PolyFilterSpec
 from freqrec.model.network import (
     FusionMLP,
@@ -181,12 +181,13 @@ def train(model, split, config=TrainConfig()):
     """Train the fusion MLP in place; other components never change.
 
     Each epoch shuffles users and applies one optimizer step per batch:
-    the mean of its sequences' gradients (`batch_loss`).  Negatives are
-    drawn per user in the shuffled order, skipped users included.
-    Validation NDCG@10 drives early stopping, and the best-epoch MLP
-    weights are restored at the end.  A non-finite loss in any length
-    group aborts the run before that batch's step, with the best weights
-    kept."""
+    the mean of its sequences' gradients (`batch_loss`).  Its negatives are
+    one (n_users, n_negatives) block drawn right after the shuffle: row i
+    belongs to the i-th user in shuffled order, skipped users included.
+    Validation NDCG@10 on one candidate draw per call drives early
+    stopping, and the best-epoch MLP weights are restored at the end.  A
+    non-finite loss in any length group aborts the run before that
+    batch's step, with the best weights kept."""
     params = model.mlp.param_arrays()
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
@@ -196,28 +197,24 @@ def train(model, split, config=TrainConfig()):
     entries = []
     stale = 0
     aborted = False
+    candidates = None           # drawn at the first validation, then reused
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
         order = rng.permutation(split.n_users)
+        negatives = rng.integers(0, split.n_items, size=(order.size, config.n_negatives))
         epoch_loss = 0.0
         n_sequences = 0
-        n_skipped = 0
         n_groups = 0
         for start in range(0, order.size, config.batch_size):
-            seqs, negs = [], []
-            for user in order[start:start + config.batch_size]:
-                seq = split.train_items(int(user))
-                neg = rng.integers(0, split.n_items, size=config.n_negatives)
-                if seq.size < 2:
-                    n_skipped += 1
-                    continue
-                seqs.append(seq)
-                negs.append(neg)
+            batch = slice(start, start + config.batch_size)
+            seqs = [split.train_items(int(user)) for user in order[batch]]
+            usable = [seq.size >= 2 for seq in seqs]
+            seqs = [seq for seq, ok in zip(seqs, usable) if ok]
             if not seqs:
                 log.warning("epoch %d: skipped a batch with no usable sequences", epoch)
                 continue
-            losses, grads = batch_loss(model, seqs, np.stack(negs))
+            losses, grads = batch_loss(model, seqs, negatives[batch][usable])
             if grads is None:
                 aborted = True
                 break
@@ -228,14 +225,15 @@ def train(model, split, config=TrainConfig()):
         if aborted:
             break
         mean_loss = epoch_loss / max(n_sequences, 1)
-        report = evaluate(model, split, phase="valid", seed=config.eval_seed,
-                          n_candidates=config.eval_candidates)
+        candidates = candidates or draw_candidates(split, "valid", config.eval_candidates,
+                                                   config.eval_seed)
+        report = evaluate(model, split, candidates)
         entries.append({"epoch": epoch, "loss": mean_loss,
                         "valid_ndcg10": report.ndcg, "valid_recall10": report.recall,
                         "lr": config.lr})
-        log.info("train epoch %d: loss %.5f, valid NDCG@10 %.4f, %d sequences used "
-                 "in %d length groups, %d skipped, %.2f s", epoch, mean_loss, report.ndcg,
-                 n_sequences, n_groups, n_skipped, time.perf_counter() - started)
+        log.info("train epoch %d: loss %.5f, valid NDCG@10 %.4f, %d sequences used in %d "
+                 "length groups, %d skipped, %.2f s", epoch, mean_loss, report.ndcg, n_sequences,
+                 n_groups, split.n_users - n_sequences, time.perf_counter() - started)
         if report.ndcg > best_metric:
             best_metric = report.ndcg
             best_epoch = epoch
@@ -315,6 +313,8 @@ def load_checkpoint(path, id_table, text_table, graph=None):
                          f"four float64 arrays of the header's shapes {shapes}")
     w1, b1, w2, b2 = (np.frombuffer(blob[i:j], dtype="<f8").reshape(s).copy()
                       for i, j, s in zip(ends[:-1], ends[1:], shapes))
+    if not all(np.isfinite(a).all() for a in (w1, b1, w2, b2)):
+        raise InputError(f"{path}: the fusion-MLP weights hold non-finite values")
     mlp = FusionMLP(w1=w1, b1=b1, w2=w2, b2=b2, activation=activation)
     if token_filter is not None:
         if graph is None:

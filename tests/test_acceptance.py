@@ -18,7 +18,7 @@ import pytest
 
 from freqrec.analysis import theorem1_probe, trace_spectral_profile
 from freqrec.dataset import SynthConfig, build_split, ingest, synthesize
-from freqrec.evalharness import baselines, evaluate, rank_metrics
+from freqrec.evalharness import baselines, draw_candidates, evaluate, rank_metrics
 from freqrec.glpf import PolyFilterSpec, polynomial_filter, spectral_oracle_filter
 from freqrec.graph import build_cooccurrence
 from freqrec.model.embeddings import (
@@ -238,7 +238,7 @@ class TestCriterion6Protocol:
                                         rho=0.5, seed=3))
         split = build_split(log, min_interactions=5)
         assert split.n_users >= 1000
-        floors = baselines(split, phase="test", seed=0)
+        floors = baselines(split, draw_candidates(split, "test", 100, 0))
         gap = abs(floors["random"].recall - 10.0 / 101.0)
         assert gap <= 0.02
 
@@ -322,8 +322,9 @@ class TestCriterion8EndToEnd:
         model = RecModel(id_table=id_table, text_table=text_table, mlp=mlp,
                          backbone=backbone)
         train(model, split, TrainConfig(epochs=4, lr=5e-4, patience=4, n_negatives=100))
-        metrics = evaluate(model, split, phase="test", seed=1)
-        floors = baselines(split, phase="test", seed=1)
+        candidates = draw_candidates(split, "test", 100, 1)
+        metrics = evaluate(model, split, candidates)
+        floors = baselines(split, candidates)
         elapsed = time.time() - start
         assert metrics.ndcg > floors["random"].ndcg
         assert metrics.ndcg > floors["popularity"].ndcg

@@ -17,7 +17,7 @@ from freqrec.model import network
 from freqrec.model.network import forward
 from freqrec.spectral import basis_from_matrix
 from freqrec.tfm import ButterworthSpec
-from tests.test_model import TFM_MODES, config_model, small_model
+from tests.test_model import TFM_MODES, config_model, count_calls, small_model
 
 
 @pytest.fixture(scope="module")
@@ -146,13 +146,7 @@ class TestProfile:
     def test_fused_table_filtered_once(self, setup, monkeypatch):
         split, graph, _ = setup
         model = config_model(split, graph, {"glpf.apply_to": "fused"})
-        calls, filter_fn = [], network.polynomial_filter
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return filter_fn(*args, **kwargs)
-
-        monkeypatch.setattr(network, "polynomial_filter", counting)
+        calls = count_calls(monkeypatch, network, "polynomial_filter")
         trace_spectral_profile(model, split.sequences, graph, n_bands=4)
         assert len(calls) == 1
 

@@ -15,11 +15,13 @@ from freqrec.analysis import THEOREM1_PILOT_THRESHOLD, trace_spectral_profile
 from freqrec.cli import main
 from freqrec.config import DEFAULTS, fingerprint, load_config
 from freqrec.errors import InputError
-from freqrec.evalharness import evaluate
+from freqrec.evalharness import baselines, draw_candidates, evaluate, rank_metrics
 from freqrec.graph import load_graph
-from freqrec.model.embeddings import PretrainConfig, load_external
+from freqrec.model.embeddings import PretrainConfig, load_external, text_surrogate_embeddings
 from freqrec.model.network import build_model, init_backbone, init_fusion_mlp, length_chunks
 from freqrec.model.training import TrainConfig, load_checkpoint, train
+from freqrec.spectral import band_energy
+from tests.test_model import count_calls
 
 
 def run(argv):
@@ -196,6 +198,44 @@ class TestStages:
         lines = out.read_text().splitlines()
         assert lines[0] == "cutoff,ndcg,recall"
         assert len(lines) == 3
+
+    def test_evaluate_draws_once_for_the_model_and_both_floors(self, tmp_path, workdir,
+                                                               monkeypatch):
+        calls = count_calls(monkeypatch, evalharness, "sample_candidates")
+        assert run(["--config", workdir["config"],
+                    "evaluate", "--data", workdir["data"], "--id", workdir["id_filtered"],
+                    "--text", workdir["text"], "--checkpoint", workdir["ckpt"],
+                    "--with-baselines", "--out", str(tmp_path / "m.json")]) == 0
+        assert len(calls) == ds.build_split(ds.ingest(workdir["data"])).n_users
+
+    def test_sweep_draws_the_test_matrix_once(self, tmp_path, workdir, monkeypatch):
+        calls = count_calls(monkeypatch, evalharness, "sample_candidates")
+        assert run(["--config", workdir["config"], "--set", "training.epochs=2",
+                    "sweep", "--param", "cutoff", "--values", "0.3,0.6",
+                    "--data", workdir["data"], "--id", workdir["id_filtered"],
+                    "--text", workdir["text"], "--out", str(tmp_path / "sweep.csv")]) == 0
+        # one test draw for the grid, one validation draw per value's training
+        assert len(calls) == 3 * ds.build_split(ds.ingest(workdir["data"])).n_users
+
+    def test_non_finite_checkpoint_is_refused(self, tmp_path, workdir, capsys):
+        header, _, weights = open(workdir["ckpt"], "rb").read().partition(b"\n")
+        patched = np.frombuffer(weights, dtype="<f8").copy()
+        patched[0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        ckpt.write_bytes(header + b"\n" + patched.tobytes())
+        out = tmp_path / "out"
+        out.mkdir()
+        inputs = ["--data", workdir["data"], "--id", workdir["id_filtered"],
+                  "--text", workdir["text"], "--checkpoint", str(ckpt)]
+        for argv in (["evaluate", *inputs, "--with-baselines", "--out", str(out / "m.json"),
+                      "--per-user", str(out / "u.csv")],
+                     ["analyze", *inputs, "--graph", workdir["graph"],
+                      "--out-prefix", str(out / "p"), "--out", str(out / "a.json")]):
+            assert run(["--config", workdir["config"], *argv]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and str(ckpt) in captured.err
+            assert "non-finite" in captured.err and captured.out == ""
+            assert list(out.iterdir()) == []
 
     def test_csv_cells_are_plain_numbers(self, tmp_path, workdir):
         base = ["--config", workdir["config"]]
@@ -463,7 +503,7 @@ class TestFused:
         model = build_model(cfg, load_external(fused["id"]), load_external(fused["text"]),
                             graph=graph)
         train(model, split, TrainConfig(**cfg["training"], eval_candidates=20))
-        report = evaluate(model, split, phase="test", n_candidates=20)
+        report = evaluate(model, split, draw_candidates(split, "test", 20, 0))
         metrics = json.loads(out.read_text())["metrics"]
         assert (metrics["ndcg"], metrics["recall"]) == (report.ndcg, report.recall)
         modes = json.loads(summary.read_text())["modes"]
@@ -739,7 +779,8 @@ class TestLogging:
         # a later library call logs nothing into the stream main wrote to
         model, _ = load_checkpoint(workdir["ckpt"], load_external(workdir["id_filtered"]),
                                    load_external(workdir["text"]))
-        evaluate(model, ds.build_split(ds.ingest(workdir["data"])), n_candidates=20)
+        split = ds.build_split(ds.ingest(workdir["data"]))
+        evaluate(model, split, draw_candidates(split, "test", 20, 0))
         assert capsys.readouterr().err == ""
 
     def test_info_reports_without_changing_outputs(self, tmp_path, workdir, capsys):
@@ -815,18 +856,37 @@ class TestConfig:
                 where, key = outside.get(name, (section, name))
                 assert cfg[where][key] == value, f"{cls.__name__}.{name}"
         assert TrainConfig().epochs == cfg["training"]["epochs"] == 10
-        # (function, config key per keyword argument)
-        for fn, keys in (
-                (init_backbone, {"n_layers": ("backbone", "layers"),
-                                 "n_heads": ("backbone", "heads"),
-                                 "seed": ("backbone", "seed"),
-                                 "ffn_mult": ("backbone", "ffn_mult"),
-                                 "d_model": ("model", "d_model")}),
-                (init_fusion_mlp, {"seed": ("model", "mlp_seed"),
-                                   "activation": ("model", "activation")})):
+        # (function, the config value of each keyword argument's default);
+        # init_backbone's tfm_enabled differs on purpose (see its docstring)
+        a = cfg["analysis"]
+        for fn, expected in (
+                (init_backbone, {"n_layers": cfg["backbone"]["layers"],
+                                 "n_heads": cfg["backbone"]["heads"],
+                                 "seed": cfg["backbone"]["seed"],
+                                 "ffn_mult": cfg["backbone"]["ffn_mult"],
+                                 "d_model": cfg["model"]["d_model"],
+                                 "tfm_residual": cfg["tfm"]["residual"],
+                                 "tfm_causal_safe": cfg["tfm"]["causal_safe"]}),
+                (init_fusion_mlp, {"seed": cfg["model"]["mlp_seed"],
+                                   "activation": cfg["model"]["activation"]}),
+                (ds.ingest, {"format": cfg["dataset"]["format"]}),
+                (ds.build_split, {"min_interactions": cfg["dataset"]["min_interactions"],
+                                  "max_seq_len": cfg["dataset"]["max_seq_len"]}),
+                (text_surrogate_embeddings, {"d_text": cfg["model"]["d_text"]}),
+                (evaluate, {"k": cfg["eval"]["k"]}),
+                (baselines, {"k": cfg["eval"]["k"]}),
+                (rank_metrics, {"k": cfg["eval"]["k"]}),
+                (trace_spectral_profile, {"n_bands": a["n_bands"]}),
+                (band_energy, {"n_bands": a["n_bands"]}),
+                (analysis.theorem1_probe, {"rho": a["theorem_rho"],
+                                           "t_range": (a["theorem_t_min"], a["theorem_t_max"]),
+                                           "trials": a["theorem_trials"],
+                                           "seed": a["theorem_seed"]})):
             defaults = inspect.signature(fn).parameters
-            for name, (section, key) in keys.items():
-                assert cfg[section][key] == defaults[name].default, f"{fn.__name__}.{name}"
+            for name, value in expected.items():
+                default = defaults[name].default
+                assert (type(default), default) == (type(value), value), \
+                    f"{fn.__name__}.{name}"
         assert set(cfg["backbone"]) == {"layers", "heads", "seed", "ffn_mult"}
         assert "mlp_hidden" not in cfg["model"]
 

@@ -6,11 +6,17 @@ import pytest
 from freqrec import evalharness
 from freqrec.dataset import SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
-from freqrec.evalharness import baselines, evaluate, rank_metrics, sample_candidates
+from freqrec.evalharness import (
+    baselines,
+    draw_candidates,
+    evaluate,
+    rank_metrics,
+    sample_candidates,
+)
 from freqrec.graph import build_cooccurrence
 from freqrec.model import network
 from freqrec.model.network import all_item_tokens, forward
-from tests.test_model import config_model, small_model
+from tests.test_model import config_model, count_calls, small_model
 
 
 @pytest.fixture(scope="module")
@@ -165,12 +171,12 @@ class TestEvaluateAndBaselines:
                                         rho=0.5, seed=3))
         split = build_split(log, min_interactions=5)
         assert split.n_users >= 1000
-        floors = baselines(split, phase="test", seed=0)
+        floors = baselines(split, draw_candidates(split, "test", 100, 0))
         assert abs(floors["random"].recall - 10.0 / 101.0) <= 0.02
 
     def test_popularity_deterministic_across_scorer_runs(self, split):
-        a = baselines(split, phase="test", seed=5, n_candidates=30)["popularity"]
-        b = baselines(split, phase="test", seed=5, n_candidates=30)["popularity"]
+        a, b = (baselines(split, draw_candidates(split, "test", 30, 5))["popularity"]
+                for _ in range(2))
         assert a.ndcg == b.ndcg and a.per_user == b.per_user
 
     def test_floors_share_one_sampling_per_user(self, split, monkeypatch):
@@ -191,14 +197,8 @@ class TestEvaluateAndBaselines:
                                  ("popularity", counts[cand])):
                 ndcg, recall, rank = rank_metrics(scores, n)
                 reference[name].append((user, rank, ndcg, recall))
-        calls, sample_fn = [], evalharness.sample_candidates
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return sample_fn(*args, **kwargs)
-
-        monkeypatch.setattr(evalharness, "sample_candidates", counting)
-        floors = baselines(split, phase="test", seed=4, n_candidates=n)
+        calls = count_calls(monkeypatch, evalharness, "sample_candidates")
+        floors = baselines(split, draw_candidates(split, "test", n, 4))
         assert len(calls) == split.n_users
         for name, rows in reference.items():
             assert 0 < floors[name].n_excluded < split.n_users
@@ -206,8 +206,8 @@ class TestEvaluateAndBaselines:
 
     def test_model_evaluate_deterministic(self, split):
         model = small_model(split)
-        r1 = evaluate(model, split, phase="valid", seed=2, n_candidates=30)
-        r2 = evaluate(model, split, phase="valid", seed=2, n_candidates=30)
+        r1, r2 = (evaluate(model, split, draw_candidates(split, "valid", 30, 2))
+                  for _ in range(2))
         assert r1 == r2
 
 
@@ -237,33 +237,21 @@ class TestBatchedEvaluate:
         pools = sorted(split.n_items - len(split.interacted(u)) for u in range(split.n_users))
         n = pools[len(pools) // 4]
         for phase in ("valid", "test"):
-            report = evaluate(model, split, phase=phase, seed=3, n_candidates=n)
+            report = evaluate(model, split, draw_candidates(split, phase, n, 3))
             assert 0 < report.n_excluded < split.n_users
             assert report.n_users + report.n_excluded == split.n_users
             assert report.per_user == per_sequence_rows(model, split, phase, 3, n)
 
     def test_fused_table_filtered_once(self, split, monkeypatch):
         model = config_model(split, build_cooccurrence(split), {"glpf.apply_to": "fused"})
-        calls, filter_fn = [], network.polynomial_filter
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return filter_fn(*args, **kwargs)
-
-        monkeypatch.setattr(network, "polynomial_filter", counting)
-        report = evaluate(model, split, phase="valid", seed=3, n_candidates=30)
+        calls = count_calls(monkeypatch, network, "polynomial_filter")
+        report = evaluate(model, split, draw_candidates(split, "valid", 30, 3))
         assert len({len(split.eval_input(u, "valid")) for u, *_ in report.per_user}) > 1
         assert len(calls) == 1
 
     def test_unfiltered_catalog_fused_once(self, split, monkeypatch):
         model = config_model(split, build_cooccurrence(split), {})
-        calls, fuse_fn = [], network.fuse
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return fuse_fn(*args, **kwargs)
-
-        monkeypatch.setattr(network, "fuse", counting)
-        report = evaluate(model, split, phase="valid", seed=3, n_candidates=30)
+        calls = count_calls(monkeypatch, network, "fuse")
+        report = evaluate(model, split, draw_candidates(split, "valid", 30, 3))
         assert len({len(split.eval_input(u, "valid")) for u, *_ in report.per_user}) > 1
         assert len(calls) == 1

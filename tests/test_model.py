@@ -9,8 +9,9 @@ import pytest
 from freqrec.config import load_config
 from freqrec.dataset import InteractionLog, SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
-from freqrec.evalharness import evaluate
+from freqrec.evalharness import draw_candidates, evaluate
 from freqrec.graph import build_cooccurrence
+from freqrec import evalharness
 from freqrec.model import network, training
 from freqrec.model.embeddings import (
     EmbeddingTable,
@@ -72,6 +73,26 @@ def small_model(split, d_id=8, d_text=4, d_model=16, n_layers=2, seed=0,
     backbone = init_backbone(n_layers=n_layers, d_model=d_model, n_heads=2,
                              seed=seed + 2, tfm_enabled=tfm_enabled, **backbone_kw)
     return RecModel(id_table=id_table, text_table=text_table, mlp=mlp, backbone=backbone)
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that gains one entry per call of module.name from now on."""
+    calls, fn = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def short_user_split():
+    """Every fourth user has one training item, which training skips."""
+    rng = np.random.default_rng(3)
+    rows = [(f"u{u}", f"i{int(rng.integers(12))}", t, "")
+            for u in range(16) for t in range(3 if u % 4 == 0 else 8)]
+    return build_split(InteractionLog(rows), min_interactions=3)
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +276,9 @@ class TestTextSurrogate:
                                         b'{"n_items": "2", "dim": 3}',
                                         b'{"n_items": true, "dim": 3}',
                                         b'{"n_items": 2, "dim": 3.0}',
-                                        b'{"n_items": 2, "dim": 3, "fingerprint": null}'])
+                                        b'{"n_items": 2, "dim": 3, "fingerprint": null}',
+                                        b'{"n_items": 2, "dim": 3, "provenance": null}',
+                                        b'{"n_items": 2, "dim": 3, "provenance": 3}'])
     def test_malformed_table_header_is_an_input_error(self, tmp_path, header):
         path = tmp_path / "bad.emb"
         path.write_bytes(header + b"\n" + bytes(48))
@@ -740,13 +763,7 @@ class TestGroupedLoss:
             batches += any(n >= 2 for n in lengths)
         assert batches < groups
 
-        calls, filter_fn = [], network.polynomial_filter
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return filter_fn(*args, **kwargs)
-
-        monkeypatch.setattr(network, "polynomial_filter", counting)
+        calls = count_calls(monkeypatch, network, "polynomial_filter")
         train(model, synth_split, config)
         # per batch one filtered table and one filtered gradient (the filter
         # is self-adjoint), whatever its number of groups, and one table for
@@ -762,6 +779,48 @@ class TestTrain:
         for a, b in zip(model.mlp.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
         assert result.entries == []
+
+    def test_validation_candidates_drawn_once(self, synth_split, monkeypatch):
+        calls = count_calls(monkeypatch, evalharness, "sample_candidates")
+        result = train(small_model(synth_split), synth_split,
+                       TrainConfig(epochs=3, patience=3, n_negatives=8, eval_candidates=10))
+        assert len(result.entries) == 3
+        assert len(calls) == synth_split.n_users
+
+    def test_negatives_are_the_per_user_stream(self, monkeypatch, caplog):
+        # the reference: one rng.integers call per user in shuffled order,
+        # skipped users included, each row kept when its user is used
+        split = short_user_split()
+        config = TrainConfig(epochs=3, patience=3, batch_size=5, n_negatives=6,
+                             eval_candidates=4)
+        rng = np.random.default_rng(config.seed)
+        expected = []
+        for _ in range(config.epochs):
+            order = rng.permutation(split.n_users)
+            rows = [(split.train_items(int(user)).size >= 2,
+                     rng.integers(0, split.n_items, size=config.n_negatives)) for user in order]
+            for start in range(0, len(rows), config.batch_size):
+                kept = [neg for used, neg in rows[start:start + config.batch_size] if used]
+                if kept:
+                    expected.append(np.stack(kept))
+        seen, loss_fn = [], training.batch_loss
+
+        def recording(model, sequences, negatives):
+            seen.append(negatives)
+            return loss_fn(model, sequences, negatives)
+
+        monkeypatch.setattr(training, "batch_loss", recording)
+        with caplog.at_level("INFO", logger="freqrec"):
+            result = train(small_model(split), split, config)
+        assert len(result.entries) == config.epochs
+        n_short = sum(not used for used, _ in rows)
+        assert n_short > 0
+        epochs = [r.getMessage() for r in caplog.records if "train epoch" in r.getMessage()]
+        assert len(epochs) == config.epochs
+        assert all(f", {n_short} skipped," in line for line in epochs)
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_backbone_frozen(self, synth_split):
         model = small_model(synth_split)
@@ -864,8 +923,8 @@ class TestTrain:
 
     def test_evaluation_reproducible(self, synth_split):
         model = small_model(synth_split)
-        r1 = evaluate(model, synth_split, phase="test", seed=3, n_candidates=10)
-        r2 = evaluate(model, synth_split, phase="test", seed=3, n_candidates=10)
+        r1, r2 = (evaluate(model, synth_split, draw_candidates(synth_split, "test", 10, 3))
+                  for _ in range(2))
         assert r1.ndcg == r2.ndcg and r1.recall == r2.recall
         assert r1.per_user == r2.per_user
 
@@ -956,6 +1015,18 @@ class TestCheckpointRecipe:
                                              lambda h, w: (dict(h, **{field: value}), w))
         with pytest.raises(InputError, match="malformed checkpoint header"):
             load_checkpoint(path, model.id_table, model.text_table)
+
+    @pytest.mark.parametrize("index, value", [(0, np.nan), (-1, np.inf), (5, -np.inf)])
+    def test_non_finite_weight_is_an_input_error(self, synth_split, tmp_path, index, value):
+        def edit(header, weights):
+            patched = np.frombuffer(weights, dtype="<f8").copy()
+            patched[index] = value
+            return header, patched.tobytes()
+
+        model, path = self.edited_checkpoint(synth_split, tmp_path, edit)
+        with pytest.raises(InputError, match="non-finite") as info:
+            load_checkpoint(path, model.id_table, model.text_table)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("edit", [
         lambda h, w: (h, w[:-8]), lambda h, w: (h, w[:8]), lambda h, w: (h, b""),
