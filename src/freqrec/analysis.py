@@ -29,7 +29,7 @@ from freqrec.errors import InputError
 from freqrec.graph import local_subgraph, normalized_laplacian
 from freqrec.model.network import all_item_tokens, forward, length_chunks
 from freqrec.spectral import band_energy, basis_from_matrix, gft, smoothness
-from freqrec.tfm import tfm_apply
+from freqrec.tfm import ring_graph_laplacian, tfm_apply
 
 # Pre-registered acceptance bound for the locality-family Rayleigh-quotient
 # violation rate: a pre-build pilot (15,000 dense-oracle trials across
@@ -173,16 +173,24 @@ class Theorem1Report:
 
 def _family_adjacency(family, t_len, rho):
     if family == "ring":
-        w = np.zeros((t_len, t_len))
-        for i in range(t_len):
-            w[i, (i + 1) % t_len] = w[(i + 1) % t_len, i] = 1.0
-        return w
+        return 2.0 * np.eye(t_len) - ring_graph_laplacian(t_len)
     if family == "locality":
         idx = np.arange(t_len)
         w = rho ** np.abs(idx[:, None] - idx[None, :])
         np.fill_diagonal(w, 0.0)
         return w
     raise InputError(f"unknown graph family {family!r} (expected 'ring' or 'locality')")
+
+
+def check_probe_settings(rho, t_range):
+    """Refuse a locality decay rho outside (0, 1), which no family accepts
+    (the ring ignores it), and a (t_min, t_max) range of ring sizes that is
+    empty or starts below 3 nodes."""
+    if not (0.0 < rho < 1.0):
+        raise InputError(f"theorem rho must lie in (0, 1), got {rho}")
+    lo, hi = t_range
+    if lo < 3 or hi < lo:
+        raise InputError(f"theorem t_range needs 3 <= t_min <= t_max, got {t_range}")
 
 
 def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0,
@@ -193,11 +201,8 @@ def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0,
     Violations count a trial whose quantity increased beyond a 1e-10
     relative slack; smoothness is taken against the symmetric normalized
     Laplacian (the dense definition, not the spectral shortcut)."""
-    if family == "locality" and not (0.0 < rho < 1.0):
-        raise InputError(f"locality family needs rho in (0, 1), got {rho}")
+    check_probe_settings(rho, t_range)
     lo, hi = t_range
-    if lo < 3 or hi < lo:
-        raise InputError(f"bad t_range {t_range}")
 
     def one_trial(trial_seed):
         rng = np.random.default_rng(trial_seed)

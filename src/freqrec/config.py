@@ -17,10 +17,12 @@ define, the numeric `pretrain` and `training` fields (and `model.d_id`)
 against the RANGES of their dataclasses, `dataset.min_interactions` and
 `dataset.max_seq_len` against `build_split`'s floor of 3 and
 `model.d_text` against `text_surrogate_embeddings`' floor of 1,
-`model.d_model`, `backbone.layers`, `eval.k`, `eval.n_candidates`,
-`analysis.n_bands` and `analysis.theorem_trials` must be at least 1,
-explicit G-LPF coefficients must be finite numbers, and the `tfm`, `glpf`
-and `backbone` sections must pass their consumers' checks, so no command
+`model.d_model`, `backbone.layers`, `backbone.ffn_mult`, `eval.k`,
+`eval.n_candidates`, `analysis.n_bands` and `analysis.theorem_trials`
+must be at least 1, `analysis.theorem_t_min` at least 3, every seed at
+least 0, explicit G-LPF coefficients must be finite numbers, and the
+`synth`, `analysis` (its theorem-probe range and rho), `tfm`, `glpf` and
+`backbone` sections must pass their consumers' checks, so no command
 stamps artifacts with a config that a later stage would reject, that
 trains nothing or that ranks nothing.
 """
@@ -32,6 +34,7 @@ import json
 import math
 from dataclasses import asdict
 
+from freqrec.analysis import check_probe_settings
 from freqrec.dataset import FORMATS, SPLIT_FLOOR, SynthConfig
 from freqrec.errors import InputError
 from freqrec.glpf import APPLY_TO, PolyFilterSpec
@@ -117,10 +120,13 @@ _RANGED = ((PretrainConfig.RANGES, "pretrain", {"dim": "model.d_id"}),
            (TrainConfig.RANGES, "training", {}),
            ({"min_interactions": (">=", SPLIT_FLOOR), "max_seq_len": (">=", SPLIT_FLOOR)},
             "dataset", {}),
-           ({"d_model": (">=", 1), "d_text": (">=", D_TEXT_FLOOR)}, "model", {}),
-           ({"layers": (">=", 1)}, "backbone", {}),
-           ({"k": (">=", 1), "n_candidates": (">=", 1)}, "eval", {}),
-           ({"n_bands": (">=", 1), "theorem_trials": (">=", 1)}, "analysis", {}))
+           ({"d_model": (">=", 1), "d_text": (">=", D_TEXT_FLOOR), "mlp_seed": (">=", 0)},
+            "model", {}),
+           ({"layers": (">=", 1), "ffn_mult": (">=", 1), "seed": (">=", 0)}, "backbone", {}),
+           ({"k": (">=", 1), "n_candidates": (">=", 1), "seed": (">=", 0)}, "eval", {}),
+           ({"n_bands": (">=", 1), "theorem_trials": (">=", 1), "theorem_t_min": (">=", 3),
+             "theorem_seed": (">=", 0)}, "analysis", {}),
+           ({"seed": (">=", 0)}, "synth", {}))
 
 
 def _merge(base, override, path=""):
@@ -177,7 +183,11 @@ def _check_values(config):
                     and math.isfinite(c) for c in coeffs)):
         raise InputError("config key 'glpf.coefficients' must be null or a non-empty "
                          f"list of finite numbers, got {coeffs!r}")
+    a = config["analysis"]
     for section, check, *args in (
+            ("synth", lambda: SynthConfig(**config["synth"])),
+            ("analysis", check_probe_settings, a["theorem_rho"],
+             (a["theorem_t_min"], a["theorem_t_max"])),
             ("tfm", ButterworthSpec.from_config, config["tfm"]),
             ("glpf", PolyFilterSpec.from_config, config["glpf"]),
             ("backbone", check_heads, config["model"]["d_model"], config["backbone"]["heads"])):

@@ -170,9 +170,6 @@ class SplitDataset:
         """Per-user truncated full sequences (train + valid + test items)."""
         return [self._window(u) for u in range(self.n_users)]
 
-    def interacted(self, user):
-        return set(int(i) for i in self.sequences[user])
-
     def summary(self):
         return {
             "n_users": self.n_users,
@@ -251,6 +248,12 @@ class SynthConfig:
     seed: int = 0
     with_text: bool = True
 
+    def __post_init__(self):
+        if not (0.0 < self.rho < 1.0):
+            raise InputError(f"locality rho must lie in (0, 1), got {self.rho}")
+        if self.users < 1 or self.items < 2 or self.mean_length < 1:
+            raise InputError("users, items and mean_length must be positive (items >= 2)")
+
 
 def synthesize(config):
     """Locality-controlled interaction generator.
@@ -262,10 +265,6 @@ def synthesize(config):
     catalog-close, high-affinity items.  Returns the log together with the
     ground-truth affinity matrix rho^|i-j| (zero diagonal).
     """
-    if not (0.0 < config.rho < 1.0):
-        raise InputError(f"locality rho must lie in (0, 1), got {config.rho}")
-    if config.users < 1 or config.items < 2 or config.mean_length < 1:
-        raise InputError("users, items and mean_length must be positive (items >= 2)")
     rng = np.random.default_rng(config.seed)
     n = config.items
     idx = np.arange(n)

@@ -32,10 +32,6 @@ class PolyFilterSpec:
             raise InputError("a polynomial filter needs at least theta_0")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def order(self):
-        return len(self.coefficients) - 1
-
     def response(self, lam):
         lam = np.asarray(lam, dtype=float)
         out = np.zeros_like(lam)

@@ -47,46 +47,17 @@ class CooccurrenceGraph:
             h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
         return h.hexdigest()[:12]
 
-    def _keys(self):
-        return self.rows.astype(np.int64) * self.n_items + self.cols.astype(np.int64)
-
-    def lookup(self, i, j):
-        """Vectorized weight lookup for index arrays i, j, broadcast
-        together (0 where absent)."""
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        keys = self._keys()
-        want = i * self.n_items + j
-        pos = np.searchsorted(keys, want)
-        pos = np.clip(pos, 0, len(keys) - 1) if len(keys) else np.zeros_like(want)
-        out = np.zeros(want.shape, dtype=float)
-        if len(keys):
-            hit = keys[pos] == want
-            out[hit] = self.weights[pos[hit]]
-        return out
-
-    def adjacency_matvec(self, x):
-        """W @ x for a vector or matrix signal."""
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
-        if x.shape[0] != self.n_items:
-            raise InputError(f"signal has {x.shape[0]} rows, graph has {self.n_items} items")
-        out = np.zeros(x.shape)
-        add_rows_at(out, self.rows, self.weights[:, None] * x[self.cols])
-        return out[:, 0] if squeeze else out
-
     def laplacian_matvec(self, x):
-        """(I - D^{-1/2} W D^{-1/2}) @ x with the zero-degree convention
-        D^{-1/2}_ii = 0 for isolated items."""
+        """(I - D^{-1/2} W D^{-1/2}) @ x for an (n_items, d) signal, with the
+        zero-degree convention D^{-1/2}_ii = 0 for isolated items."""
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[:, None]
+        if x.ndim != 2 or x.shape[0] != self.n_items:
+            raise InputError(f"signal of shape {x.shape} does not have the graph's "
+                             f"{self.n_items} items as rows")
         dh = _inv_sqrt_degree(self.degrees)[:, None]
-        out = x - dh * self.adjacency_matvec(dh * x)
-        return out[:, 0] if squeeze else out
+        wx = np.zeros(x.shape)
+        add_rows_at(wx, self.rows, self.weights[:, None] * (dh * x)[self.cols])
+        return x - dh * wx
 
     def dense_adjacency(self):
         w = np.zeros((self.n_items, self.n_items))
@@ -153,7 +124,13 @@ def local_subgraph(graph, target_items):
         raise InputError(f"local graph needs at least 2 target items, got {t_len}")
     if np.any(items < 0) or np.any(items >= graph.n_items):
         raise InputError("target item index out of range")
-    a = graph.lookup(items[..., :, None], items[..., None, :])
+    keys = graph.rows.astype(np.int64) * graph.n_items + graph.cols.astype(np.int64)
+    want = items[..., :, None] * graph.n_items + items[..., None, :]
+    a = np.zeros(want.shape)
+    if len(keys):
+        pos = np.clip(np.searchsorted(keys, want), 0, len(keys) - 1)
+        hit = keys[pos] == want
+        a[hit] = graph.weights[pos[hit]]
     diag = np.arange(t_len)
     a[..., diag, diag] = 0.0
     return a

@@ -78,6 +78,8 @@ def load_external(path, expect_dim=None):
     if expect_dim is not None and dim != expect_dim:
         raise InputError(f"{path}: table dimension {dim} does not match required {expect_dim}")
     rows = np.frombuffer(blob, dtype="<f8").reshape(n_items, dim).copy()
+    if not np.isfinite(rows).all():
+        raise InputError(f"{path}: the embedding rows hold non-finite values")
     return EmbeddingTable(n_items=n_items, dim=dim, rows=rows,
                           provenance=header["provenance"],
                           fingerprint=header["fingerprint"])
@@ -96,7 +98,7 @@ class PretrainConfig:
     # accepted values, checked at config load: (comparison, bound) per field
     RANGES: ClassVar[dict] = {"dim": (">=", 1), "window": (">=", 1),
                               "negatives": (">=", 0), "epochs": (">=", 1),
-                              "lr": (">", 0.0), "chunk": (">=", 1)}
+                              "lr": (">", 0.0), "seed": (">=", 0), "chunk": (">=", 1)}
 
 
 def _sigmoid(x):

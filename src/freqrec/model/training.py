@@ -88,7 +88,7 @@ class TrainConfig:
     # accepted values, checked at config load, as in PretrainConfig.RANGES
     RANGES: ClassVar[dict] = {"lr": (">", 0.0), "batch_size": (">=", 1),
                               "epochs": (">=", 1), "patience": (">=", 0),
-                              "n_negatives": (">=", 1)}
+                              "n_negatives": (">=", 1), "seed": (">=", 0)}
 
 
 def sequence_loss(backbone, sequences, negatives, tokens):

@@ -37,28 +37,20 @@ def basis_from_matrix(laplacian):
     return SpectralBasis(eigenvalues=w, eigenvectors=u)
 
 
-def gft(basis, signal, inverse=False):
-    """Forward (U^T F) or inverse (U F_hat) graph Fourier transform of an
-    n x d signal matrix (1-D inputs are treated as a single column), or of
-    a (..., B, n, d) signal through a basis stacked over B graphs."""
+def gft(basis, signal):
+    """Forward graph Fourier transform U^T F of an n x d signal matrix, or
+    of a (..., B, n, d) signal through a basis stacked over B graphs."""
     f = np.asarray(signal, dtype=float)
-    squeeze = f.ndim == 1
-    if squeeze:
-        f = f[:, None]
-    if f.shape[-2] != basis.size:
-        raise InputError(
-            f"signal has {f.shape[-2]} rows but the basis has {basis.size} nodes")
-    u = basis.eigenvectors
-    out = (u @ f) if inverse else (np.swapaxes(u, -1, -2) @ f)
-    return out[:, 0] if squeeze else out
+    if f.ndim < 2 or f.shape[-2] != basis.size:
+        raise InputError(f"signal of shape {f.shape} does not have the basis' "
+                         f"{basis.size} nodes as rows")
+    return np.swapaxes(basis.eigenvectors, -1, -2) @ f
 
 
 def smoothness(laplacian, signal):
     """Laplacian quadratic form trace(F^T L F); nonnegative for PSD L and
     zero exactly when every column lies in the kernel."""
     f = np.asarray(signal, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
     lap = np.asarray(laplacian, dtype=float)
     if lap.shape[0] != f.shape[0]:
         raise InputError(
@@ -92,8 +84,6 @@ def band_energy(basis, coefficients, n_bands=4):
     graph's clusters are found once and shared by the leading axes."""
     c = np.asarray(coefficients, dtype=float)
     w = basis.eigenvalues
-    if c.ndim == w.ndim:
-        c = c[..., None]
     per_freq = np.sum(c * c, axis=-1)
     if per_freq.shape[-w.ndim:] != w.shape:
         raise InputError(f"coefficients of shape {c.shape} do not fit a basis with "

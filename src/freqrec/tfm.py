@@ -55,19 +55,14 @@ def butterworth_gains(spec, t_len):
 
 
 def tfm_apply(h, spec):
-    """Filter each column of a T x d real matrix (or one length-T signal) in
-    the temporal frequency domain; T = 1 is the identity."""
+    """Filter each column of a T x d real matrix in the temporal frequency
+    domain; T = 1 is the identity."""
     h = np.asarray(h, dtype=float)
-    squeeze = h.ndim == 1
-    if squeeze:
-        h = h[:, None]
+    if h.ndim != 2 or h.shape[0] == 0:
+        raise InputError(f"expected a T x d matrix with T >= 1, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise InputError("input contains non-finite entries")
-    t_len = h.shape[0]
-    if t_len == 0:
-        raise InputError("empty input")
-    out = make_filter(spec, t_len)(h)
-    return out[:, 0] if squeeze else out
+    return make_filter(spec, h.shape[0])(h)
 
 
 def make_filter(spec, t_len):

@@ -557,6 +557,8 @@ class TestErrors:
         ("tfm.cutoff=2", "tfm"), ("tfm.cutoff=0", "tfm"), ("tfm.order=0", "tfm"),
         ("glpf.alpha=1.5", "glpf"), ("glpf.alpha=-0.1", "glpf"),
         ("backbone.heads=3", "backbone"), ("backbone.heads=0", "backbone"),
+        ("synth.rho=2", "synth"), ("synth.users=0", "synth"), ("synth.seed=-1", "synth.seed"),
+        ("analysis.theorem_rho=1.5", "analysis"), ("analysis.theorem_t_max=7", "analysis"),
     ])
     def test_value_a_later_stage_rejects(self, tmp_path, capsys, workdir, override, key):
         # rejected at load, before pretrain writes a table stamped with it
@@ -597,6 +599,7 @@ class TestErrors:
         ("model.d_id=0", "model.d_id"),
         ("model.d_model=0", "model.d_model"),
         ("backbone.layers=0", "backbone.layers"),
+        ("pretrain.seed=-1", "pretrain.seed"),
     ])
     def test_out_of_range_pretrain_setting(self, tmp_path, capsys, workdir, override, key):
         id_out, text_out = tmp_path / "id.emb", tmp_path / "text.emb"
@@ -618,6 +621,11 @@ class TestErrors:
         ("model.d_model=0", "model.d_model"),
         ("model.d_model=-8", "model.d_model"),
         ("backbone.layers=0", "backbone.layers"),
+        ("training.seed=-1", "training.seed"),
+        ("backbone.seed=-1", "backbone.seed"),
+        ("model.mlp_seed=-1", "model.mlp_seed"),
+        ("backbone.ffn_mult=-1", "backbone.ffn_mult"),
+        ("backbone.ffn_mult=0", "backbone.ffn_mult"),
     ])
     def test_out_of_range_training_setting(self, tmp_path, capsys, workdir, override, key):
         ckpt = tmp_path / "model.ckpt"
@@ -635,6 +643,9 @@ class TestErrors:
         ("analysis.n_bands=0", "analysis.n_bands"),
         ("analysis.theorem_trials=0", "analysis.theorem_trials"),
         ("analysis.theorem_trials=-2", "analysis.theorem_trials"),
+        ("eval.seed=-1", "eval.seed"),
+        ("analysis.theorem_seed=-1", "analysis.theorem_seed"),
+        ("analysis.theorem_t_min=2", "analysis.theorem_t_min"),
     ])
     def test_out_of_range_eval_or_analysis_setting(self, tmp_path, capsys, workdir,
                                                    override, key):
@@ -648,7 +659,9 @@ class TestErrors:
                                  "--out-prefix", str(tmp_path / "p"), "--out", out],
             "analysis.theorem_trials": ["theorem-probe", "--family", "ring", "--out", out],
         }
-        command["eval.k"] = command["eval.n_candidates"]
+        command["eval.k"] = command["eval.seed"] = command["eval.n_candidates"]
+        command["analysis.theorem_seed"] = command["analysis.theorem_t_min"] = \
+            command["analysis.theorem_trials"]
         assert run(["--config", workdir["config"], "--set", override, *command[key]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err and "Traceback" not in err

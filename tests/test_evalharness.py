@@ -47,7 +47,7 @@ class TestSampleCandidates:
     def test_no_leakage_all_users(self, split):
         for u in range(split.n_users):
             cand = sample_candidates(u, split, n=50, seed=1)
-            interacted = split.interacted(u)
+            interacted = set(split.sequences[u].tolist())
             for item in cand[:-1]:
                 assert int(item) not in interacted
             assert cand[-1] == split.test_target(u)
@@ -65,8 +65,7 @@ class TestSampleCandidates:
         # the pool is the sorted non-interacted items, as the set difference
         # gives it, so every user's seeded draws are the same
         for u in range(split.n_users):
-            pool = np.setdiff1d(np.arange(split.n_items),
-                                np.fromiter(split.interacted(u), dtype=np.int64))
+            pool = np.setdiff1d(np.arange(split.n_items), split.sequences[u])
             for phase, seed in (("test", 0), ("valid", 5)):
                 cand = sample_candidates(u, split, phase=phase, n=50, seed=seed)
                 expected = np.random.default_rng(seed ^ u).choice(pool, size=50,
@@ -181,7 +180,8 @@ class TestEvaluateAndBaselines:
 
     def test_floors_share_one_sampling_per_user(self, split, monkeypatch):
         # a candidate count the unseen pools of some users cannot fill
-        pools = sorted(split.n_items - len(split.interacted(u)) for u in range(split.n_users))
+        pools = sorted(split.n_items - len(np.unique(split.sequences[u]))
+                       for u in range(split.n_users))
         n = pools[len(pools) // 4]
         counts = np.zeros(split.n_items)
         for items in split.train_views().values():
@@ -234,7 +234,8 @@ class TestBatchedEvaluate:
     def test_rows_match_per_sequence_reference(self, split, overrides):
         model = config_model(split, build_cooccurrence(split), overrides)
         # a candidate count the unseen pools of some users cannot fill
-        pools = sorted(split.n_items - len(split.interacted(u)) for u in range(split.n_users))
+        pools = sorted(split.n_items - len(np.unique(split.sequences[u]))
+                       for u in range(split.n_users))
         n = pools[len(pools) // 4]
         for phase in ("valid", "test"):
             report = evaluate(model, split, draw_candidates(split, phase, n, 3))

@@ -52,6 +52,10 @@ class TestBuildCooccurrence:
         graph = build_cooccurrence(split)
         np.testing.assert_array_equal(graph.dense_adjacency(), 0.0)
         np.testing.assert_array_equal(graph.degrees, 0.0)
+        # the edgeless graph's local blocks are empty and its Laplacian is I
+        np.testing.assert_array_equal(local_subgraph(graph, [0, 1, 2]), np.zeros((3, 3)))
+        x = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(graph.laplacian_matvec(x), x)
 
     def test_symmetry_against_bruteforce(self):
         rng = np.random.default_rng(0)
@@ -78,7 +82,7 @@ class TestBuildCooccurrence:
         log, _ = synthesize(SynthConfig(users=40, items=25, mean_length=10, rho=0.5, seed=2))
         split = build_split(log, min_interactions=5)
         graph = build_cooccurrence(split)
-        v = np.where(graph.degrees > 0, np.sqrt(graph.degrees), 0.0)
+        v = np.where(graph.degrees > 0, np.sqrt(graph.degrees), 0.0)[:, None]
         np.testing.assert_allclose(graph.laplacian_matvec(v), 0.0, atol=1e-10)
 
     def test_matvec_matches_dense(self):

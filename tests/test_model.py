@@ -285,6 +285,15 @@ class TestTextSurrogate:
         with pytest.raises(InputError, match="malformed embedding header"):
             load_external(path)
 
+    def test_non_finite_table_row_names_the_file(self, tmp_path):
+        rows = np.arange(6.0).reshape(2, 3)
+        rows[1, 2] = np.nan
+        path = tmp_path / "nan.emb"
+        path.write_bytes(b'{"n_items": 2, "dim": 3}\n' + rows.astype("<f8").tobytes())
+        with pytest.raises(InputError, match="non-finite") as err:
+            load_external(path)
+        assert str(path) in str(err.value)
+
 
 class TestFuse:
     def test_zero_mlp_zero_tokens(self, synth_split):
