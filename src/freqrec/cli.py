@@ -360,9 +360,7 @@ def cmd_sweep(args, cfg, files):
 def build_parser():
     parser = _Parser(prog="freqrec",
                      description="Frequency-aware sequential recommendation lab")
-    parser.add_argument("--config", default=os.environ.get("FREQREC_CONFIG"),
-                        help="JSON config path (defaults apply when omitted; "
-                             "FREQREC_CONFIG sets the default path)")
+    parser.add_argument("--config", help="JSON config path (defaults apply when omitted)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config field, e.g. --set glpf.alpha=0.5")
     # Every command runs in one process.  The benchmark harness in perfbench/
@@ -385,16 +383,10 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--affinity-out")
     p.add_argument("--summary")
-    p.add_argument("--users", dest="alias_synth_users")
-    p.add_argument("--items", dest="alias_synth_items")
-    p.add_argument("--mean-length", dest="alias_synth_mean_length")
-    p.add_argument("--rho", dest="alias_synth_rho")
-    p.add_argument("--seed", dest="alias_synth_seed")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("ingest", help="parse, dedup and summarize an interaction log")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["tsv", "jsonlines"], dest="alias_dataset_format")
     p.add_argument("--out", help="write the canonical deduplicated TSV here")
     p.add_argument("--summary")
     p.set_defaults(fn=cmd_ingest)
@@ -414,7 +406,6 @@ def build_parser():
     p.add_argument("--graph", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--alpha", dest="alias_glpf_alpha")
     p.set_defaults(fn=cmd_glpf)
 
     p = sub.add_parser("train", parents=[inputs],
@@ -481,11 +472,6 @@ def main(argv=None):
                 raise InputError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             overrides[key] = value
-        # convenience flags are sugar for --set section.key=value
-        for name, value in vars(args).items():
-            if name.startswith("alias_") and value is not None:
-                section, _, key = name[len("alias_"):].partition("_")
-                overrides[f"{section}.{key}"] = value
         code = args.fn(args, load_config(args.config, overrides), files)
         files.commit()
         return code

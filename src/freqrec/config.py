@@ -5,26 +5,20 @@ A config is one JSON document; every field has a default.  The `synth`,
 `eval.n_candidates` and the `tfm` spec fields) take theirs from the
 dataclasses they configure, and the `backbone` section (with
 `model.d_model`, `mlp_seed` and `activation`) from the signatures of
-`init_backbone` and `init_fusion_mlp`.  A value from a file or an
-override must have the type of its default.  The effective (fully
-merged) document is what gets serialized into JSON artifacts, so a run
-is always reproducible from its own outputs.  The fingerprint is a short
-hash of the effective document (which holds no file locations):
+`init_backbone` and `init_fusion_mlp`.  A value from a file must have the
+type of its default; an override (`--set section.key=value`) is text
+parsed to that type.  Both merge through one walker.  The effective
+(fully merged) document is what gets serialized into JSON artifacts, so a
+run is always reproducible from its own outputs.  The fingerprint is a
+short hash of the effective document (which holds no file locations):
 artifacts stamped with the same fingerprint were produced under the same
 semantics, which is what `evaluate` checks before mixing inputs.
-Enumerated values are checked against the sets their consuming modules
-define, the numeric `pretrain` and `training` fields (and `model.d_id`)
-against the RANGES of their dataclasses, `dataset.min_interactions` and
-`dataset.max_seq_len` against `build_split`'s floor of 3 and
-`model.d_text` against `text_surrogate_embeddings`' floor of 1,
-`model.d_model`, `backbone.layers`, `backbone.ffn_mult`, `eval.k`,
-`eval.n_candidates`, `analysis.n_bands` and `analysis.theorem_trials`
-must be at least 1, `analysis.theorem_t_min` at least 3, every seed at
-least 0, explicit G-LPF coefficients must be finite numbers, and the
-`synth`, `analysis` (its theorem-probe range and rho), `tfm`, `glpf` and
-`backbone` sections must pass their consumers' checks, so no command
-stamps artifacts with a config that a later stage would reject, that
-trains nothing or that ranks nothing.
+Every bound on a single value is one row of `BOUNDS`; explicit G-LPF
+coefficients must be finite numbers, and the `synth`, `analysis` (its
+theorem-probe range and rho), `tfm`, `glpf` and `backbone` sections must
+pass their consumers' checks, so no command stamps artifacts with a
+config that a later stage would reject, that trains nothing or that ranks
+nothing.
 """
 
 import copy
@@ -108,25 +102,30 @@ DEFAULTS = {
     },
 }
 
-# enumerated fields and the values their consumers accept
-_CHOICES = {("model", "activation"): ACTIVATIONS, ("dataset", "format"): FORMATS,
-            ("glpf", "apply_to"): APPLY_TO}
+# the values config load accepts, by dotted key: "in" the set the key's
+# consumer defines, or a finite number ">" or ">=" the bound (the dataset
+# and d_text floors are those build_split and text_surrogate_embeddings
+# enforce)
+BOUNDS = {
+    "dataset.format": ("in", FORMATS), "dataset.min_interactions": (">=", SPLIT_FLOOR),
+    "dataset.max_seq_len": (">=", SPLIT_FLOOR), "synth.seed": (">=", 0),
+    "pretrain.window": (">=", 1), "pretrain.negatives": (">=", 0), "pretrain.epochs": (">=", 1),
+    "pretrain.lr": (">", 0.0), "pretrain.seed": (">=", 0), "pretrain.chunk": (">=", 1),
+    "model.d_id": (">=", 1), "model.d_text": (">=", D_TEXT_FLOOR), "model.d_model": (">=", 1),
+    "model.mlp_seed": (">=", 0), "model.activation": ("in", ACTIVATIONS),
+    "backbone.layers": (">=", 1), "backbone.seed": (">=", 0), "backbone.ffn_mult": (">=", 1),
+    "glpf.apply_to": ("in", APPLY_TO),
+    "training.lr": (">", 0.0), "training.batch_size": (">=", 1), "training.epochs": (">=", 1),
+    "training.patience": (">=", 0), "training.n_negatives": (">=", 1),
+    "training.seed": (">=", 0), "training.weight_decay": (">=", 0.0),
+    "eval.k": (">=", 1), "eval.n_candidates": (">=", 1), "eval.seed": (">=", 0),
+    "analysis.n_bands": (">=", 1), "analysis.theorem_trials": (">=", 1),
+    "analysis.theorem_t_min": (">=", 3), "analysis.theorem_seed": (">=", 0),
+}
 
-# bounds on numeric fields, the pretrain and training ones from their
-# dataclasses' RANGES and the dataset and d_text ones from the floors of
-# build_split and text_surrogate_embeddings: (field -> (op, bound), section,
-# the config key of each field that another section supplies)
-_RANGED = ((PretrainConfig.RANGES, "pretrain", {"dim": "model.d_id"}),
-           (TrainConfig.RANGES, "training", {}),
-           ({"min_interactions": (">=", SPLIT_FLOOR), "max_seq_len": (">=", SPLIT_FLOOR)},
-            "dataset", {}),
-           ({"d_model": (">=", 1), "d_text": (">=", D_TEXT_FLOOR), "mlp_seed": (">=", 0)},
-            "model", {}),
-           ({"layers": (">=", 1), "ffn_mult": (">=", 1), "seed": (">=", 0)}, "backbone", {}),
-           ({"k": (">=", 1), "n_candidates": (">=", 1), "seed": (">=", 0)}, "eval", {}),
-           ({"n_bands": (">=", 1), "theorem_trials": (">=", 1), "theorem_t_min": (">=", 3),
-             "theorem_seed": (">=", 0)}, "analysis", {}),
-           ({"seed": (">=", 0)}, "synth", {}))
+
+class _Setting(str):
+    """A --set value: text that takes the type of its key's default."""
 
 
 def _merge(base, override, path=""):
@@ -139,7 +138,7 @@ def _merge(base, override, path=""):
                 raise InputError(f"config key {path + key!r} must be a section")
             out[key] = _merge(base[key], value, path + key + ".")
         else:
-            out[key] = _typed(value, base[key], path + key)
+            out[key] = _coerce(value, base[key], path + key)
     return out
 
 
@@ -158,24 +157,25 @@ def load_config(path=None, overrides=None):
             raise InputError(f"config {path} must be a JSON object")
         effective = _merge(effective, document)
     for dotted, raw in (overrides or {}).items():
-        effective = _apply_override(effective, dotted, raw)
+        document = _Setting(raw) if isinstance(raw, str) else raw
+        for key in reversed(dotted.split(".")):
+            document = {key: document}
+        effective = _merge(effective, document)
     _check_values(effective)
     return effective
 
 
 def _check_values(config):
-    for (section, key), allowed in _CHOICES.items():
-        if config[section][key] not in allowed:
-            raise InputError(f"config key '{section}.{key}' must be one of "
-                             f"{', '.join(allowed)}, got {config[section][key]!r}")
-    for ranges, section, outside in _RANGED:
-        for name, (op, bound) in ranges.items():
-            key = outside.get(name, f"{section}.{name}")
-            where, leaf = key.split(".")
-            value = config[where][leaf]
-            if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)):
-                raise InputError(f"config key {key!r} must be a finite number {op} {bound}, "
+    for key, (op, bound) in BOUNDS.items():
+        section, leaf = key.split(".")
+        value = config[section][leaf]
+        if op == "in":
+            if value not in bound:
+                raise InputError(f"config key {key!r} must be one of {', '.join(bound)}, "
                                  f"got {value!r}")
+        elif not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)):
+            raise InputError(f"config key {key!r} must be a finite number {op} {bound}, "
+                             f"got {value!r}")
     coeffs = config["glpf"]["coefficients"]
     if coeffs is not None and not (
             isinstance(coeffs, list) and coeffs
@@ -197,21 +197,6 @@ def _check_values(config):
             raise InputError(f"config section {section!r}: {exc}") from None
 
 
-def _apply_override(config, dotted, raw):
-    keys = dotted.split(".")
-    node = config
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise InputError(f"unknown config section {dotted!r}")
-        node = node[key]
-    leaf = keys[-1]
-    if leaf not in node:
-        raise InputError(f"unknown config key {dotted!r}")
-    current = node[leaf]
-    node[leaf] = _coerce(raw, current, dotted)
-    return config
-
-
 def _typed(value, current, dotted):
     """value, if it has the type of the key's default: ints pass for floats,
     bools never pass for numbers, and a null default takes any value."""
@@ -230,7 +215,10 @@ def _typed(value, current, dotted):
 
 
 def _coerce(raw, current, dotted):
-    if isinstance(raw, str):
+    """raw as the type of the key's default: a --set value is parsed to it,
+    and any other value must have it already."""
+    if isinstance(raw, _Setting):
+        raw = str(raw)
         if isinstance(current, bool):
             if raw.lower() in ("1", "true", "on", "yes"):
                 return True

@@ -30,6 +30,8 @@ class PolyFilterSpec:
         coeffs = tuple(float(c) for c in self.coefficients)
         if len(coeffs) == 0:
             raise InputError("a polynomial filter needs at least theta_0")
+        if not np.all(np.isfinite(coeffs)):
+            raise InputError(f"polynomial filter coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coefficients", coeffs)
 
     def response(self, lam):

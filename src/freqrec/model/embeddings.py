@@ -24,7 +24,6 @@ import hashlib
 import logging
 import re
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -94,11 +93,6 @@ class PretrainConfig:
     lr: float = 0.05
     seed: int = 0
     chunk: int = 128   # smaller chunks = more mean-gradient steps per epoch
-
-    # accepted values, checked at config load: (comparison, bound) per field
-    RANGES: ClassVar[dict] = {"dim": (">=", 1), "window": (">=", 1),
-                              "negatives": (">=", 0), "epochs": (">=", 1),
-                              "lr": (">", 0.0), "seed": (">=", 0), "chunk": (">=", 1)}
 
 
 def _sigmoid(x):

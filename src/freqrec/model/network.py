@@ -75,14 +75,16 @@ class FusionMLP:
     b2: np.ndarray
     activation: str = "gelu"
 
+    def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise InputError(f"unknown activation {self.activation!r}")
+
     def param_arrays(self):
         return [self.w1, self.b1, self.w2, self.b2]
 
     def apply(self, x, grad=False):
         """The MLP on input rows x; with grad, also a VJP from the output's
         gradient to the gradients of (w1, b1, w2, b2)."""
-        if self.activation not in ACTIVATIONS:
-            raise InputError(f"unknown activation {self.activation!r}")
         pre = x @ self.w1 + self.b1
         act, th = ad.gelu(pre) if self.activation == "gelu" else (pre, None)
         out = act @ self.w2 + self.b2
@@ -170,6 +172,8 @@ def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
     section and `model.d_model`.  Temporal filtering defaults to off here
     and on in the config (`tfm.enabled`): the bare stack here, the default
     experiment there."""
+    if n_layers < 1:
+        raise InputError(f"a backbone needs at least 1 layer, got {n_layers}")
     check_heads(d_model, n_heads)
     rng = np.random.default_rng(seed)
     hidden = ffn_mult * d_model

@@ -16,7 +16,6 @@ validation NDCG@10.
 import logging
 import time
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -48,7 +47,7 @@ class AdamW:
     with the usual 1/(1-b^t) bias corrections.  Updates happen in place on
     the parameter arrays."""
 
-    def __init__(self, params, lr=1e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
         self.lr = float(lr)
         self.b1, self.b2 = betas
@@ -84,11 +83,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     eval_seed: int = 0
     eval_candidates: int = 100
-
-    # accepted values, checked at config load, as in PretrainConfig.RANGES
-    RANGES: ClassVar[dict] = {"lr": (">", 0.0), "batch_size": (">=", 1),
-                              "epochs": (">=", 1), "patience": (">=", 0),
-                              "n_negatives": (">=", 1), "seed": (">=", 0)}
 
 
 def sequence_loss(backbone, sequences, negatives, tokens):
@@ -298,6 +292,7 @@ def load_checkpoint(path, id_table, text_table, graph=None):
             f"{id_table.n_items}")
     if header["d_id"] != id_table.dim or header["d_text"] != text_table.dim:
         raise InputError(f"{path}: embedding dimensions do not match the tables")
+    malformed = f"malformed checkpoint header in {path}"
     try:
         shapes = [tuple(int(n) for n in s) for s in header["mlp"]["shapes"]]
         activation, recipe, stored = (header["mlp"]["activation"], header["backbone"],
@@ -305,8 +300,8 @@ def load_checkpoint(path, id_table, text_table, graph=None):
         backbone = init_backbone(**dict(recipe, tfm_spec=ButterworthSpec(**recipe["tfm_spec"])))
         token_filter = None if stored is None else PolyFilterSpec(stored["coefficients"])
         trained_on = None if stored is None else stored["graph"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed checkpoint header in {path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, InputError) as exc:
+        raise InputError(f"{malformed}: {exc}") from exc
     ends = np.cumsum([0] + [8 * int(np.prod(s)) for s in shapes])
     if len(shapes) != 4 or any(n < 0 for s in shapes for n in s) or ends[-1] != len(blob):
         raise InputError(f"{path}: a weight payload of {len(blob)} bytes does not hold "
@@ -315,7 +310,10 @@ def load_checkpoint(path, id_table, text_table, graph=None):
                       for i, j, s in zip(ends[:-1], ends[1:], shapes))
     if not all(np.isfinite(a).all() for a in (w1, b1, w2, b2)):
         raise InputError(f"{path}: the fusion-MLP weights hold non-finite values")
-    mlp = FusionMLP(w1=w1, b1=b1, w2=w2, b2=b2, activation=activation)
+    try:
+        mlp = FusionMLP(w1=w1, b1=b1, w2=w2, b2=b2, activation=activation)
+    except InputError as exc:
+        raise InputError(f"{malformed}: {exc}") from exc
     if token_filter is not None:
         if graph is None:
             raise InputError(f"{path}: the model filters its item tokens on a graph; "

@@ -13,7 +13,7 @@ from freqrec import analysis, cli, evalharness
 from freqrec import dataset as ds
 from freqrec.analysis import THEOREM1_PILOT_THRESHOLD, trace_spectral_profile
 from freqrec.cli import main
-from freqrec.config import DEFAULTS, fingerprint, load_config
+from freqrec.config import BOUNDS, DEFAULTS, fingerprint, load_config
 from freqrec.errors import InputError
 from freqrec.evalharness import baselines, draw_candidates, evaluate, rank_metrics
 from freqrec.graph import load_graph
@@ -67,7 +67,8 @@ def workdir(tmp_path_factory):
 class TestStages:
     def test_synth_deterministic(self, tmp_path, workdir):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
-        flags = ["synth", "--users", "200", "--rho", "0.5", "--seed", "1"]
+        flags = ["--set", "synth.users=200", "--set", "synth.rho=0.5", "--set", "synth.seed=1",
+                 "synth"]
         assert run(flags + ["--out", str(a)]) == 0
         assert run(flags + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -75,7 +76,7 @@ class TestStages:
     def test_glpf_alpha_zero_identity(self, tmp_path, workdir):
         out = tmp_path / "id0.emb"
         base = ["--config", workdir["config"]]
-        assert run(base + ["glpf", "--alpha", "0", "--graph", workdir["graph"],
+        assert run(base + ["--set", "glpf.alpha=0", "glpf", "--graph", workdir["graph"],
                            "--embeddings", workdir["id"], "--out", str(out)]) == 0
         original = load_external(workdir["id"])
         filtered = load_external(str(out))
@@ -289,13 +290,8 @@ class TestStages:
         rows = [line.split("\t") for line in open(workdir["data"]).read().splitlines()]
         data.write_text("".join(json.dumps({"user": r[0], "item": r[1], "ts": int(r[2])}) + "\n"
                                 for r in rows))
-        printed = []
-        for argv in (["--set", "dataset.format=jsonlines", "ingest", "--input", str(data)],
-                     ["ingest", "--input", str(data), "--format", "jsonlines"]):
-            assert run(argv) == 0
-            printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1]
-        payload = json.loads(printed[1])
+        assert run(["--set", "dataset.format=jsonlines", "ingest", "--input", str(data)]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["config"]["dataset"]["format"] == "jsonlines"
         assert payload["fingerprint"] == fingerprint(
             load_config(overrides={"dataset.format": "jsonlines"})) != fingerprint(DEFAULTS)
@@ -626,6 +622,9 @@ class TestErrors:
         ("model.mlp_seed=-1", "model.mlp_seed"),
         ("backbone.ffn_mult=-1", "backbone.ffn_mult"),
         ("backbone.ffn_mult=0", "backbone.ffn_mult"),
+        ("training.weight_decay=nan", "training.weight_decay"),
+        ("training.weight_decay=-1", "training.weight_decay"),
+        ("training.weight_decay=inf", "training.weight_decay"),
     ])
     def test_out_of_range_training_setting(self, tmp_path, capsys, workdir, override, key):
         ckpt = tmp_path / "model.ckpt"
@@ -703,7 +702,7 @@ class TestErrors:
     def test_inputs_over_another_item_count(self, tmp_path, capsys, workdir):
         # the workdir's tables, graph and checkpoint cover its split of a 40-item log
         other = tmp_path / "b.tsv"
-        assert run(["--config", workdir["config"], "synth", "--items", "30",
+        assert run(["--config", workdir["config"], "--set", "synth.items=30", "synth",
                     "--out", str(other)]) == 0
         capsys.readouterr()
         n_items = load_external(workdir["id"]).n_items
@@ -933,9 +932,24 @@ class TestConfig:
         assert cfg["pretrain"]["negatives"] == 0 and cfg["training"]["patience"] == 0
 
     def test_ranges_name_fields(self):
-        for cls in (PretrainConfig, TrainConfig):
-            assert set(cls.RANGES) <= {f.name for f in dataclasses.fields(cls)}
+        for key in BOUNDS:
+            section, leaf = key.split(".")
+            assert leaf in DEFAULTS[section], key
+
+    @pytest.mark.parametrize("key", [
+        f"{section}.{leaf}" for section, fields in DEFAULTS.items()
+        for leaf, value in fields.items()
+        if isinstance(value, (int, float)) and not isinstance(value, bool)])
+    def test_every_numeric_key_is_bounded(self, key):
+        # a float key refuses NaN and an int key -1, naming the key or its section
+        section, leaf = key.split(".")
+        bad = "nan" if isinstance(DEFAULTS[section][leaf], float) else "-1"
+        with pytest.raises(InputError) as info:
+            load_config(overrides={key: bad})
+        assert repr(key) in str(info.value) or repr(section) in str(info.value)
 
     def test_unknown_override_rejected(self):
-        with pytest.raises(InputError):
-            load_config(overrides={"tfm.cutof": "0.2"})
+        # an unknown key or section, a section as a leaf, a leaf as a section
+        for dotted in ("tfm.cutof", "nosuch.key", "glpf", "glpf.alpha.x"):
+            with pytest.raises(InputError):
+                load_config(overrides={dotted: "0.2"})

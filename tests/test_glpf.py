@@ -95,6 +95,11 @@ class TestPolynomialFilter:
         with pytest.raises(InputError):
             PolyFilterSpec.first_order(-0.1)
 
+    @pytest.mark.parametrize("coefficients", [(), (1.0, np.nan), (np.inf,), (1.0, -np.inf)])
+    def test_coefficients_refused(self, coefficients):
+        with pytest.raises(InputError):
+            PolyFilterSpec(coefficients)
+
     def test_dimension_mismatch(self):
         graph = synth_graph(4)
         with pytest.raises(InputError):

@@ -1017,13 +1017,18 @@ class TestCheckpointRecipe:
         ("mlp", {"activation": "gelu", "shapes": [["a"]]}), ("backbone", 5),
         ("backbone", {"layers": 2}), ("token_filter", 5), ("token_filter", {"graph": "x"}),
         ("n_items", "23"), ("n_items", True), ("d_id", 8.0), ("fingerprint", None),
+        # values that the recipe's consumers refuse (the shapes are small_model's)
+        ("token_filter", {"coefficients": [float("nan"), -0.3], "graph": "x"}),
+        ("backbone", {"n_layers": 0, "tfm_spec": {}}),
+        ("mlp", {"activation": "relu", "shapes": [[12, 32], [32], [32, 16], [16]]}),
     ], ids=str)
     def test_malformed_header_field_is_an_input_error(self, synth_split, tmp_path, field,
                                                       value):
         model, path = self.edited_checkpoint(synth_split, tmp_path,
                                              lambda h, w: (dict(h, **{field: value}), w))
-        with pytest.raises(InputError, match="malformed checkpoint header"):
+        with pytest.raises(InputError, match="malformed checkpoint header") as info:
             load_checkpoint(path, model.id_table, model.text_table)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("index, value", [(0, np.nan), (-1, np.inf), (5, -np.inf)])
     def test_non_finite_weight_is_an_input_error(self, synth_split, tmp_path, index, value):
