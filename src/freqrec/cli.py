@@ -74,8 +74,8 @@ def _dumps(payload):
 
 class _Outputs:
     """The files one command writes, all-or-nothing.  Each goes to
-    `<path>.part`; `commit` renames them all once the command has returned,
-    and `discard` removes whatever is left."""
+    `<path>.part`; `commit` renames them all once the command has returned
+    0, and `discard` removes whatever is left."""
 
     def __init__(self):
         self.parts = {}         # final path -> its .part file
@@ -473,7 +473,8 @@ def main(argv=None):
             key, value = item.split("=", 1)
             overrides[key] = value
         code = args.fn(args, load_config(args.config, overrides), files)
-        files.commit()
+        if code == 0:
+            files.commit()
         return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

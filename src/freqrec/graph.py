@@ -18,6 +18,9 @@ from freqrec import artifact
 from freqrec.errors import InputError
 from freqrec.numcore.linalg import add_rows_at
 
+# directed edges per scatter step of `laplacian_matvec`
+EDGE_BLOCK = 1024
+
 
 def _inv_sqrt_degree(d):
     """D^{-1/2} of degrees d, with the zero-degree rule: 0 for an isolated item."""
@@ -49,14 +52,21 @@ class CooccurrenceGraph:
 
     def laplacian_matvec(self, x):
         """(I - D^{-1/2} W D^{-1/2}) @ x for an (n_items, d) signal, with the
-        zero-degree convention D^{-1/2}_ii = 0 for isolated items."""
+        zero-degree convention D^{-1/2}_ii = 0 for isolated items.  The
+        edges are scattered EDGE_BLOCK at a time, in edge order, so one
+        (EDGE_BLOCK, d) block of weighted rows and its flat index are alive
+        at a time; `np.add.at` adds in sequence either way, so the sums are
+        those of one whole-edge-list scatter bit for bit."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[0] != self.n_items:
             raise InputError(f"signal of shape {x.shape} does not have the graph's "
                              f"{self.n_items} items as rows")
         dh = _inv_sqrt_degree(self.degrees)[:, None]
+        scaled = dh * x
         wx = np.zeros(x.shape)
-        add_rows_at(wx, self.rows, self.weights[:, None] * (dh * x)[self.cols])
+        for start in range(0, self.nnz, EDGE_BLOCK):
+            edges = slice(start, start + EDGE_BLOCK)
+            add_rows_at(wx, self.rows[edges], self.weights[edges, None] * scaled[self.cols[edges]])
         return x - dh * wx
 
     def dense_adjacency(self):

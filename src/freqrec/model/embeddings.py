@@ -3,7 +3,10 @@
 The ID pretrainer is skip-gram with negative sampling over within-window
 pairs of each training sequence, so two items that are consumed together
 end up with a high inner product.  Input and output vectors live in one
-stacked (2 * n_items, d) table [w_in; w_out].  Each step takes a chunk of
+stacked (2 * n_items, d) table [w_in; w_out].  Each epoch draws one pair
+order and one (n_pairs, k) negative block, then turns them into index
+rows one reused block of about PAIR_BLOCK pairs (whole chunks) at a
+time, so no epoch-wide index table is held.  Each step takes a chunk of
 pairs and gathers, per pair, one center row and k + 1 output rows (the
 context, labelled 1, then k negatives, labelled 0) in one indexing
 operation.  It scores them with one einsum and writes every gradient
@@ -32,6 +35,10 @@ from freqrec.errors import InputError, NumericError
 from freqrec.numcore.linalg import add_rows_at
 
 log = logging.getLogger(__name__)
+
+# skip-gram pairs whose index rows are filled at once, rounded down to
+# whole chunks (at least one)
+PAIR_BLOCK = 4096
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
@@ -133,9 +140,11 @@ def pretrain_id_embeddings(split, config=PretrainConfig()):
     if n_pairs == 0:
         raise InputError("training sequences are too short to form skip-gram pairs")
     # per pair: its center row, then its context and k negative rows in the
-    # w_out half.  A chunk averages the steps that land on one row, counting
-    # centers, contexts and negatives apart: negatives count under row + n.
-    rows = np.empty((n_pairs, k + 2), dtype=np.intp)
+    # w_out half, filled for one block of whole chunks at a time.  A chunk
+    # averages the steps that land on one row, counting centers, contexts
+    # and negatives apart: negatives count under row + n.
+    span = max(1, PAIR_BLOCK // config.chunk) * config.chunk
+    rows = np.empty((min(span, n_pairs), k + 2), dtype=np.intp)
     group = np.r_[0, 0, np.full(k, n_items)]
     labels = np.r_[1.0, np.zeros(k)]
 
@@ -143,27 +152,32 @@ def pretrain_id_embeddings(split, config=PretrainConfig()):
     for epoch in range(config.epochs):
         order = rng.permutation(n_pairs)
         negs = rng.integers(0, n_items, size=(n_pairs, k))
-        np.take(centers, order, out=rows[:, 0])
-        np.take(contexts, order, out=rows[:, 1])
-        np.take(negs, order, axis=0, out=rows[:, 2:])
-        rows[:, 1:] += n_items
         epoch_loss = 0.0
-        for start in range(0, n_pairs, config.chunk):
-            idx = rows[start:start + config.chunk]
-            gathered = stacked[idx]                     # (b, k + 2, d)
-            c, x = gathered[:, 0], gathered[:, 1:]
-            score = _sigmoid(np.einsum("bd,bkd->bk", c, x))
-            # the probability given to each pair's label: 1 for the context,
-            # 0 for the negatives
-            fit = np.abs(1.0 - labels - score)
-            epoch_loss -= float(np.sum(np.log(np.maximum(fit, 1e-12))))
-            keys = idx + group
-            step = -config.lr / np.bincount(keys.ravel())[keys]
-            g = score - labels                          # d loss / d score
-            grads = np.empty_like(gathered)
-            np.multiply(np.einsum("bk,bkd->bd", g, x), step[:, :1], out=grads[:, 0])
-            np.einsum("bk,bd->bkd", g * step[:, 1:], c, out=grads[:, 1:])
-            add_rows_at(stacked, idx, grads)
+        for first in range(0, n_pairs, span):
+            # order is a permutation, so "clip" clips nothing; it lets take
+            # write the strided columns without a buffer
+            picked = order[first:first + span]
+            block = rows[:picked.size]
+            np.take(centers, picked, out=block[:, 0], mode="clip")
+            np.take(contexts, picked, out=block[:, 1], mode="clip")
+            np.take(negs, picked, axis=0, out=block[:, 2:], mode="clip")
+            block[:, 1:] += n_items
+            for start in range(0, picked.size, config.chunk):
+                idx = block[start:start + config.chunk]
+                gathered = stacked[idx]                 # (b, k + 2, d)
+                c, x = gathered[:, 0], gathered[:, 1:]
+                score = _sigmoid(np.einsum("bd,bkd->bk", c, x))
+                # the probability given to each pair's label: 1 for the
+                # context, 0 for the negatives
+                fit = np.abs(1.0 - labels - score)
+                epoch_loss -= float(np.sum(np.log(np.maximum(fit, 1e-12))))
+                keys = idx + group
+                step = -config.lr / np.bincount(keys.ravel())[keys]
+                g = score - labels                      # d loss / d score
+                grads = np.empty_like(gathered)
+                np.multiply(np.einsum("bk,bkd->bd", g, x), step[:, :1], out=grads[:, 0])
+                np.einsum("bk,bd->bkd", g * step[:, 1:], c, out=grads[:, 1:])
+                add_rows_at(stacked, idx, grads)
         mean_loss = epoch_loss / n_pairs
         if not np.isfinite(mean_loss):
             raise NumericError(f"skip-gram loss diverged at epoch {epoch}")

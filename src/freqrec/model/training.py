@@ -139,9 +139,10 @@ def batch_loss(model, sequences, negatives):
     least 2, (B, n_negatives) negatives) and the MLP's four gradients of
     it.  One `model_tokens` pass covers the batch's distinct items; each
     exact-length group (`length_chunks`) is one `sequence_loss` node over
-    that block, taken through `tape_gradient` at once, so its backbone
-    intermediates are freed before the next group runs.  One MLP VJP maps
-    the groups' summed token gradients to the four gradients.  Returns
+    that block, taken through `tape_gradient` at once and summed into one
+    token-gradient block (`_add_group_gradient`), so one group's node,
+    gradient and backbone intermediates are alive at a time.  One MLP VJP
+    maps the summed block to the four gradients.  Returns
     (the groups' losses, the gradients), stopping with gradients None at
     the first group whose loss is not finite."""
     lengths = [len(seq) for seq in sequences]
@@ -153,14 +154,25 @@ def batch_loss(model, sequences, negatives):
     tokens = ad.parameter(block, name="tokens")
     g_block, losses = np.zeros_like(block), []
     for group in length_chunks(lengths):
-        loss = sequence_loss(model.backbone, np.stack([local[i] for i in group]),
-                             local_negs[group], tokens)
-        losses.append(float(loss.value))
+        losses.append(_add_group_gradient(g_block, model.backbone,
+                                          np.stack([local[i] for i in group]),
+                                          local_negs[group], tokens))
         if not np.isfinite(losses[-1]):
             return losses, None
+    return losses, tokens_vjp(g_block)
+
+
+def _add_group_gradient(g_block, backbone, sequences, negatives, tokens):
+    """One length group's loss; when it is finite, its token gradient is
+    added into `g_block` in place.  The group's tape node, gradient and
+    backbone intermediates are locals here, so they are freed on return,
+    before the next group's forward runs."""
+    loss = sequence_loss(backbone, sequences, negatives, tokens)
+    value = float(loss.value)
+    if np.isfinite(value):
         (g,), _ = ad.tape_gradient(loss, [tokens])
         g_block += g
-    return losses, tokens_vjp(g_block)
+    return value
 
 
 @dataclass
@@ -321,6 +333,9 @@ def load_checkpoint(path, id_table, text_table, graph=None):
         if graph.digest() != trained_on:
             raise InputError(f"{path}: graph {graph.digest()} is not the graph the model "
                              f"was trained with ({trained_on})")
-    model = RecModel(id_table=id_table, text_table=text_table, mlp=mlp, backbone=backbone,
-                     token_filter=token_filter, graph=graph)
+    try:
+        model = RecModel(id_table=id_table, text_table=text_table, mlp=mlp, backbone=backbone,
+                         token_filter=token_filter, graph=graph)
+    except InputError as exc:
+        raise InputError(f"{malformed}: {exc}") from exc
     return model, header

@@ -43,7 +43,9 @@ def add_rows_at(target, idx, rows):
     row idx[...] of target gains the matching row of `rows`, shaped
     idx.shape + (d,).  It runs on the flat view through numpy's 1-D fast
     path; the flat indices visit every element in the same order as the
-    row-wise call, so the sums are the same bit for bit."""
+    row-wise call, so the sums are the same bit for bit.  The flat index
+    is as large as `rows`, so a caller with many rows scatters them in
+    blocks."""
     if target.ndim != 2 or not target.flags.c_contiguous:
         raise InputError(f"need a C-contiguous 2-D target, got shape {target.shape}")
     d = target.shape[1]

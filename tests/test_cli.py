@@ -184,10 +184,15 @@ class TestStages:
         with np.errstate(all="ignore"):
             code = run(["--config", workdir["config"], "train", "--data", workdir["data"],
                         "--id", workdir["id_filtered"], "--text", workdir["text"],
-                        "--out", str(tmp_path / "model.ckpt")])
+                        "--out", str(tmp_path / "model.ckpt"),
+                        "--log", str(tmp_path / "train.jsonl")])
         assert code == 2
         summary = json.loads(capsys.readouterr().out)
         assert summary["aborted"] is True and summary["epochs_run"] == 0
+        # a failing command leaves none of its files
+        assert not (tmp_path / "model.ckpt").exists()
+        assert not (tmp_path / "train.jsonl").exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_cutoff(self, tmp_path, workdir):
         out = tmp_path / "sweep.csv"

@@ -1,6 +1,7 @@
 """Co-occurrence graph and local subgraph tests."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from freqrec.dataset import SplitDataset, SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.graph import (
+    EDGE_BLOCK,
     build_cooccurrence,
     load_graph,
     local_subgraph,
@@ -93,6 +95,20 @@ class TestBuildCooccurrence:
         x = rng.standard_normal((graph.n_items, 3))
         np.testing.assert_allclose(graph.laplacian_matvec(x),
                                    graph.dense_laplacian() @ x, atol=1e-10)
+
+    def test_matvec_holds_one_edge_block(self):
+        """The matvec's peak above its input is well under the two
+        (nnz, d) arrays of a whole-edge-list scatter."""
+        graph = build_cooccurrence(split_from_histories([[f"i{k}" for k in range(80)]]))
+        assert graph.nnz > 6 * EDGE_BLOCK
+        x = np.random.default_rng(2).standard_normal((graph.n_items, 16))
+        tracemalloc.start()
+        try:
+            graph.laplacian_matvec(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < graph.nnz * x.shape[1] * 8
 
     def test_empty_training_rejected(self):
         split = split_from_histories([[]])

@@ -1,7 +1,9 @@
 """Model tests: embeddings, fusion, backbone, training."""
 
 import dataclasses
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +12,12 @@ from freqrec.config import load_config
 from freqrec.dataset import InteractionLog, SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.evalharness import draw_candidates, evaluate
-from freqrec.graph import build_cooccurrence
+from freqrec.glpf import PolyFilterSpec, polynomial_filter
+from freqrec.graph import EDGE_BLOCK, build_cooccurrence
 from freqrec import evalharness
 from freqrec.model import network, training
 from freqrec.model.embeddings import (
+    PAIR_BLOCK,
     EmbeddingTable,
     PretrainConfig,
     _window_pairs,
@@ -234,6 +238,27 @@ class TestPretrain:
     def test_dim_honored(self, synth_split):
         table, _ = pretrain_id_embeddings(synth_split, PretrainConfig(dim=50, epochs=1))
         assert table.rows.shape == (synth_split.n_items, 50)
+
+    def test_pretrained_and_filtered_table_bytes(self):
+        """The sha256 of the pretrained ID table and of its G-LPF-filtered
+        form pin the pair order, the negative stream and the scatter order.
+        The shape spans several pair blocks and edge blocks, and neither
+        path calls BLAS, so the thread count does not matter."""
+        log, _ = synthesize(SynthConfig(users=300, items=200, mean_length=12, rho=0.5, seed=4))
+        split = build_split(log, min_interactions=5)
+        graph = build_cooccurrence(split)
+        config = PretrainConfig(dim=8, epochs=2, seed=3)
+        pairs, _ = _window_pairs([v for v in split.train_views().values() if len(v)],
+                                 config.window)
+        assert pairs.size > 4 * PAIR_BLOCK and graph.nnz > 2 * EDGE_BLOCK
+        table, _ = pretrain_id_embeddings(split, config)
+        filtered = polynomial_filter(graph, PolyFilterSpec((1.0, -0.6, 0.2)), table.rows)
+        digests = [hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+                   for a in (table.rows, filtered)]
+        assert digests == [
+            "33b4352a59e25e45638321d52f2dd8f1b24c78217ec95eedc60fad2b0cb7af2f",
+            "82f6638d3256bf0dfbde36a54eba0c91c5ff8885392f1bbab9be8e92e8914b03",
+        ]
 
 
 class TestTextSurrogate:
@@ -706,6 +731,25 @@ class TestGroupedLoss:
         assert len(losses) == len(set(lengths)) >= 3
         assert_matches(losses, grads, *group_reference(model, seqs, negs))
 
+    def test_one_group_alive_at_a_time(self, synth_split):
+        """A batch of two equal-size length groups peaks near one group's
+        peak: the first group's node and gradient are freed before the
+        second group's forward runs."""
+        model = small_model(synth_split)
+        rng = np.random.default_rng(8)
+
+        def peak(lengths):
+            seqs = [rng.integers(0, synth_split.n_items, n) for n in lengths]
+            negs = rng.integers(0, synth_split.n_items, size=(len(lengths), 20))
+            tracemalloc.start()
+            try:
+                batch_loss(model, seqs, negs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak([60, 60, 61, 61]) < 1.25 * peak([60, 60])
+
     def test_tape_size_does_not_grow_with_depth(self, synth_split):
         block = np.stack([synth_split.sequences[u][:6] for u in range(3)])
         negs = np.arange(12).reshape(3, 4)
@@ -1021,6 +1065,8 @@ class TestCheckpointRecipe:
         ("token_filter", {"coefficients": [float("nan"), -0.3], "graph": "x"}),
         ("backbone", {"n_layers": 0, "tfm_spec": {}}),
         ("mlp", {"activation": "relu", "shapes": [[12, 32], [32], [32, 16], [16]]}),
+        # a valid recipe whose backbone is narrower than the MLP's output
+        ("backbone", init_backbone(n_layers=2, d_model=8, n_heads=2, seed=2).recipe()),
     ], ids=str)
     def test_malformed_header_field_is_an_input_error(self, synth_split, tmp_path, field,
                                                       value):
