@@ -36,6 +36,8 @@ from freqrec.tfm import ring_graph_laplacian, tfm_apply
 # rho in {0.3, 0.5, 0.8} and five seeds) observed zero violations; 0.005
 # is the rule-of-three 95% upper bound rounded up.
 THEOREM1_PILOT_THRESHOLD = 0.005
+# columns of each trial's random (T, n) signal
+THEOREM1_COLUMNS = 8
 
 log = logging.getLogger(__name__)
 
@@ -193,8 +195,7 @@ def check_probe_settings(rho, t_range):
         raise InputError(f"theorem t_range needs 3 <= t_min <= t_max, got {t_range}")
 
 
-def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0,
-                   n_columns=8, threshold=THEOREM1_PILOT_THRESHOLD):
+def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0):
     """Before/after smoothness statistics of temporal filtering on random
     signals over a graph family.  spec=None runs the identity filter.
 
@@ -208,7 +209,7 @@ def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0,
         rng = np.random.default_rng(trial_seed)
         t_len = int(rng.integers(lo, hi + 1))
         lap = normalized_laplacian(_family_adjacency(family, t_len, rho))
-        h = rng.standard_normal((t_len, n_columns))
+        h = rng.standard_normal((t_len, THEOREM1_COLUMNS))
         out = tfm_apply(h, spec) if spec is not None else h.copy()
         q0 = smoothness(lap, h)
         q1 = smoothness(lap, out)
@@ -226,10 +227,9 @@ def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0,
         trials=trials, t_range=(lo, hi), seed=seed,
         cutoff=(spec.cutoff if spec is not None else 1.0),
         order=(spec.order if spec is not None else 0),
-        n_columns=n_columns,
+        n_columns=THEOREM1_COLUMNS,
         violations_rayleigh=int(sum(vrs)), violations_quadratic=int(sum(vqs)),
         mean_smoothness_before=float(np.mean(q0s)),
         mean_smoothness_after=float(np.mean(q1s)),
         mean_rayleigh_before=float(np.mean(r0s)),
-        mean_rayleigh_after=float(np.mean(r1s)),
-        threshold=threshold)
+        mean_rayleigh_after=float(np.mean(r1s)))

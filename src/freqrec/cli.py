@@ -35,6 +35,7 @@ import numpy as np
 
 from freqrec import dataset as ds
 from freqrec.analysis import attenuation_metric, theorem1_probe, trace_spectral_profile
+from freqrec.checkpoint import load_checkpoint, save_checkpoint
 from freqrec.config import fingerprint, load_config
 from freqrec.errors import FreqRecError, InputError, NumericError
 from freqrec.evalharness import baselines, draw_candidates, evaluate
@@ -48,12 +49,7 @@ from freqrec.model.embeddings import (
     text_surrogate_embeddings,
 )
 from freqrec.model.network import build_model
-from freqrec.model.training import (
-    TrainConfig,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from freqrec.model.training import TrainConfig, train
 from freqrec.tfm import ButterworthSpec
 
 
@@ -246,9 +242,7 @@ def cmd_train(args, cfg, files):
     split, id_table, text_table, graph = _inputs(args, cfg)
     model = build_model(cfg, id_table, text_table, graph=graph)
     result = train(model, split, _train_config(cfg))
-    files.write(args.out, lambda tmp: save_checkpoint(model, tmp,
-                                                      fingerprint=fingerprint(cfg),
-                                                      extra={"config": cfg}))
+    files.write(args.out, lambda tmp: save_checkpoint(model, tmp, cfg))
     if args.log:
         files.text(args.log, "".join(_dumps(entry) + "\n" for entry in result.entries))
     files.emit(None, {"best_epoch": result.best_epoch,

@@ -3,16 +3,19 @@
 A config is one JSON document; every field has a default.  The `synth`,
 `pretrain` and `training` sections (with `model.d_id`, `eval.seed`,
 `eval.n_candidates` and the `tfm` spec fields) take theirs from the
-dataclasses they configure, and the `backbone` section (with
-`model.d_model`, `mlp_seed` and `activation`) from the signatures of
-`init_backbone` and `init_fusion_mlp`.  A value from a file must have the
-type of its default; an override (`--set section.key=value`) is text
-parsed to that type.  Both merge through one walker.  The effective
-(fully merged) document is what gets serialized into JSON artifacts, so a
-run is always reproducible from its own outputs.  The fingerprint is a
-short hash of the effective document (which holds no file locations):
-artifacts stamped with the same fingerprint were produced under the same
-semantics, which is what `evaluate` checks before mixing inputs.
+dataclasses they configure, and every other field from the signature of
+the function it configures (`init_backbone`, `init_fusion_mlp`, `ingest`,
+`build_split`, `text_surrogate_embeddings`, `evaluate`,
+`trace_spectral_profile`, `theorem1_probe`).  A value from a file must
+have the type of its default; an override (`--set section.key=value`) is
+text parsed to that type.  Both merge through one walker.  The effective
+(fully merged) document is serialized into JSON artifacts and is a
+checkpoint's one model description, checked on load as a file is
+(`checked_config`), so a run is always reproducible from its own outputs.
+The fingerprint is a short hash of the effective document (which holds
+no file locations): artifacts stamped with the same fingerprint were
+produced under the same semantics, which is what `evaluate` checks
+before mixing inputs.
 Every bound on a single value is one row of `BOUNDS`; explicit G-LPF
 coefficients must be finite numbers, and the `synth`, `analysis` (its
 theorem-probe range and rho), `tfm`, `glpf` and `backbone` sections must
@@ -28,11 +31,12 @@ import json
 import math
 from dataclasses import asdict
 
-from freqrec.analysis import check_probe_settings
-from freqrec.dataset import FORMATS, SPLIT_FLOOR, SynthConfig
+from freqrec.analysis import check_probe_settings, theorem1_probe, trace_spectral_profile
+from freqrec.dataset import FORMATS, SPLIT_FLOOR, SynthConfig, build_split, ingest
 from freqrec.errors import InputError
+from freqrec.evalharness import evaluate
 from freqrec.glpf import APPLY_TO, PolyFilterSpec
-from freqrec.model.embeddings import D_TEXT_FLOOR, PretrainConfig
+from freqrec.model.embeddings import D_TEXT_FLOOR, PretrainConfig, text_surrogate_embeddings
 from freqrec.model.network import ACTIVATIONS, check_heads, init_backbone, init_fusion_mlp
 from freqrec.model.training import TrainConfig
 from freqrec.tfm import ButterworthSpec
@@ -51,18 +55,19 @@ def _kwargs(fn):
 
 
 _BACKBONE, _MLP = _kwargs(init_backbone), _kwargs(init_fusion_mlp)
+_SPLIT, _PROBE = _kwargs(build_split), _kwargs(theorem1_probe)
 
 DEFAULTS = {
     "dataset": {
-        "format": "tsv",
-        "min_interactions": 5,
-        "max_seq_len": 50,
+        "format": _kwargs(ingest)["format"],
+        "min_interactions": _SPLIT["min_interactions"],
+        "max_seq_len": _SPLIT["max_seq_len"],
     },
     "synth": _section(SynthConfig),
     "pretrain": _section(PretrainConfig, "dim"),     # dim is model.d_id
     "model": {
         "d_id": PretrainConfig.dim,
-        "d_text": 50,
+        "d_text": _kwargs(text_surrogate_embeddings)["d_text"],
         "d_model": _BACKBONE["d_model"],
         "mlp_seed": _MLP["seed"],
         "activation": _MLP["activation"],
@@ -88,17 +93,17 @@ DEFAULTS = {
     # eval_seed and eval_candidates are eval.seed and eval.n_candidates
     "training": _section(TrainConfig, "eval_seed", "eval_candidates"),
     "eval": {
-        "k": 10,
+        "k": _kwargs(evaluate)["k"],
         "n_candidates": TrainConfig.eval_candidates,
         "seed": TrainConfig.eval_seed,
     },
     "analysis": {
-        "n_bands": 4,
-        "theorem_trials": 1000,
-        "theorem_t_min": 8,
-        "theorem_t_max": 64,
-        "theorem_rho": 0.5,
-        "theorem_seed": 0,
+        "n_bands": _kwargs(trace_spectral_profile)["n_bands"],
+        "theorem_trials": _PROBE["trials"],
+        "theorem_t_min": _PROBE["t_range"][0],
+        "theorem_t_max": _PROBE["t_range"][1],
+        "theorem_rho": _PROBE["rho"],
+        "theorem_seed": _PROBE["seed"],
     },
 }
 
@@ -142,6 +147,17 @@ def _merge(base, override, path=""):
     return out
 
 
+def checked_config(document):
+    """The effective config of a JSON document: the defaults with the
+    document merged over them, refused unless every value passes its
+    checks."""
+    if not isinstance(document, dict):
+        raise InputError(f"a config must be a JSON object, got {document!r}")
+    effective = _merge(DEFAULTS, document)
+    _check_values(effective)
+    return effective
+
+
 def load_config(path=None, overrides=None):
     """Effective config: defaults <- file <- dotted-key overrides."""
     effective = copy.deepcopy(DEFAULTS)
@@ -161,8 +177,7 @@ def load_config(path=None, overrides=None):
         for key in reversed(dotted.split(".")):
             document = {key: document}
         effective = _merge(effective, document)
-    _check_values(effective)
-    return effective
+    return checked_config(effective)
 
 
 def _check_values(config):

@@ -188,22 +188,24 @@ def pretrain_id_embeddings(split, config=PretrainConfig()):
     return table, losses
 
 
-def _bucket(token, buckets):
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little") % buckets
-
-
 # the least d_text text_surrogate_embeddings accepts, checked at config load too
 D_TEXT_FLOOR = 1
+# the hashed-token buckets of a text surrogate
+TEXT_BUCKETS = 512
 
 
-def text_surrogate_embeddings(split, d_text=50, seed=0, buckets=512):
+def _bucket(token):
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little") % TEXT_BUCKETS
+
+
+def text_surrogate_embeddings(split, d_text=50, seed=0):
     """Feature-hashed metadata embeddings; identical metadata gives identical
     vectors and missing metadata gives the zero vector."""
     if d_text < D_TEXT_FLOOR:
         raise InputError(f"d_text must be at least {D_TEXT_FLOOR}, got {d_text}")
     rng = np.random.default_rng(seed)
-    projection = rng.standard_normal((buckets, d_text)) / np.sqrt(buckets)
+    projection = rng.standard_normal((TEXT_BUCKETS, d_text)) / np.sqrt(TEXT_BUCKETS)
     rows = np.zeros((split.n_items, d_text))
     cache = {}
     for idx, text in enumerate(split.item_text):
@@ -212,9 +214,9 @@ def text_surrogate_embeddings(split, d_text=50, seed=0, buckets=512):
         if text in cache:
             rows[idx] = cache[text]
             continue
-        counts = np.zeros(buckets)
+        counts = np.zeros(TEXT_BUCKETS)
         for token in _TOKEN_RE.findall(text.lower()):
-            counts[_bucket(token, buckets)] += 1.0
+            counts[_bucket(token)] += 1.0
         vec = counts @ projection
         norm = np.linalg.norm(vec)
         if norm > 0:

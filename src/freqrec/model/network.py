@@ -43,7 +43,7 @@ need no padding and give each sequence the numbers its own forward would.
 
 import functools
 import hashlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,11 +131,13 @@ class BackboneLayer:
 
 @dataclass
 class Backbone:
+    """The frozen stack and what its passes read: the layers, the head
+    count and the temporal filter.  `init_backbone` draws it from a seed;
+    the effective config, which a checkpoint stores, is its description."""
+
     layers: list
     d_model: int
     n_heads: int
-    seed: int
-    ffn_mult: int = 4
     tfm_enabled: bool = False
     tfm_spec: ButterworthSpec = field(default_factory=ButterworthSpec)
     tfm_residual: bool = False
@@ -144,12 +146,6 @@ class Backbone:
     @property
     def n_layers(self):
         return len(self.layers)
-
-    def recipe(self):
-        """init_backbone's keyword arguments for this stack, as JSON data."""
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "layers"}
-        kwargs.update(n_layers=self.n_layers, tfm_spec=asdict(self.tfm_spec))
-        return kwargs
 
     def parameter_hash(self):
         digest = hashlib.sha256()
@@ -186,8 +182,7 @@ def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
         wf1 = rng.standard_normal((d_model, hidden)) / np.sqrt(d_model)
         wf2 = rng.standard_normal((hidden, d_model)) / np.sqrt(hidden)
         layers.append(BackboneLayer(wqkv=wqkv, wo=wo, wf1=wf1, wf2=wf2))
-    return Backbone(layers=layers, d_model=d_model, n_heads=n_heads, seed=seed,
-                    ffn_mult=ffn_mult, tfm_enabled=tfm_enabled,
+    return Backbone(layers=layers, d_model=d_model, n_heads=n_heads, tfm_enabled=tfm_enabled,
                     tfm_spec=tfm_spec if tfm_spec is not None else ButterworthSpec(),
                     tfm_residual=tfm_residual, tfm_causal_safe=tfm_causal_safe)
 

@@ -10,7 +10,8 @@ groups' token gradients sum into one block, and one fusion-MLP VJP gives
 the four gradients of the step.  Only the fusion MLP receives updates; the
 backbone is held frozen by construction (its weights never reach the
 tape), which the parameter-hash test pins down.  Early stopping watches
-validation NDCG@10.
+validation NDCG@10.  `freqrec.checkpoint` saves the trained MLP with the
+config its model was built from.
 """
 
 import logging
@@ -19,21 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from freqrec import artifact
 from freqrec.errors import InputError
 from freqrec.evalharness import draw_candidates, evaluate
-from freqrec.glpf import PolyFilterSpec
-from freqrec.model.network import (
-    FusionMLP,
-    RecModel,
-    backbone_forward,
-    init_backbone,
-    length_chunks,
-    model_tokens,
-)
+from freqrec.model.network import backbone_forward, length_chunks, model_tokens
 from freqrec.numcore import autodiff as ad
 from freqrec.numcore.linalg import add_rows_at
-from freqrec.tfm import ButterworthSpec
 
 log = logging.getLogger(__name__)
 
@@ -47,11 +38,11 @@ class AdamW:
     with the usual 1/(1-b^t) bias corrections.  Updates happen in place on
     the parameter arrays."""
 
-    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr, weight_decay):
         self.params = list(params)
         self.lr = float(lr)
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = [np.zeros_like(p) for p in self.params]
         self.v = [np.zeros_like(p) for p in self.params]
@@ -255,87 +246,3 @@ def train(model, split, config=TrainConfig()):
     return TrainResult(entries=entries, best_epoch=best_epoch,
                        best_valid_ndcg=(best_metric if np.isfinite(best_metric) else 0.0),
                        aborted=aborted)
-
-
-CHECKPOINT_MAGIC = b"FRQR\x01"
-CHECKPOINT_FORMAT = 2
-
-
-def save_checkpoint(model, path, fingerprint="", extra=None):
-    """Versioned `freqrec.artifact`: magic bytes, a header with the model's
-    recipe and the raw little-endian float64 fusion-MLP weight blocks.  The
-    frozen backbone is reproducible from its recipe (the init_backbone
-    arguments), so only that is stored; a token-stage graph filter is
-    stored as its coefficients and the digest of its graph."""
-    mlp = model.mlp
-    token_filter = None
-    if model.token_filter is not None:
-        token_filter = {"coefficients": list(model.token_filter.coefficients),
-                        "graph": model.graph.digest()}
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "fingerprint": fingerprint,
-        "n_items": model.n_items,
-        "d_id": model.id_table.dim,
-        "d_text": model.text_table.dim,
-        "mlp": {"activation": mlp.activation,
-                "shapes": [list(a.shape) for a in mlp.param_arrays()]},
-        "backbone": model.backbone.recipe(),
-        "token_filter": token_filter,
-        "extra": extra or {},
-    }
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                       for a in mlp.param_arrays())
-    artifact.write(path, header, payload, magic=CHECKPOINT_MAGIC)
-
-
-def load_checkpoint(path, id_table, text_table, graph=None):
-    """Rebuild the saved model over the given tables.  A model that filters
-    its item tokens needs the graph it was trained with."""
-    header, blob = artifact.read(path, "checkpoint", counts=("n_items", "d_id", "d_text"),
-                                 magic=CHECKPOINT_MAGIC)
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise InputError(f"{path}: unsupported checkpoint format {header.get('format')} "
-                         f"(this version reads format {CHECKPOINT_FORMAT}; re-train "
-                         "the model to write one)")
-    if header["n_items"] != id_table.n_items:
-        raise InputError(
-            f"{path}: checkpoint covers {header['n_items']} items, tables have "
-            f"{id_table.n_items}")
-    if header["d_id"] != id_table.dim or header["d_text"] != text_table.dim:
-        raise InputError(f"{path}: embedding dimensions do not match the tables")
-    malformed = f"malformed checkpoint header in {path}"
-    try:
-        shapes = [tuple(int(n) for n in s) for s in header["mlp"]["shapes"]]
-        activation, recipe, stored = (header["mlp"]["activation"], header["backbone"],
-                                      header["token_filter"])
-        backbone = init_backbone(**dict(recipe, tfm_spec=ButterworthSpec(**recipe["tfm_spec"])))
-        token_filter = None if stored is None else PolyFilterSpec(stored["coefficients"])
-        trained_on = None if stored is None else stored["graph"]
-    except (KeyError, TypeError, ValueError, InputError) as exc:
-        raise InputError(f"{malformed}: {exc}") from exc
-    ends = np.cumsum([0] + [8 * int(np.prod(s)) for s in shapes])
-    if len(shapes) != 4 or any(n < 0 for s in shapes for n in s) or ends[-1] != len(blob):
-        raise InputError(f"{path}: a weight payload of {len(blob)} bytes does not hold "
-                         f"four float64 arrays of the header's shapes {shapes}")
-    w1, b1, w2, b2 = (np.frombuffer(blob[i:j], dtype="<f8").reshape(s).copy()
-                      for i, j, s in zip(ends[:-1], ends[1:], shapes))
-    if not all(np.isfinite(a).all() for a in (w1, b1, w2, b2)):
-        raise InputError(f"{path}: the fusion-MLP weights hold non-finite values")
-    try:
-        mlp = FusionMLP(w1=w1, b1=b1, w2=w2, b2=b2, activation=activation)
-    except InputError as exc:
-        raise InputError(f"{malformed}: {exc}") from exc
-    if token_filter is not None:
-        if graph is None:
-            raise InputError(f"{path}: the model filters its item tokens on a graph; "
-                             "pass the graph it was trained with (--graph)")
-        if graph.digest() != trained_on:
-            raise InputError(f"{path}: graph {graph.digest()} is not the graph the model "
-                             f"was trained with ({trained_on})")
-    try:
-        model = RecModel(id_table=id_table, text_table=text_table, mlp=mlp, backbone=backbone,
-                         token_filter=token_filter, graph=graph)
-    except InputError as exc:
-        raise InputError(f"{malformed}: {exc}") from exc
-    return model, header

@@ -44,11 +44,14 @@ def add_rows_at(target, idx, rows):
     idx.shape + (d,).  It runs on the flat view through numpy's 1-D fast
     path; the flat indices visit every element in the same order as the
     row-wise call, so the sums are the same bit for bit.  The flat index
-    is as large as `rows`, so a caller with many rows scatters them in
-    blocks."""
+    is as large as `rows` and built in place, so it is the one temporary;
+    a caller with many rows scatters them in blocks."""
     if target.ndim != 2 or not target.flags.c_contiguous:
         raise InputError(f"need a C-contiguous 2-D target, got shape {target.shape}")
     d = target.shape[1]
-    flat = np.asarray(idx, dtype=np.intp)[..., None] * d + np.arange(d)
+    idx = np.asarray(idx, dtype=np.intp)
+    flat = np.empty(idx.shape + (d,), dtype=np.intp)
+    np.multiply(idx[..., None], d, out=flat)
+    flat += np.arange(d)
     np.add.at(target.reshape(-1), flat.reshape(-1),
               np.broadcast_to(rows, flat.shape).reshape(-1))

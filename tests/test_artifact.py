@@ -3,10 +3,12 @@ co-occurrence graph and a checkpoint.
 
 Each fixture is built from explicit values or seeded draws, with no
 training and no BLAS product, so its bytes do not depend on the thread
-count.  The sha256 constants were recorded by saving the same fixtures
-with the writers as they stood before the shared artifact codec, so a
-match says the layout on disk is unchanged and the loaders still read
-files written the old way.
+count.  The table and graph constants were recorded by saving the same
+fixtures with the writers as they stood before the shared artifact codec,
+so a match says the layout on disk is unchanged and the loaders still
+read files written the old way.  The checkpoint constant pins format 3,
+whose header holds the effective config: it changes with any config
+default, as the checkpoint's fingerprint does.
 """
 
 import hashlib
@@ -14,20 +16,19 @@ import hashlib
 import numpy as np
 import pytest
 
+from freqrec.checkpoint import load_checkpoint, save_checkpoint
+from freqrec.config import fingerprint, load_config
 from freqrec.dataset import InteractionLog, build_split
-from freqrec.glpf import PolyFilterSpec
 from freqrec.graph import build_cooccurrence, load_graph, save_graph
 from freqrec.model.embeddings import EmbeddingTable, load_external, save_table
-from freqrec.model.network import RecModel, init_backbone, init_fusion_mlp
-from freqrec.model.training import load_checkpoint, save_checkpoint
-from freqrec.tfm import ButterworthSpec
+from freqrec.model.network import build_model
 
 FINGERPRINT = "22e246fff4b1"
 
 GOLDEN = {
     "table": "c739f8094e55694a9475ac8cf0df1db6bcbe36ead822414f9d9dbcaf83bbae29",
     "graph": "33db9100722465055a02812dfe2b2564d6e2da5236c5f36f56a22c5d9d9df6ea",
-    "checkpoint": "3491b71be0a8062dec634c5c2cb9e3aee0345d003eda733d1522fabe7b5a903a",
+    "checkpoint": "1ffe82b13a432b416f35a656e5c1219e8b6d37630f9ae65e17009ac0c69d292e",
 }
 
 
@@ -74,17 +75,18 @@ def test_graph_bytes(tmp_path, graph):
 
 def test_checkpoint_bytes(tmp_path, graph):
     id_table, text_table = tables(graph.n_items)
-    backbone = init_backbone(n_layers=2, d_model=4, n_heads=2, seed=2, tfm_enabled=True,
-                             tfm_spec=ButterworthSpec(0.3, 2))
-    model = RecModel(id_table=id_table, text_table=text_table,
-                     mlp=init_fusion_mlp(5, 4, seed=1), backbone=backbone,
-                     token_filter=PolyFilterSpec([0.5, 0.25, 0.125]), graph=graph)
+    config = load_config(overrides={
+        "model.d_id": 3, "model.d_text": 2, "model.d_model": 4, "backbone.layers": 2,
+        "tfm.cutoff": 0.3, "tfm.order": 2, "glpf.apply_to": "fused",
+        "glpf.coefficients": [0.5, 0.25, 0.125]})
+    model = build_model(config, id_table, text_table, graph=graph)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(model, path, fingerprint=FINGERPRINT, extra={"best_epoch": 0})
+    save_checkpoint(model, path, config)
     assert sha256(path) == GOLDEN["checkpoint"]
     loaded, header = load_checkpoint(path, id_table, text_table, graph=graph)
-    assert header["fingerprint"] == FINGERPRINT and header["extra"] == {"best_epoch": 0}
+    assert header["fingerprint"] == fingerprint(config) and header["config"] == config
+    assert header["graph"] == graph.digest()
     for a, b in zip(loaded.mlp.param_arrays(), model.mlp.param_arrays()):
         np.testing.assert_array_equal(a, b)
-    assert loaded.backbone.parameter_hash() == backbone.parameter_hash()
+    assert loaded.backbone.parameter_hash() == model.backbone.parameter_hash()
     assert loaded.token_filter.coefficients == model.token_filter.coefficients

@@ -19,7 +19,8 @@ from freqrec.evalharness import baselines, draw_candidates, evaluate, rank_metri
 from freqrec.graph import load_graph
 from freqrec.model.embeddings import PretrainConfig, load_external, text_surrogate_embeddings
 from freqrec.model.network import build_model, init_backbone, init_fusion_mlp, length_chunks
-from freqrec.model.training import TrainConfig, load_checkpoint, train
+from freqrec.checkpoint import CHECKPOINT_MAGIC, load_checkpoint
+from freqrec.model.training import TrainConfig, train
 from freqrec.spectral import band_energy
 from tests.test_model import count_calls
 
@@ -242,6 +243,30 @@ class TestStages:
             assert captured.err.startswith("error: ") and str(ckpt) in captured.err
             assert "non-finite" in captured.err and captured.out == ""
             assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value, restamp", [
+        # a head count of the wrong type, under its own fingerprint
+        ("heads", 2.0, True),
+        # a valid value under the fingerprint of the trained config
+        ("seed", 9, False),
+    ], ids=["float-heads", "stale-fingerprint"])
+    def test_checkpoint_of_a_refused_config_is_an_input_error(self, tmp_path, workdir,
+                                                               capsys, key, value, restamp):
+        head, _, weights = open(workdir["ckpt"], "rb").read()[len(CHECKPOINT_MAGIC):] \
+            .partition(b"\n")
+        header = json.loads(head)
+        header["config"]["backbone"][key] = value
+        if restamp:
+            header["fingerprint"] = fingerprint(header["config"])
+        ckpt = tmp_path / "edited.ckpt"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + weights)
+        out = tmp_path / "m.json"
+        assert run(["--config", workdir["config"], "evaluate", "--data", workdir["data"],
+                    "--id", workdir["id_filtered"], "--text", workdir["text"],
+                    "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: malformed checkpoint header in {ckpt}: ")
+        assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
 
     def test_csv_cells_are_plain_numbers(self, tmp_path, workdir):
         base = ["--config", workdir["config"]]

@@ -1,5 +1,7 @@
 """Symmetric eigensolver contract tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,21 @@ class TestAddRowsAt:
         np.add.at(expected, idx, rows)
         add_rows_at(target, idx, rows)
         np.testing.assert_array_equal(target, expected)
+
+    def test_flat_index_is_the_one_temporary(self):
+        # the (1024, 16) flat index is as large as the rows; building it in
+        # place keeps the peak near one such array (two, built out of place)
+        rng = np.random.default_rng(0)
+        target = np.zeros((64, 16))
+        idx = rng.integers(0, 64, size=1024)
+        rows = rng.standard_normal((1024, 16))
+        tracemalloc.start()
+        try:
+            add_rows_at(target, idx, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * rows.nbytes
 
     def test_rejects_a_view_it_cannot_write_through(self):
         with pytest.raises(InputError):

@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from freqrec.config import load_config
+from freqrec.checkpoint import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
+from freqrec.config import fingerprint, load_config
 from freqrec.dataset import InteractionLog, SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.evalharness import draw_candidates, evaluate
@@ -39,15 +40,7 @@ from freqrec.model.network import (
     length_chunks,
     model_tokens,
 )
-from freqrec.model.training import (
-    CHECKPOINT_MAGIC,
-    TrainConfig,
-    batch_loss,
-    load_checkpoint,
-    save_checkpoint,
-    sequence_loss,
-    train,
-)
+from freqrec.model.training import TrainConfig, batch_loss, sequence_loss, train
 from freqrec.numcore import autodiff as ad
 from freqrec.tfm import ButterworthSpec, butterworth_gains, make_filter, tfm_apply
 
@@ -108,13 +101,16 @@ def synth_split():
 SMALL = {"model.d_id": 8, "model.d_text": 4, "model.d_model": 16, "backbone.layers": 2}
 
 
+def small_config(overrides=None):
+    return load_config(overrides={**SMALL, **(overrides or {})})
+
+
 def config_model(split, graph, overrides):
     """A small model built from the effective config, as the CLI builds it."""
-    cfg = load_config(overrides={**SMALL, **overrides})
     rng = np.random.default_rng(0)
     id_table = EmbeddingTable(split.n_items, 8, rng.standard_normal((split.n_items, 8)))
     text_table = EmbeddingTable(split.n_items, 4, rng.standard_normal((split.n_items, 4)))
-    return build_model(cfg, id_table, text_table, graph=graph)
+    return build_model(small_config(overrides), id_table, text_table, graph=graph)
 
 
 def reference_window_pairs(sequences, window):
@@ -907,12 +903,13 @@ class TestTrain:
         assert result.entries[-1]["epoch"] <= 50
 
     def test_checkpoint_roundtrip(self, synth_split, tmp_path):
-        model = small_model(synth_split)
+        model = config_model(synth_split, None, {})
         train(model, synth_split, TrainConfig(epochs=1, n_negatives=8, eval_candidates=10))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, fingerprint="fp42")
+        save_checkpoint(model, path, small_config())
         loaded, header = load_checkpoint(path, model.id_table, model.text_table)
-        assert header["fingerprint"] == "fp42"
+        assert header["fingerprint"] == fingerprint(small_config())
+        assert header["config"] == small_config() and header["graph"] is None
         for a, b in zip(loaded.mlp.param_arrays(), model.mlp.param_arrays()):
             np.testing.assert_array_equal(a, b)
         assert loaded.backbone.parameter_hash() == model.backbone.parameter_hash()
@@ -922,9 +919,9 @@ class TestTrain:
         np.testing.assert_allclose(a[-1], b[-1], atol=1e-12)
 
     def test_checkpoint_rejects_wrong_tables(self, synth_split, tmp_path):
-        model = small_model(synth_split)
+        model = config_model(synth_split, None, {})
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, small_config())
         bad = EmbeddingTable(synth_split.n_items, 5,
                              np.zeros((synth_split.n_items, 5)))
         with pytest.raises(InputError):
@@ -985,6 +982,25 @@ class TestTrain:
 FUSED = {"glpf.apply_to": "fused"}
 
 
+def restamped(header):
+    """header with the fingerprint of its own config."""
+    return dict(header, fingerprint=fingerprint(header["config"]))
+
+
+def set_config(dotted, value, restamp=True):
+    """A checkpoint-header edit that sets one config key; restamped, only
+    the config's value checks can refuse it."""
+    section, key = dotted.split(".")
+
+    def edit(header):
+        config = dict(header["config"])
+        config[section] = dict(config[section], **{key: value})
+        edited = dict(header, config=config)
+        return restamped(edited) if restamp else edited
+
+    return edit
+
+
 class TestCheckpointRecipe:
     """Every config field that shapes the model survives save and load."""
 
@@ -1006,7 +1022,7 @@ class TestCheckpointRecipe:
         model = config_model(synth_split, graph, overrides)
         train(model, synth_split, TrainConfig(epochs=1, n_negatives=8, eval_candidates=10))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, small_config(overrides))
         # only a token-filtering model needs its graph back
         loaded, _ = load_checkpoint(path, model.id_table, model.text_table,
                                     graph=graph if model.token_filter else None)
@@ -1018,23 +1034,30 @@ class TestCheckpointRecipe:
         graph = build_cooccurrence(synth_split)
         model = config_model(synth_split, graph, FUSED)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, small_config(FUSED))
         with pytest.raises(InputError, match="--graph"):
             load_checkpoint(path, model.id_table, model.text_table)
         graph.weights = graph.weights * 2.0
         with pytest.raises(InputError, match="not the graph"):
             load_checkpoint(path, model.id_table, model.text_table, graph=graph)
 
+    def test_graph_digest_must_fit_the_config(self, synth_split, tmp_path):
+        graph = build_cooccurrence(synth_split)
+        for overrides, digest in ((FUSED, None), ({}, graph.digest())):
+            model, path = self.edited_checkpoint(synth_split, tmp_path, lambda h, w: (
+                dict(h, graph=digest), w), overrides, graph)
+            with pytest.raises(InputError, match="malformed checkpoint header") as info:
+                load_checkpoint(path, model.id_table, model.text_table, graph=graph)
+            assert str(path) in str(info.value)
+
     def test_format_1_asks_for_retraining(self, synth_split, tmp_path):
-        model = small_model(synth_split)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        blob = path.read_bytes()[len(CHECKPOINT_MAGIC):]
-        header, _, weights = blob.partition(b"\n")
-        old = dict(json.loads(header), format=1)
-        path.write_bytes(CHECKPOINT_MAGIC + json.dumps(old).encode() + b"\n" + weights)
-        with pytest.raises(InputError, match="re-train"):
-            load_checkpoint(path, model.id_table, model.text_table)
+        # formats 1 and 2 stored a recipe of their own, not the config
+        for old in (1, 2):
+            model, path = self.edited_checkpoint(synth_split, tmp_path,
+                                                 lambda h, w: (dict(h, format=old), w))
+            with pytest.raises(InputError, match="re-train") as info:
+                load_checkpoint(path, model.id_table, model.text_table)
+            assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("header", [b"{not json", b'{"format": 2}', b"[2]"])
     def test_malformed_header_is_an_input_error(self, synth_split, tmp_path, header):
@@ -1045,33 +1068,37 @@ class TestCheckpointRecipe:
             load_checkpoint(path, model.id_table, model.text_table)
 
     @staticmethod
-    def edited_checkpoint(synth_split, tmp_path, edit):
+    def edited_checkpoint(synth_split, tmp_path, edit, overrides=None, graph=None):
         """A saved checkpoint whose header (as a dict) and weight payload
         pass through edit(header, payload) -> (header, payload)."""
-        model = small_model(synth_split)
+        model = config_model(synth_split, graph, overrides or {})
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, small_config(overrides))
         header, _, weights = path.read_bytes()[len(CHECKPOINT_MAGIC):].partition(b"\n")
         header, weights = edit(json.loads(header), weights)
         path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + weights)
         return model, path
 
-    @pytest.mark.parametrize("field, value", [
-        ("mlp", 5), ("mlp", {"activation": "gelu"}), ("mlp", {"activation": "gelu", "shapes": 5}),
-        ("mlp", {"activation": "gelu", "shapes": [["a"]]}), ("backbone", 5),
-        ("backbone", {"layers": 2}), ("token_filter", 5), ("token_filter", {"graph": "x"}),
-        ("n_items", "23"), ("n_items", True), ("d_id", 8.0), ("fingerprint", None),
-        # values that the recipe's consumers refuse (the shapes are small_model's)
-        ("token_filter", {"coefficients": [float("nan"), -0.3], "graph": "x"}),
-        ("backbone", {"n_layers": 0, "tfm_spec": {}}),
-        ("mlp", {"activation": "relu", "shapes": [[12, 32], [32], [32, 16], [16]]}),
-        # a valid recipe whose backbone is narrower than the MLP's output
-        ("backbone", init_backbone(n_layers=2, d_model=8, n_heads=2, seed=2).recipe()),
-    ], ids=str)
-    def test_malformed_header_field_is_an_input_error(self, synth_split, tmp_path, field,
-                                                      value):
+    @pytest.mark.parametrize("edit", [
+        lambda h: dict(h, n_items="23"), lambda h: dict(h, n_items=True),
+        lambda h: dict(h, fingerprint=None),
+        lambda h: {k: v for k, v in h.items() if k != "config"},
+        lambda h: dict(h, config=5), lambda h: dict(h, config=[h["config"]]),
+        # values the config checks refuse, each under its config's own fingerprint
+        set_config("backbone.ffn_mult", 0), set_config("tfm.residual", "false"),
+        set_config("tfm.causal_safe", "no"), set_config("backbone.heads", 2.0),
+        set_config("backbone.layers", 0), set_config("model.activation", "relu"),
+        set_config("glpf.coefficients", [float("nan"), -0.3]),
+        lambda h: restamped(dict(h, config=dict(h["config"], mlp={}))),
+        # a valid value under the fingerprint of the trained config
+        set_config("backbone.seed", 9, restamp=False),
+    ], ids=["n_items-23", "n_items-True", "fingerprint-None", "no-config", "config-number",
+            "config-list", "ffn_mult-0", "residual-text", "causal_safe-text", "heads-float",
+            "layers-0", "activation-relu", "coefficient-nan", "unknown-section",
+            "stale-fingerprint"])
+    def test_malformed_header_field_is_an_input_error(self, synth_split, tmp_path, edit):
         model, path = self.edited_checkpoint(synth_split, tmp_path,
-                                             lambda h, w: (dict(h, **{field: value}), w))
+                                             lambda h, w: (edit(h), w))
         with pytest.raises(InputError, match="malformed checkpoint header") as info:
             load_checkpoint(path, model.id_table, model.text_table)
         assert str(path) in str(info.value)
@@ -1091,10 +1118,10 @@ class TestCheckpointRecipe:
     @pytest.mark.parametrize("edit", [
         lambda h, w: (h, w[:-8]), lambda h, w: (h, w[:8]), lambda h, w: (h, b""),
         lambda h, w: (h, w + bytes(8)), lambda h, w: (h, w[:-1]),
-        # the payload fits the shapes, but they are not the MLP's four
-        lambda h, w: (dict(h, mlp=dict(h["mlp"], shapes=[[len(w) // 8]])), w),
+        # a valid config whose MLP is narrower than the payload's
+        lambda h, w: (set_config("model.d_model", 8)(h), w),
     ], ids=["one-float-short", "one-float", "empty", "one-float-over", "one-byte-short",
-            "one-shape"])
+            "other-d_model"])
     def test_payload_not_of_the_header_shapes(self, synth_split, tmp_path, edit):
         model, path = self.edited_checkpoint(synth_split, tmp_path, edit)
         with pytest.raises(InputError, match="weight payload"):
