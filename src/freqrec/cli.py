@@ -39,7 +39,7 @@ from freqrec.checkpoint import load_checkpoint, save_checkpoint
 from freqrec.config import fingerprint, load_config
 from freqrec.errors import FreqRecError, InputError, NumericError
 from freqrec.evalharness import baselines, draw_candidates, evaluate
-from freqrec.glpf import PolyFilterSpec, filters_tokens, polynomial_filter
+from freqrec.glpf import PolyFilterSpec, polynomial_filter, stage_filter
 from freqrec.graph import build_cooccurrence, load_graph, save_graph
 from freqrec.model.embeddings import (
     PretrainConfig,
@@ -115,9 +115,9 @@ def _load_split(cfg, data_path):
                           max_seq_len=cfg["dataset"]["max_seq_len"])
 
 
-def _train_config(cfg):
-    return TrainConfig(**cfg["training"], eval_seed=cfg["eval"]["seed"],
-                       eval_candidates=cfg["eval"]["n_candidates"])
+def _draw(cfg, split, phase):
+    """The phase's one candidate draw under the config's eval section."""
+    return draw_candidates(split, phase, cfg["eval"]["n_candidates"], cfg["eval"]["seed"])
 
 
 def _check_fingerprints(named, force):
@@ -225,15 +225,15 @@ def cmd_glpf(args, cfg, files):
     if table.n_items != graph.n_items:
         raise InputError(f"embedding table covers {table.n_items} items, graph "
                          f"{graph.n_items}")
-    spec = PolyFilterSpec.from_config(cfg["glpf"])
     # under apply_to=fused the filter runs on the fused tokens, so the ID
     # table passes through unfiltered
-    if not filters_tokens(cfg["glpf"]) and cfg["glpf"]["enabled"]:
-        table.rows = polynomial_filter(graph, spec, table.rows)
+    id_filter = stage_filter(cfg["glpf"], "id")
+    if id_filter is not None:
+        table.rows = polynomial_filter(graph, id_filter, table.rows)
     table.fingerprint = fingerprint(cfg)
     files.write(args.out, lambda tmp: save_table(table, tmp))
     files.emit(None, {"enabled": cfg["glpf"]["enabled"],
-                      "coefficients": list(spec.coefficients),
+                      "coefficients": list(PolyFilterSpec.from_config(cfg["glpf"]).coefficients),
                       "fingerprint": table.fingerprint})
     return 0
 
@@ -241,7 +241,7 @@ def cmd_glpf(args, cfg, files):
 def cmd_train(args, cfg, files):
     split, id_table, text_table, graph = _inputs(args, cfg)
     model = build_model(cfg, id_table, text_table, graph=graph)
-    result = train(model, split, _train_config(cfg))
+    result = train(model, split, _draw(cfg, split, "valid"), TrainConfig(**cfg["training"]))
     files.write(args.out, lambda tmp: save_checkpoint(model, tmp, cfg))
     if args.log:
         files.text(args.log, "".join(_dumps(entry) + "\n" for entry in result.entries))
@@ -255,8 +255,7 @@ def cmd_train(args, cfg, files):
 
 def cmd_evaluate(args, cfg, files):
     split, _, model = _checked_model(args, cfg)
-    candidates = draw_candidates(split, args.phase, cfg["eval"]["n_candidates"],
-                                 cfg["eval"]["seed"])
+    candidates = _draw(cfg, split, args.phase)
     report = evaluate(model, split, candidates, k=cfg["eval"]["k"])
     payload = {"metrics": {"ndcg": report.ndcg, "recall": report.recall,
                            "k": report.k, "phase": report.phase,
@@ -324,8 +323,8 @@ def cmd_sweep(args, cfg, files):
     split, id_table, text_table, graph = _inputs(args, cfg)
     if args.param == "alpha" and graph is None:
         raise InputError("alpha sweep needs --graph")
-    # the grid changes only glpf and tfm keys, so every value ranks one test draw
-    test = draw_candidates(split, "test", cfg["eval"]["n_candidates"], cfg["eval"]["seed"])
+    # the grid changes only glpf and tfm keys, so one draw per phase serves it
+    valid, test = _draw(cfg, split, "valid"), _draw(cfg, split, "test")
     rows = []
     for value in values:
         run_cfg = copy.deepcopy(cfg)
@@ -333,14 +332,15 @@ def cmd_sweep(args, cfg, files):
         if args.param == "alpha":
             run_cfg["glpf"]["alpha"] = value
             run_cfg["glpf"]["enabled"] = True
-            if not filters_tokens(run_cfg["glpf"]):
-                table = dataclasses.replace(id_table, rows=polynomial_filter(
-                    graph, PolyFilterSpec.from_config(run_cfg["glpf"]), id_table.rows))
+            id_filter = stage_filter(run_cfg["glpf"], "id")
+            if id_filter is not None:
+                table = dataclasses.replace(
+                    id_table, rows=polynomial_filter(graph, id_filter, id_table.rows))
         else:
             run_cfg["tfm"]["cutoff"] = value
             run_cfg["tfm"]["enabled"] = True
         model = build_model(run_cfg, table, text_table, graph=graph)
-        train(model, split, _train_config(run_cfg))
+        train(model, split, valid, TrainConfig(**cfg["training"]))
         report = evaluate(model, split, test, k=cfg["eval"]["k"])
         rows.append((value, report.ndcg, report.recall))
     files.csv(args.out, (args.param, "ndcg", "recall"), rows)
@@ -413,7 +413,7 @@ def build_parser():
                        help="leave-one-out ranking metrics")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graph")
-    p.add_argument("--phase", choices=["valid", "test"], default="test")
+    p.add_argument("--phase", choices=ds.PHASES, default="test")
     p.add_argument("--out")
     p.add_argument("--per-user")
     p.add_argument("--with-baselines", action="store_true")

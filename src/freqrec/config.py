@@ -1,17 +1,18 @@
 """Run configuration: defaults, file loading, overrides, fingerprints.
 
 A config is one JSON document; every field has a default.  The `synth`,
-`pretrain` and `training` sections (with `model.d_id`, `eval.seed`,
-`eval.n_candidates` and the `tfm` spec fields) take theirs from the
-dataclasses they configure, and every other field from the signature of
-the function it configures (`init_backbone`, `init_fusion_mlp`, `ingest`,
-`build_split`, `text_surrogate_embeddings`, `evaluate`,
+`pretrain` and `training` sections (with `model.d_id` and the `tfm` spec
+fields) take theirs from the dataclasses they configure, and every other
+field from the signature of the function it configures (`init_backbone`,
+`init_fusion_mlp`, `ingest`, `build_split`, `text_surrogate_embeddings`,
+`evaluate` and `draw_candidates` for the `eval` section,
 `trace_spectral_profile`, `theorem1_probe`).  A value from a file must
 have the type of its default; an override (`--set section.key=value`) is
-text parsed to that type.  Both merge through one walker.  The effective
-(fully merged) document is serialized into JSON artifacts and is a
-checkpoint's one model description, checked on load as a file is
-(`checked_config`), so a run is always reproducible from its own outputs.
+text parsed to that type, whatever a file set before it.  Both merge
+through one walker.  The effective (fully merged) document is serialized
+into JSON artifacts and is a checkpoint's one model description, checked
+on load as a file is (`checked_config`), so a run is always reproducible
+from its own outputs.
 The fingerprint is a short hash of the effective document (which holds
 no file locations): artifacts stamped with the same fingerprint were
 produced under the same semantics, which is what `evaluate` checks
@@ -34,7 +35,7 @@ from dataclasses import asdict
 from freqrec.analysis import check_probe_settings, theorem1_probe, trace_spectral_profile
 from freqrec.dataset import FORMATS, SPLIT_FLOOR, SynthConfig, build_split, ingest
 from freqrec.errors import InputError
-from freqrec.evalharness import evaluate
+from freqrec.evalharness import draw_candidates, evaluate
 from freqrec.glpf import APPLY_TO, PolyFilterSpec
 from freqrec.model.embeddings import D_TEXT_FLOOR, PretrainConfig, text_surrogate_embeddings
 from freqrec.model.network import ACTIVATIONS, check_heads, init_backbone, init_fusion_mlp
@@ -90,13 +91,8 @@ DEFAULTS = {
         "residual": False,
         "causal_safe": False,
     },
-    # eval_seed and eval_candidates are eval.seed and eval.n_candidates
-    "training": _section(TrainConfig, "eval_seed", "eval_candidates"),
-    "eval": {
-        "k": _kwargs(evaluate)["k"],
-        "n_candidates": TrainConfig.eval_candidates,
-        "seed": TrainConfig.eval_seed,
-    },
+    "training": _section(TrainConfig),
+    "eval": {**_kwargs(evaluate), **_kwargs(draw_candidates)},     # k, n_candidates, seed
     "analysis": {
         "n_bands": _kwargs(trace_spectral_profile)["n_bands"],
         "theorem_trials": _PROBE["trials"],
@@ -133,7 +129,9 @@ class _Setting(str):
     """A --set value: text that takes the type of its key's default."""
 
 
-def _merge(base, override, path=""):
+def _merge(base, override, defaults=DEFAULTS, path=""):
+    """base with override merged over it, each leaf checked against (or, a
+    --set text, parsed to) the type of its default, whatever base holds."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
@@ -141,9 +139,9 @@ def _merge(base, override, path=""):
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise InputError(f"config key {path + key!r} must be a section")
-            out[key] = _merge(base[key], value, path + key + ".")
+            out[key] = _merge(base[key], value, defaults[key], path + key + ".")
         else:
-            out[key] = _coerce(value, base[key], path + key)
+            out[key] = _coerce(value, defaults[key], path + key)
     return out
 
 
@@ -212,50 +210,50 @@ def _check_values(config):
             raise InputError(f"config section {section!r}: {exc}") from None
 
 
-def _typed(value, current, dotted):
+def _typed(value, default, dotted):
     """value, if it has the type of the key's default: ints pass for floats,
     bools never pass for numbers, and a null default takes any value."""
-    if current is None:
+    if default is None:
         return value
-    if isinstance(current, bool) or isinstance(value, bool):
-        ok = isinstance(current, bool) and isinstance(value, bool)
-    elif isinstance(current, float):
+    if isinstance(default, bool) or isinstance(value, bool):
+        ok = isinstance(default, bool) and isinstance(value, bool)
+    elif isinstance(default, float):
         ok = isinstance(value, (int, float))
     else:
-        ok = isinstance(value, type(current))
+        ok = isinstance(value, type(default))
     if not ok:
-        raise InputError(f"config key {dotted!r} must be a {type(current).__name__}, "
+        raise InputError(f"config key {dotted!r} must be a {type(default).__name__}, "
                          f"got {value!r}")
     return value
 
 
-def _coerce(raw, current, dotted):
+def _coerce(raw, default, dotted):
     """raw as the type of the key's default: a --set value is parsed to it,
     and any other value must have it already."""
     if isinstance(raw, _Setting):
         raw = str(raw)
-        if isinstance(current, bool):
+        if isinstance(default, bool):
             if raw.lower() in ("1", "true", "on", "yes"):
                 return True
             if raw.lower() in ("0", "false", "off", "no"):
                 return False
             raise InputError(f"cannot parse boolean for {dotted!r}: {raw!r}")
-        if isinstance(current, int) and not isinstance(current, bool):
+        if isinstance(default, int) and not isinstance(default, bool):
             try:
                 return int(raw)
             except ValueError as exc:
                 raise InputError(f"cannot parse integer for {dotted!r}: {raw!r}") from exc
-        if isinstance(current, float):
+        if isinstance(default, float):
             try:
                 return float(raw)
             except ValueError as exc:
                 raise InputError(f"cannot parse number for {dotted!r}: {raw!r}") from exc
-        if current is None:
+        if default is None:
             try:
                 return json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise InputError(f"cannot parse JSON for {dotted!r}: {raw!r}") from exc
-    return _typed(raw, current, dotted)
+    return _typed(raw, default, dotted)
 
 
 def canonical_json(config):

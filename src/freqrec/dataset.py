@@ -10,7 +10,8 @@ by (user, timestamp, item), so the result does not depend on file order.
 Filtering removes users and items with fewer than min_interactions events,
 iterating to a fixed point because each removal can push other counts
 below the threshold.  The split is leave-one-out: the last item of each
-sequence is the test target, the second-to-last the validation target.
+sequence is the test target, the second-to-last the validation target;
+`SplitDataset.eval_case` maps a phase to its model input and target.
 Summary statistics are taken on the filtered sequences before truncation.
 """
 
@@ -22,6 +23,7 @@ import numpy as np
 from freqrec.errors import DatasetTooSparseError, InputError
 
 FORMATS = ("tsv", "jsonlines")
+PHASES = ("valid", "test")      # ranked targets: the second-to-last and the last item
 _TO_SPACE = str.maketrans("\t\r\n", "   ")
 
 
@@ -147,24 +149,16 @@ class SplitDataset:
     def train_items(self, user):
         return self._window(user)[:-2]
 
-    def valid_target(self, user):
-        return int(self._window(user)[-2])
-
-    def test_target(self, user):
-        return int(self._window(user)[-1])
-
-    def eval_input(self, user, phase):
-        """Model input when predicting the phase target: everything before
-        the validation item, or before the test item."""
-        w = self._window(user)
-        if phase == "valid":
-            return w[:-2]
-        if phase == "test":
-            return w[:-1]
-        raise InputError(f"unknown phase {phase!r}")
+    def eval_case(self, user, phase):
+        """(model input, target) when ranking the phase target: the target
+        is the validation or the test item, the input everything before it."""
+        if phase not in PHASES:
+            raise InputError(f"unknown phase {phase!r}, expected one of {PHASES}")
+        w, cut = self._window(user), PHASES.index(phase) - 2
+        return w[:cut], int(w[cut])
 
     def train_views(self):
-        return {u: self.train_items(u) for u in range(self.n_users)}
+        return [self.train_items(u) for u in range(self.n_users)]
 
     def windows(self):
         """Per-user truncated full sequences (train + valid + test items)."""

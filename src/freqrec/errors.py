@@ -29,6 +29,10 @@ class CapabilityError(InputError):
     """The request exceeds this routine's supported problem size."""
 
 
+class PoolTooSmallError(InputError):
+    """A user has fewer non-interacted items than the negatives asked for."""
+
+
 class DatasetTooSparseError(InputError):
     """Interaction filtering removed every user; carries the iteration trace."""
 

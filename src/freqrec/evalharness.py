@@ -1,8 +1,12 @@
 """Leave-one-out ranking evaluation with sampled negatives.
 
-Each user is scored on 100 sampled non-interacted candidates plus the
-ground-truth item.  `draw_candidates` draws every user's row once into one
-(U, n + 1) item matrix, negatives first and the truth at the LAST index;
+The protocol's settings live here, and the config's `eval` section reads
+its defaults from them: `draw_candidates` holds the draw's (n = 100
+candidates, seed 0) and `evaluate` holds k (10).  Each user is scored on n
+sampled non-interacted candidates plus the phase's ground-truth item
+(`SplitDataset.eval_case`).  `draw_candidates` draws every user's row once
+into one (U, n + 1) item matrix, negatives first and the truth at the LAST
+index, and a caller hands that one draw to every ranking of its phase;
 the model and both floors each fill a score matrix of that shape and rank
 it in one count: the truth's rank is 1 + #(scores above it) + #(scores
 tied with it at a lower index), the rank a stable descending sort gives.
@@ -23,28 +27,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from freqrec.errors import InputError
+from freqrec.errors import InputError, PoolTooSmallError
 from freqrec.model.network import all_item_tokens, forward, length_chunks
 
 log = logging.getLogger(__name__)
 Candidates = namedtuple("Candidates", "phase seed users items")     # see draw_candidates
 
 
-def sample_candidates(user, split, phase="test", n=100, seed=0):
+def sample_candidates(user, split, phase, n, seed):
     """The user's (n + 1,) candidate row: n non-interacted negatives, then
     the phase target."""
+    _, truth = split.eval_case(user, phase)
     keep = np.ones(split.n_items, dtype=bool)
     keep[split.sequences[user]] = False
     pool = np.flatnonzero(keep)
     if pool.size < n:
-        raise InputError(
+        raise PoolTooSmallError(
             f"user {user} has only {pool.size} non-interacted items, needs {n}")
-    truth = split.valid_target(user) if phase == "valid" else split.test_target(user)
     negatives = np.random.default_rng(seed ^ user).choice(pool, size=n, replace=False)
     return np.append(negatives, truth)
 
 
-def rank_metrics(scores, truth_index, k=10):
+def rank_metrics(scores, truth_index, k):
     """(NDCG@k, Recall@k, rank) for a single relevant item at truth_index of
     one score vector, or three (B,) arrays for a (B, n) block whose rows
     all hold their relevant item at truth_index."""
@@ -85,7 +89,7 @@ def _aggregate(split, candidates, metrics, k):
                                            ndcg.tolist(), recall.tolist())))
 
 
-def draw_candidates(split, phase, n_candidates, seed):
+def draw_candidates(split, phase, n_candidates=100, seed=0):
     """The phase's candidates, drawn once: the users whose rows can be
     drawn (those with at least n_candidates non-interacted items),
     ascending, and their (U, n_candidates + 1) item matrix, truth last."""
@@ -93,7 +97,7 @@ def draw_candidates(split, phase, n_candidates, seed):
     for user in range(split.n_users):
         try:
             rows.append(sample_candidates(user, split, phase, n_candidates, seed))
-        except InputError:
+        except PoolTooSmallError:
             continue
         users.append(user)
     if not users:
@@ -108,7 +112,7 @@ def evaluate(model, split, candidates, k=10):
     the score matrix, which is then ranked at once."""
     phase, _, users, cands = candidates
     tokens = all_item_tokens(model)
-    inputs = [split.eval_input(user, phase) for user in users]
+    inputs = [split.eval_case(user, phase)[0] for user in users]
     chunks = length_chunks([len(x) for x in inputs])
     log.info("evaluate (%s): %d users in %d length buckets, %d chunks", phase, len(users),
              len({len(x) for x in inputs}), len(chunks))
@@ -120,13 +124,12 @@ def evaluate(model, split, candidates, k=10):
     return _aggregate(split, candidates, rank_metrics(scores, cands.shape[1] - 1, k), k)
 
 
-def baselines(split, candidates, k=10):
+def baselines(split, candidates, k):
     """Floor scorers on the drawn candidate matrix: uniform-random scores
     seeded per user from the draw's seed, and training-frequency popularity
     (no randomness beyond the draw)."""
     _, seed, users, cands = candidates
-    counts = np.bincount(np.concatenate(list(split.train_views().values())),
-                         minlength=split.n_items)
+    counts = np.bincount(np.concatenate(split.train_views()), minlength=split.n_items)
     rngs = [np.random.default_rng((seed ^ user) + 0x9E3779B9) for user in users.tolist()]
     random = np.stack([rng.random(cands.shape[1]) for rng in rngs])
     return {name: _aggregate(split, candidates, rank_metrics(scores, cands.shape[1] - 1, k), k)

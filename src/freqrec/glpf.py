@@ -56,12 +56,12 @@ class PolyFilterSpec:
         return cls.first_order(glpf["alpha"])
 
 
-def filters_tokens(glpf):
-    """Whether a config's glpf section filters the model's fused item
-    tokens (apply_to=fused) instead of the ID table offline (apply_to=id)."""
-    if glpf["apply_to"] not in APPLY_TO:
-        raise InputError(f"glpf.apply_to must be one of {APPLY_TO}, got {glpf['apply_to']!r}")
-    return glpf["apply_to"] == "fused"
+def stage_filter(glpf, stage):
+    """The filter a config's glpf section applies at `stage` ("id": the ID
+    table offline, "fused": the model's fused item tokens at use), or None."""
+    if glpf["enabled"] and glpf["apply_to"] == stage:
+        return PolyFilterSpec.from_config(glpf)
+    return None
 
 
 def polynomial_filter(graph, spec, embeddings):

@@ -91,11 +91,11 @@ def build_cooccurrence(split):
     """Global item graph from the training views of a SplitDataset: W_ij
     counts the users whose training history contains both i and j."""
     train_views = split.train_views()
-    if not any(len(v) for v in train_views.values()):
+    if not any(len(v) for v in train_views):
         raise InputError("split has no training interactions")
     n = split.n_items
     key_chunks = [np.zeros(0, dtype=np.int64)]
-    for items in train_views.values():
+    for items in train_views:
         uniq = np.unique(np.asarray(items, dtype=np.int64))
         ii, jj = np.meshgrid(uniq, uniq, indexing="ij")
         mask = ii < jj

@@ -127,8 +127,7 @@ def pretrain_id_embeddings(split, config=PretrainConfig()):
     Returns (EmbeddingTable, per-epoch mean losses).  Deterministic under
     the config seed.
     """
-    views = split.train_views()
-    sequences = [v for v in views.values() if len(v) > 0]
+    sequences = [v for v in split.train_views() if len(v) > 0]
     if not sequences:
         raise InputError("split has no training interactions to pretrain on")
     n_items, k = split.n_items, config.negatives

@@ -43,12 +43,12 @@ need no padding and give each sequence the numbers its own forward would.
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from freqrec.errors import InputError
-from freqrec.glpf import PolyFilterSpec, filters_tokens, polynomial_filter
+from freqrec.glpf import PolyFilterSpec, polynomial_filter, stage_filter
 from freqrec.numcore import autodiff as ad
 from freqrec.tfm import ButterworthSpec, butterworth_gains, make_filter
 
@@ -73,7 +73,7 @@ class FusionMLP:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    activation: str = "gelu"
+    activation: str
 
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
@@ -138,10 +138,10 @@ class Backbone:
     layers: list
     d_model: int
     n_heads: int
-    tfm_enabled: bool = False
-    tfm_spec: ButterworthSpec = field(default_factory=ButterworthSpec)
-    tfm_residual: bool = False
-    tfm_causal_safe: bool = False
+    tfm_enabled: bool
+    tfm_spec: ButterworthSpec
+    tfm_residual: bool
+    tfm_causal_safe: bool
 
     @property
     def n_layers(self):
@@ -411,11 +411,9 @@ def build_model(cfg, id_table, text_table, graph=None):
                              n_heads=b["heads"], seed=b["seed"], ffn_mult=b["ffn_mult"],
                              tfm_enabled=t["enabled"], tfm_spec=ButterworthSpec.from_config(t),
                              tfm_residual=t["residual"], tfm_causal_safe=t["causal_safe"])
-    token_filter = None
-    if filters_tokens(cfg["glpf"]) and cfg["glpf"]["enabled"]:
-        if graph is None:
-            raise InputError("glpf.apply_to=fused needs --graph at model build time")
-        token_filter = PolyFilterSpec.from_config(cfg["glpf"])
+    token_filter = stage_filter(cfg["glpf"], "fused")
+    if token_filter is not None and graph is None:
+        raise InputError("glpf.apply_to=fused needs --graph at model build time")
     return RecModel(id_table=id_table, text_table=text_table, mlp=mlp,
                     backbone=backbone, token_filter=token_filter, graph=graph)
 

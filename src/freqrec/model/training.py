@@ -10,8 +10,8 @@ groups' token gradients sum into one block, and one fusion-MLP VJP gives
 the four gradients of the step.  Only the fusion MLP receives updates; the
 backbone is held frozen by construction (its weights never reach the
 tape), which the parameter-hash test pins down.  Early stopping watches
-validation NDCG@10.  `freqrec.checkpoint` saves the trained MLP with the
-config its model was built from.
+validation NDCG@10 on the one draw the caller hands in.  `freqrec.checkpoint`
+saves the trained MLP with the config its model was built from.
 """
 
 import logging
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from freqrec.errors import InputError
-from freqrec.evalharness import draw_candidates, evaluate
+from freqrec.evalharness import evaluate
 from freqrec.model.network import backbone_forward, length_chunks, model_tokens
 from freqrec.numcore import autodiff as ad
 from freqrec.numcore.linalg import add_rows_at
@@ -72,8 +72,6 @@ class TrainConfig:
     n_negatives: int = 100
     seed: int = 0
     weight_decay: float = 0.01
-    eval_seed: int = 0
-    eval_candidates: int = 100
 
 
 def sequence_loss(backbone, sequences, negatives, tokens):
@@ -174,17 +172,19 @@ class TrainResult:
     aborted: bool = False
 
 
-def train(model, split, config=TrainConfig()):
+def train(model, split, valid, config=TrainConfig()):
     """Train the fusion MLP in place; other components never change.
 
     Each epoch shuffles users and applies one optimizer step per batch:
     the mean of its sequences' gradients (`batch_loss`).  Its negatives are
     one (n_users, n_negatives) block drawn right after the shuffle: row i
     belongs to the i-th user in shuffled order, skipped users included.
-    Validation NDCG@10 on one candidate draw per call drives early
-    stopping, and the best-epoch MLP weights are restored at the end.  A
+    Validation NDCG@10 on `valid`, the caller's draw of that phase, drives
+    early stopping, and the best-epoch MLP weights are restored at the end.  A
     non-finite loss in any length group aborts the run before that
     batch's step, with the best weights kept."""
+    if valid.phase != "valid":
+        raise InputError(f"training validates on a 'valid' draw, got {valid.phase!r}")
     params = model.mlp.param_arrays()
     opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
@@ -194,7 +194,6 @@ def train(model, split, config=TrainConfig()):
     entries = []
     stale = 0
     aborted = False
-    candidates = None           # drawn at the first validation, then reused
 
     for epoch in range(1, config.epochs + 1):
         started = time.perf_counter()
@@ -222,9 +221,7 @@ def train(model, split, config=TrainConfig()):
         if aborted:
             break
         mean_loss = epoch_loss / max(n_sequences, 1)
-        candidates = candidates or draw_candidates(split, "valid", config.eval_candidates,
-                                                   config.eval_seed)
-        report = evaluate(model, split, candidates)
+        report = evaluate(model, split, valid)
         entries.append({"epoch": epoch, "loss": mean_loss,
                         "valid_ndcg10": report.ndcg, "valid_recall10": report.recall,
                         "lr": config.lr})

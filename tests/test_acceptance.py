@@ -238,7 +238,7 @@ class TestCriterion6Protocol:
                                         rho=0.5, seed=3))
         split = build_split(log, min_interactions=5)
         assert split.n_users >= 1000
-        floors = baselines(split, draw_candidates(split, "test", 100, 0))
+        floors = baselines(split, draw_candidates(split, "test", 100, 0), k=10)
         gap = abs(floors["random"].recall - 10.0 / 101.0)
         assert gap <= 0.02
 
@@ -298,8 +298,8 @@ class TestCriterion8EndToEnd:
         mlp = init_fusion_mlp(24, 32, seed=1)
         backbone = init_backbone(n_layers=2, d_model=32, n_heads=2, seed=2)
         model = RecModel(id_table=table, text_table=text, mlp=mlp, backbone=backbone)
-        result = train(model, split, TrainConfig(epochs=50, lr=1e-3, patience=50,
-                                                 n_negatives=32))
+        result = train(model, split, draw_candidates(split, "valid"),
+                       TrainConfig(epochs=50, lr=1e-3, patience=50, n_negatives=32))
         best_epoch = next(e["epoch"] for e in result.entries if e["valid_recall10"] == 1.0)
         assert best_epoch <= 50
         report("8a", f"separable dataset hits validation Recall@10 = 1.0 at epoch {best_epoch}")
@@ -321,10 +321,11 @@ class TestCriterion8EndToEnd:
                                  tfm_enabled=True, tfm_spec=ButterworthSpec(0.3, 2))
         model = RecModel(id_table=id_table, text_table=text_table, mlp=mlp,
                          backbone=backbone)
-        train(model, split, TrainConfig(epochs=4, lr=5e-4, patience=4, n_negatives=100))
+        train(model, split, draw_candidates(split, "valid"),
+              TrainConfig(epochs=4, lr=5e-4, patience=4, n_negatives=100))
         candidates = draw_candidates(split, "test", 100, 1)
         metrics = evaluate(model, split, candidates)
-        floors = baselines(split, candidates)
+        floors = baselines(split, candidates, k=10)
         elapsed = time.time() - start
         assert metrics.ndcg > floors["random"].ndcg
         assert metrics.ndcg > floors["popularity"].ndcg

@@ -15,7 +15,7 @@ from freqrec.analysis import THEOREM1_PILOT_THRESHOLD, trace_spectral_profile
 from freqrec.cli import main
 from freqrec.config import BOUNDS, DEFAULTS, fingerprint, load_config
 from freqrec.errors import InputError
-from freqrec.evalharness import baselines, draw_candidates, evaluate, rank_metrics
+from freqrec.evalharness import draw_candidates, evaluate
 from freqrec.graph import load_graph
 from freqrec.model.embeddings import PretrainConfig, load_external, text_surrogate_embeddings
 from freqrec.model.network import build_model, init_backbone, init_fusion_mlp, length_chunks
@@ -221,8 +221,8 @@ class TestStages:
                     "sweep", "--param", "cutoff", "--values", "0.3,0.6",
                     "--data", workdir["data"], "--id", workdir["id_filtered"],
                     "--text", workdir["text"], "--out", str(tmp_path / "sweep.csv")]) == 0
-        # one test draw for the grid, one validation draw per value's training
-        assert len(calls) == 3 * ds.build_split(ds.ingest(workdir["data"])).n_users
+        # one validation draw and one test draw for the whole grid
+        assert len(calls) == 2 * ds.build_split(ds.ingest(workdir["data"])).n_users
 
     def test_non_finite_checkpoint_is_refused(self, tmp_path, workdir, capsys):
         header, _, weights = open(workdir["ckpt"], "rb").read().partition(b"\n")
@@ -528,7 +528,7 @@ class TestFused:
         graph = load_graph(fused["graph"])
         model = build_model(cfg, load_external(fused["id"]), load_external(fused["text"]),
                             graph=graph)
-        train(model, split, TrainConfig(**cfg["training"], eval_candidates=20))
+        train(model, split, draw_candidates(split, "valid", 20, 0), TrainConfig(**cfg["training"]))
         report = evaluate(model, split, draw_candidates(split, "test", 20, 0))
         metrics = json.loads(out.read_text())["metrics"]
         assert (metrics["ndcg"], metrics["recall"]) == (report.ndcg, report.recall)
@@ -890,8 +890,7 @@ class TestConfig:
         for cls, section, outside in (
                 (ds.SynthConfig, "synth", {}),
                 (PretrainConfig, "pretrain", {"dim": ("model", "d_id")}),
-                (TrainConfig, "training", {"eval_seed": ("eval", "seed"),
-                                           "eval_candidates": ("eval", "n_candidates")})):
+                (TrainConfig, "training", {})):
             names = {f.name for f in dataclasses.fields(cls)}
             assert set(cfg[section]) == names - set(outside)
             for name, value in dataclasses.asdict(cls()).items():
@@ -916,8 +915,8 @@ class TestConfig:
                                   "max_seq_len": cfg["dataset"]["max_seq_len"]}),
                 (text_surrogate_embeddings, {"d_text": cfg["model"]["d_text"]}),
                 (evaluate, {"k": cfg["eval"]["k"]}),
-                (baselines, {"k": cfg["eval"]["k"]}),
-                (rank_metrics, {"k": cfg["eval"]["k"]}),
+                (draw_candidates, {"n_candidates": cfg["eval"]["n_candidates"],
+                                   "seed": cfg["eval"]["seed"]}),
                 (trace_spectral_profile, {"n_bands": a["n_bands"]}),
                 (band_energy, {"n_bands": a["n_bands"]}),
                 (analysis.theorem1_probe, {"rho": a["theorem_rho"],
@@ -955,6 +954,15 @@ class TestConfig:
         path.write_text('{"training": {"lr": 1}, "glpf": {"coefficients": [1, -0.5]}}')
         cfg = load_config(path)
         assert cfg["training"]["lr"] == 1 and cfg["glpf"]["coefficients"] == [1, -0.5]
+
+    def test_set_parses_to_the_default_type_over_a_file_value(self, tmp_path):
+        # glpf.coefficients defaults to null, so its --set text is JSON even
+        # when the file has already set a list
+        path = tmp_path / "config.json"
+        path.write_text('{"glpf": {"coefficients": [1.0, -0.2]}, "training": {"lr": 1}}')
+        cfg = load_config(path, {"glpf.coefficients": "[1.0, -0.5]", "training.lr": "0.5"})
+        assert cfg["glpf"]["coefficients"] == [1.0, -0.5] and cfg["training"]["lr"] == 0.5
+        assert load_config(path, {"glpf.coefficients": "null"})["glpf"]["coefficients"] is None
 
     def test_range_bounds_are_inclusive(self):
         cfg = load_config(overrides={"pretrain.negatives": "0", "pretrain.chunk": "1",

@@ -128,8 +128,14 @@ class TestBuildSplit:
         split = build_split(make_log(rows), min_interactions=5)
         u = split.user_tokens.index("a")
         assert len(split.train_items(u)) == 3
-        assert split.valid_target(u) == split.sequences[u][-2]
-        assert split.test_target(u) == split.sequences[u][-1]
+        inputs, target = split.eval_case(u, "valid")
+        assert target == split.sequences[u][-2]
+        np.testing.assert_array_equal(inputs, split.train_items(u))
+        inputs, target = split.eval_case(u, "test")
+        assert target == split.sequences[u][-1]
+        np.testing.assert_array_equal(inputs, split.sequences[u][:-1])
+        with pytest.raises(InputError, match="unknown phase 'bogus'"):
+            split.eval_case(u, "bogus")
 
     def test_cascade_matches_bruteforce_fixed_point(self):
         # six-user toy log engineered so removing one item drops a user below
@@ -194,7 +200,7 @@ class TestBuildSplit:
         split = build_split(make_log(rows), min_interactions=5, max_seq_len=6)
         u = split.user_tokens.index("a")
         assert len(split.train_items(u)) == 4
-        assert len(split.eval_input(u, "test")) == 5
+        assert len(split.eval_case(u, "test")[0]) == 5
         # stats are pre-truncation
         assert split.summary()["average_length"] == 12.0
 

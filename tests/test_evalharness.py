@@ -36,30 +36,36 @@ class TestSampleCandidates:
                              sequences=seqs, item_text=[""] * 40,
                              max_seq_len=100, min_interactions=1)
         pool = list(range(20, 40))
-        cand = sample_candidates(0, split, n=20, seed=0)
+        cand = sample_candidates(0, split, phase="test", n=20, seed=0)
         assert sorted(int(i) for i in cand[:-1]) == pool
 
     def test_deterministic(self, split):
-        a = sample_candidates(3, split, n=50, seed=9)
-        b = sample_candidates(3, split, n=50, seed=9)
+        a = sample_candidates(3, split, phase="test", n=50, seed=9)
+        b = sample_candidates(3, split, phase="test", n=50, seed=9)
         np.testing.assert_array_equal(a, b)
 
     def test_no_leakage_all_users(self, split):
         for u in range(split.n_users):
-            cand = sample_candidates(u, split, n=50, seed=1)
+            cand = sample_candidates(u, split, phase="test", n=50, seed=1)
             interacted = set(split.sequences[u].tolist())
             for item in cand[:-1]:
                 assert int(item) not in interacted
-            assert cand[-1] == split.test_target(u)
+            assert cand[-1] == split.eval_case(u, "test")[1]
             assert cand.shape == (51,)
 
     def test_valid_phase_truth(self, split):
         cand = sample_candidates(0, split, phase="valid", n=50, seed=1)
-        assert cand[-1] == split.valid_target(0)
+        assert cand[-1] == split.eval_case(0, "valid")[1]
+
+    def test_unknown_phase_refused_before_any_row(self, split, monkeypatch):
+        rows = count_calls(monkeypatch, np.random, "default_rng")
+        with pytest.raises(InputError, match="unknown phase 'bogus'"):
+            draw_candidates(split, "bogus", 5, 0)
+        assert rows == []
 
     def test_insufficient_pool_rejected(self, split):
         with pytest.raises(InputError):
-            sample_candidates(0, split, n=split.n_items, seed=0)
+            sample_candidates(0, split, phase="test", n=split.n_items, seed=0)
 
     def test_draws_from_the_set_based_pool(self, split):
         # the pool is the sorted non-interacted items, as the set difference
@@ -107,7 +113,7 @@ class TestRankMetrics:
         scores = np.zeros(4)
         scores[2] = np.nan
         with pytest.raises(InputError, match="candidate 2"):
-            rank_metrics(scores, truth_index=0)
+            rank_metrics(scores, truth_index=0, k=10)
 
     def test_ndcg_positive_iff_recall_one(self):
         rng = np.random.default_rng(0)
@@ -154,7 +160,7 @@ class TestRankMetrics:
         block = np.zeros((3, 5))
         block[1, 2] = np.nan
         with pytest.raises(InputError, match="candidate 2 in row 1"):
-            rank_metrics(block, truth_index=4)
+            rank_metrics(block, truth_index=4, k=10)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -170,11 +176,11 @@ class TestEvaluateAndBaselines:
                                         rho=0.5, seed=3))
         split = build_split(log, min_interactions=5)
         assert split.n_users >= 1000
-        floors = baselines(split, draw_candidates(split, "test", 100, 0))
+        floors = baselines(split, draw_candidates(split, "test", 100, 0), k=10)
         assert abs(floors["random"].recall - 10.0 / 101.0) <= 0.02
 
     def test_popularity_deterministic_across_scorer_runs(self, split):
-        a, b = (baselines(split, draw_candidates(split, "test", 30, 5))["popularity"]
+        a, b = (baselines(split, draw_candidates(split, "test", 30, 5), k=10)["popularity"]
                 for _ in range(2))
         assert a.ndcg == b.ndcg and a.per_user == b.per_user
 
@@ -184,7 +190,7 @@ class TestEvaluateAndBaselines:
                        for u in range(split.n_users))
         n = pools[len(pools) // 4]
         counts = np.zeros(split.n_items)
-        for items in split.train_views().values():
+        for items in split.train_views():
             np.add.at(counts, items, 1.0)
         reference = {"random": [], "popularity": []}
         for user in range(split.n_users):
@@ -195,10 +201,10 @@ class TestEvaluateAndBaselines:
             rng = np.random.default_rng((4 ^ user) + 0x9E3779B9)
             for name, scores in (("random", rng.random(n + 1)),
                                  ("popularity", counts[cand])):
-                ndcg, recall, rank = rank_metrics(scores, n)
+                ndcg, recall, rank = rank_metrics(scores, n, k=10)
                 reference[name].append((user, rank, ndcg, recall))
         calls = count_calls(monkeypatch, evalharness, "sample_candidates")
-        floors = baselines(split, draw_candidates(split, "test", n, 4))
+        floors = baselines(split, draw_candidates(split, "test", n, 4), k=10)
         assert len(calls) == split.n_users
         for name, rows in reference.items():
             assert 0 < floors[name].n_excluded < split.n_users
@@ -220,7 +226,7 @@ def per_sequence_rows(model, split, phase, seed, n_candidates, k=10):
             cand = sample_candidates(user, split, phase=phase, n=n_candidates, seed=seed)
         except InputError:
             continue
-        hidden, _ = forward(model, split.eval_input(user, phase))
+        hidden, _ = forward(model, split.eval_case(user, phase)[0])
         ndcg, recall, rank = rank_metrics(tokens[cand] @ hidden[-1], n_candidates, k=k)
         rows.append((user, rank, ndcg, recall))
     return rows
@@ -247,12 +253,12 @@ class TestBatchedEvaluate:
         model = config_model(split, build_cooccurrence(split), {"glpf.apply_to": "fused"})
         calls = count_calls(monkeypatch, network, "polynomial_filter")
         report = evaluate(model, split, draw_candidates(split, "valid", 30, 3))
-        assert len({len(split.eval_input(u, "valid")) for u, *_ in report.per_user}) > 1
+        assert len({len(split.eval_case(u, "valid")[0]) for u, *_ in report.per_user}) > 1
         assert len(calls) == 1
 
     def test_unfiltered_catalog_fused_once(self, split, monkeypatch):
         model = config_model(split, build_cooccurrence(split), {})
         calls = count_calls(monkeypatch, network, "fuse")
         report = evaluate(model, split, draw_candidates(split, "valid", 30, 3))
-        assert len({len(split.eval_input(u, "valid")) for u, *_ in report.per_user}) > 1
+        assert len({len(split.eval_case(u, "valid")[0]) for u, *_ in report.per_user}) > 1
         assert len(calls) == 1

@@ -9,6 +9,7 @@ from freqrec.glpf import (
     PolyFilterSpec,
     polynomial_filter,
     spectral_oracle_filter,
+    stage_filter,
 )
 from freqrec.graph import CooccurrenceGraph, build_cooccurrence
 from freqrec.numcore.linalg import sym_eigendecompose
@@ -105,6 +106,18 @@ class TestPolynomialFilter:
         with pytest.raises(InputError):
             polynomial_filter(graph, PolyFilterSpec.first_order(0.3),
                               np.ones((graph.n_items + 1, 3)))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("apply_to", ["id", "fused"])
+def test_stage_filter_is_the_configured_filter_at_its_one_stage(enabled, apply_to):
+    glpf = {"enabled": enabled, "alpha": 0.4, "coefficients": None, "apply_to": apply_to}
+    for stage in ("id", "fused"):
+        expected = PolyFilterSpec((1.0, -0.4)) if enabled and stage == apply_to else None
+        assert stage_filter(glpf, stage) == expected
+    explicit = dict(glpf, coefficients=[1.0, -0.6, 0.2])
+    assert stage_filter(explicit, apply_to) == (
+        PolyFilterSpec((1.0, -0.6, 0.2)) if enabled else None)
 
 
 class TestOracle:

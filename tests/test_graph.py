@@ -71,7 +71,7 @@ class TestBuildCooccurrence:
             graph = build_cooccurrence(split)
             w = graph.dense_adjacency()
             expect = np.zeros_like(w)
-            for items in split.train_views().values():
+            for items in split.train_views():
                 uniq = sorted(set(int(x) for x in items))
                 for a_i, a in enumerate(uniq):
                     for b in uniq[a_i + 1:]:

@@ -84,6 +84,11 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def valid_draw(split):
+    """The validation draw the training tests rank: 10 candidates, seed 0."""
+    return draw_candidates(split, "valid", 10, 0)
+
+
 def short_user_split():
     """Every fourth user has one training item, which training skips."""
     rng = np.random.default_rng(3)
@@ -136,7 +141,7 @@ def reference_pretrain(split, config):
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
-    sequences = [v for v in split.train_views().values() if len(v) > 0]
+    sequences = [v for v in split.train_views() if len(v) > 0]
     n_items = split.n_items
     rng = np.random.default_rng(config.seed)
     w_in = (rng.random((n_items, config.dim)) - 0.5) / config.dim
@@ -187,7 +192,7 @@ class TestPretrain:
         split = duplicate_heavy_split() if case == "duplicates" else synth_split
         if case == "ragged_last_chunk":
             centers, _ = reference_window_pairs(
-                [v for v in split.train_views().values() if len(v) > 0], config.window)
+                [v for v in split.train_views() if len(v) > 0], config.window)
             assert centers.size % config.chunk != 0
         table, losses = pretrain_id_embeddings(split, config)
         rows, ref_losses = reference_pretrain(split, config)
@@ -244,7 +249,7 @@ class TestPretrain:
         split = build_split(log, min_interactions=5)
         graph = build_cooccurrence(split)
         config = PretrainConfig(dim=8, epochs=2, seed=3)
-        pairs, _ = _window_pairs([v for v in split.train_views().values() if len(v)],
+        pairs, _ = _window_pairs([v for v in split.train_views() if len(v)],
                                  config.window)
         assert pairs.size > 4 * PAIR_BLOCK and graph.nnz > 2 * EDGE_BLOCK
         table, _ = pretrain_id_embeddings(split, config)
@@ -801,8 +806,7 @@ class TestGroupedLoss:
     def test_fused_epoch_filters_once_per_batch(self, synth_split, monkeypatch):
         model = config_model(synth_split, build_cooccurrence(synth_split),
                              {"glpf.apply_to": "fused"})
-        config = TrainConfig(epochs=1, seed=4, batch_size=8, n_negatives=8,
-                             eval_candidates=10)
+        config = TrainConfig(epochs=1, seed=4, batch_size=8, n_negatives=8)
         order = np.random.default_rng(config.seed).permutation(synth_split.n_users)
         batches = groups = 0
         for start in range(0, order.size, config.batch_size):
@@ -813,7 +817,7 @@ class TestGroupedLoss:
         assert batches < groups
 
         calls = count_calls(monkeypatch, network, "polynomial_filter")
-        train(model, synth_split, config)
+        train(model, synth_split, valid_draw(synth_split), config)
         # per batch one filtered table and one filtered gradient (the filter
         # is self-adjoint), whatever its number of groups, and one table for
         # validation
@@ -824,24 +828,51 @@ class TestTrain:
     def test_zero_epochs_unchanged(self, synth_split):
         model = small_model(synth_split)
         before = [np.array(a, copy=True) for a in model.mlp.param_arrays()]
-        result = train(model, synth_split, TrainConfig(epochs=0))
+        result = train(model, synth_split, valid_draw(synth_split), TrainConfig(epochs=0))
         for a, b in zip(model.mlp.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
         assert result.entries == []
 
     def test_validation_candidates_drawn_once(self, synth_split, monkeypatch):
         calls = count_calls(monkeypatch, evalharness, "sample_candidates")
-        result = train(small_model(synth_split), synth_split,
-                       TrainConfig(epochs=3, patience=3, n_negatives=8, eval_candidates=10))
+        result = train(small_model(synth_split), synth_split, valid_draw(synth_split),
+                       TrainConfig(epochs=3, patience=3, n_negatives=8))
         assert len(result.entries) == 3
         assert len(calls) == synth_split.n_users
+
+    def test_validation_ranks_the_handed_draw(self, synth_split, monkeypatch):
+        valid = valid_draw(synth_split)
+        ranked, evaluate_fn = [], training.evaluate
+
+        def recording(model, split, candidates, *args, **kwargs):
+            ranked.append(candidates)
+            return evaluate_fn(model, split, candidates, *args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("train drew candidates")
+
+        monkeypatch.setattr(training, "evaluate", recording)
+        monkeypatch.setattr(evalharness, "draw_candidates", refused)
+        monkeypatch.setattr(evalharness, "sample_candidates", refused)
+        result = train(small_model(synth_split), synth_split, valid,
+                       TrainConfig(epochs=2, patience=2, n_negatives=8))
+        assert len(result.entries) == 2
+        assert len(ranked) == 2 and all(c is valid for c in ranked)
+
+    def test_a_test_draw_is_refused(self, synth_split):
+        model = small_model(synth_split)
+        before = [np.array(a, copy=True) for a in model.mlp.param_arrays()]
+        with pytest.raises(InputError, match="'valid' draw"):
+            train(model, synth_split, draw_candidates(synth_split, "test", 10, 0),
+                  TrainConfig(epochs=1, n_negatives=8))
+        for a, b in zip(model.mlp.param_arrays(), before):
+            np.testing.assert_array_equal(a, b)
 
     def test_negatives_are_the_per_user_stream(self, monkeypatch, caplog):
         # the reference: one rng.integers call per user in shuffled order,
         # skipped users included, each row kept when its user is used
         split = short_user_split()
-        config = TrainConfig(epochs=3, patience=3, batch_size=5, n_negatives=6,
-                             eval_candidates=4)
+        config = TrainConfig(epochs=3, patience=3, batch_size=5, n_negatives=6)
         rng = np.random.default_rng(config.seed)
         expected = []
         for _ in range(config.epochs):
@@ -860,7 +891,8 @@ class TestTrain:
 
         monkeypatch.setattr(training, "batch_loss", recording)
         with caplog.at_level("INFO", logger="freqrec"):
-            result = train(small_model(split), split, config)
+            result = train(small_model(split), split, draw_candidates(split, "valid", 4, 0),
+                           config)
         assert len(result.entries) == config.epochs
         n_short = sum(not used for used, _ in rows)
         assert n_short > 0
@@ -874,16 +906,12 @@ class TestTrain:
     def test_backbone_frozen(self, synth_split):
         model = small_model(synth_split)
         before = model.backbone.parameter_hash()
-        train(model, synth_split, TrainConfig(epochs=2, n_negatives=8, eval_candidates=10))
+        train(model, synth_split, valid_draw(synth_split), TrainConfig(epochs=2, n_negatives=8))
         assert model.backbone.parameter_hash() == before
 
     def test_training_deterministic(self, synth_split):
-        r1 = train(small_model(synth_split),
-                   synth_split, TrainConfig(epochs=2, seed=5, n_negatives=8,
-                                            eval_candidates=10))
-        r2 = train(small_model(synth_split),
-                   synth_split, TrainConfig(epochs=2, seed=5, n_negatives=8,
-                                            eval_candidates=10))
+        r1, r2 = (train(small_model(synth_split), synth_split, valid_draw(synth_split),
+                        TrainConfig(epochs=2, seed=5, n_negatives=8)) for _ in range(2))
         assert r1.entries == r2.entries
 
     def test_separable_dataset_reaches_perfect_recall(self):
@@ -895,8 +923,8 @@ class TestTrain:
         mlp = init_fusion_mlp(16 + 8, 32, seed=1)
         backbone = init_backbone(n_layers=2, d_model=32, n_heads=2, seed=2)
         model = RecModel(id_table=table, text_table=text, mlp=mlp, backbone=backbone)
-        result = train(model, split, TrainConfig(epochs=50, lr=1e-3, patience=50,
-                                                 n_negatives=32, eval_candidates=100))
+        result = train(model, split, draw_candidates(split, "valid", 100, 0),
+                       TrainConfig(epochs=50, lr=1e-3, patience=50, n_negatives=32))
         assert result.best_valid_ndcg > 0.0
         best = max(e["valid_recall10"] for e in result.entries)
         assert best == 1.0
@@ -904,7 +932,7 @@ class TestTrain:
 
     def test_checkpoint_roundtrip(self, synth_split, tmp_path):
         model = config_model(synth_split, None, {})
-        train(model, synth_split, TrainConfig(epochs=1, n_negatives=8, eval_candidates=10))
+        train(model, synth_split, valid_draw(synth_split), TrainConfig(epochs=1, n_negatives=8))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, small_config())
         loaded, header = load_checkpoint(path, model.id_table, model.text_table)
@@ -932,15 +960,14 @@ class TestTrain:
         model.mlp.w2 *= 1e300             # every token overflows, so every loss is NaN
         before = [np.array(a, copy=True) for a in model.mlp.param_arrays()]
         with np.errstate(all="ignore"):
-            result = train(model, synth_split, TrainConfig(epochs=2, n_negatives=8,
-                                                           eval_candidates=10))
+            result = train(model, synth_split, valid_draw(synth_split),
+                           TrainConfig(epochs=2, n_negatives=8))
         assert result.aborted and result.entries == [] and result.best_epoch == 0
         for a, b in zip(model.mlp.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
 
     def test_non_finite_loss_later_keeps_the_best_epoch(self, synth_split, monkeypatch):
-        config = TrainConfig(epochs=3, seed=2, batch_size=8, n_negatives=8,
-                             eval_candidates=10)
+        config = TrainConfig(epochs=3, seed=2, batch_size=8, n_negatives=8)
         losses, steps, loss_fn, step_fn = [], [], training.sequence_loss, training.AdamW.step
         poison_at = [None]
 
@@ -958,14 +985,15 @@ class TestTrain:
         monkeypatch.setattr(training, "sequence_loss", poisoned)
         monkeypatch.setattr(training.AdamW, "step", counted)
         epoch_one = small_model(synth_split)
-        train(epoch_one, synth_split, dataclasses.replace(config, epochs=1))
+        train(epoch_one, synth_split, valid_draw(synth_split),
+              dataclasses.replace(config, epochs=1))
         per_epoch, epoch_steps = len(losses), len(steps)
         # the second loss of epoch 2 is NaN: its batch's first group was
         # finite, yet that batch takes no step
         losses.clear(), steps.clear()
         poison_at[0] = per_epoch + 2
         model = small_model(synth_split)
-        result = train(model, synth_split, config)
+        result = train(model, synth_split, valid_draw(synth_split), config)
         assert result.aborted and result.best_epoch == 1 and len(result.entries) == 1
         assert len(steps) == epoch_steps
         for a, b in zip(model.mlp.param_arrays(), epoch_one.mlp.param_arrays()):
@@ -1020,7 +1048,7 @@ class TestCheckpointRecipe:
     def test_reload_is_the_trained_model(self, synth_split, tmp_path, overrides):
         graph = build_cooccurrence(synth_split)
         model = config_model(synth_split, graph, overrides)
-        train(model, synth_split, TrainConfig(epochs=1, n_negatives=8, eval_candidates=10))
+        train(model, synth_split, valid_draw(synth_split), TrainConfig(epochs=1, n_negatives=8))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, small_config(overrides))
         # only a token-filtering model needs its graph back
