@@ -1,12 +1,11 @@
 """Trained-model checkpoints: a `freqrec.artifact` whose header holds the
 effective config the model was built from, its fingerprint, the item
 count and the digest of the graph a token-filtering model filters on,
-and whose payload is the fusion MLP's four little-endian float64 blocks.
+and whose payload is the fusion MLP's four float64 arrays (w1, b1, w2,
+b2), of the shapes that config builds.
 Loading checks that config as a config file is checked and rebuilds the
 model through `build_model`, the code that built it for training.
 """
-
-import numpy as np
 
 from freqrec import artifact
 from freqrec.config import checked_config, fingerprint
@@ -27,9 +26,7 @@ def save_checkpoint(model, path, config):
         "config": config,
         "graph": None if model.token_filter is None else model.graph.digest(),
     }
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                       for a in model.mlp.param_arrays())
-    artifact.write(path, header, payload, magic=CHECKPOINT_MAGIC)
+    artifact.write(path, header, model.mlp.param_arrays(), magic=CHECKPOINT_MAGIC)
 
 
 def load_checkpoint(path, id_table, text_table, graph=None):
@@ -70,13 +67,7 @@ def load_checkpoint(path, id_table, text_table, graph=None):
         raise InputError(f"{malformed}: graph digest {trained_on!r} does not fit its "
                          f"config's glpf section")
     arrays = model.mlp.param_arrays()
-    ends = np.cumsum([0] + [8 * a.size for a in arrays])
-    if ends[-1] != len(blob):
-        raise InputError(f"{path}: a weight payload of {len(blob)} bytes does not hold "
-                         f"the four float64 arrays of shapes "
-                         f"{[a.shape for a in arrays]}")
-    for a, i, j in zip(arrays, ends[:-1], ends[1:]):
-        a[...] = np.frombuffer(blob[i:j], dtype="<f8").reshape(a.shape)
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise InputError(f"{path}: the fusion-MLP weights hold non-finite values")
+    layout = [(name, a.shape, float) for name, a in zip(("w1", "b1", "w2", "b2"), arrays)]
+    for a, saved in zip(arrays, artifact.arrays(blob, layout, path, "weight")):
+        a[...] = saved
     return model, header

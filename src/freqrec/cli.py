@@ -3,9 +3,10 @@
 Subcommands: synth, ingest, build-graph, pretrain, glpf, train, evaluate,
 analyze, theorem-probe, sweep.  Every command reads a JSON config
 (defaults apply when none is given), accepts dotted overrides via
---set section.key=value, stamps the config fingerprint into each artifact
-it writes, and embeds the fully explicit effective config into its JSON
-outputs.  Outputs are all-or-nothing: a command writes each file as
+--set section.key=value and stamps the config fingerprint into each
+artifact it writes; `_Outputs` adds that `fingerprint` and the fully
+explicit effective `config` to every JSON object a command writes or
+prints.  Outputs are all-or-nothing: a command writes each file as
 `<path>.part` and renames them only when all were written, so a failing
 command leaves none of its files, whole or partial.  Exit codes: 0
 success, 1 input/capability error, 2 numeric or training error.  Log
@@ -14,12 +15,13 @@ fingerprint.
 
 The model commands (train, evaluate, analyze, sweep) load their inputs
 through one helper, which requires embedding tables of the configured
-widths (model.d_id, model.d_text) and inputs over one item count, even
-under --force.  evaluate and analyze get their model through one more,
-which refuses artifacts whose fingerprints disagree with the run config
-unless --force is given.  Every number file is written here, by one CSV
-writer (cells are the repr of Python ints and floats) and one sorted-key
-strict JSON writer (`_Outputs`), which refuses NaN and infinities.
+widths (model.d_id, model.d_text), each in its own slot by provenance,
+and inputs over one item count, even under --force.  evaluate and
+analyze get their model through one more, which refuses artifacts whose
+fingerprints disagree with the run config unless --force is given.
+Every number file is written here, by one CSV writer (cells are the repr
+of Python ints and floats) and one sorted-key strict JSON writer
+(`_Outputs`), which refuses NaN and infinities.
 """
 
 import argparse
@@ -71,10 +73,12 @@ def _dumps(payload):
 class _Outputs:
     """The files one command writes, all-or-nothing.  Each goes to
     `<path>.part`; `commit` renames them all once the command has returned
-    0, and `discard` removes whatever is left."""
+    0, and `discard` removes whatever is left.  Every JSON object written
+    or printed carries the `stamp`: the run's fingerprint and config."""
 
     def __init__(self):
         self.parts = {}         # final path -> its .part file
+        self.stamp = {}
 
     def write(self, path, writer):
         tmp = f"{path}.part"
@@ -91,13 +95,13 @@ class _Outputs:
         self.text(path, "".join(line + "\n" for line in lines))
 
     def json(self, path, payload):
-        self.text(path, _dumps(payload))
+        self.text(path, _dumps({**payload, **self.stamp}))
 
     def emit(self, path, payload):
         """The payload to `path` when one is given, and to stdout."""
         if path:
             self.json(path, payload)
-        print(_dumps(payload))
+        print(_dumps({**payload, **self.stamp}))
 
     def commit(self):
         for path, tmp in self.parts.items():
@@ -110,9 +114,10 @@ class _Outputs:
 
 
 def _load_split(cfg, data_path):
+    """(log, split) of one data file under the config's dataset section."""
     log = ds.ingest(data_path, format=cfg["dataset"]["format"])
-    return ds.build_split(log, min_interactions=cfg["dataset"]["min_interactions"],
-                          max_seq_len=cfg["dataset"]["max_seq_len"])
+    return log, ds.build_split(log, min_interactions=cfg["dataset"]["min_interactions"],
+                               max_seq_len=cfg["dataset"]["max_seq_len"])
 
 
 def _draw(cfg, split, phase):
@@ -136,11 +141,15 @@ def _check_fingerprints(named, force):
 
 def _inputs(args, cfg):
     """The split, both embedding tables (refused unless of the configured
-    widths) and the graph, None without --graph; all must cover the split's
-    item count."""
-    split = _load_split(cfg, args.data)
+    widths, and a table made for the other slot) and the graph, None
+    without --graph; all must cover the split's item count."""
+    _, split = _load_split(cfg, args.data)
     id_table = load_external(args.id, expect_dim=cfg["model"]["d_id"])
     text_table = load_external(args.text, expect_dim=cfg["model"]["d_text"])
+    for flag, table, other in (("--id", id_table, "text"), ("--text", text_table, "id")):
+        if table.provenance == other:
+            raise InputError(f"{flag} {getattr(args, flag[2:])}: a table of provenance "
+                             f"{other!r} belongs in --{other}")
     graph = load_graph(args.graph) if args.graph else None
     counts = {"--data": split.n_items, "--id": id_table.n_items, "--text": text_table.n_items,
               **({"--graph": graph.n_items} if graph is not None else {})}
@@ -174,37 +183,29 @@ def cmd_synth(args, cfg, files):
     files.write(args.out, lambda tmp: ds.write_tsv(log, tmp))
     if args.affinity_out:
         files.csv(args.affinity_out, None, affinity.tolist())
-    files.emit(args.summary, {"events": log.n_events,
-                              "fingerprint": fingerprint(cfg), "config": cfg})
+    files.emit(args.summary, {"events": log.n_events})
     return 0
 
 
 def cmd_ingest(args, cfg, files):
-    log = ds.ingest(args.input, format=cfg["dataset"]["format"])
-    split = ds.build_split(log, min_interactions=cfg["dataset"]["min_interactions"],
-                           max_seq_len=cfg["dataset"]["max_seq_len"])
+    log, split = _load_split(cfg, args.input)
     if args.out:
         files.write(args.out, lambda tmp: ds.write_tsv(log, tmp))
-    payload = split.summary()
-    payload["filter_trace"] = split.filter_trace
-    payload["fingerprint"] = fingerprint(cfg)
-    payload["config"] = cfg
-    files.emit(args.summary, payload)
+    files.emit(args.summary, {**split.summary(), "filter_trace": split.filter_trace})
     return 0
 
 
 def cmd_build_graph(args, cfg, files):
-    split = _load_split(cfg, args.data)
+    _, split = _load_split(cfg, args.data)
     graph = build_cooccurrence(split)
     graph.fingerprint = fingerprint(cfg)
     files.write(args.out, lambda tmp: save_graph(graph, tmp))
-    files.emit(None, {"n_items": graph.n_items, "nnz": graph.nnz // 2,
-                      "fingerprint": graph.fingerprint})
+    files.emit(None, {"n_items": graph.n_items, "nnz": graph.nnz // 2})
     return 0
 
 
 def cmd_pretrain(args, cfg, files):
-    split = _load_split(cfg, args.data)
+    _, split = _load_split(cfg, args.data)
     id_table, losses = pretrain_id_embeddings(
         split, PretrainConfig(**cfg["pretrain"], dim=cfg["model"]["d_id"]))
     text_table = text_surrogate_embeddings(split, d_text=cfg["model"]["d_text"],
@@ -213,8 +214,7 @@ def cmd_pretrain(args, cfg, files):
     text_table.fingerprint = fingerprint(cfg)
     files.write(args.out_id, lambda tmp: save_table(id_table, tmp))
     files.write(args.out_text, lambda tmp: save_table(text_table, tmp))
-    files.emit(None, {"losses": losses, "fingerprint": id_table.fingerprint,
-                      "id_stats": id_table.norm_stats(),
+    files.emit(None, {"losses": losses, "id_stats": id_table.norm_stats(),
                       "text_stats": text_table.norm_stats()})
     return 0
 
@@ -233,8 +233,7 @@ def cmd_glpf(args, cfg, files):
     table.fingerprint = fingerprint(cfg)
     files.write(args.out, lambda tmp: save_table(table, tmp))
     files.emit(None, {"enabled": cfg["glpf"]["enabled"],
-                      "coefficients": list(PolyFilterSpec.from_config(cfg["glpf"]).coefficients),
-                      "fingerprint": table.fingerprint})
+                      "coefficients": list(PolyFilterSpec.from_config(cfg["glpf"]).coefficients)})
     return 0
 
 
@@ -248,8 +247,7 @@ def cmd_train(args, cfg, files):
     files.emit(None, {"best_epoch": result.best_epoch,
                       "best_valid_ndcg": result.best_valid_ndcg,
                       "epochs_run": len(result.entries),
-                      "aborted": result.aborted,
-                      "fingerprint": fingerprint(cfg)})
+                      "aborted": result.aborted})
     return 2 if result.aborted else 0
 
 
@@ -260,8 +258,7 @@ def cmd_evaluate(args, cfg, files):
     payload = {"metrics": {"ndcg": report.ndcg, "recall": report.recall,
                            "k": report.k, "phase": report.phase,
                            "n_users": report.n_users,
-                           "n_excluded": report.n_excluded},
-               "fingerprint": fingerprint(cfg), "config": cfg}
+                           "n_excluded": report.n_excluded}}
     if args.with_baselines:
         floors = baselines(split, candidates, k=cfg["eval"]["k"])
         payload["baselines"] = {name: {"ndcg": rep.ndcg, "recall": rep.recall}
@@ -274,14 +271,13 @@ def cmd_evaluate(args, cfg, files):
 
 def cmd_analyze(args, cfg, files):
     split, graph, model = _checked_model(args, cfg)
-    fp = fingerprint(cfg)
     modes = {"on": ["on"], "off": ["off"], "both": ["on", "off"]}[args.tfm]
     profiles = trace_spectral_profile(model, split.windows(), graph,
                                       n_bands=cfg["analysis"]["n_bands"],
                                       tfm_modes=[mode == "on" for mode in modes])
-    summary = {"fingerprint": fp, "config": cfg, "modes": {}}
+    summary = {"modes": {}}
     for mode, profile in zip(modes, profiles):
-        base = f"{args.out_prefix}_tfm-{mode}_{fp}"
+        base = f"{args.out_prefix}_tfm-{mode}_{fingerprint(cfg)}"
         raw, shares = profile.raw.tolist(), profile.shares().tolist()
         files.csv(base + ".csv", ("layer", "band", "energy", "share"),
                   [(l, b, raw[l][b], shares[l][b]) for l, b in np.ndindex(profile.raw.shape)])
@@ -289,7 +285,7 @@ def cmd_analyze(args, cfg, files):
                                     "user_count": profile.user_count,
                                     "skipped_short": profile.skipped_short,
                                     "skipped_degenerate": profile.skipped_degenerate,
-                                    "fingerprint": fp, "raw": raw, "share": shares})
+                                    "raw": raw, "share": shares})
         summary["modes"][mode] = {
             "profile_csv": base + ".csv",
             "users": profile.user_count,
@@ -346,8 +342,7 @@ def cmd_sweep(args, cfg, files):
     files.csv(args.out, (args.param, "ndcg", "recall"), rows)
     files.emit(None, {"param": args.param,
                       "rows": [{args.param: v, "ndcg": n, "recall": r}
-                               for v, n, r in rows],
-                      "fingerprint": fingerprint(cfg)})
+                               for v, n, r in rows]})
     return 0
 
 
@@ -466,7 +461,9 @@ def main(argv=None):
                 raise InputError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             overrides[key] = value
-        code = args.fn(args, load_config(args.config, overrides), files)
+        cfg = load_config(args.config, overrides)
+        files.stamp = {"fingerprint": fingerprint(cfg), "config": cfg}
+        code = args.fn(args, cfg, files)
         if code == 0:
             files.commit()
         return code

@@ -9,7 +9,6 @@ local T x T blocks come out of one vectorized searchsorted pass.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,46 +146,30 @@ def local_subgraph(graph, target_items):
 
 
 def save_graph(graph, path):
-    """`freqrec.artifact` with a header of n_items, nnz and fingerprint, then
-    one 'i<TAB>j<TAB>weight' line per stored upper-triangle entry."""
+    """`freqrec.artifact` with a header of n_items, nnz and fingerprint, and
+    three arrays over the nnz stored upper-triangle entries, in edge order:
+    i and j (int64) and the weights (float64)."""
     mask = graph.rows < graph.cols
     header = {"n_items": graph.n_items, "nnz": int(mask.sum()),
               "fingerprint": graph.fingerprint}
-    body = "".join(f"{int(i)}\t{int(j)}\t{float(w)!r}\n"
-                   for i, j, w in zip(graph.rows[mask], graph.cols[mask], graph.weights[mask]))
-    artifact.write(path, header, body.encode("utf-8"))
+    artifact.write(path, header, [graph.rows[mask], graph.cols[mask], graph.weights[mask]])
 
 
 def load_graph(path):
-    """The graph save_graph wrote.  Every line must hold an i < j pair of
-    items in [0, n_items), not seen before, with a finite weight > 0."""
-    header, body = artifact.read(path, "graph", counts=("n_items", "nnz"))
+    """The graph save_graph wrote.  Every entry must be an i < j pair of
+    items in [0, n_items), not stored before, with a finite weight > 0; a
+    broken rule is refused naming its first bad entry."""
+    header, payload = artifact.read(path, "graph", counts=("n_items", "nnz"))
     n, nnz = header["n_items"], header["nnz"]
-    up_r, up_c, up_w, seen = [], [], [], set()
-    for lineno, line in enumerate(body.decode("utf-8", errors="replace").splitlines(), start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        try:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        if not (0 <= i < n and 0 <= j < n):
-            raise InputError(f"{path}:{lineno}: item index outside [0, {n})")
-        if i >= j:
-            raise InputError(f"{path}:{lineno}: pair ({i}, {j}) is not i < j")
-        if not (w > 0.0 and math.isfinite(w)):
-            raise InputError(f"{path}:{lineno}: weight {w!r} is not finite and > 0")
-        if (i, j) in seen:
-            raise InputError(f"{path}:{lineno}: pair ({i}, {j}) repeated")
-        seen.add((i, j))
-        up_r.append(i)
-        up_c.append(j)
-        up_w.append(w)
-    if len(up_r) != nnz:
-        raise InputError(f"{path}: header says nnz={nnz} but found {len(up_r)} triples")
-    return _from_upper_triangle(n, np.asarray(up_r, dtype=np.intp),
-                                np.asarray(up_c, dtype=np.intp), np.asarray(up_w, dtype=float),
-                                fingerprint=header["fingerprint"])
+    i, j, w = artifact.arrays(payload, [("i", (nnz,), np.intp), ("j", (nnz,), np.intp),
+                                        ("weight", (nnz,), float)], path, "graph")
+    first = np.isin(np.arange(nnz), np.unique(i * n + j, return_index=True)[1])
+    for bad, reason in ((i >= j, "pair is not i < j"),
+                        ((i < 0) | (j >= n), f"item index outside [0, {n})"),
+                        (w <= 0.0, "weight is not > 0"),
+                        (~first, "pair repeated")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise InputError(f"{path}: graph entry {k} ({i[k]}, {j[k]}, {float(w[k])!r}): "
+                             f"{reason}")
+    return _from_upper_triangle(n, i, j, w, fingerprint=header["fingerprint"])

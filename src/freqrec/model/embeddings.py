@@ -20,7 +20,7 @@ random matrix and length-normalizes; items without metadata get the zero
 vector.  Externally trained vectors load through the same table format.
 
 Table file format: `freqrec.artifact` with a header of n_items, dim,
-provenance and fingerprint, then n_items * dim little-endian float64s.
+provenance and fingerprint, and one (n_items, dim) float64 array.
 """
 
 import hashlib
@@ -68,7 +68,7 @@ class EmbeddingTable:
 def save_table(table, path):
     header = {"n_items": table.n_items, "dim": table.dim,
               "provenance": table.provenance, "fingerprint": table.fingerprint}
-    artifact.write(path, header, np.ascontiguousarray(table.rows, dtype="<f8").tobytes())
+    artifact.write(path, header, [table.rows])
 
 
 def load_external(path, expect_dim=None):
@@ -77,18 +77,10 @@ def load_external(path, expect_dim=None):
         raise InputError(f"malformed embedding header in {path}: provenance "
                          f"{header['provenance']!r} is not a string")
     n_items, dim = header["n_items"], header["dim"]
-    expected_bytes = n_items * dim * 8
-    if len(blob) != expected_bytes:
-        raise InputError(
-            f"{path}: expected {expected_bytes} bytes of float64 rows, got {len(blob)}")
+    rows, = artifact.arrays(blob, [("rows", (n_items, dim), float)], path, "table")
     if expect_dim is not None and dim != expect_dim:
         raise InputError(f"{path}: table dimension {dim} does not match required {expect_dim}")
-    rows = np.frombuffer(blob, dtype="<f8").reshape(n_items, dim).copy()
-    if not np.isfinite(rows).all():
-        raise InputError(f"{path}: the embedding rows hold non-finite values")
-    return EmbeddingTable(n_items=n_items, dim=dim, rows=rows,
-                          provenance=header["provenance"],
-                          fingerprint=header["fingerprint"])
+    return EmbeddingTable(n_items, dim, rows, header["provenance"], header["fingerprint"])
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ groups' token gradients sum into one block, and one fusion-MLP VJP gives
 the four gradients of the step.  Only the fusion MLP receives updates; the
 backbone is held frozen by construction (its weights never reach the
 tape), which the parameter-hash test pins down.  Early stopping watches
-validation NDCG@10 on the one draw the caller hands in.  `freqrec.checkpoint`
-saves the trained MLP with the config its model was built from.
+validation NDCG@10 (the log's `valid_ndcg10`) on the one draw the caller
+hands in, whatever `eval.k` says: that key sets the ranking of `evaluate`
+and of `sweep`'s test rows.  `freqrec.checkpoint` saves the trained MLP
+with the config its model was built from.
 """
 
 import logging

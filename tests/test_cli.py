@@ -16,8 +16,13 @@ from freqrec.cli import main
 from freqrec.config import BOUNDS, DEFAULTS, fingerprint, load_config
 from freqrec.errors import InputError
 from freqrec.evalharness import draw_candidates, evaluate
-from freqrec.graph import load_graph
-from freqrec.model.embeddings import PretrainConfig, load_external, text_surrogate_embeddings
+from freqrec.graph import load_graph, save_graph
+from freqrec.model.embeddings import (
+    PretrainConfig,
+    load_external,
+    save_table,
+    text_surrogate_embeddings,
+)
 from freqrec.model.network import build_model, init_backbone, init_fusion_mlp, length_chunks
 from freqrec.checkpoint import CHECKPOINT_MAGIC, load_checkpoint
 from freqrec.model.training import TrainConfig, train
@@ -47,7 +52,7 @@ def workdir(tmp_path_factory):
     paths = {
         "root": root, "config": str(cfg_path),
         "data": str(root / "log.tsv"),
-        "graph": str(root / "graph.tsv"),
+        "graph": str(root / "graph.bin"),
         "id": str(root / "id.emb"), "text": str(root / "text.emb"),
         "id_filtered": str(root / "id_filtered.emb"),
         "ckpt": str(root / "model.ckpt"),
@@ -326,6 +331,83 @@ class TestStages:
         assert payload["fingerprint"] == fingerprint(
             load_config(overrides={"dataset.format": "jsonlines"})) != fingerprint(DEFAULTS)
 
+    def test_synth_affinity_is_the_locality_kernel(self, tmp_path):
+        out = tmp_path / "affinity.csv"
+        assert run(["--set", "synth.items=12", "--set", "synth.rho=0.3", "synth",
+                    "--out", str(tmp_path / "log.tsv"), "--affinity-out", str(out)]) == 0
+        idx = np.arange(12)
+        expected = 0.3 ** np.abs(idx[:, None] - idx[None, :])
+        np.fill_diagonal(expected, 0.0)
+        got = [[float(cell) for cell in line.split(",")] for line in out.read_text().splitlines()]
+        assert np.array_equal(got, expected)
+
+    def test_sweep_alpha_row_is_glpf_train_evaluate(self, tmp_path, workdir):
+        # under the default glpf.apply_to=id the sweep filters the raw ID
+        # table at each value, as `glpf` does before `train`
+        base = ["--config", workdir["config"], "--set", "training.epochs=1"]
+        inputs = ["--data", workdir["data"], "--text", workdir["text"]]
+        out = tmp_path / "sweep.csv"
+        assert run(base + ["sweep", "--param", "alpha", "--values", "0.9,0.6", *inputs,
+                           "--id", workdir["id"], "--graph", workdir["graph"],
+                           "--out", str(out)]) == 0
+        rows = {float(v): (float(n), float(r))
+                for v, n, r in (line.split(",") for line in out.read_text().splitlines()[1:])}
+        at = base + ["--set", "glpf.alpha=0.6"]
+        id_f, ckpt, metrics = (str(tmp_path / name) for name in ("id_f.emb", "m.ckpt", "m.json"))
+        assert run(at + ["glpf", "--graph", workdir["graph"], "--embeddings", workdir["id"],
+                         "--out", id_f]) == 0
+        assert run(at + ["train", *inputs, "--id", id_f, "--out", ckpt]) == 0
+        # the text table carries the fixture config's fingerprint, not this alpha's
+        assert run(at + ["evaluate", *inputs, "--id", id_f, "--checkpoint", ckpt,
+                         "--phase", "test", "--force", "--out", metrics]) == 0
+        m = json.loads(open(metrics).read())["metrics"]
+        assert sorted(rows) == [0.6, 0.9] and rows[0.6] == (m["ndcg"], m["recall"])
+
+    def test_validation_ranks_at_10_whatever_eval_k(self, tmp_path, workdir):
+        # eval.k sets the ranking of evaluate and sweep; early stopping
+        # watches validation NDCG@10, the k its log keys name
+        logs = []
+        for k in ("1", "10"):
+            log = tmp_path / f"k{k}.jsonl"
+            assert run(["--config", workdir["config"], "--set", f"eval.k={k}",
+                        "train", "--data", workdir["data"], "--id", workdir["id_filtered"],
+                        "--text", workdir["text"], "--out", str(tmp_path / f"k{k}.ckpt"),
+                        "--log", str(log)]) == 0
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
+        assert all("valid_ndcg10" in json.loads(line) for line in logs[0].splitlines())
+
+
+# each command's arguments and the number of JSON files it writes
+STAMPED = {
+    "synth": (["--out", "{t}/log.tsv", "--summary", "{t}/s.json"], 1),
+    "ingest": (["--input", "{data}", "--summary", "{t}/s.json"], 1),
+    "build-graph": (["--data", "{data}", "--out", "{t}/g.bin"], 0),
+    "pretrain": (["--data", "{data}", "--out-id", "{t}/id.emb", "--out-text", "{t}/t.emb"], 0),
+    "glpf": (["--graph", "{graph}", "--embeddings", "{id}", "--out", "{t}/id_f.emb"], 0),
+    "train": (["{inputs}", "--out", "{t}/m.ckpt"], 0),
+    "evaluate": (["{inputs}", "--checkpoint", "{ckpt}", "--out", "{t}/m.json"], 1),
+    "analyze": (["{inputs}", "--graph", "{graph}", "--out-prefix", "{t}/p",
+                 "--out", "{t}/a.json"], 3),
+    "theorem-probe": (["--family", "ring", "--out", "{t}/thm.json"], 1),
+    "sweep": (["--param", "cutoff", "--values", "0.3", "{inputs}", "--out", "{t}/s.csv"], 0),
+}
+
+
+@pytest.mark.parametrize("command", STAMPED)
+def test_every_json_output_carries_fingerprint_and_config(tmp_path, workdir, capsys, command):
+    argv, n_files = STAMPED[command]
+    names = dict(workdir, t=str(tmp_path))
+    inputs = ["--data", workdir["data"], "--id", workdir["id_filtered"], "--text", workdir["text"]]
+    argv = [a for arg in argv for a in (inputs if arg == "{inputs}" else [arg.format(**names)])]
+    assert run(["--config", workdir["config"], command, *argv]) == 0
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == n_files
+    cfg = load_config(workdir["config"])
+    for text in [capsys.readouterr().out] + [p.read_text() for p in files]:
+        payload = json.loads(text)
+        assert (payload["fingerprint"], payload["config"]) == (fingerprint(cfg), cfg)
+
 
 class TestAnalyze:
     @staticmethod
@@ -417,18 +499,18 @@ class TestAnalyze:
     def test_windows_too_short_for_the_bands(self, tmp_path, workdir, capsys):
         # the fixture's shortest window holds 6 items, 5 target nodes: too
         # few for 8 bands, so those users are skipped as short
-        paths = {name: str(tmp_path / name) for name in ("graph.tsv", "id.emb", "text.emb",
+        paths = {name: str(tmp_path / name) for name in ("graph.bin", "id.emb", "text.emb",
                                                          "id_f.emb", "a.json")}
         base = ["--config", workdir["config"], "--set", "analysis.n_bands=8"]
         assert run(base + ["build-graph", "--data", workdir["data"],
-                           "--out", paths["graph.tsv"]]) == 0
+                           "--out", paths["graph.bin"]]) == 0
         assert run(base + ["pretrain", "--data", workdir["data"], "--out-id", paths["id.emb"],
                            "--out-text", paths["text.emb"]]) == 0
-        assert run(base + ["glpf", "--graph", paths["graph.tsv"],
+        assert run(base + ["glpf", "--graph", paths["graph.bin"],
                            "--embeddings", paths["id.emb"], "--out", paths["id_f.emb"]]) == 0
         capsys.readouterr()
         assert run(base + ["analyze", "--data", workdir["data"], "--id", paths["id_f.emb"],
-                           "--text", paths["text.emb"], "--graph", paths["graph.tsv"],
+                           "--text", paths["text.emb"], "--graph", paths["graph.bin"],
                            "--tfm", "both", "--out-prefix", str(tmp_path / "p"),
                            "--out", paths["a.json"]]) == 0
         assert capsys.readouterr().err == ""
@@ -456,7 +538,7 @@ def fused(workdir):
     """Artifacts of a run with G-LPF on the fused tokens: the ID table goes
     into training unfiltered and the graph filters at the token stage."""
     root = workdir["root"]
-    paths = dict(workdir, graph=str(root / "fused_graph.tsv"), id=str(root / "fused_id.emb"),
+    paths = dict(workdir, graph=str(root / "fused_graph.bin"), id=str(root / "fused_id.emb"),
                  text=str(root / "fused_text.emb"), ckpt=str(root / "fused.ckpt"))
     base = ["--config", workdir["config"], *FUSED]
     assert run(base + ["build-graph", "--data", paths["data"], "--out", paths["graph"]]) == 0
@@ -501,12 +583,14 @@ class TestFused:
         assert not out.exists()
 
     def test_evaluate_with_another_graph_fails(self, tmp_path, fused, capsys):
-        # same header and config fingerprint, one edge fewer
-        lines = open(fused["graph"]).read().splitlines()
-        header = json.loads(lines[0])
-        header["nnz"] -= 1
-        other = tmp_path / "other.tsv"
-        other.write_text("\n".join([json.dumps(header)] + lines[1:-1]) + "\n")
+        # same config fingerprint, one edge fewer: save_graph stores the
+        # i < j entries, so dropping the last of them drops that edge
+        graph = load_graph(fused["graph"])
+        keep = np.arange(graph.nnz) != np.flatnonzero(graph.rows < graph.cols)[-1]
+        other = tmp_path / "other.bin"
+        save_graph(dataclasses.replace(graph, rows=graph.rows[keep], cols=graph.cols[keep],
+                                       weights=graph.weights[keep]), other)
+        assert load_graph(other).nnz == graph.nnz - 2
         out = tmp_path / "m.json"
         assert self.evaluate(fused, out, "--graph", str(other)) == 1
         assert "not the graph" in capsys.readouterr().err
@@ -537,6 +621,50 @@ class TestFused:
             model.backbone.tfm_enabled = enabled
             shares = trace_spectral_profile(model, split.windows(), graph).shares()
             assert modes[mode]["band1_final_share"] == float(shares[-1, 0])
+
+
+# pretrain tables of one width, so that only their provenance tells the
+# ID table from the text table
+SQUARE = ["--set", "model.d_text=16"]
+
+
+@pytest.fixture(scope="module")
+def square(workdir):
+    root = workdir["root"]
+    paths = dict(workdir, id=str(root / "square_id.emb"), text=str(root / "square_text.emb"))
+    assert run(["--config", workdir["config"], *SQUARE, "pretrain", "--data", paths["data"],
+                "--out-id", paths["id"], "--out-text", paths["text"]]) == 0
+    return paths
+
+
+class TestTableSlots:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "analyze", "sweep"])
+    @pytest.mark.parametrize("slot", ["--id", "--text"])
+    def test_table_made_for_the_other_slot_is_refused(self, tmp_path, capsys, square,
+                                                      command, slot):
+        # both slots get the text table, or both the ID table; the slot
+        # named is the one whose table belongs in the other
+        table = square["text"] if slot == "--id" else square["id"]
+        inputs = ["--data", square["data"], "--id", table, "--text", table]
+        argv = {"train": ["--out", str(tmp_path / "m.ckpt")],
+                "evaluate": ["--checkpoint", square["ckpt"], "--out", str(tmp_path / "m.json")],
+                "analyze": ["--graph", square["graph"], "--out-prefix", str(tmp_path / "p")],
+                "sweep": ["--param", "cutoff", "--values", "0.3",
+                          "--out", str(tmp_path / "s.csv")]}[command]
+        assert run(["--config", square["config"], *SQUARE, command, *inputs, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {slot} {table}: ") and "provenance" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_external_tables_go_in_either_slot(self, tmp_path, square):
+        swapped = {}
+        for slot, path in (("--id", square["text"]), ("--text", square["id"])):
+            swapped[slot] = str(tmp_path / f"{slot[2:]}.emb")
+            save_table(dataclasses.replace(load_external(path), provenance="external"),
+                       swapped[slot])
+        assert run(["--config", square["config"], *SQUARE, "--set", "training.epochs=1",
+                    "train", "--data", square["data"], "--id", swapped["--id"],
+                    "--text", swapped["--text"], "--out", str(tmp_path / "m.ckpt")]) == 0
 
 
 class TestErrors:
@@ -585,6 +713,8 @@ class TestErrors:
         ("backbone.heads=3", "backbone"), ("backbone.heads=0", "backbone"),
         ("synth.rho=2", "synth"), ("synth.users=0", "synth"), ("synth.seed=-1", "synth.seed"),
         ("analysis.theorem_rho=1.5", "analysis"), ("analysis.theorem_t_max=7", "analysis"),
+        # an override without "=" never reaches the config
+        ("synth.rho", "synth.rho"),
     ])
     def test_value_a_later_stage_rejects(self, tmp_path, capsys, workdir, override, key):
         # rejected at load, before pretrain writes a table stamped with it
@@ -746,6 +876,33 @@ class TestErrors:
             assert err.startswith("error: ") and "item counts" in err
             assert f"--id {n_items}" in err and f"--graph {n_items}" in err
             assert "Traceback" not in err and not out.exists()
+
+    def test_glpf_on_a_graph_over_another_item_count(self, tmp_path, capsys, workdir):
+        other, graph, out = tmp_path / "b.tsv", tmp_path / "b.bin", tmp_path / "id_f.emb"
+        base = ["--config", workdir["config"]]
+        assert run(base + ["--set", "synth.items=30", "synth", "--out", str(other)]) == 0
+        assert run(base + ["build-graph", "--data", str(other), "--out", str(graph)]) == 0
+        capsys.readouterr()
+        assert run(base + ["glpf", "--graph", str(graph), "--embeddings", workdir["id"],
+                           "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        n_items, n_other = load_external(workdir["id"]).n_items, load_graph(graph).n_items
+        assert err.startswith(f"error: embedding table covers {n_items} items, graph {n_other}")
+        assert n_items != n_other and not out.exists()
+
+    def test_unstamped_table_needs_force(self, tmp_path, capsys, workdir):
+        table = tmp_path / "external.emb"
+        save_table(dataclasses.replace(load_external(workdir["id_filtered"]),
+                                       provenance="external", fingerprint=""), table)
+        out = tmp_path / "m.json"
+        argv = ["--config", workdir["config"], "evaluate", "--data", workdir["data"],
+                "--id", str(table), "--text", workdir["text"], "--checkpoint", workdir["ckpt"],
+                "--out", str(out)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: artifacts without a config fingerprint: id-embeddings")
+        assert "--force" in err and not out.exists()
+        assert run(argv + ["--force"]) == 0
 
     def test_bad_rho_override(self, tmp_path):
         assert run(["--set", "synth.rho=1.0",

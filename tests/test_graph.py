@@ -1,11 +1,11 @@
 """Co-occurrence graph and local subgraph tests."""
 
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from freqrec import artifact
 from freqrec.dataset import SplitDataset, SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.graph import (
@@ -223,7 +223,7 @@ class TestGraphIO:
         split = build_split(log, min_interactions=5)
         graph = build_cooccurrence(split)
         graph.fingerprint = "cafe0123"
-        path = tmp_path / "graph.tsv"
+        path = tmp_path / "graph.bin"
         save_graph(graph, path)
         loaded = load_graph(path)
         assert loaded.n_items == graph.n_items
@@ -235,7 +235,7 @@ class TestGraphIO:
         assert loaded.digest() == graph.digest()
 
     def test_malformed_header(self, tmp_path):
-        path = tmp_path / "bad.tsv"
+        path = tmp_path / "bad.bin"
         path.write_text("not json\n0\t1\t2\n")
         with pytest.raises(InputError):
             load_graph(path)
@@ -249,7 +249,7 @@ class TestGraphIO:
                                         '{"n_items": 5, "nnz": 1.0}',
                                         '{"n_items": 5, "nnz": 1, "fingerprint": null}'])
     def test_header_not_an_object_of_counts(self, tmp_path, header):
-        path = tmp_path / "bad.tsv"
+        path = tmp_path / "bad.bin"
         path.write_text(header + "\n0\t1\t2.0\n")
         with pytest.raises(InputError, match="malformed graph header"):
             load_graph(path)
@@ -266,8 +266,12 @@ class TestGraphIO:
         ("1\t3\t-2.0", "weight"),
     ])
     def test_bad_line_named(self, tmp_path, line, reason):
-        # a 5-item graph whose third line is the bad one
-        path = tmp_path / "bad.tsv"
-        path.write_text('{"n_items": 5, "nnz": 2}\n0\t1\t1.0\n' + line + "\n")
-        with pytest.raises(InputError, match=re.escape(f"{path}:3: ") + f".*{reason}"):
+        # a 5-item graph of two stored entries, (0, 1, 1.0) and the
+        # "i<TAB>j<TAB>weight" case, which is the bad one
+        i, j, w = line.split("\t")
+        path = tmp_path / "bad.bin"
+        artifact.write(path, {"n_items": 5, "nnz": 2},
+                       [np.array([0, int(i)]), np.array([1, int(j)]), np.array([1.0, float(w)])])
+        with pytest.raises(InputError, match=reason) as info:
             load_graph(path)
+        assert str(info.value).startswith(f"{path}: graph ") and "entry 1 " in str(info.value)
