@@ -13,7 +13,7 @@ from freqrec.errors import InputError
 from freqrec.model.network import build_model
 
 CHECKPOINT_MAGIC = b"FRQR\x01"
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 
 def save_checkpoint(model, path, config):

@@ -357,8 +357,9 @@ def build_parser():
     parser.add_argument("--workers", type=int, choices=[1], help=argparse.SUPPRESS)
     parser.add_argument("--log-level", choices=["warning", "info", "debug"],
                         default="warning",
-                        help="stderr log verbosity: info adds pretrain epochs and the "
-                             "length buckets of evaluate and analyze")
+                        help="stderr log verbosity: info adds pretrain and train epochs, "
+                             "the frozen stack's shape and dtype, and the length buckets "
+                             "of evaluate and analyze")
     sub = parser.add_subparsers(dest="command", required=True)
     inputs = _Parser(add_help=False)
     inputs.add_argument("--data", required=True)

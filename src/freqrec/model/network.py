@@ -31,6 +31,21 @@ update their own temporaries in place, with the operations and order of
 the plain expressions, so the values are the same bit for bit; no array
 a capture snapshot holds is ever written.
 
+The stack runs in one dtype, `Backbone.dtype`, the dtype of its
+weights: float32 as `build_model` builds it, or float64 from
+`init_backbone(dtype="float64")`, the reference the kernel and gradient
+checks run.  In it are the four layer matrices (the seeded float64
+draws cast once), the cached filter operator, the causal mask and
+everything between the stack's ends: the residual stream, every
+kernel's temporaries and the VJP's cache and gradients.
+`backbone_forward` casts the tokens down as they enter and casts the
+hidden states and every capture snapshot (index 0 holds the tokens as
+given) back to float64 as they leave; its VJP casts the incoming
+gradient down and its result back up.  Everything else is float64: the
+fusion MLP, the token filter, scoring, the loss and the optimizer, as
+are the spectral analysis's eigendecompositions and band energies.  In a
+float64 stack every cast is a no-op.
+
 No positional embeddings: position information enters only through the
 causal mask, which is all the spectral instrumentation needs.
 
@@ -43,6 +58,7 @@ need no padding and give each sequence the numbers its own forward would.
 
 import functools
 import hashlib
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +68,11 @@ from freqrec.glpf import PolyFilterSpec, polynomial_filter, stage_filter
 from freqrec.numcore import autodiff as ad
 from freqrec.tfm import ButterworthSpec, butterworth_gains, make_filter
 
+log = logging.getLogger(__name__)
+
 CAUSAL_MASK_VALUE = -1e9
 ACTIVATIONS = ("gelu", "linear")
+DTYPES = ("float32", "float64")
 # Token rows (sequences x length) one batched forward holds; it bounds the
 # FFN activations at CHUNK_ROWS x ffn_mult * d_model floats per array.
 # Grouping does not change the numbers: at 128 and 256 rows the analyze
@@ -147,6 +166,10 @@ class Backbone:
     def n_layers(self):
         return len(self.layers)
 
+    @property
+    def dtype(self):
+        return self.layers[0].wqkv.dtype
+
     def parameter_hash(self):
         digest = hashlib.sha256()
         for layer in self.layers:
@@ -163,13 +186,16 @@ def check_heads(d_model, n_heads):
 
 def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
                   tfm_enabled=False, tfm_spec=None, tfm_residual=False,
-                  tfm_causal_safe=False):
+                  tfm_causal_safe=False, dtype="float32"):
     """A seeded frozen stack; its defaults are the config's `backbone`
     section and `model.d_model`.  Temporal filtering defaults to off here
     and on in the config (`tfm.enabled`): the bare stack here, the default
-    experiment there."""
+    experiment there.  The float64 draws are cast once to `dtype`, the
+    stack's one dtype (`DTYPES`); no config key sets it."""
     if n_layers < 1:
         raise InputError(f"a backbone needs at least 1 layer, got {n_layers}")
+    if dtype not in DTYPES:
+        raise InputError(f"backbone dtype must be one of {', '.join(DTYPES)}, got {dtype!r}")
     check_heads(d_model, n_heads)
     rng = np.random.default_rng(seed)
     hidden = ffn_mult * d_model
@@ -181,7 +207,8 @@ def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
         wo = rng.standard_normal((d_model, d_model)) / np.sqrt(d_model)
         wf1 = rng.standard_normal((d_model, hidden)) / np.sqrt(d_model)
         wf2 = rng.standard_normal((hidden, d_model)) / np.sqrt(hidden)
-        layers.append(BackboneLayer(wqkv=wqkv, wo=wo, wf1=wf1, wf2=wf2))
+        layers.append(BackboneLayer(*(w.astype(dtype, copy=False)
+                                      for w in (wqkv, wo, wf1, wf2))))
     return Backbone(layers=layers, d_model=d_model, n_heads=n_heads, tfm_enabled=tfm_enabled,
                     tfm_spec=tfm_spec if tfm_spec is not None else ButterworthSpec(),
                     tfm_residual=tfm_residual, tfm_causal_safe=tfm_causal_safe)
@@ -200,11 +227,12 @@ def _causal_safe_matrix(spec, t_len):
 
 
 @functools.lru_cache(maxsize=256)
-def _filter_operator(spec, t_len, causal_safe):
-    """The temporal filter at length T as one read-only (T, T) matrix: the
-    causal-safe prefix matrix, or the FFT filter applied to the identity."""
+def _filter_operator(spec, t_len, causal_safe, dtype):
+    """The temporal filter at length T as one read-only (T, T) matrix in
+    the stack's dtype: the causal-safe prefix matrix, or the FFT filter
+    applied to the identity, built in float64 and cast once."""
     op = (_causal_safe_matrix(spec, t_len) if causal_safe
-          else make_filter(spec, t_len)(np.eye(t_len)))
+          else make_filter(spec, t_len)(np.eye(t_len))).astype(dtype, copy=False)
     op.flags.writeable = False
     return op
 
@@ -265,7 +293,7 @@ def _attention(y, layer, n_heads, mask, record):
     q, k, v = _head_views(y @ layer.wqkv, n_heads, 3)
     scale = float(1.0 / np.sqrt(q.shape[-1]))
     p = _softmax((q @ _mT(k)) * scale + mask)
-    heads = np.empty(y.shape)
+    heads = np.empty(y.shape, dtype=y.dtype)
     np.matmul(p, v, out=_head_views(heads, n_heads, 1)[0])
     return heads @ layer.wo, ((q, k, v, p) if record else None)
 
@@ -280,7 +308,7 @@ def _attention_adjoint(g_out, layer, saved):
     g_s -= (g_s * p).sum(axis=-1, keepdims=True)
     g_s *= p
     g_s *= scale
-    g_qkv = np.empty(g_out.shape[:-1] + (3 * g_out.shape[-1],))
+    g_qkv = np.empty(g_out.shape[:-1] + (3 * g_out.shape[-1],), dtype=g_out.dtype)
     g_q, g_k, g_v = _head_views(g_qkv, n_heads, 3)
     np.matmul(g_s, k, out=g_q)
     np.matmul(_mT(g_s), q, out=g_k)
@@ -323,6 +351,11 @@ def _layer_adjoint(g, layer, cache, op, residual):
     return g + _layer_norm_adjoint(_attention_adjoint(g, layer, saved), xhat1, inv1)
 
 
+def _float64(a):
+    """a as it leaves the stack: float64, the same array when it is."""
+    return a.astype(np.float64, copy=False)
+
+
 def backbone_forward(backbone, tokens, capture=False, grad=False, tfm_modes=None):
     """Run the frozen stack on a T x d_model token matrix, or a (B, T,
     d_model) stack of B equal-length sequences.  Returns the final hidden
@@ -335,15 +368,17 @@ def backbone_forward(backbone, tokens, capture=False, grad=False, tfm_modes=None
     (True for the stack's own filter form, False for none) and gives one
     (hidden, trace) per mode; layer 1's residual blocks run once for all.
 
-    Only with grad does it keep each layer's intermediates for the VJP."""
+    It runs in the stack's dtype; what it returns, VJP results included,
+    is float64.  Only with grad does it keep each layer's intermediates
+    for the VJP."""
     if grad and tfm_modes is not None:
         raise InputError("a gradient needs the stack's own filter mode")
     modes = [backbone.tfm_enabled] if tfm_modes is None else list(tfm_modes)
-    t_len = tokens.shape[-2]
-    mask = np.triu(np.full((t_len, t_len), CAUSAL_MASK_VALUE), k=1)
-    ops = [_filter_operator(backbone.tfm_spec, t_len, backbone.tfm_causal_safe)
+    t_len, dtype = tokens.shape[-2], backbone.dtype
+    mask = np.triu(np.full((t_len, t_len), CAUSAL_MASK_VALUE, dtype=dtype), k=1)
+    ops = [_filter_operator(backbone.tfm_spec, t_len, backbone.tfm_causal_safe, dtype)
            if on else None for on in modes]
-    states = [tokens] * len(modes)
+    states = [tokens.astype(dtype, copy=False)] * len(modes)
     snapshots = [[tokens.copy()] * len(modes)] if capture else None
     caches = []
     for layer in backbone.layers:
@@ -355,18 +390,20 @@ def backbone_forward(backbone, tokens, capture=False, grad=False, tfm_modes=None
             outs.append(_filtered(blocks, op, backbone.tfm_residual))
         states = outs
         if capture:
-            snapshots.append(states)
+            snapshots.append([_float64(s) for s in states])
+    hidden = snapshots[-1] if capture else [_float64(s) for s in states]
     traces = [list(s) for s in zip(*snapshots)] if capture else [None] * len(modes)
     if tfm_modes is not None:
-        return list(zip(states, traces))
-    h, trace, op = states[0], traces[0], ops[0]
+        return list(zip(hidden, traces))
+    h, trace, op = hidden[0], traces[0], ops[0]
     if not grad:
         return h, trace
 
     def vjp(g):
+        g = g.astype(dtype, copy=False)
         for layer, cache in zip(reversed(backbone.layers), reversed(caches)):
             g = _layer_adjoint(g, layer, cache, op, backbone.tfm_residual)
-        return g
+        return _float64(g)
 
     return h, trace, vjp
 
@@ -411,6 +448,8 @@ def build_model(cfg, id_table, text_table, graph=None):
                              n_heads=b["heads"], seed=b["seed"], ffn_mult=b["ffn_mult"],
                              tfm_enabled=t["enabled"], tfm_spec=ButterworthSpec.from_config(t),
                              tfm_residual=t["residual"], tfm_causal_safe=t["causal_safe"])
+    log.info("frozen stack: %d layers, d_model %d, %s", backbone.n_layers, backbone.d_model,
+             backbone.dtype)
     token_filter = stage_filter(cfg["glpf"], "fused")
     if token_filter is not None and graph is None:
         raise InputError("glpf.apply_to=fused needs --graph at model build time")

@@ -162,7 +162,7 @@ class TestCriterion4Numerics:
         text_table = EmbeddingTable(split.n_items, 4, rng2.standard_normal((split.n_items, 4)))
         mlp = init_fusion_mlp(10, 16, seed=2)
         backbone = init_backbone(n_layers=2, d_model=16, n_heads=2, seed=3,
-                                 tfm_enabled=True)
+                                 tfm_enabled=True, dtype="float64")
         model = RecModel(id_table=id_table, text_table=text_table, mlp=mlp,
                          backbone=backbone)
         seq = np.asarray(split.sequences[0][:8], dtype=np.intp)

@@ -8,7 +8,7 @@ the writer as it stood before the shared artifact codec, so a match says
 the layout on disk is unchanged and the loader still reads files written
 the old way.  The graph constant pins its array payload (i, j as int64,
 then the weights as float64), which replaced one text line per entry.
-The checkpoint constant pins format 3, whose header holds the effective
+The checkpoint constant pins format 4, whose header holds the effective
 config: it changes with any config default, as the checkpoint's
 fingerprint does.  Every payload is decoded by one checked reader, so a
 truncated, over-long or non-finite payload of any kind is refused.
@@ -33,7 +33,7 @@ FINGERPRINT = "22e246fff4b1"
 GOLDEN = {
     "table": "c739f8094e55694a9475ac8cf0df1db6bcbe36ead822414f9d9dbcaf83bbae29",
     "graph": "1dd952914c527828839f429df1c289002f5b608d054c5017cbb4ba2453142709",
-    "checkpoint": "1ffe82b13a432b416f35a656e5c1219e8b6d37630f9ae65e17009ac0c69d292e",
+    "checkpoint": "99e8a982b3ef2a378b6f0126a762698f9b2de4a47b943827414ff2e62a4da8dc",
 }
 
 

@@ -273,6 +273,23 @@ class TestStages:
         assert captured.err.startswith(f"error: malformed checkpoint header in {ckpt}: ")
         assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
 
+    def test_format_3_checkpoint_asks_for_retraining(self, tmp_path, workdir, capsys):
+        # format 3 ran its stack in float64, so its weights fit another model
+        head, _, weights = open(workdir["ckpt"], "rb").read()[len(CHECKPOINT_MAGIC):] \
+            .partition(b"\n")
+        header = json.loads(head)
+        header["format"] = 3
+        ckpt = tmp_path / "format3.ckpt"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + weights)
+        out = tmp_path / "m.json"
+        assert run(["--config", workdir["config"], "evaluate", "--data", workdir["data"],
+                    "--id", workdir["id_filtered"], "--text", workdir["text"],
+                    "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {ckpt}: unsupported checkpoint format 3")
+        assert "re-train" in captured.err and "malformed" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_csv_cells_are_plain_numbers(self, tmp_path, workdir):
         base = ["--config", workdir["config"]]
         per_user, metrics = tmp_path / "per_user.csv", tmp_path / "metrics.json"
@@ -965,6 +982,15 @@ class TestOneProcess:
         assert err.startswith("error: ") and "'workers'" in err
 
 
+# the stack's one info line: its shape under the fixture's config and its dtype
+STACK_LINE = "frozen stack: 2 layers, d_model 32, float32"
+
+
+def stack_lines(err):
+    return [line[line.index("frozen stack"):] for line in err.splitlines()
+            if "frozen stack" in line]
+
+
 class TestLogging:
     def test_main_leaves_the_loggers_as_it_found_them(self, tmp_path, workdir, capsys):
         loggers = (logging.getLogger(), logging.getLogger("freqrec"))
@@ -997,6 +1023,7 @@ class TestLogging:
         quiet, loud = outs["warning"], outs["info"]
         assert quiet[0].err == ""
         assert "length buckets" in loud[0].err
+        assert stack_lines(loud[0].err) == [STACK_LINE]
         assert loud[0].out == quiet[0].out and loud[1:] == quiet[1:]
 
         assert run(base + ["--log-level", "info", "pretrain", "--data", workdir["data"],
@@ -1010,7 +1037,8 @@ class TestLogging:
                            "--id", workdir["id_filtered"], "--text", workdir["text"],
                            "--graph", workdir["graph"], "--tfm", "on",
                            "--out-prefix", str(tmp_path / "p")]) == 0
-        assert "analyze (tfm on)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "analyze (tfm on)" in err and stack_lines(err) == [STACK_LINE]
 
         trained = {}
         for level in ("warning", "info"):
@@ -1022,6 +1050,7 @@ class TestLogging:
         quiet, loud = trained["warning"], trained["info"]
         epochs = [line for line in loud[0].err.splitlines() if "train epoch" in line]
         assert len(epochs) == 2                      # the fixture's training.epochs
+        assert stack_lines(loud[0].err) == [STACK_LINE]
         for name in ("loss", "valid NDCG@10", "sequences used", "length groups", "skipped",
                      " s"):
             assert all(name in line for line in epochs)

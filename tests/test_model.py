@@ -576,7 +576,7 @@ class TestReferenceKernels:
     @pytest.mark.parametrize("t_len", [1, 2, 7, 8, 45])
     @pytest.mark.parametrize("mode", TFM_MODES)
     def test_backbone_matches_reference(self, synth_split, mode, t_len):
-        model = small_model(synth_split, **TFM_MODES[mode])
+        model = small_model(synth_split, dtype="float64", **TFM_MODES[mode])
         rng = np.random.default_rng(t_len)
         tokens = rng.standard_normal((3, t_len, model.backbone.d_model))
         hidden, trace, vjp = backbone_forward(model.backbone, tokens, capture=True, grad=True)
@@ -592,7 +592,8 @@ class TestReferenceKernels:
         # wq, wk, wv, wo, wf1, wf2 per layer from one stream, each scaled by
         # 1/sqrt(fan-in): the weights behind every stored number
         d, hidden, seed = 8, 16, 7
-        backbone = init_backbone(n_layers=3, d_model=d, n_heads=2, seed=seed, ffn_mult=2)
+        backbone = init_backbone(n_layers=3, d_model=d, n_heads=2, seed=seed, ffn_mult=2,
+                                 dtype="float64")
         rng = np.random.default_rng(seed)
         for layer in backbone.layers:
             q, k, v, o = (rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4))
@@ -605,8 +606,8 @@ class TestReferenceKernels:
     @pytest.mark.parametrize("t_len", [1, 2, 7, 8, 45])
     def test_operator_is_the_fft_filter(self, t_len):
         spec = ButterworthSpec(cutoff=0.3, order=2)
-        op = network._filter_operator(spec, t_len, False)
-        assert op is network._filter_operator(spec, t_len, False)
+        op = network._filter_operator(spec, t_len, False, np.dtype(np.float64))
+        assert op is network._filter_operator(spec, t_len, False, np.dtype(np.float64))
         assert not op.flags.writeable
         h = np.random.default_rng(t_len).standard_normal((t_len, 5))
         assert_close_to_scale(op @ h, tfm_apply(h, spec), 1e-14)
@@ -614,11 +615,93 @@ class TestReferenceKernels:
     @pytest.mark.parametrize("t_len", [1, 2, 7, 8, 45])
     def test_causal_safe_row_is_its_prefix_filter(self, t_len):
         spec = ButterworthSpec(cutoff=0.25, order=3)
-        op = network._filter_operator(spec, t_len, True)
+        op = network._filter_operator(spec, t_len, True, np.dtype(np.float64))
         h = np.random.default_rng(t_len).standard_normal((t_len, 4))
         out = op @ h
         for t in range(t_len):
             assert_close_to_scale(out[t], tfm_apply(h[:t + 1], spec)[t], 1e-14)
+
+
+def arrays_in(value):
+    """Every array in a nest of tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+
+
+class TestStackDtype:
+    """The stack runs in its weights' dtype (float32 as `build_model`
+    builds it) and hands float64 back: weights, filter operator, every
+    intermediate and the adjoint in the stack's dtype, the hidden states,
+    snapshots and input gradients in float64."""
+
+    @pytest.mark.parametrize("t_len", [1, 2, 7, 8, 45])
+    @pytest.mark.parametrize("mode", TFM_MODES)
+    def test_float32_agrees_with_float64(self, synth_split, mode, t_len):
+        narrow, wide = (small_model(synth_split, dtype=dtype, **TFM_MODES[mode])
+                        for dtype in ("float32", "float64"))
+        rng = np.random.default_rng(t_len)
+        tokens = rng.standard_normal((3, t_len, wide.backbone.d_model))
+        hidden, trace, vjp = backbone_forward(narrow.backbone, tokens, capture=True, grad=True)
+        want, snapshots, want_vjp = backbone_forward(wide.backbone, tokens, capture=True,
+                                                     grad=True)
+        assert_close_to_scale(hidden, want, 1e-5)
+        assert len(trace) == len(snapshots)
+        for got, ref in zip(trace, snapshots):
+            assert_close_to_scale(got, ref, 1e-5)
+        g = rng.standard_normal(hidden.shape)
+        assert_close_to_scale(vjp(g), want_vjp(g), 1e-5)
+
+    @pytest.mark.parametrize("mode", TFM_MODES)
+    def test_no_silent_upcast(self, synth_split, mode, monkeypatch):
+        model = small_model(synth_split, **TFM_MODES[mode])
+        backbone = model.backbone
+        assert backbone.dtype == np.float32
+        for layer in backbone.layers:
+            for w in (layer.wqkv, layer.wo, layer.wf1, layer.wf2):
+                assert w.dtype == np.float32
+        seen = {"_blocks": 0, "_layer_adjoint": 0}
+
+        def checked(name):
+            fn = getattr(network, name)
+
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen[name] += 1
+                for a in arrays_in(out):
+                    assert a.dtype == np.float32, name
+                return out
+            return wrapped
+
+        for name in seen:
+            monkeypatch.setattr(network, name, checked(name))
+        t_len = 7
+        op = network._filter_operator(backbone.tfm_spec, t_len, backbone.tfm_causal_safe,
+                                      backbone.dtype)
+        assert op.dtype == np.float32
+        rng = np.random.default_rng(9)
+        tokens = rng.standard_normal((2, t_len, backbone.d_model))
+        hidden, trace, vjp = backbone_forward(backbone, tokens, capture=True, grad=True)
+        g = vjp(rng.standard_normal(hidden.shape))
+        assert seen == {"_blocks": backbone.n_layers, "_layer_adjoint": backbone.n_layers}
+        for a in (hidden, *trace, g):
+            assert a.dtype == np.float64
+        for hidden, trace in backbone_forward(backbone, tokens, capture=True,
+                                              tfm_modes=(True, False)):
+            for a in (hidden, *trace):
+                assert a.dtype == np.float64
+
+    def test_float32_weights_are_the_float64_draws_cast(self):
+        narrow, wide = (init_backbone(n_layers=2, d_model=8, n_heads=2, seed=5, dtype=dtype)
+                        for dtype in ("float32", "float64"))
+        for a, b in zip(narrow.layers, wide.layers):
+            for name in ("wqkv", "wo", "wf1", "wf2"):
+                np.testing.assert_array_equal(getattr(a, name),
+                                              getattr(b, name).astype(np.float32))
+        with pytest.raises(InputError, match="dtype"):
+            init_backbone(dtype="float16")
 
 
 class TestLengthChunks:
@@ -664,8 +747,17 @@ def group_reference(model, sequences, negatives, grad=True):
 
 
 def mode_model(split, mode, **small_kw):
+    """small_model in one TFM mode, or for "fused" the config's model with
+    glpf.apply_to=fused, whose stack takes only small_kw's dtype."""
     if mode == "fused":
-        return config_model(split, build_cooccurrence(split), {"glpf.apply_to": "fused"})
+        model = config_model(split, build_cooccurrence(split), {"glpf.apply_to": "fused"})
+        if "dtype" not in small_kw:
+            return model
+        # the config's stack redrawn in that dtype: the rest are init_backbone's defaults
+        b = model.backbone
+        return dataclasses.replace(model, backbone=init_backbone(
+            n_layers=b.n_layers, d_model=b.d_model, n_heads=b.n_heads,
+            tfm_enabled=b.tfm_enabled, tfm_spec=b.tfm_spec, dtype=small_kw["dtype"]))
     return small_model(split, **small_kw, **TFM_MODES[mode])
 
 
@@ -693,13 +785,14 @@ class TestEndToEndGradient:
         # d_model 16, T = 8, gradient path through fusion MLP, the token
         # filter when fused, the frozen backbone's adjoint and the temporal
         # filter
-        model = mode_model(synth_split, mode, d_id=6, d_text=4, d_model=16, n_layers=2)
+        model = mode_model(synth_split, mode, d_id=6, d_text=4, d_model=16, n_layers=2,
+                           dtype="float64")
         assert_gradient_fd(model, np.asarray(synth_split.sequences[0][:8], dtype=np.intp),
                            np.array([1, 5, 9, 13], dtype=np.intp))
 
     def test_causal_safe_filter_gradient(self, synth_split):
         model = small_model(synth_split, d_id=4, d_text=4, d_model=16, n_layers=1,
-                            tfm_enabled=True, tfm_causal_safe=True)
+                            tfm_enabled=True, tfm_causal_safe=True, dtype="float64")
         assert_gradient_fd(model, np.asarray(synth_split.sequences[1][:6], dtype=np.intp),
                            np.array([0, 3, 7], dtype=np.intp))
 
@@ -941,6 +1034,7 @@ class TestTrain:
         for a, b in zip(loaded.mlp.param_arrays(), model.mlp.param_arrays()):
             np.testing.assert_array_equal(a, b)
         assert loaded.backbone.parameter_hash() == model.backbone.parameter_hash()
+        assert loaded.backbone.dtype == model.backbone.dtype == np.float32
         seq = list(synth_split.sequences[0][:5])
         a, _ = forward(model, seq)
         b, _ = forward(loaded, seq)
