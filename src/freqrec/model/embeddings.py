@@ -9,15 +9,18 @@ rows one reused block of about PAIR_BLOCK pairs (whole chunks) at a
 time, so no epoch-wide index table is held.  Each step takes a chunk of
 pairs and gathers, per pair, one center row and k + 1 output rows (the
 context, labelled 1, then k negatives, labelled 0) in one indexing
-operation.  It scores them with one einsum and writes every gradient
-back with one scatter.  A row hit several times in one chunk gets the
-mean of its gradients, not their sum.  Centers, contexts and negatives
-are counted apart: a row that is a context and also a negative in one
-chunk gets the mean of its context gradients plus the mean of its
-negative gradients.  The text surrogate hashes metadata
-tokens into buckets, projects the count vector through a fixed seeded
-random matrix and length-normalizes; items without metadata get the zero
-vector.  Externally trained vectors load through the same table format.
+operation.  It scores them with one einsum into the block's score buffer
+and writes every gradient back with one scatter.  A row hit several
+times in one chunk gets the mean of its gradients, not their sum.
+Centers, contexts and negatives are counted apart: a row that is a
+context and also a negative in one chunk gets the mean of its context
+gradients plus the mean of its negative gradients.  The losses are taken
+per block, in one pass once its chunks have run, and added to the epoch
+loss one chunk's sum at a time, in chunk order.  The text surrogate
+hashes metadata tokens into buckets, projects the count vector through a
+fixed seeded random matrix and length-normalizes; items without metadata
+get the zero vector.  Externally trained vectors load through the same
+table format.
 
 Table file format: `freqrec.artifact` with a header of n_items, dim,
 provenance and fingerprint, and one (n_items, dim) float64 array.
@@ -26,6 +29,7 @@ provenance and fingerprint, and one (n_items, dim) float64 array.
 import hashlib
 import logging
 import re
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +99,12 @@ class PretrainConfig:
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+    """The logistic function of x, computed in place."""
+    np.clip(x, -60.0, 60.0, out=x)
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.divide(1.0, x, out=x)
 
 
 def _window_pairs(sequences, window):
@@ -136,11 +145,13 @@ def pretrain_id_embeddings(split, config=PretrainConfig()):
     # and negatives apart: negatives count under row + n.
     span = max(1, PAIR_BLOCK // config.chunk) * config.chunk
     rows = np.empty((min(span, n_pairs), k + 2), dtype=np.intp)
+    scores = np.empty((rows.shape[0], k + 1))
     group = np.r_[0, 0, np.full(k, n_items)]
     labels = np.r_[1.0, np.zeros(k)]
 
     losses = []
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         order = rng.permutation(n_pairs)
         negs = rng.integers(0, n_items, size=(n_pairs, k))
         epoch_loss = 0.0
@@ -153,15 +164,14 @@ def pretrain_id_embeddings(split, config=PretrainConfig()):
             np.take(contexts, picked, out=block[:, 1], mode="clip")
             np.take(negs, picked, axis=0, out=block[:, 2:], mode="clip")
             block[:, 1:] += n_items
-            for start in range(0, picked.size, config.chunk):
+            block_scores = scores[:picked.size]
+            chunks = range(0, picked.size, config.chunk)
+            for start in chunks:
                 idx = block[start:start + config.chunk]
                 gathered = stacked[idx]                 # (b, k + 2, d)
                 c, x = gathered[:, 0], gathered[:, 1:]
-                score = _sigmoid(np.einsum("bd,bkd->bk", c, x))
-                # the probability given to each pair's label: 1 for the
-                # context, 0 for the negatives
-                fit = np.abs(1.0 - labels - score)
-                epoch_loss -= float(np.sum(np.log(np.maximum(fit, 1e-12))))
+                score = _sigmoid(np.einsum("bd,bkd->bk", c, x,
+                                           out=block_scores[start:start + config.chunk]))
                 keys = idx + group
                 step = -config.lr / np.bincount(keys.ravel())[keys]
                 g = score - labels                      # d loss / d score
@@ -169,11 +179,21 @@ def pretrain_id_embeddings(split, config=PretrainConfig()):
                 np.multiply(np.einsum("bk,bkd->bd", g, x), step[:, :1], out=grads[:, 0])
                 np.einsum("bk,bd->bkd", g * step[:, 1:], c, out=grads[:, 1:])
                 add_rows_at(stacked, idx, grads)
+            # the probability given to each pair's label (1 for the context,
+            # 0 for the negatives), then its log, overwrite the scores.  Each
+            # chunk's slice is summed alone, so the sums are those of one
+            # chunk at a time bit for bit.
+            fit = np.subtract(1.0 - labels, block_scores, out=block_scores)
+            np.abs(fit, out=fit)
+            np.log(np.maximum(fit, 1e-12, out=fit), out=fit)
+            for start in chunks:
+                epoch_loss -= float(np.sum(fit[start:start + config.chunk]))
         mean_loss = epoch_loss / n_pairs
         if not np.isfinite(mean_loss):
             raise NumericError(f"skip-gram loss diverged at epoch {epoch}")
         losses.append(mean_loss)
-        log.info("pretrain epoch %d: loss %.5f", epoch, mean_loss)
+        log.info("pretrain epoch %d: loss %.5f, %d pairs in %d chunks, %.2f s", epoch, mean_loss,
+                 n_pairs, -(-n_pairs // config.chunk), time.perf_counter() - started)
     table = EmbeddingTable(n_items=n_items, dim=config.dim, rows=stacked[:n_items],
                            provenance="id")
     return table, losses

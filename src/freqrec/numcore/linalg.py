@@ -43,15 +43,25 @@ def add_rows_at(target, idx, rows):
     row idx[...] of target gains the matching row of `rows`, shaped
     idx.shape + (d,).  It runs on the flat view through numpy's 1-D fast
     path; the flat indices visit every element in the same order as the
-    row-wise call, so the sums are the same bit for bit.  The flat index
-    is as large as `rows` and built in place, so it is the one temporary;
-    a caller with many rows scatters them in blocks."""
+    row-wise call, so the sums are the same bit for bit.
+
+    A float64 target of even width d is viewed, with its rows, as d / 2
+    complex128 columns.  A complex add is two independent float64 adds,
+    one per half, so every element still gets the same additions in the
+    same order, while the scatter walks half as many indices.  Other
+    targets keep the float scatter.  The flat index, half as large as the
+    rows on the complex path and as large on the float one, is built in
+    one pass and is the one temporary (besides a float64 copy of rows
+    that are not C-contiguous float64 already); a caller with many rows
+    scatters them in blocks."""
     if target.ndim != 2 or not target.flags.c_contiguous:
         raise InputError(f"need a C-contiguous 2-D target, got shape {target.shape}")
     d = target.shape[1]
     idx = np.asarray(idx, dtype=np.intp)
-    flat = np.empty(idx.shape + (d,), dtype=np.intp)
-    np.multiply(idx[..., None], d, out=flat)
-    flat += np.arange(d)
-    np.add.at(target.reshape(-1), flat.reshape(-1),
-              np.broadcast_to(rows, flat.shape).reshape(-1))
+    rows = np.broadcast_to(rows, idx.shape + (d,))
+    if target.dtype == np.float64 and d % 2 == 0:
+        target = target.view(np.complex128)
+        rows = np.ascontiguousarray(rows, dtype=np.float64).view(np.complex128)
+        d //= 2
+    flat = (idx * d)[..., None] + np.arange(d)
+    np.add.at(target.reshape(-1), flat.reshape(-1), rows.reshape(-1))

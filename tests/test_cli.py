@@ -1030,7 +1030,12 @@ class TestLogging:
                            "--out-id", str(tmp_path / "id.emb"),
                            "--out-text", str(tmp_path / "text.emb")]) == 0
         err = capsys.readouterr().err
-        assert err.count("pretrain epoch") == 2      # the fixture's pretrain.epochs
+        epochs = [line for line in err.splitlines() if "pretrain epoch" in line]
+        assert len(epochs) == 2                      # the fixture's pretrain.epochs
+        for line in epochs:
+            pairs, chunks = map(int, re.search(r"loss [\d.]+, (\d+) pairs in (\d+) chunks, "
+                                               r"[\d.]+ s$", line).groups())
+            assert chunks == -(-pairs // 128)        # the default pretrain.chunk
         assert (tmp_path / "id.emb").read_bytes() == open(workdir["id"], "rb").read()
 
         assert run(base + ["--log-level", "info", "analyze", "--data", workdir["data"],

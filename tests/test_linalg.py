@@ -144,21 +144,40 @@ class TestStack:
 
 
 class TestAddRowsAt:
-    @pytest.mark.parametrize("idx_shape", [(400,), (40, 10)])
-    def test_bit_identical_to_row_add_at(self, idx_shape):
-        # few target rows, many duplicate indices: the summation order matters
+    @pytest.mark.parametrize("idx_shape, width, rows_dtype, specials", [
+        ((400,), 5, np.float64, False),
+        ((40, 10), 5, np.float64, False),
+        ((40, 10), 6, np.float64, False),
+        ((40, 10), 6, np.float32, False),
+        ((40, 10), 6, np.float64, True),
+    ], ids=["idx_shape0", "idx_shape1", "even_width", "float32_rows", "signed_zero_inf_nan"])
+    def test_bit_identical_to_row_add_at(self, idx_shape, width, rows_dtype, specials):
+        # few target rows, many duplicate indices: the summation order
+        # matters.  An odd width takes the float scatter, an even one the
+        # complex-pair scatter.
         rng = np.random.default_rng(0)
-        target = rng.standard_normal((7, 5))
+        target = rng.standard_normal((7, width))
         idx = rng.integers(0, 7, size=idx_shape)
-        rows = rng.standard_normal(idx_shape + (5,)) * 10.0 ** rng.integers(-8, 8, idx_shape + (5,))
+        rows = (rng.standard_normal(idx_shape + (width,))
+                * 10.0 ** rng.integers(-8, 8, idx_shape + (width,))).astype(rows_dtype)
+        if specials:
+            hit = rng.random(rows.shape) < 0.01
+            rows[hit] = rng.choice([-0.0, np.inf, -np.inf, np.nan], size=hit.sum())
+            # a row that only ever adds -0.0 keeps its sign bit
+            target[0] = -0.0
+            rows[idx == 0] = -0.0
         expected = target.copy()
-        np.add.at(expected, idx, rows)
-        add_rows_at(target, idx, rows)
-        np.testing.assert_array_equal(target, expected)
+        with np.errstate(invalid="ignore"):         # inf + -inf
+            np.add.at(expected, idx, rows)
+            add_rows_at(target, idx, rows)
+        assert target.dtype == expected.dtype and target.tobytes() == expected.tobytes()
+        if specials:
+            assert np.signbit(target[0]).all()
+            assert np.isnan(target).any() and np.isinf(target).any()
 
     def test_flat_index_is_the_one_temporary(self):
-        # the (1024, 16) flat index is as large as the rows; building it in
-        # place keeps the peak near one such array (two, built out of place)
+        # (1024, 16) float64 rows scatter as (1024, 8) complex pairs, so the
+        # flat index is half as large as the rows and built in one pass
         rng = np.random.default_rng(0)
         target = np.zeros((64, 16))
         idx = rng.integers(0, 64, size=1024)

@@ -178,6 +178,20 @@ def duplicate_heavy_split():
     return build_split(InteractionLog(rows), min_interactions=3)
 
 
+# the golden pretraining case, its table's sha256 and its epoch losses
+GOLDEN_TABLE_SHA256 = "33b4352a59e25e45638321d52f2dd8f1b24c78217ec95eedc60fad2b0cb7af2f"
+GOLDEN_LOSSES = ["0x1.0960c0cc4ed66p+2", "0x1.81e4ec361f324p+1"]
+
+
+def golden_pretrain_case():
+    log, _ = synthesize(SynthConfig(users=300, items=200, mean_length=12, rho=0.5, seed=4))
+    return build_split(log, min_interactions=5), PretrainConfig(dim=8, epochs=2, seed=3)
+
+
+def table_sha256(rows):
+    return hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
+
+
 class TestPretrain:
     @pytest.mark.parametrize("case, config", [
         ("duplicates", PretrainConfig(dim=6, window=3, negatives=4, epochs=3, lr=0.2,
@@ -242,24 +256,31 @@ class TestPretrain:
 
     def test_pretrained_and_filtered_table_bytes(self):
         """The sha256 of the pretrained ID table and of its G-LPF-filtered
-        form pin the pair order, the negative stream and the scatter order.
+        form, and the epoch losses as float.hex, pin the pair order, the
+        negative stream, the scatter order and the loss summation order.
         The shape spans several pair blocks and edge blocks, and neither
         path calls BLAS, so the thread count does not matter."""
-        log, _ = synthesize(SynthConfig(users=300, items=200, mean_length=12, rho=0.5, seed=4))
-        split = build_split(log, min_interactions=5)
+        split, config = golden_pretrain_case()
         graph = build_cooccurrence(split)
-        config = PretrainConfig(dim=8, epochs=2, seed=3)
         pairs, _ = _window_pairs([v for v in split.train_views() if len(v)],
                                  config.window)
         assert pairs.size > 4 * PAIR_BLOCK and graph.nnz > 2 * EDGE_BLOCK
-        table, _ = pretrain_id_embeddings(split, config)
+        table, losses = pretrain_id_embeddings(split, config)
         filtered = polynomial_filter(graph, PolyFilterSpec((1.0, -0.6, 0.2)), table.rows)
-        digests = [hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
-                   for a in (table.rows, filtered)]
-        assert digests == [
-            "33b4352a59e25e45638321d52f2dd8f1b24c78217ec95eedc60fad2b0cb7af2f",
+        assert [table_sha256(a) for a in (table.rows, filtered)] == [
+            GOLDEN_TABLE_SHA256,
             "82f6638d3256bf0dfbde36a54eba0c91c5ff8885392f1bbab9be8e92e8914b03",
         ]
+        assert [float.hex(x) for x in losses] == GOLDEN_LOSSES
+
+    @pytest.mark.parametrize("pair_block", [PretrainConfig.chunk, 10 * PAIR_BLOCK],
+                             ids=["one_chunk", "ten_default_blocks"])
+    def test_table_and_losses_do_not_depend_on_pair_block(self, monkeypatch, pair_block):
+        split, config = golden_pretrain_case()
+        monkeypatch.setattr("freqrec.model.embeddings.PAIR_BLOCK", pair_block)
+        table, losses = pretrain_id_embeddings(split, config)
+        assert table_sha256(table.rows) == GOLDEN_TABLE_SHA256
+        assert [float.hex(x) for x in losses] == GOLDEN_LOSSES
 
 
 class TestTextSurrogate:
