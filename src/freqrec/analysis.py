@@ -197,7 +197,8 @@ def check_probe_settings(rho, t_range):
 
 def theorem1_probe(spec, family, rho=0.5, t_range=(8, 64), trials=1000, seed=0):
     """Before/after smoothness statistics of temporal filtering on random
-    signals over a graph family.  spec=None runs the identity filter.
+    signals over a graph family, by the circular FFT filter of spec (not a
+    causal-safe or residual `TemporalFilter`); spec=None runs the identity.
 
     Violations count a trial whose quantity increased beyond a 1e-10
     relative slack; smoothness is taken against the symmetric normalized

@@ -52,7 +52,7 @@ from freqrec.model.embeddings import (
 )
 from freqrec.model.network import build_model
 from freqrec.model.training import TrainConfig, train
-from freqrec.tfm import ButterworthSpec
+from freqrec.tfm import TemporalFilter
 
 
 class _Parser(argparse.ArgumentParser):
@@ -300,8 +300,10 @@ def cmd_analyze(args, cfg, files):
 
 
 def cmd_theorem_probe(args, cfg, files):
+    """Probes the circular response of `tfm.cutoff` and `tfm.order`, whatever
+    `tfm.enabled`, `causal_safe` and `residual` say, under a whole-config stamp."""
     a = cfg["analysis"]
-    spec = None if args.identity else ButterworthSpec.from_config(cfg["tfm"])
+    spec = None if args.identity else TemporalFilter.from_config(cfg["tfm"]).spec
     report = theorem1_probe(spec, args.family, rho=a["theorem_rho"],
                             t_range=(a["theorem_t_min"], a["theorem_t_max"]),
                             trials=a["theorem_trials"], seed=a["theorem_seed"])

@@ -1,9 +1,9 @@
 """Run configuration: defaults, file loading, overrides, fingerprints.
 
 A config is one JSON document; every field has a default.  The `synth`,
-`pretrain` and `training` sections (with `model.d_id` and the `tfm` spec
-fields) take theirs from the dataclasses they configure, and every other
-field from the signature of the function it configures (`init_backbone`,
+`pretrain` and `training` sections (with `model.d_id` and the `tfm`
+filter fields) take theirs from the dataclasses they configure, and every
+other field from the signature of the function it configures (`init_backbone`,
 `init_fusion_mlp`, `ingest`, `build_split`, `text_surrogate_embeddings`,
 `evaluate` and `draw_candidates` for the `eval` section,
 `trace_spectral_profile`, `theorem1_probe`).  A value from a file must
@@ -40,7 +40,7 @@ from freqrec.glpf import APPLY_TO, PolyFilterSpec
 from freqrec.model.embeddings import D_TEXT_FLOOR, PretrainConfig, text_surrogate_embeddings
 from freqrec.model.network import ACTIVATIONS, check_heads, init_backbone, init_fusion_mlp
 from freqrec.model.training import TrainConfig
-from freqrec.tfm import ButterworthSpec
+from freqrec.tfm import TemporalFilter
 
 
 def _section(cls, *outside):
@@ -87,9 +87,9 @@ DEFAULTS = {
     },
     "tfm": {
         "enabled": True,
-        **asdict(ButterworthSpec()),    # cutoff, order
-        "residual": False,
-        "causal_safe": False,
+        **asdict(TemporalFilter.spec),    # cutoff, order
+        "residual": TemporalFilter.residual,
+        "causal_safe": TemporalFilter.causal_safe,
     },
     "training": _section(TrainConfig),
     "eval": {**_kwargs(evaluate), **_kwargs(draw_candidates)},     # k, n_candidates, seed
@@ -201,7 +201,7 @@ def _check_values(config):
             ("synth", lambda: SynthConfig(**config["synth"])),
             ("analysis", check_probe_settings, a["theorem_rho"],
              (a["theorem_t_min"], a["theorem_t_max"])),
-            ("tfm", ButterworthSpec.from_config, config["tfm"]),
+            ("tfm", TemporalFilter.from_config, config["tfm"]),
             ("glpf", PolyFilterSpec.from_config, config["glpf"]),
             ("backbone", check_heads, config["model"]["d_model"], config["backbone"]["heads"])):
         try:

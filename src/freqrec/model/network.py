@@ -14,16 +14,9 @@ backbone's hand-written adjoint with respect to its input alone (layer
 norm, attention, the FFN and the temporal filter, backwards through the
 layers).  Value-only passes keep nothing.
 
-When temporal filtering is enabled it runs on the full hidden matrix after
-each layer's residual blocks, as one dense (T, T) operator per length
-(`_filter_operator`, built once per spec, length and mode): the FFT
-filter's own matrix, or the causal-safe prefix matrix.  The forward
-applies `op @ h` and the adjoint its transpose, `op.T @ g`.  At every
-`max_seq_len` in use this matmul costs a fraction of an rfft/irfft pair
-(the two cross near T = 400).  Note the full-matrix filter intentionally
-mixes information across positions, so strict causality holds only with
-the filter disabled (or in the causal-safe mode, whose row t filters the
-prefix up to t alone).
+When temporal filtering is enabled, the backbone's `tfm.TemporalFilter`
+runs on the full hidden matrix after each layer's residual blocks, and
+its transpose in the adjoint; it says where it breaks causality.
 
 Attention projects each layer's rows once, through the (d, 3d) `wqkv`,
 and runs all heads at once on a head axis (..., H, T, dh).  The kernels
@@ -35,7 +28,7 @@ The stack runs in one dtype, `Backbone.dtype`, the dtype of its
 weights: float32 as `build_model` builds it, or float64 from
 `init_backbone(dtype="float64")`, the reference the kernel and gradient
 checks run.  In it are the four layer matrices (the seeded float64
-draws cast once), the cached filter operator, the causal mask and
+draws cast once), the filter's cached operator, the causal mask and
 everything between the stack's ends: the residual stream, every
 kernel's temporaries and the VJP's cache and gradients.
 `backbone_forward` casts the tokens down as they enter and casts the
@@ -56,7 +49,6 @@ one loss per chunk.  The filter gains depend on T, so exact-length buckets
 need no padding and give each sequence the numbers its own forward would.
 """
 
-import functools
 import hashlib
 import logging
 from dataclasses import dataclass
@@ -66,7 +58,7 @@ import numpy as np
 from freqrec.errors import InputError
 from freqrec.glpf import PolyFilterSpec, polynomial_filter, stage_filter
 from freqrec.numcore import autodiff as ad
-from freqrec.tfm import ButterworthSpec, butterworth_gains, make_filter
+from freqrec.tfm import TemporalFilter
 
 log = logging.getLogger(__name__)
 
@@ -151,20 +143,21 @@ class BackboneLayer:
 @dataclass
 class Backbone:
     """The frozen stack and what its passes read: the layers, the head
-    count and the temporal filter.  `init_backbone` draws it from a seed;
-    the effective config, which a checkpoint stores, is its description."""
+    count and the temporal filter, run when `tfm_enabled`.  `init_backbone`
+    draws it from a seed; the config, which a checkpoint stores, describes it."""
 
     layers: list
-    d_model: int
     n_heads: int
     tfm_enabled: bool
-    tfm_spec: ButterworthSpec
-    tfm_residual: bool
-    tfm_causal_safe: bool
+    tfm: TemporalFilter
 
     @property
     def n_layers(self):
         return len(self.layers)
+
+    @property
+    def d_model(self):
+        return self.layers[0].wqkv.shape[0]
 
     @property
     def dtype(self):
@@ -185,13 +178,12 @@ def check_heads(d_model, n_heads):
 
 
 def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
-                  tfm_enabled=False, tfm_spec=None, tfm_residual=False,
-                  tfm_causal_safe=False, dtype="float32"):
+                  tfm_enabled=False, tfm=TemporalFilter(), dtype="float32"):
     """A seeded frozen stack; its defaults are the config's `backbone`
     section and `model.d_model`.  Temporal filtering defaults to off here
     and on in the config (`tfm.enabled`): the bare stack here, the default
-    experiment there.  The float64 draws are cast once to `dtype`, the
-    stack's one dtype (`DTYPES`); no config key sets it."""
+    experiment there; `tfm` is the filter it runs.  The float64 draws are
+    cast once to `dtype`, the stack's one dtype (`DTYPES`); no key sets it."""
     if n_layers < 1:
         raise InputError(f"a backbone needs at least 1 layer, got {n_layers}")
     if dtype not in DTYPES:
@@ -209,32 +201,7 @@ def init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2, ffn_mult=4,
         wf2 = rng.standard_normal((hidden, d_model)) / np.sqrt(hidden)
         layers.append(BackboneLayer(*(w.astype(dtype, copy=False)
                                       for w in (wqkv, wo, wf1, wf2))))
-    return Backbone(layers=layers, d_model=d_model, n_heads=n_heads, tfm_enabled=tfm_enabled,
-                    tfm_spec=tfm_spec if tfm_spec is not None else ButterworthSpec(),
-                    tfm_residual=tfm_residual, tfm_causal_safe=tfm_causal_safe)
-
-
-def _causal_safe_matrix(spec, t_len):
-    """Dense operator for prefix-only filtering: row t is row t of the
-    length-(t+1) circulant filter, zero-padded.  Linear but not symmetric,
-    so its adjoint is the transpose."""
-    m = np.zeros((t_len, t_len))
-    for t in range(t_len):
-        n = t + 1
-        kernel = np.fft.ifft(butterworth_gains(spec, n)).real
-        m[t, :n] = kernel[(np.arange(n) - t) % n]
-    return m
-
-
-@functools.lru_cache(maxsize=256)
-def _filter_operator(spec, t_len, causal_safe, dtype):
-    """The temporal filter at length T as one read-only (T, T) matrix in
-    the stack's dtype: the causal-safe prefix matrix, or the FFT filter
-    applied to the identity, built in float64 and cast once."""
-    op = (_causal_safe_matrix(spec, t_len) if causal_safe
-          else make_filter(spec, t_len)(np.eye(t_len))).astype(dtype, copy=False)
-    op.flags.writeable = False
-    return op
+    return Backbone(layers=layers, n_heads=n_heads, tfm_enabled=tfm_enabled, tfm=tfm)
 
 
 def _mT(x):
@@ -330,21 +297,10 @@ def _blocks(h, layer, n_heads, mask, record):
     return ffn, ((xhat1, inv1, saved, xhat2, inv2, pre, th) if record else None)
 
 
-def _filtered(h, op, residual):
-    """The temporal filter operator op on a state, when op is set."""
-    if op is None:
-        return h
-    filtered = op @ h
-    return h + filtered if residual else filtered
-
-
-def _layer_adjoint(g, layer, cache, op, residual):
+def _layer_adjoint(g, layer, cache):
     """Gradient with respect to a layer's input state, given the gradient
-    with respect to its output."""
+    with respect to its residual blocks' output."""
     xhat1, inv1, saved, xhat2, inv2, pre, th = cache
-    if op is not None:
-        filtered = op.T @ g
-        g = g + filtered if residual else filtered
     g_pre = g @ layer.wf2.T
     g_pre *= ad.gelu_slope(pre, th)
     g = g + _layer_norm_adjoint(g_pre @ layer.wf1.T, xhat2, inv2)
@@ -376,18 +332,16 @@ def backbone_forward(backbone, tokens, capture=False, grad=False, tfm_modes=None
     modes = [backbone.tfm_enabled] if tfm_modes is None else list(tfm_modes)
     t_len, dtype = tokens.shape[-2], backbone.dtype
     mask = np.triu(np.full((t_len, t_len), CAUSAL_MASK_VALUE, dtype=dtype), k=1)
-    ops = [_filter_operator(backbone.tfm_spec, t_len, backbone.tfm_causal_safe, dtype)
-           if on else None for on in modes]
     states = [tokens.astype(dtype, copy=False)] * len(modes)
     snapshots = [[tokens.copy()] * len(modes)] if capture else None
     caches = []
     for layer in backbone.layers:
         last, outs = None, []
-        for h, op in zip(states, ops):
+        for h, on in zip(states, modes):
             if h is not last:
                 (blocks, cache), last = _blocks(h, layer, backbone.n_heads, mask, grad), h
                 caches.append(cache)
-            outs.append(_filtered(blocks, op, backbone.tfm_residual))
+            outs.append(backbone.tfm.apply(blocks) if on else blocks)
         states = outs
         if capture:
             snapshots.append([_float64(s) for s in states])
@@ -395,14 +349,14 @@ def backbone_forward(backbone, tokens, capture=False, grad=False, tfm_modes=None
     traces = [list(s) for s in zip(*snapshots)] if capture else [None] * len(modes)
     if tfm_modes is not None:
         return list(zip(hidden, traces))
-    h, trace, op = hidden[0], traces[0], ops[0]
+    h, trace, on = hidden[0], traces[0], modes[0]
     if not grad:
         return h, trace
 
     def vjp(g):
         g = g.astype(dtype, copy=False)
         for layer, cache in zip(reversed(backbone.layers), reversed(caches)):
-            g = _layer_adjoint(g, layer, cache, op, backbone.tfm_residual)
+            g = _layer_adjoint(backbone.tfm.adjoint(g) if on else g, layer, cache)
         return _float64(g)
 
     return h, trace, vjp
@@ -446,8 +400,7 @@ def build_model(cfg, id_table, text_table, graph=None):
                           seed=m["mlp_seed"], activation=m["activation"])
     backbone = init_backbone(n_layers=b["layers"], d_model=m["d_model"],
                              n_heads=b["heads"], seed=b["seed"], ffn_mult=b["ffn_mult"],
-                             tfm_enabled=t["enabled"], tfm_spec=ButterworthSpec.from_config(t),
-                             tfm_residual=t["residual"], tfm_causal_safe=t["causal_safe"])
+                             tfm_enabled=t["enabled"], tfm=TemporalFilter.from_config(t))
     log.info("frozen stack: %d layers, d_model %d, %s", backbone.n_layers, backbone.d_model,
              backbone.dtype)
     token_filter = stage_filter(cfg["glpf"], "fused")

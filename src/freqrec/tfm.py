@@ -7,12 +7,15 @@ real magnitude gain sqrt(1 / (1 + (omega_k / omega_c)^(2n))).  Conjugate
 bin pairs share a gain, so the filter runs on numpy's real FFT
 (rfft/irfft, O(T log T) for every T): a real matrix maps to a real
 matrix with no phase shift.  The operator is linear with a symmetric
-real spectral multiplier, hence self-adjoint.  The backbone does not run
-the FFT per pass: it applies the filter's own (T, T) matrix, built once
-per length by filtering the identity, and backpropagates through its
-transpose (`model.network`).  `tfm_apply` keeps the FFT.
+real spectral multiplier, hence self-adjoint.  `tfm_apply` and
+`make_filter` run that FFT.
+
+`TemporalFilter` is the backbone's filter, one cached (T, T) matrix per
+length and dtype; at every `max_seq_len` in use that matmul costs a
+fraction of an rfft/irfft pair (the two cross near T = 400).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +37,6 @@ class ButterworthSpec:
             raise InputError(f"cutoff must lie in (0, 1], got {self.cutoff}")
         if self.order < 1:
             raise InputError(f"order must be a positive integer, got {self.order}")
-
-    @classmethod
-    def from_config(cls, tfm):
-        return cls(cutoff=tfm["cutoff"], order=tfm["order"])
 
 
 def bin_frequencies(t_len):
@@ -67,10 +66,9 @@ def tfm_apply(h, spec):
 
 def make_filter(spec, t_len):
     """Fixed-length filter closure (linear and self-adjoint by
-    construction).  It filters along axis -2, so a
-    (B, T, d) stack is B independent T x d matrices.  The real FFT keeps
-    bins 0..T//2 only; the gains are conjugate-symmetric, so the dropped
-    bins need none."""
+    construction).  It filters along axis -2, so a (B, T, d) stack is B
+    independent T x d matrices.  The real FFT keeps bins 0..T//2 only; the
+    gains are conjugate-symmetric, so the dropped bins need none."""
     gains = butterworth_gains(spec, t_len)[:t_len // 2 + 1, None]
 
     def apply(h):
@@ -79,6 +77,51 @@ def make_filter(spec, t_len):
         return np.fft.irfft(np.fft.rfft(h, axis=-2) * gains, n=t_len, axis=-2)
 
     return apply
+
+
+@dataclass(frozen=True)
+class TemporalFilter:
+    """The backbone's temporal filter: the Butterworth response `spec`,
+    circular or, `causal_safe`, row t filtering the prefix up to t alone,
+    plus the unfiltered state when `residual`.  Only off or causal-safe is
+    the stack causal, and the leak reaches the loss: `sequence_loss` scores
+    position t from a forward of the whole sequence, `evaluate` from one of
+    its prefix, and the two differ by 0.76 circular and 2.9 residual (and
+    agree to rounding off and causal-safe) in `tests/test_model.py`."""
+
+    spec: ButterworthSpec = ButterworthSpec()
+    causal_safe: bool = False
+    residual: bool = False
+
+    @classmethod
+    def from_config(cls, tfm):
+        return cls(ButterworthSpec(cutoff=tfm["cutoff"], order=tfm["order"]),
+                   causal_safe=tfm["causal_safe"], residual=tfm["residual"])
+
+    @functools.lru_cache(maxsize=256)
+    def operator(self, t_len, dtype):
+        """The filter at length T as one read-only (T, T) matrix in dtype,
+        built in float64 and cast once: the FFT filter of the identity or,
+        causal-safe, row t of the length-(t+1) circulant, zero-padded, as row t."""
+        if self.causal_safe:
+            op = np.zeros((t_len, t_len))
+            for n in range(1, t_len + 1):    # row n - 1 filters the length-n prefix
+                kernel = np.fft.ifft(butterworth_gains(self.spec, n)).real
+                op[n - 1, :n] = kernel[(np.arange(n) + 1 - n) % n]
+        else:
+            op = make_filter(self.spec, t_len)(np.eye(t_len))
+        op = op.astype(dtype, copy=False)
+        op.flags.writeable = False
+        return op
+
+    def apply(self, h):
+        filtered = self.operator(h.shape[-2], h.dtype) @ h
+        return h + filtered if self.residual else filtered
+
+    def adjoint(self, g):
+        """The transpose of `apply`, on the gradient of its output."""
+        filtered = self.operator(g.shape[-2], g.dtype).T @ g
+        return g + filtered if self.residual else filtered
 
 
 def ring_graph_laplacian(t_len):

@@ -35,6 +35,7 @@ from freqrec.numcore.linalg import sym_eigendecompose
 from freqrec.spectral import basis_from_matrix, gft
 from freqrec.tfm import (
     ButterworthSpec,
+    TemporalFilter,
     bin_frequencies,
     butterworth_gains,
     ring_analytic_span,
@@ -275,7 +276,7 @@ class TestCriterion7QualitativeTrend:
             for enabled in (True, False):
                 backbone = init_backbone(n_layers=4, d_model=64, n_heads=2,
                                          seed=seed + 2, tfm_enabled=enabled,
-                                         tfm_spec=ButterworthSpec(0.3, 2))
+                                         tfm=TemporalFilter(ButterworthSpec(0.3, 2)))
                 model = RecModel(id_table=id_table, text_table=text_table,
                                  mlp=mlp, backbone=backbone)
                 profile = trace_spectral_profile(model, split.sequences, graph,
@@ -318,7 +319,7 @@ class TestCriterion8EndToEnd:
         text_table = text_surrogate_embeddings(split, d_text=50, seed=0)
         mlp = init_fusion_mlp(100, 64, seed=1)
         backbone = init_backbone(n_layers=4, d_model=64, n_heads=2, seed=2,
-                                 tfm_enabled=True, tfm_spec=ButterworthSpec(0.3, 2))
+                                 tfm_enabled=True, tfm=TemporalFilter(ButterworthSpec(0.3, 2)))
         model = RecModel(id_table=id_table, text_table=text_table, mlp=mlp,
                          backbone=backbone)
         train(model, split, draw_candidates(split, "valid"),

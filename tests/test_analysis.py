@@ -79,7 +79,7 @@ class TestProfile:
             assert abs(raw[l].sum() - total) <= 1e-9 * max(total, 1.0)
 
     @pytest.mark.parametrize("backbone_kw", [
-        {}, {"tfm_enabled": True}, {"tfm_enabled": True, "tfm_causal_safe": True},
+        TFM_MODES[mode] for mode in ("off", "on", "causal_safe")
     ], ids=["off", "on", "causal_safe"])
     def test_matches_per_sequence_sum(self, setup, backbone_kw):
         split, graph, _ = setup

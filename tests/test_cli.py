@@ -27,6 +27,7 @@ from freqrec.model.network import build_model, init_backbone, init_fusion_mlp, l
 from freqrec.checkpoint import CHECKPOINT_MAGIC, load_checkpoint
 from freqrec.model.training import TrainConfig, train
 from freqrec.spectral import band_energy
+from freqrec.tfm import TemporalFilter
 from tests.test_model import count_calls
 
 
@@ -1088,6 +1089,9 @@ class TestConfig:
                 where, key = outside.get(name, (section, name))
                 assert cfg[where][key] == value, f"{cls.__name__}.{name}"
         assert TrainConfig().epochs == cfg["training"]["epochs"] == 10
+        # the tfm section is TemporalFilter's fields and the enabled switch
+        assert set(cfg["tfm"]) == {"enabled", "cutoff", "order", "causal_safe", "residual"}
+        assert TemporalFilter.from_config(cfg["tfm"]) == TemporalFilter()
         # (function, the config value of each keyword argument's default);
         # init_backbone's tfm_enabled differs on purpose (see its docstring)
         a = cfg["analysis"]
@@ -1096,9 +1100,7 @@ class TestConfig:
                                  "n_heads": cfg["backbone"]["heads"],
                                  "seed": cfg["backbone"]["seed"],
                                  "ffn_mult": cfg["backbone"]["ffn_mult"],
-                                 "d_model": cfg["model"]["d_model"],
-                                 "tfm_residual": cfg["tfm"]["residual"],
-                                 "tfm_causal_safe": cfg["tfm"]["causal_safe"]}),
+                                 "d_model": cfg["model"]["d_model"]}),
                 (init_fusion_mlp, {"seed": cfg["model"]["mlp_seed"],
                                    "activation": cfg["model"]["activation"]}),
                 (ds.ingest, {"format": cfg["dataset"]["format"]}),

@@ -42,7 +42,13 @@ from freqrec.model.network import (
 )
 from freqrec.model.training import TrainConfig, batch_loss, sequence_loss, train
 from freqrec.numcore import autodiff as ad
-from freqrec.tfm import ButterworthSpec, butterworth_gains, make_filter, tfm_apply
+from freqrec.tfm import (
+    ButterworthSpec,
+    TemporalFilter,
+    butterworth_gains,
+    make_filter,
+    tfm_apply,
+)
 
 
 def cycle_log(n_cycles=40, cycle_len=3, laps=4):
@@ -444,7 +450,7 @@ class TestForward:
         assert np.all(gains >= 1.0 / np.sqrt(2.0) - 1e-12)
 
     def test_causal_safe_mode_preserves_prefixes(self, synth_split):
-        model = small_model(synth_split, tfm_enabled=True, tfm_causal_safe=True)
+        model = small_model(synth_split, tfm_enabled=True, tfm=TemporalFilter(causal_safe=True))
         seq = list(synth_split.sequences[0][:6])
         _, trace = forward(model, seq, capture=True)
         perturbed = list(seq)
@@ -455,8 +461,8 @@ class TestForward:
 
 
 TFM_MODES = {"off": {}, "on": {"tfm_enabled": True},
-             "causal_safe": {"tfm_enabled": True, "tfm_causal_safe": True},
-             "residual": {"tfm_enabled": True, "tfm_residual": True}}
+             "causal_safe": {"tfm_enabled": True, "tfm": TemporalFilter(causal_safe=True)},
+             "residual": {"tfm_enabled": True, "tfm": TemporalFilter(residual=True)}}
 
 
 class TestBatchedForward:
@@ -534,11 +540,12 @@ def reference_backbone(backbone, tokens):
     scale = 1.0 / np.sqrt(dh)
     mask = np.triu(np.full((t_len, t_len), network.CAUSAL_MASK_VALUE), k=1)
     filt = filt_adjoint = None
-    if backbone.tfm_enabled and backbone.tfm_causal_safe:
-        m = network._causal_safe_matrix(backbone.tfm_spec, t_len)
+    tfm = backbone.tfm
+    if backbone.tfm_enabled and tfm.causal_safe:
+        m = tfm.operator(t_len, np.dtype(np.float64))
         filt, filt_adjoint = (lambda a: m @ a), (lambda g: m.T @ g)
     elif backbone.tfm_enabled:
-        filt = filt_adjoint = make_filter(backbone.tfm_spec, t_len)
+        filt = filt_adjoint = make_filter(tfm.spec, t_len)
     heads = [slice(i * dh, (i + 1) * dh) for i in range(backbone.n_heads)]
     mT = lambda a: np.swapaxes(a, -1, -2)  # noqa: E731
     h, snapshots, caches = tokens, [tokens], []
@@ -559,7 +566,7 @@ def reference_backbone(backbone, tokens):
         act, th = ad.gelu(pre)
         h = h + act @ layer.wf2
         if filt is not None:
-            h = h + filt(h) if backbone.tfm_residual else filt(h)
+            h = h + filt(h) if tfm.residual else filt(h)
         snapshots.append(h)
         caches.append((y1, inv1, saved, y2, inv2, pre, th))
 
@@ -567,7 +574,7 @@ def reference_backbone(backbone, tokens):
         for layer, (xhat1, inv1, saved, xhat2, inv2, pre, th) in zip(
                 reversed(backbone.layers), reversed(caches)):
             if filt_adjoint is not None:
-                g = g + filt_adjoint(g) if backbone.tfm_residual else filt_adjoint(g)
+                g = g + filt_adjoint(g) if tfm.residual else filt_adjoint(g)
             g_pre = (g @ layer.wf2.T) * _ref_gelu_slope(pre, th)
             g = g + _ref_layer_norm_adjoint(g_pre @ layer.wf1.T, xhat2, inv2)
             wq, wk, wv = np.split(layer.wqkv, 3, axis=1)
@@ -627,8 +634,8 @@ class TestReferenceKernels:
     @pytest.mark.parametrize("t_len", [1, 2, 7, 8, 45])
     def test_operator_is_the_fft_filter(self, t_len):
         spec = ButterworthSpec(cutoff=0.3, order=2)
-        op = network._filter_operator(spec, t_len, False, np.dtype(np.float64))
-        assert op is network._filter_operator(spec, t_len, False, np.dtype(np.float64))
+        op = TemporalFilter(spec).operator(t_len, np.dtype(np.float64))
+        assert op is TemporalFilter(spec).operator(t_len, np.dtype(np.float64))
         assert not op.flags.writeable
         h = np.random.default_rng(t_len).standard_normal((t_len, 5))
         assert_close_to_scale(op @ h, tfm_apply(h, spec), 1e-14)
@@ -636,7 +643,7 @@ class TestReferenceKernels:
     @pytest.mark.parametrize("t_len", [1, 2, 7, 8, 45])
     def test_causal_safe_row_is_its_prefix_filter(self, t_len):
         spec = ButterworthSpec(cutoff=0.25, order=3)
-        op = network._filter_operator(spec, t_len, True, np.dtype(np.float64))
+        op = TemporalFilter(spec, causal_safe=True).operator(t_len, np.dtype(np.float64))
         h = np.random.default_rng(t_len).standard_normal((t_len, 4))
         out = op @ h
         for t in range(t_len):
@@ -699,8 +706,7 @@ class TestStackDtype:
         for name in seen:
             monkeypatch.setattr(network, name, checked(name))
         t_len = 7
-        op = network._filter_operator(backbone.tfm_spec, t_len, backbone.tfm_causal_safe,
-                                      backbone.dtype)
+        op = backbone.tfm.operator(t_len, backbone.dtype)
         assert op.dtype == np.float32
         rng = np.random.default_rng(9)
         tokens = rng.standard_normal((2, t_len, backbone.d_model))
@@ -774,11 +780,12 @@ def mode_model(split, mode, **small_kw):
         model = config_model(split, build_cooccurrence(split), {"glpf.apply_to": "fused"})
         if "dtype" not in small_kw:
             return model
-        # the config's stack redrawn in that dtype: the rest are init_backbone's defaults
+        # the config's stack redrawn in that dtype: its seed and FFN width are
+        # init_backbone's defaults
         b = model.backbone
         return dataclasses.replace(model, backbone=init_backbone(
             n_layers=b.n_layers, d_model=b.d_model, n_heads=b.n_heads,
-            tfm_enabled=b.tfm_enabled, tfm_spec=b.tfm_spec, dtype=small_kw["dtype"]))
+            tfm_enabled=b.tfm_enabled, tfm=b.tfm, dtype=small_kw["dtype"]))
     return small_model(split, **small_kw, **TFM_MODES[mode])
 
 
@@ -813,9 +820,36 @@ class TestEndToEndGradient:
 
     def test_causal_safe_filter_gradient(self, synth_split):
         model = small_model(synth_split, d_id=4, d_text=4, d_model=16, n_layers=1,
-                            tfm_enabled=True, tfm_causal_safe=True, dtype="float64")
+                            tfm_enabled=True, tfm=TemporalFilter(causal_safe=True),
+                            dtype="float64")
         assert_gradient_fd(model, np.asarray(synth_split.sequences[1][:6], dtype=np.intp),
                            np.array([0, 3, 7], dtype=np.intp))
+
+
+class TestTrainingLeak:
+    """Training scores position t from one forward of the whole sequence,
+    `evaluate` from a forward of the prefix up to t: a filter that is not
+    causal leaks later items into the training loss."""
+
+    @pytest.mark.parametrize("mode", TFM_MODES)
+    def test_sequence_loss_is_the_prefix_scored_loss(self, synth_split, mode):
+        model = small_model(synth_split, dtype="float64", **TFM_MODES[mode])
+        seq = np.asarray(synth_split.sequences[0][:7], dtype=np.intp)
+        negs = np.array([1, 5, 9, 13], dtype=np.intp)
+        table = all_item_tokens(model)
+        loss = float(sequence_loss(model.backbone, seq[None], negs[None],
+                                   ad.parameter(table)).value)
+        terms = []
+        for t in range(seq.size - 1):
+            hidden, _ = forward(model, seq[:t + 1], table=table)
+            logits = table[np.concatenate([seq[t + 1:t + 2], negs])] @ hidden[-1]
+            top = logits.max()
+            terms.append(top + np.log(np.exp(logits - top).sum()) - logits[0])
+        prefix_scored = float(np.mean(terms))
+        if mode in ("off", "causal_safe"):
+            assert abs(loss - prefix_scored) <= 1e-12
+        else:
+            assert abs(loss - prefix_scored) > 0.1, (loss, prefix_scored)
 
 
 def assert_matches(losses, grads, ref_loss, ref_grads):
