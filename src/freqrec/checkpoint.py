@@ -24,7 +24,7 @@ def save_checkpoint(model, path, config):
         "fingerprint": fingerprint(config),
         "n_items": model.n_items,
         "config": config,
-        "graph": None if model.token_filter is None else model.graph.digest(),
+        "graph": None if model.token_filter is None else model.token_filter.graph.digest(),
     }
     artifact.write(path, header, model.mlp.param_arrays(), magic=CHECKPOINT_MAGIC)
 

@@ -13,19 +13,21 @@ success, 1 input/capability error, 2 numeric or training error.  Log
 records (`--log-level`) go to stderr only, never into an artifact or the
 fingerprint.
 
-The model commands (train, evaluate, analyze, sweep) load their inputs
-through one helper, which requires embedding tables of the configured
-widths (model.d_id, model.d_text), each in its own slot by provenance,
-and inputs over one item count, even under --force.  evaluate and
-analyze get their model through one more, which refuses artifacts whose
-fingerprints disagree with the run config unless --force is given.
+Every embedding table loads for one slot (`_table`; glpf's --embeddings
+is the ID slot): of that slot's width (model.d_id, model.d_text) and not
+made for the other one, even under --force.  The model commands (train,
+evaluate, analyze, sweep) load their inputs through one helper, which
+also needs them over one item count; evaluate and analyze get their model
+through one more, which refuses artifacts whose fingerprints disagree
+with the run config unless --force is given.  G-LPF runs as
+`glpf.stage_filter` returns it, and a sweep checks every grid point's
+config before anything trains.
 Every number file is written here, by one CSV writer (cells are the repr
 of Python ints and floats) and one sorted-key strict JSON writer
 (`_Outputs`), which refuses NaN and infinities.
 """
 
 import argparse
-import copy
 import dataclasses
 import json
 import logging
@@ -38,10 +40,10 @@ import numpy as np
 from freqrec import dataset as ds
 from freqrec.analysis import attenuation_metric, theorem1_probe, trace_spectral_profile
 from freqrec.checkpoint import load_checkpoint, save_checkpoint
-from freqrec.config import fingerprint, load_config
+from freqrec.config import checked_config, fingerprint, load_config
 from freqrec.errors import FreqRecError, InputError, NumericError
 from freqrec.evalharness import baselines, draw_candidates, evaluate
-from freqrec.glpf import PolyFilterSpec, polynomial_filter, stage_filter
+from freqrec.glpf import PolyFilterSpec, stage_filter
 from freqrec.graph import build_cooccurrence, load_graph, save_graph
 from freqrec.model.embeddings import (
     PretrainConfig,
@@ -139,17 +141,22 @@ def _check_fingerprints(named, force):
                          "(pass --force to use them anyway)")
 
 
+def _table(cfg, slot, flag, path):
+    """The embedding table for `slot` ("id" or "text") that `flag` names:
+    refused unless of width model.d_<slot>, and when made for the other slot."""
+    table = load_external(path, expect_dim=cfg["model"][f"d_{slot}"])
+    other = "text" if slot == "id" else "id"
+    if table.provenance == other:
+        raise InputError(f"{flag} {path}: a table of provenance {other!r} belongs in --{other}")
+    return table
+
+
 def _inputs(args, cfg):
-    """The split, both embedding tables (refused unless of the configured
-    widths, and a table made for the other slot) and the graph, None
+    """The split, both embedding tables (`_table`) and the graph, None
     without --graph; all must cover the split's item count."""
     _, split = _load_split(cfg, args.data)
-    id_table = load_external(args.id, expect_dim=cfg["model"]["d_id"])
-    text_table = load_external(args.text, expect_dim=cfg["model"]["d_text"])
-    for flag, table, other in (("--id", id_table, "text"), ("--text", text_table, "id")):
-        if table.provenance == other:
-            raise InputError(f"{flag} {getattr(args, flag[2:])}: a table of provenance "
-                             f"{other!r} belongs in --{other}")
+    id_table = _table(cfg, "id", "--id", args.id)
+    text_table = _table(cfg, "text", "--text", args.text)
     graph = load_graph(args.graph) if args.graph else None
     counts = {"--data": split.n_items, "--id": id_table.n_items, "--text": text_table.n_items,
               **({"--graph": graph.n_items} if graph is not None else {})}
@@ -221,15 +228,15 @@ def cmd_pretrain(args, cfg, files):
 
 def cmd_glpf(args, cfg, files):
     graph = load_graph(args.graph)
-    table = load_external(args.embeddings)
+    table = _table(cfg, "id", "--embeddings", args.embeddings)
     if table.n_items != graph.n_items:
         raise InputError(f"embedding table covers {table.n_items} items, graph "
                          f"{graph.n_items}")
     # under apply_to=fused the filter runs on the fused tokens, so the ID
     # table passes through unfiltered
-    id_filter = stage_filter(cfg["glpf"], "id")
+    id_filter = stage_filter(cfg["glpf"], "id", graph)
     if id_filter is not None:
-        table.rows = polynomial_filter(graph, id_filter, table.rows)
+        table.rows = id_filter.apply(table.rows)
     table.fingerprint = fingerprint(cfg)
     files.write(args.out, lambda tmp: save_table(table, tmp))
     files.emit(None, {"enabled": cfg["glpf"]["enabled"],
@@ -312,31 +319,27 @@ def cmd_theorem_probe(args, cfg, files):
 
 
 def cmd_sweep(args, cfg, files):
-    values = []
+    section, key = {"alpha": ("glpf", "alpha"), "cutoff": ("tfm", "cutoff")}[args.param]
+    if args.param == "alpha" and cfg["glpf"]["coefficients"] is not None:
+        raise InputError("an alpha sweep needs glpf.coefficients=null: explicit "
+                         "coefficients override alpha, so every grid point is one model")
+    grid = []
     for token in args.values.split(","):
         try:
-            values.append(float(token))
+            value = float(token)
         except ValueError:
             raise InputError(f"--values: {token!r} is not a number") from None
+        grid.append((value, checked_config(
+            {**cfg, section: {**cfg[section], key: value, "enabled": True}})))
     split, id_table, text_table, graph = _inputs(args, cfg)
-    if args.param == "alpha" and graph is None:
-        raise InputError("alpha sweep needs --graph")
     # the grid changes only glpf and tfm keys, so one draw per phase serves it
     valid, test = _draw(cfg, split, "valid"), _draw(cfg, split, "test")
     rows = []
-    for value in values:
-        run_cfg = copy.deepcopy(cfg)
-        table = id_table
-        if args.param == "alpha":
-            run_cfg["glpf"]["alpha"] = value
-            run_cfg["glpf"]["enabled"] = True
-            id_filter = stage_filter(run_cfg["glpf"], "id")
-            if id_filter is not None:
-                table = dataclasses.replace(
-                    id_table, rows=polynomial_filter(graph, id_filter, id_table.rows))
-        else:
-            run_cfg["tfm"]["cutoff"] = value
-            run_cfg["tfm"]["enabled"] = True
+    for value, run_cfg in grid:
+        table = id_table                 # a cutoff sweep takes it as glpf left it
+        id_filter = stage_filter(run_cfg["glpf"], "id", graph) if section == "glpf" else None
+        if id_filter is not None:
+            table = dataclasses.replace(id_table, rows=id_filter.apply(id_table.rows))
         model = build_model(run_cfg, table, text_table, graph=graph)
         train(model, split, valid, TrainConfig(**cfg["training"]))
         report = evaluate(model, split, test, k=cfg["eval"]["k"])

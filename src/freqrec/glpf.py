@@ -7,6 +7,9 @@ eigendecomposition and exists to verify the polynomial path.  First-order
 mode uses the response h(lambda) = 1 - alpha * lambda with alpha in
 [0, 1]: alpha = 0 leaves embeddings untouched, alpha = 1 smooths
 maximally.
+`stage_filter` says where a config filters and on which graph: a
+`StageFilter` (spec and graph) at the stage glpf.apply_to names, or None;
+it is the one place that refuses a filter without a graph.
 """
 
 from dataclasses import dataclass
@@ -56,12 +59,27 @@ class PolyFilterSpec:
         return cls.first_order(glpf["alpha"])
 
 
-def stage_filter(glpf, stage):
-    """The filter a config's glpf section applies at `stage` ("id": the ID
-    table offline, "fused": the model's fused item tokens at use), or None."""
-    if glpf["enabled"] and glpf["apply_to"] == stage:
-        return PolyFilterSpec.from_config(glpf)
-    return None
+@dataclass(frozen=True, eq=False)
+class StageFilter:
+    """The G-LPF one stage applies: a polynomial spec on the graph it
+    filters over (compared by identity, since the graph holds arrays)."""
+
+    spec: PolyFilterSpec
+    graph: "CooccurrenceGraph"
+
+    def apply(self, rows):
+        """The filtered rows; linear and self-adjoint, so also its VJP."""
+        return polynomial_filter(self.graph, self.spec, rows)
+
+
+def stage_filter(glpf, stage, graph):
+    """The filter a config's glpf section applies at `stage` ("id" or
+    "fused") on `graph`, or None when it applies none there."""
+    if not (glpf["enabled"] and glpf["apply_to"] == stage):
+        return None
+    if graph is None:
+        raise InputError(f"glpf.apply_to={stage} needs --graph")
+    return StageFilter(PolyFilterSpec.from_config(glpf), graph)
 
 
 def polynomial_filter(graph, spec, embeddings):

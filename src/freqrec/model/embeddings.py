@@ -218,20 +218,13 @@ def text_surrogate_embeddings(split, d_text=50, seed=0):
     rng = np.random.default_rng(seed)
     projection = rng.standard_normal((TEXT_BUCKETS, d_text)) / np.sqrt(TEXT_BUCKETS)
     rows = np.zeros((split.n_items, d_text))
-    cache = {}
     for idx, text in enumerate(split.item_text):
         if not text:
-            continue
-        if text in cache:
-            rows[idx] = cache[text]
             continue
         counts = np.zeros(TEXT_BUCKETS)
         for token in _TOKEN_RE.findall(text.lower()):
             counts[_bucket(token)] += 1.0
         vec = counts @ projection
         norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec = vec / norm
-        cache[text] = vec
-        rows[idx] = vec
+        rows[idx] = vec / norm if norm > 0 else vec
     return EmbeddingTable(n_items=split.n_items, dim=d_text, rows=rows, provenance="text")

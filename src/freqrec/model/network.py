@@ -12,7 +12,8 @@ asks for a gradient (`grad`), `fuse`, `model_tokens` and
 kept: the MLP's two matmuls and activation, the token filter, and the
 backbone's hand-written adjoint with respect to its input alone (layer
 norm, attention, the FFN and the temporal filter, backwards through the
-layers).  Value-only passes keep nothing.
+layers).  Value-only passes keep nothing.  A fused-stage G-LPF is one
+`glpf.StageFilter`, which filters the full token table and its gradient.
 
 When temporal filtering is enabled, the backbone's `tfm.TemporalFilter`
 runs on the full hidden matrix after each layer's residual blocks, and
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from freqrec.errors import InputError
-from freqrec.glpf import PolyFilterSpec, polynomial_filter, stage_filter
+from freqrec.glpf import StageFilter, stage_filter
 from freqrec.numcore import autodiff as ad
 from freqrec.tfm import TemporalFilter
 
@@ -368,11 +369,10 @@ class RecModel:
     text_table: "EmbeddingTable"
     mlp: FusionMLP
     backbone: Backbone
-    # optional graph filter over the item axis, applied to the full fused
-    # token table (filtering at the token stage instead of offline on the ID
-    # table) on `graph`; forces full-catalog token computation
-    token_filter: PolyFilterSpec = None
-    graph: "CooccurrenceGraph" = None
+    # optional G-LPF over the item axis, applied to the full fused token
+    # table (filtering at the token stage instead of offline on the ID
+    # table); forces full-catalog token computation
+    token_filter: StageFilter = None
 
     def __post_init__(self):
         if self.id_table.n_items != self.text_table.n_items:
@@ -383,8 +383,7 @@ class RecModel:
                 f"{self.id_table.dim + self.text_table.dim}")
         if self.mlp.d_model != self.backbone.d_model:
             raise InputError("fusion MLP output width must equal backbone width")
-        if self.token_filter is not None and (self.graph is None
-                                              or self.graph.n_items != self.n_items):
+        if self.token_filter is not None and self.token_filter.graph.n_items != self.n_items:
             raise InputError("a token filter needs a graph over the model's items")
 
     @property
@@ -403,11 +402,8 @@ def build_model(cfg, id_table, text_table, graph=None):
                              tfm_enabled=t["enabled"], tfm=TemporalFilter.from_config(t))
     log.info("frozen stack: %d layers, d_model %d, %s", backbone.n_layers, backbone.d_model,
              backbone.dtype)
-    token_filter = stage_filter(cfg["glpf"], "fused")
-    if token_filter is not None and graph is None:
-        raise InputError("glpf.apply_to=fused needs --graph at model build time")
-    return RecModel(id_table=id_table, text_table=text_table, mlp=mlp,
-                    backbone=backbone, token_filter=token_filter, graph=graph)
+    return RecModel(id_table=id_table, text_table=text_table, mlp=mlp, backbone=backbone,
+                    token_filter=stage_filter(cfg["glpf"], "fused", graph))
 
 
 def fuse(id_table, text_table, mlp, item_ids=None, grad=False):
@@ -434,21 +430,17 @@ def model_tokens(model, item_ids=None, grad=False):
     if model.token_filter is None:
         return fuse(model.id_table, model.text_table, model.mlp, item_ids=item_ids,
                     grad=grad)
-
-    def token_filter(e):
-        return polynomial_filter(model.graph, model.token_filter, e)
-
     rows = slice(None) if item_ids is None else np.asarray(item_ids, dtype=np.intp)
     if not grad:
-        return token_filter(fuse(model.id_table, model.text_table, model.mlp))[rows]
+        full = fuse(model.id_table, model.text_table, model.mlp)
+        return model.token_filter.apply(full)[rows]
     full, mlp_vjp = fuse(model.id_table, model.text_table, model.mlp, grad=True)
-    filtered = token_filter(full)
+    filtered = model.token_filter.apply(full)
 
     def vjp(g):
         g_full = np.zeros_like(filtered)
         g_full[rows] = g
-        # the filter is linear and self-adjoint: its VJP is the filter
-        return mlp_vjp(token_filter(g_full))
+        return mlp_vjp(model.token_filter.apply(g_full))   # the filter is its own VJP
 
     return filtered[rows], vjp
 

@@ -66,7 +66,7 @@ def band_boundaries(n, n_bands):
     return np.array([round(b * n / n_bands) for b in range(n_bands + 1)], dtype=int)
 
 
-def band_energy(basis, coefficients, n_bands=4):
+def band_energy(basis, coefficients, n_bands):
     """Group per-frequency energies ||row_k||^2 of GFT coefficients into
     rank-quantile bands.
 

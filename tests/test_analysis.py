@@ -13,7 +13,7 @@ from freqrec.analysis import (
 from freqrec.dataset import SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.graph import build_cooccurrence, local_subgraph, normalized_laplacian
-from freqrec.model import network
+from freqrec import glpf
 from freqrec.model.network import forward
 from freqrec.spectral import basis_from_matrix
 from freqrec.tfm import ButterworthSpec
@@ -146,7 +146,7 @@ class TestProfile:
     def test_fused_table_filtered_once(self, setup, monkeypatch):
         split, graph, _ = setup
         model = config_model(split, graph, {"glpf.apply_to": "fused"})
-        calls = count_calls(monkeypatch, network, "polynomial_filter")
+        calls = count_calls(monkeypatch, glpf, "polynomial_filter")
         trace_spectral_profile(model, split.sequences, graph, n_bands=4)
         assert len(calls) == 1
 

@@ -99,7 +99,7 @@ def test_checkpoint_bytes(tmp_path, graph):
     for a, b in zip(loaded.mlp.param_arrays(), model.mlp.param_arrays()):
         np.testing.assert_array_equal(a, b)
     assert loaded.backbone.parameter_hash() == model.backbone.parameter_hash()
-    assert loaded.token_filter.coefficients == model.token_filter.coefficients
+    assert loaded.token_filter.spec == model.token_filter.spec
 
 
 @pytest.mark.parametrize("kind", ["table", "graph", "checkpoint"])

@@ -26,7 +26,6 @@ from freqrec.model.embeddings import (
 from freqrec.model.network import build_model, init_backbone, init_fusion_mlp, length_chunks
 from freqrec.checkpoint import CHECKPOINT_MAGIC, load_checkpoint
 from freqrec.model.training import TrainConfig, train
-from freqrec.spectral import band_energy
 from freqrec.tfm import TemporalFilter
 from tests.test_model import count_calls
 
@@ -674,6 +673,25 @@ class TestTableSlots:
         assert err.startswith(f"error: {slot} {table}: ") and "provenance" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_glpf_refuses_a_text_table(self, tmp_path, capsys, square):
+        # glpf filters the ID table: --embeddings is the ID slot
+        out = tmp_path / "id_f.emb"
+        assert run(["--config", square["config"], *SQUARE, "glpf", "--graph", square["graph"],
+                    "--embeddings", square["text"], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --embeddings {square['text']}: ") and "provenance" in err
+        assert not out.exists()
+
+    def test_glpf_refuses_a_table_of_another_width(self, tmp_path, capsys, workdir):
+        # a table glpf stamps with a run's fingerprint must have that run's d_id
+        out = tmp_path / "id_f.emb"
+        assert run(["--config", workdir["config"], "--set", "model.d_id=15",
+                    "glpf", "--graph", workdir["graph"], "--embeddings", workdir["id"],
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dimension 16" in err and "required 15" in err
+        assert not out.exists()
+
     def test_external_tables_go_in_either_slot(self, tmp_path, square):
         swapped = {}
         for slot, path in (("--id", square["text"]), ("--text", square["id"])):
@@ -854,6 +872,29 @@ class TestErrors:
                     "--text", workdir["text"], "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'abc'" in err and "Traceback" not in err
+        assert not trained and not out.exists()
+
+    @pytest.mark.parametrize("param, values, setting, message", [
+        # every grid point is checked as a config before the first one trains
+        ("cutoff", "0.3,0", [], "'tfm'"),
+        ("alpha", "0.3,1.5", [], "'glpf'"),
+        # explicit coefficients override alpha: every row would be one model
+        ("alpha", "0.1,0.9", ["--set", "glpf.coefficients=[1.0,-0.2]"], "glpf.coefficients"),
+        # the ID-stage filter needs the graph it filters on
+        ("alpha", "0.1,0.9", [], "glpf.apply_to=id needs --graph"),
+    ], ids=["cutoff-out-of-range", "alpha-out-of-range", "explicit-coefficients",
+            "no-graph"])
+    def test_sweep_refused_before_training(self, tmp_path, capsys, workdir, monkeypatch,
+                                           param, values, setting, message):
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(1))
+        out = tmp_path / "sweep.csv"
+        assert run(["--config", workdir["config"], *setting,
+                    "sweep", "--param", param, "--values", values,
+                    "--data", workdir["data"], "--id", workdir["id"],
+                    "--text", workdir["text"], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not trained and not out.exists()
 
     def test_coefficients_not_a_list(self, tmp_path, capsys):
@@ -1111,7 +1152,6 @@ class TestConfig:
                 (draw_candidates, {"n_candidates": cfg["eval"]["n_candidates"],
                                    "seed": cfg["eval"]["seed"]}),
                 (trace_spectral_profile, {"n_bands": a["n_bands"]}),
-                (band_energy, {"n_bands": a["n_bands"]}),
                 (analysis.theorem1_probe, {"rho": a["theorem_rho"],
                                            "t_range": (a["theorem_t_min"], a["theorem_t_max"]),
                                            "trials": a["theorem_trials"],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from freqrec import evalharness
+from freqrec import evalharness, glpf
 from freqrec.dataset import SynthConfig, build_split, synthesize
 from freqrec.errors import InputError
 from freqrec.evalharness import (
@@ -251,7 +251,7 @@ class TestBatchedEvaluate:
 
     def test_fused_table_filtered_once(self, split, monkeypatch):
         model = config_model(split, build_cooccurrence(split), {"glpf.apply_to": "fused"})
-        calls = count_calls(monkeypatch, network, "polynomial_filter")
+        calls = count_calls(monkeypatch, glpf, "polynomial_filter")
         report = evaluate(model, split, draw_candidates(split, "valid", 30, 3))
         assert len({len(split.eval_case(u, "valid")[0]) for u, *_ in report.per_user}) > 1
         assert len(calls) == 1

@@ -111,13 +111,30 @@ class TestPolynomialFilter:
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("apply_to", ["id", "fused"])
 def test_stage_filter_is_the_configured_filter_at_its_one_stage(enabled, apply_to):
+    graph = synth_graph(4)
     glpf = {"enabled": enabled, "alpha": 0.4, "coefficients": None, "apply_to": apply_to}
-    for stage in ("id", "fused"):
-        expected = PolyFilterSpec((1.0, -0.4)) if enabled and stage == apply_to else None
-        assert stage_filter(glpf, stage) == expected
     explicit = dict(glpf, coefficients=[1.0, -0.6, 0.2])
-    assert stage_filter(explicit, apply_to) == (
-        PolyFilterSpec((1.0, -0.6, 0.2)) if enabled else None)
+    for section, coefficients in ((glpf, (1.0, -0.4)), (explicit, (1.0, -0.6, 0.2))):
+        for stage in ("id", "fused"):
+            found = stage_filter(section, stage, graph)
+            if enabled and stage == apply_to:
+                assert found.spec == PolyFilterSpec(coefficients) and found.graph is graph
+                e = np.random.default_rng(3).standard_normal((graph.n_items, 2))
+                np.testing.assert_array_equal(
+                    found.apply(e), polynomial_filter(graph, found.spec, e))
+            else:
+                assert found is None
+
+
+@pytest.mark.parametrize("apply_to", ["id", "fused"])
+def test_stage_filter_without_a_graph_is_refused(apply_to):
+    glpf = {"enabled": True, "alpha": 0.4, "coefficients": None, "apply_to": apply_to}
+    with pytest.raises(InputError, match=f"glpf.apply_to={apply_to} needs --graph"):
+        stage_filter(glpf, apply_to, None)
+    # a stage where the config filters nothing needs no graph
+    other = "fused" if apply_to == "id" else "id"
+    assert stage_filter(glpf, other, None) is None
+    assert stage_filter(dict(glpf, enabled=False), apply_to, None) is None
 
 
 class TestOracle:

@@ -15,7 +15,7 @@ from freqrec.errors import InputError
 from freqrec.evalharness import draw_candidates, evaluate
 from freqrec.glpf import PolyFilterSpec, polynomial_filter
 from freqrec.graph import EDGE_BLOCK, build_cooccurrence
-from freqrec import evalharness
+from freqrec import evalharness, glpf
 from freqrec.model import network, training
 from freqrec.model.embeddings import (
     PAIR_BLOCK,
@@ -927,8 +927,8 @@ class TestGroupedLoss:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(network, "polynomial_filter",
-                            counting("filter", network.polynomial_filter))
+        monkeypatch.setattr(glpf, "polynomial_filter",
+                            counting("filter", glpf.polynomial_filter))
         monkeypatch.setattr(network, "_layer_adjoint",
                             counting("adjoint", network._layer_adjoint))
         block, vjp = model_tokens(model, item_ids=np.arange(8), grad=True)
@@ -964,7 +964,7 @@ class TestGroupedLoss:
             batches += any(n >= 2 for n in lengths)
         assert batches < groups
 
-        calls = count_calls(monkeypatch, network, "polynomial_filter")
+        calls = count_calls(monkeypatch, glpf, "polynomial_filter")
         train(model, synth_split, valid_draw(synth_split), config)
         # per batch one filtered table and one filtered gradient (the filter
         # is self-adjoint), whatever its number of groups, and one table for

@@ -219,9 +219,9 @@ class TestBandEnergy:
         rng = np.random.default_rng(9)
         stacked = basis_from_matrix(np.stack([random_laplacian(rng, 5)[0] for _ in range(3)]))
         with pytest.raises(InputError):
-            band_energy(stacked, np.ones((2, 5, 1)))
+            band_energy(stacked, np.ones((2, 5, 1)), n_bands=4)
         with pytest.raises(InputError):
-            band_energy(stacked, np.ones((3, 4, 1)))
+            band_energy(stacked, np.ones((3, 4, 1)), n_bands=4)
 
     def test_too_many_bands_rejected(self):
         basis = basis_from_matrix(np.eye(3))
